@@ -2,7 +2,8 @@
 """Regenerate the headline link-budget, tracking, loss, and throughput numbers.
 
 Each block prints the simulated value next to the reference it should land on.
-Runtime is a few seconds per tracking run (the simulator is ~100x realtime).
+Runtime is a few seconds per tracking run (the simulator runs at 36-44x
+realtime end to end; see perfbench/README.md).
 
 Usage:
     python3 scripts/reproduce_results.py [--seed 1] [--duration 120]

@@ -31,12 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DisturbanceGenerator, lag_alpha
+from .dynamics import TICK_RATE_HZ, DisturbanceGenerator, lag_alpha
 from .link import summarize
 from .scenario import AptParams, Scenario
 from .states import AptState
-
-TICK_RATE_HZ = 1000.0
 
 RNG_STREAM_LABELS = {
     "disturbance": 1,
@@ -263,6 +261,11 @@ def tracking_stats(series: TrackingSeries, t0_s: float | None = None,
 # ---------------------------------------------------------------------------
 # simulation loop
 
+def tick_count(duration_s: float) -> int:
+    """Number of loop ticks in a run of duration_s seconds (t = k / TICK_RATE_HZ)."""
+    return int(round(duration_s * TICK_RATE_HZ))
+
+
 def run_apt(
     scenario: Scenario,
     duration_s: float,
@@ -283,8 +286,11 @@ def run_apt(
     command (off leaves the vision loops on their own).  Identical
     arguments produce bit-identical series.
     """
-    if duration_s <= 0.0:
-        raise ValueError("duration_s must be positive")
+    if not (duration_s > 0.0 and math.isfinite(duration_s)):
+        raise ValueError("duration_s must be positive and finite")
+    n = tick_count(duration_s)
+    if n < 1:
+        raise ValueError(f"duration_s={duration_s} rounds to zero ticks at {TICK_RATE_HZ:g} Hz")
     if enable_fine1 is None:
         enable_fine1 = scenario.apt.fine1_enabled
     if enable_fine2 is None:
@@ -292,7 +298,6 @@ def run_apt(
     if enable_fine2 and not enable_fine1:
         raise ValueError("enable_fine2 requires enable_fine1")
     dt = 1.0 / TICK_RATE_HZ
-    n = int(round(duration_s * TICK_RATE_HZ))
 
     # component noise streams (fixed labels; see module docstring)
     dist_gen = DisturbanceGenerator(
@@ -331,8 +336,8 @@ def run_apt(
         cams.append((
             0.5 * cam.fov_pitch_rad,
             0.5 * cam.fov_azimuth_rad,
-            cam.fov_pitch_rad / cam.pixels,
-            cam.fov_azimuth_rad / cam.pixels,
+            cam.pixel_pitch_pitch_rad,
+            cam.pixel_pitch_azimuth_rad,
         ))
     (c0_half_p, c0_half_a, c0_pp, c0_pa) = cams[0]
     (c1_half_p, c1_half_a, c1_pp, c1_pa) = cams[1]

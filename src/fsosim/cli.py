@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -18,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io as fsio
-from .apt import TrackingSeries, run_apt, tracking_stats
+from .apt import TICK_RATE_HZ, TrackingSeries, run_apt, tick_count, tracking_stats
 from .calibrate import DEFAULT_TOLERANCE_DB, calibrate_coupling, parse_anchor_file
 from .link import (
     LossSeries,
+    downtime_fraction,
     loss_statistics,
     loss_timeseries,
     summarize,
@@ -148,6 +150,25 @@ def _scenario_header(scenario: Scenario) -> dict:
     }
 
 
+def _check_duration(duration: float) -> None:
+    if not (duration > 0.0 and math.isfinite(duration)):
+        raise ValueError("--duration must be positive and finite")
+
+
+def _check_window(flag: str, t0: float, t1: float) -> None:
+    """Reject flags whose statistics window [t0, t1) would hold no tick."""
+    # ticks sit at k / TICK_RATE_HZ (as in TrackingSeries.t_s); up to rounding,
+    # the first one at or after t0 is floor(t0 * TICK_RATE_HZ) or the next
+    k = max(0, math.floor(t0 * TICK_RATE_HZ))
+    if k / TICK_RATE_HZ < t0:
+        k += 1
+    if k >= tick_count(t1) or k / TICK_RATE_HZ >= t1:
+        raise ValueError(
+            f"{flag}: the statistics window [{t0}, {t1}) s holds no "
+            f"{TICK_RATE_HZ:g} Hz tick"
+        )
+
+
 def _check_seed(seed: int) -> int:
     if not (0 <= seed < 2**64):
         raise ValueError("seed must fit in 64 bits")
@@ -184,7 +205,7 @@ def _stats_dict(series: TrackingSeries, t0: float, t1: float) -> dict:
 def _time_in_state(series: TrackingSeries) -> dict:
     counts = np.bincount(series.state, minlength=len(STATE_NAMES))
     return {
-        STATE_NAMES[i]: counts[i] / 1000.0
+        STATE_NAMES[i]: counts[i] / TICK_RATE_HZ
         for i in range(len(STATE_NAMES))
         if counts[i]
     }
@@ -263,10 +284,13 @@ def cmd_sweep(args) -> int:
 def cmd_track(args) -> int:
     scenario = _load(args)
     _check_seed(args.seed)
-    if args.duration <= 0.0:
-        raise ValueError("--duration must be positive")
-    if args.fine_after < 0.0:
-        raise ValueError("--fine-after must be >= 0")
+    _check_duration(args.duration)
+    if not (args.fine_after >= 0.0 and math.isfinite(args.fine_after)):
+        raise ValueError("--fine-after must be >= 0 and finite")
+    warmup = min(scenario.apt.stats_warmup_s, 0.5 * args.duration)
+    _check_window("--duration", warmup, args.duration)
+    if args.fine_after > 0.0:
+        _check_window("--fine-after", args.fine_after, args.duration)
     if args.stages is None:
         fine1, fine2 = scenario.apt.fine1_enabled, scenario.apt.fine2_enabled
     else:
@@ -276,7 +300,6 @@ def cmd_track(args) -> int:
         enable_fine1=fine1, enable_fine2=fine2, fine_after_s=args.fine_after,
     )
     out = _out_dir(args)
-    warmup = min(scenario.apt.stats_warmup_s, 0.5 * args.duration)
     stage_name = {(False, False): "coarse", (True, False): "fine1",
                   (True, True): "full"}[(fine1, fine2)]
     payload = {
@@ -321,9 +344,7 @@ def _run_one_seed(scenario: Scenario, duration: float, seed: int,
         fsio.write_throughput_csv(out / thr_name, throughput)
 
     finite = loss.loss_db[np.isfinite(loss.loss_db)]
-    down = np.count_nonzero(
-        ~(loss.loss_db <= scenario.transceiver.max_tolerable_loss_db)
-    ) / loss.loss_db.size
+    down = downtime_fraction(loss, scenario.transceiver)
     return {
         "seed": seed,
         "files": (
@@ -344,10 +365,12 @@ def _run_one_seed(scenario: Scenario, duration: float, seed: int,
 
 def cmd_run(args) -> int:
     scenario = _load(args)
+    _check_duration(args.duration)
     if args.duration <= scenario.apt.stats_warmup_s:
         raise ValueError(
             f"--duration must exceed the stats warmup ({scenario.apt.stats_warmup_s} s)"
         )
+    _check_window("--duration", scenario.apt.stats_warmup_s, args.duration)
     seeds = _parse_seed_range(args.seeds) if args.seeds else [_check_seed(args.seed)]
     seeds = sorted(set(seeds))
     out = _out_dir(args)

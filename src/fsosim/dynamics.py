@@ -1,4 +1,9 @@
-"""Plant models for the tracking simulation: actuators, sensors, platform motion.
+"""Plant parameters for the tracking simulation, and platform motion.
+
+Holds the actuator and sensor specs (gimbal, steering mirrors, cameras,
+IMU, beacons), the first-order lag gain, and the base-motion generator.
+The per-tick plant itself (lags, slew and range clamps, camera gating and
+quantization, the beacon cone) runs inline in `apt.run_apt`.
 
 Axes follow the mount convention: `pitch` tilts the line of sight vertically,
 `azimuth` rotates it horizontally.  All angles are radians, rates rad/s.
@@ -15,6 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal
+
+# common rate of every loop, camera frame and disturbance sample
+TICK_RATE_HZ = 1000.0
 
 
 # ---------------------------------------------------------------------------
@@ -36,14 +44,6 @@ class GimbalSpec:
             raise ValueError("bandwidth_hz and max_rate_rad_s must be positive")
 
 
-@dataclass
-class GimbalState:
-    azimuth_rad: float = 0.0
-    pitch_rad: float = 0.0
-    azimuth_rate_rad_s: float = 0.0
-    pitch_rate_rad_s: float = 0.0
-
-
 @dataclass(frozen=True)
 class FsmSpec:
     """Fast steering mirror stage; deflection is the line-of-sight correction."""
@@ -56,72 +56,9 @@ class FsmSpec:
             raise ValueError("range_rad and bandwidth_hz must be positive")
 
 
-@dataclass
-class FsmState:
-    pitch_rad: float = 0.0
-    azimuth_rad: float = 0.0
-
-
 def lag_alpha(bandwidth_hz: float, dt_s: float) -> float:
     """Exact discrete gain of a first-order lag with the given bandwidth."""
     return 1.0 - math.exp(-2.0 * math.pi * bandwidth_hz * dt_s)
-
-
-def first_order_step(position: float, command: float, alpha: float, max_delta: float) -> float:
-    """One lag step toward command; the move is clamped to +/- max_delta."""
-    delta = alpha * (command - position)
-    if delta > max_delta:
-        delta = max_delta
-    elif delta < -max_delta:
-        delta = -max_delta
-    return position + delta
-
-
-def _clamp(x: float, limit: float) -> float:
-    if x > limit:
-        return limit
-    if x < -limit:
-        return -limit
-    return x
-
-
-def gimbal_step(
-    state: GimbalState, spec: GimbalSpec, command_az_rad: float, command_pitch_rad: float, dt_s: float
-) -> GimbalState:
-    """Advance the gimbal one tick toward the commanded angles.
-
-    Angle moves are limited by the slew rate and the axis ranges; the
-    returned rates are the realized (post-clamp) rates.
-    """
-    if dt_s <= 0.0:
-        raise ValueError("dt_s must be positive")
-    alpha = lag_alpha(spec.bandwidth_hz, dt_s)
-    max_delta = spec.max_rate_rad_s * dt_s
-    az = _clamp(first_order_step(state.azimuth_rad, command_az_rad, alpha, max_delta),
-                spec.azimuth_range_rad)
-    pitch = _clamp(first_order_step(state.pitch_rad, command_pitch_rad, alpha, max_delta),
-                   spec.pitch_range_rad)
-    return GimbalState(
-        azimuth_rad=az,
-        pitch_rad=pitch,
-        azimuth_rate_rad_s=(az - state.azimuth_rad) / dt_s,
-        pitch_rate_rad_s=(pitch - state.pitch_rad) / dt_s,
-    )
-
-
-def fsm_step(
-    state: FsmState, spec: FsmSpec, command_pitch_rad: float, command_az_rad: float, dt_s: float
-) -> FsmState:
-    """Advance a steering mirror one tick; deflections clamp to +/- range."""
-    if dt_s <= 0.0:
-        raise ValueError("dt_s must be positive")
-    alpha = lag_alpha(spec.bandwidth_hz, dt_s)
-    return FsmState(
-        pitch_rad=_clamp(first_order_step(state.pitch_rad, command_pitch_rad, alpha, math.inf),
-                         spec.range_rad),
-        azimuth_rad=_clamp(first_order_step(state.azimuth_rad, command_az_rad, alpha, math.inf),
-                           spec.range_rad),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +71,6 @@ class CmosSpec:
     fov_pitch_rad: float
     fov_azimuth_rad: float
     pixels: int = 288
-    frame_rate_hz: float = 1000.0
     centroid_noise_rad: float = 0.0
 
     def __post_init__(self) -> None:
@@ -142,8 +78,6 @@ class CmosSpec:
             raise ValueError("fields of view must be positive")
         if self.pixels <= 0:
             raise ValueError("pixels must be positive")
-        if self.frame_rate_hz <= 0.0:
-            raise ValueError("frame_rate_hz must be positive")
         if self.centroid_noise_rad < 0.0:
             raise ValueError("centroid_noise_rad must be >= 0")
 
@@ -157,44 +91,6 @@ class CmosSpec:
 
 
 @dataclass(frozen=True)
-class SensorFrame:
-    valid: bool
-    offset_pitch_rad: float
-    offset_azimuth_rad: float
-
-
-def quantize_half_away(value: float, pitch: float) -> float:
-    """Round to the nearest multiple of pitch, halves away from zero."""
-    if pitch <= 0.0:
-        raise ValueError("pitch must be positive")
-    return math.copysign(math.floor(abs(value) / pitch + 0.5), value) * pitch
-
-
-def cmos_measure(
-    spec: CmosSpec,
-    true_pitch_rad: float,
-    true_azimuth_rad: float,
-    beacon_seen: bool,
-    rng: np.random.Generator,
-) -> SensorFrame:
-    """One centroid frame.
-
-    Invalid when the beacon is absent or the true offset falls outside the
-    field of view on either axis.  Valid frames report the true offset plus
-    centroid noise, quantized to the pixel pitch and clamped to the FOV.
-    """
-    half_pitch = 0.5 * spec.fov_pitch_rad
-    half_az = 0.5 * spec.fov_azimuth_rad
-    if (not beacon_seen) or abs(true_pitch_rad) > half_pitch or abs(true_azimuth_rad) > half_az:
-        return SensorFrame(valid=False, offset_pitch_rad=0.0, offset_azimuth_rad=0.0)
-    noisy_pitch = true_pitch_rad + spec.centroid_noise_rad * rng.standard_normal()
-    noisy_az = true_azimuth_rad + spec.centroid_noise_rad * rng.standard_normal()
-    pitch = _clamp(quantize_half_away(noisy_pitch, spec.pixel_pitch_pitch_rad), half_pitch)
-    az = _clamp(quantize_half_away(noisy_az, spec.pixel_pitch_azimuth_rad), half_az)
-    return SensorFrame(valid=True, offset_pitch_rad=pitch, offset_azimuth_rad=az)
-
-
-@dataclass(frozen=True)
 class ImuSpec:
     """Angular-rate sensor used for platform stabilization feedforward."""
 
@@ -203,11 +99,6 @@ class ImuSpec:
     def __post_init__(self) -> None:
         if self.rate_noise_rad_s < 0.0:
             raise ValueError("rate_noise_rad_s must be >= 0")
-
-
-def imu_measure(spec: ImuSpec, true_rate_rad_s: float, rng: np.random.Generator) -> float:
-    """Measured base angular rate: truth plus white Gaussian noise."""
-    return true_rate_rad_s + spec.rate_noise_rad_s * rng.standard_normal()
 
 
 @dataclass(frozen=True)
@@ -220,13 +111,6 @@ class BeaconSpec:
     def __post_init__(self) -> None:
         if self.wavelength_m <= 0.0 or self.divergence_full_angle_rad <= 0.0:
             raise ValueError("beacon parameters must be positive")
-
-
-def beacon_visible(beacon: BeaconSpec, transmitter_error_rad: float) -> bool:
-    """True when the receiver sits inside the beacon cone (edge inclusive)."""
-    if transmitter_error_rad < 0.0:
-        raise ValueError("transmitter_error_rad must be >= 0")
-    return transmitter_error_rad <= 0.5 * beacon.divergence_full_angle_rad
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +158,8 @@ class DisturbanceGenerator:
     so the process is stationary from the first sample.
     """
 
-    def __init__(self, profile: DisturbanceProfile, rng: np.random.Generator, rate_hz: float = 1000.0):
+    def __init__(self, profile: DisturbanceProfile, rng: np.random.Generator,
+                 rate_hz: float = TICK_RATE_HZ):
         self.profile = profile
         self.rate_hz = rate_hz
         self._rng = rng
@@ -317,7 +202,3 @@ class DisturbanceGenerator:
         az = _sinusoid_series(self.profile.azimuth, t) + self._noise_series("azimuth", n_samples)
         return pitch, az
 
-
-def disturbance_sample(generator: DisturbanceGenerator, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience wrapper over DisturbanceGenerator.series for one batch."""
-    return generator.series(n_samples)

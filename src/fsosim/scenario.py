@@ -23,7 +23,8 @@ Schema reference (defaults in parentheses):
                               bandwidth_hz (20), max_rate_deg_s (28.65)
     fsm1 / fsm2               range_urad (212), bandwidth_hz (300 / 600)
     cmos0 / cmos1 / cmos2     fov_pitch_mrad, fov_azimuth_mrad, pixels (288),
-                              frame_rate_hz (1000), centroid_noise_urad
+                              frame_rate_hz (must equal the 1000 Hz tick rate),
+                              centroid_noise_urad
     imu                       rate_noise_urad_s (30)
     beacons.bl0/bl1/bl2       wavelength_nm, divergence_mrad
     disturbance.pitch/azimuth sinusoids: [{amplitude_urad, frequency_hz,
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import (
+    TICK_RATE_HZ,
     AxisDisturbance,
     BeaconSpec,
     CmosSpec,
@@ -308,11 +310,13 @@ def _node(obj: dict, path: str) -> GeodeticPosition:
 def _cmos(obj: dict, path: str) -> CmosSpec:
     _check_keys(obj, {"fov_pitch_mrad", "fov_azimuth_mrad", "pixels", "frame_rate_hz",
                       "centroid_noise_urad"}, path)
+    # every camera frames once per loop tick; other rates are not modelled
+    if _number(obj, "frame_rate_hz", path) != TICK_RATE_HZ:
+        raise ScenarioError(f"{path}.frame_rate_hz", f"must equal the {TICK_RATE_HZ:g} Hz tick rate")
     return CmosSpec(
         fov_pitch_rad=_positive(obj, "fov_pitch_mrad", path) * _MRAD,
         fov_azimuth_rad=_positive(obj, "fov_azimuth_mrad", path) * _MRAD,
         pixels=_integer(obj, "pixels", path),
-        frame_rate_hz=_positive(obj, "frame_rate_hz", path),
         centroid_noise_rad=_number(obj, "centroid_noise_urad", path, low=0.0) * _URAD,
     )
 

@@ -25,13 +25,8 @@ from fsosim import (
     throughput_timeseries,
     tracking_stats,
 )
+from fsosim.apt import TICK_RATE_HZ
 from fsosim.cli import main
-from fsosim.dynamics import (
-    FsmState,
-    GimbalState,
-    fsm_step,
-    gimbal_step,
-)
 from fsosim.io import read_loss_csv, read_throughput_csv
 from fsosim.optics import (
     atmospheric_loss_db,
@@ -41,7 +36,12 @@ from fsosim.optics import (
 )
 from fsosim.scenario import load_scenario
 
-from conftest import make_scenario, zero_noise_overrides
+from conftest import (
+    fsm_saturation_scenario,
+    gimbal_saturation_scenario,
+    make_scenario,
+    zero_noise_overrides,
+)
 
 LEGAL_EDGES = frozenset({
     (AptState.STABILIZE, AptState.STABILIZE),
@@ -256,29 +256,29 @@ class TestModelProperties:
         check(capsys, "diffraction-quadrature-oracle", worst <= 0.3,
               f"worst deviation {worst:.3f} dB <= 0.3 over 0.1-20 km")
 
-    def test_actuator_saturation(self, scenario, capsys):
-        rng = np.random.default_rng(2026)
-        n = 1_000_000
-        fsm_cmd = rng.uniform(-5.0, 5.0, (n, 2)) * scenario.fsm1.range_rad
-        gim_cmd = rng.uniform(-2.0, 2.0, (n, 2)) * math.pi
-        fsm = FsmState()
-        gim = GimbalState()
-        worst_fsm = 0.0
-        worst_az = 0.0
-        worst_pitch = 0.0
-        for i in range(n):
-            fsm = fsm_step(fsm, scenario.fsm1, fsm_cmd[i, 0], fsm_cmd[i, 1], 1e-3)
-            gim = gimbal_step(gim, scenario.gimbal, gim_cmd[i, 0], gim_cmd[i, 1], 1e-3)
-            worst_fsm = max(worst_fsm, abs(fsm.pitch_rad), abs(fsm.azimuth_rad))
-            worst_az = max(worst_az, abs(gim.azimuth_rad))
-            worst_pitch = max(worst_pitch, abs(gim.pitch_rad))
-        ok = (worst_fsm <= scenario.fsm1.range_rad
-              and worst_az <= scenario.gimbal.azimuth_range_rad
-              and worst_pitch <= scenario.gimbal.pitch_range_rad)
+    def test_actuator_saturation(self, capsys):
+        # both runs overdrive the 1 kHz loop's actuators: every limit must be
+        # reached (ratio 1) and never passed (ratio <= 1)
+        fsm_sc = fsm_saturation_scenario()
+        fsm = run_apt(fsm_sc, 20.0, 3, initial_state=AptState.LINKED)
+        gim_sc = gimbal_saturation_scenario()
+        gim = run_apt(gim_sc, 10.0, 1)
+        max_move = gim_sc.gimbal.max_rate_rad_s / TICK_RATE_HZ
+        ratios = {
+            "fsm1": np.abs(np.r_[fsm.fsm1_pitch_rad, fsm.fsm1_azimuth_rad]).max()
+            / fsm_sc.fsm1.range_rad,
+            "fsm2": np.abs(np.r_[fsm.fsm2_pitch_rad, fsm.fsm2_azimuth_rad]).max()
+            / fsm_sc.fsm2.range_rad,
+            "gimbal az": np.abs(gim.gimbal_azimuth_rad).max() / gim_sc.gimbal.azimuth_range_rad,
+            "gimbal pitch": np.abs(gim.gimbal_pitch_rad).max() / gim_sc.gimbal.pitch_range_rad,
+        }
+        worst_move = max(np.abs(np.diff(gim.gimbal_azimuth_rad, prepend=0.0)).max(),
+                         np.abs(np.diff(gim.gimbal_pitch_rad, prepend=0.0)).max())
+        ok = (all(r == 1.0 for r in ratios.values())
+              and max_move * (1.0 - 1e-12) <= worst_move <= max_move + 1e-15)
         check(capsys, "actuator-saturation", ok,
-              f"1e6 steps: |fsm| <= {worst_fsm * 1e6:.1f} urad (limit 212), "
-              f"|gimbal az| <= {math.degrees(worst_az):.1f} deg (limit 90), "
-              f"|gimbal pitch| <= {math.degrees(worst_pitch):.1f} deg (limit 60)")
+              ", ".join(f"|{k}|/limit {v:.15g}" for k, v in ratios.items())
+              + f", worst slew/limit {worst_move / max_move:.17g} (limit + 1e-15 rad)")
 
     def test_state_machine_safety(self, capsys):
         rng = np.random.default_rng(7)

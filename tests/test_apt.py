@@ -239,6 +239,16 @@ class TestRunApt:
         with pytest.raises(ValueError):
             run_apt(scenario, 0.0, seed=0)
 
+    @pytest.mark.parametrize("duration", [0.0004, 0.0005, math.inf, math.nan])
+    def test_duration_without_a_tick_rejected(self, scenario, duration):
+        # 0.5 ms rounds half to even, to zero ticks
+        with pytest.raises(ValueError):
+            run_apt(scenario, duration, seed=0)
+
+    def test_shortest_run_is_one_tick(self, scenario):
+        series = run_apt(scenario, 0.0006, seed=0)
+        assert series.t_s.tolist() == [0.0]
+
     def test_scenario_stage_flags_are_defaults(self):
         sc = make_scenario(**{"apt.fine1_enabled": False, "apt.fine2_enabled": False})
         series = run_apt(sc, 4.0, seed=1)

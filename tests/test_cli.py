@@ -96,6 +96,22 @@ class TestTrack:
     def test_zero_duration_rejected(self, capsys):
         assert run_cli("track", "--duration", "0") == 1
 
+    @pytest.mark.parametrize("duration", ["0.0004", "0.001", "inf", "nan"])
+    def test_duration_without_a_window_tick_rejected(self, duration, capsys):
+        # 0.4 ms rounds to no tick; 1 ms gives one tick, before the window at 0.5 ms
+        assert run_cli("track", "--duration", duration) == 1
+        err = capsys.readouterr().err
+        assert "--duration" in err and "selects no samples" not in err
+
+    def test_shortest_window_runs(self, tmp_path):
+        assert run_cli("track", "--duration", "0.0015", "--out", str(tmp_path)) == 0
+        assert read_json(tmp_path / "tracking_stats.json")["stats"]["count"] == 1
+
+    @pytest.mark.parametrize("fine_after", ["2", "1.9995", "inf"])
+    def test_fine_after_without_a_window_tick_rejected(self, fine_after, capsys):
+        assert run_cli("track", "--duration", "2", "--fine-after", fine_after) == 1
+        assert "--fine-after" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -161,6 +177,13 @@ class TestRun:
     def test_duration_must_exceed_warmup(self, capsys):
         assert run_cli("run", "--duration", "10") == 1
         assert "warmup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration", ["10.0005", "inf", "nan"])
+    def test_duration_without_a_window_tick_rejected(self, duration, capsys):
+        # 10.0005 s rounds to 10000 ticks, the last at 9.999 s, before the window
+        assert run_cli("run", "--duration", duration) == 1
+        err = capsys.readouterr().err
+        assert "--duration" in err and "selects no samples" not in err
 
     @pytest.mark.parametrize("bad", ["x..y", "5..3", "0..20000", "3..", "..5"])
     def test_bad_seed_ranges(self, bad, capsys):

@@ -1,3 +1,19 @@
+"""Plant checks, each read back from `run_apt`, the one loop that runs.
+
+The gimbal and mirror lags with their slew and range clamps, the camera
+gate, quantization and FOV clamp, the beacon cones and the IMU feedforward
+all run inline in the 1 kHz loop.  Three exact identities expose them in
+the `TrackingSeries` arrays:
+
+- With coarse gains kp only (ki = kd = 0) the gimbal command is
+  g + kp * m0, so in CoarseTrack each tick's gimbal move is
+  alpha * kp * m0: it recovers the coarse camera reading m0.
+- With both fine stages off the mirrors stay at exactly 0, so `error_*`
+  is the coarse error e0, which the cameras see one tick later.
+- Outside the tracking states, with ki > 0, the gimbal command is the
+  integrated IMU rate ff, so ff = g_prev + move / alpha.
+"""
+
 import math
 
 import numpy as np
@@ -6,190 +22,371 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsosim import (
+    AptState,
     AxisDisturbance,
-    BeaconSpec,
     CmosSpec,
     DisturbanceGenerator,
     DisturbanceProfile,
-    FsmSpec,
-    FsmState,
-    GimbalSpec,
-    GimbalState,
-    ImuSpec,
+    ScenarioError,
     SinusoidComponent,
-    beacon_visible,
-    cmos_measure,
-    fsm_step,
-    gimbal_step,
-    imu_measure,
+    component_rng,
+    run_apt,
 )
-from fsosim.dynamics import first_order_step, lag_alpha, quantize_half_away
+from fsosim.apt import TICK_RATE_HZ
+from fsosim.dynamics import lag_alpha
 
-DT = 1e-3
+from conftest import (
+    fsm_saturation_scenario,
+    gimbal_saturation_scenario,
+    make_scenario,
+    sinusoid,
+    zero_noise_overrides,
+)
+
+DT = 1.0 / TICK_RATE_HZ
+COARSE = int(AptState.COARSE_TRACK)
+
+
+def moves(angles):
+    """Per-tick actuator moves; every actuator starts at rest at 0."""
+    return np.diff(angles, prepend=0.0)
+
+
+def coarse_p_scenario(**overrides):
+    """Noise-free, coarse-only scenario whose gimbal loop is kp = 0.5 only."""
+    raw = zero_noise_overrides()
+    raw.update({
+        "control.coarse.kp": 0.5, "control.coarse.ki": 0.0, "control.coarse.kd": 0.0,
+        "apt.fine1_enabled": False, "apt.fine2_enabled": False,
+    })
+    raw.update(overrides)
+    return make_scenario(**raw)
+
+
+def coarse_readings(scenario, series):
+    """Coarse camera readings (pitch, azimuth) recovered from gimbal moves."""
+    gain = lag_alpha(scenario.gimbal.bandwidth_hz, DT) * scenario.gains_coarse.kp
+    return moves(series.gimbal_pitch_rad) / gain, moves(series.gimbal_azimuth_rad) / gain
+
+
+def seen_errors(scenario, series):
+    """Error each tick's cameras see: the previous tick's (the bias at tick 0)."""
+    bias = scenario.apt.acquisition_bias_rad / math.sqrt(2.0)
+    return (np.r_[bias, series.error_pitch_rad[:-1]],
+            np.r_[bias, series.error_azimuth_rad[:-1]])
+
+
+def round_half_away(x):
+    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+
+
+def first_readings(offset_urad, **overrides):
+    """Coarse readings of one offset on both axes, taken on tick 1 of a 2-tick run.
+
+    Zero bias leaves the gimbal at rest on tick 0.  A 1e-9 Hz sinusoid at
+    +/-90 deg phase is a base offset of exactly +/- its amplitude, which is
+    the error tick 1 sees.  Returns (reading, seen error, pixel pitch) for
+    pitch, then azimuth.
+    """
+    constant = sinusoid(abs(offset_urad), 1e-9, math.copysign(90.0, offset_urad))
+    raw = zero_noise_overrides()
+    raw.update({
+        "control.coarse.kp": 1.0, "control.coarse.ki": 0.0, "control.coarse.kd": 0.0,
+        "apt.fine1_enabled": False, "apt.fine2_enabled": False,
+        "apt.acquisition_bias_urad": 0.0,
+        "gimbal.max_rate_deg_s": 1000.0,
+        "beacons.bl0.divergence_mrad": 100.0,
+        "disturbance.pitch.sinusoids": constant,
+        "disturbance.azimuth.sinusoids": constant,
+    })
+    raw.update(overrides)
+    sc = make_scenario(**raw)
+    series = run_apt(sc, 2 * DT, seed=0, initial_state=AptState.COARSE_TRACK)
+    assert series.gimbal_pitch_rad[0] == series.gimbal_azimuth_rad[0] == 0.0
+    assert (series.state == COARSE).all()
+    return list(zip([reading[1] for reading in coarse_readings(sc, series)],
+                    (series.error_pitch_rad[0], series.error_azimuth_rad[0]),
+                    (sc.cmos0.pixel_pitch_pitch_rad, sc.cmos0.pixel_pitch_azimuth_rad)))
+
+
+def never_locking_scenario(**overrides):
+    """Defaults with a 1 mrad bl0 half-cone inside the 2 mrad acquisition bias.
+
+    The coarse camera never locks, so the gimbal follows the IMU
+    feedforward alone.
+    """
+    return make_scenario(**{"beacons.bl0.divergence_mrad": 2.0, **overrides})
+
+
+def imu_rates(scenario, series):
+    """(measured, true) base rates per axis.
+
+    The measured rate is recovered from the feedforward-driven gimbal.  The
+    true rate comes from the run's own disturbance stream.
+    """
+    alpha = lag_alpha(scenario.gimbal.bandwidth_hz, DT)
+    gen = DisturbanceGenerator(scenario.disturbance,
+                               component_rng(series.seed, "disturbance"))
+    base = gen.series(len(series) + 1, t0_s=-DT)
+    out = []
+    for gimbal, truth in zip((series.gimbal_pitch_rad, series.gimbal_azimuth_rad), base):
+        previous = np.r_[0.0, gimbal[:-1]]
+        feedforward = previous + (gimbal - previous) / alpha
+        out.append((moves(feedforward) / DT, np.diff(truth) / DT))
+    return out
+
+
+@pytest.fixture(scope="module")
+def gimbal_run():
+    sc = gimbal_saturation_scenario()
+    return sc, run_apt(sc, 10.0, seed=1)
+
+
+@pytest.fixture(scope="module")
+def coarse_p_run():
+    sc = coarse_p_scenario()
+    return sc, run_apt(sc, 5.0, seed=0)
 
 
 class TestFirstOrderLag:
     def test_one_time_constant_reaches_63_percent(self):
         bw = 20.0
         tau = 1.0 / (2.0 * math.pi * bw)
-        alpha = lag_alpha(bw, tau)
-        pos = first_order_step(0.0, 1.0, alpha, math.inf)
-        assert pos == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+        assert lag_alpha(bw, tau) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_two_half_steps_equal_one_full_step(self):
         # the exponential update is exact, so step size must not matter
         bw = 37.0
-        one = first_order_step(0.2, 1.0, lag_alpha(bw, DT), math.inf)
-        half = first_order_step(0.2, 1.0, lag_alpha(bw, DT / 2), math.inf)
-        two = first_order_step(half, 1.0, lag_alpha(bw, DT / 2), math.inf)
-        assert two == pytest.approx(one, rel=1e-12)
+        half = lag_alpha(bw, DT / 2)
+        assert 1.0 - (1.0 - half) ** 2 == pytest.approx(lag_alpha(bw, DT), rel=1e-12)
 
-    def test_move_clamped_to_max_delta(self):
-        pos = first_order_step(0.0, 100.0, 0.5, 0.01)
-        assert pos == 0.01
-        pos = first_order_step(0.0, -100.0, 0.5, 0.01)
-        assert pos == -0.01
+    def test_move_clamped_to_max_delta(self, gimbal_run):
+        sc, series = gimbal_run
+        max_move = sc.gimbal.max_rate_rad_s * DT
+        for axis in (series.gimbal_azimuth_rad, series.gimbal_pitch_rad):
+            assert moves(axis).max() == pytest.approx(max_move, rel=1e-12)
+            assert moves(axis).min() == pytest.approx(-max_move, rel=1e-12)
 
 
 class TestGimbal:
-    SPEC = GimbalSpec()
+    def test_rate_limit_respected(self, gimbal_run):
+        sc, series = gimbal_run
+        max_move = sc.gimbal.max_rate_rad_s * DT
+        assert np.abs(moves(series.gimbal_azimuth_rad)).max() <= max_move + 1e-15
+        assert np.abs(moves(series.gimbal_pitch_rad)).max() <= max_move + 1e-15
 
-    def test_rate_limit_respected(self):
-        state = GimbalState()
-        nxt = gimbal_step(state, self.SPEC, 1.0, 1.0, DT)
-        max_move = self.SPEC.max_rate_rad_s * DT
-        assert abs(nxt.azimuth_rad) <= max_move + 1e-15
-        assert abs(nxt.pitch_rad) <= max_move + 1e-15
-        assert abs(nxt.azimuth_rate_rad_s) <= self.SPEC.max_rate_rad_s + 1e-9
+    def test_range_limits_hold_under_random_commands(self, gimbal_run):
+        # each axis reaches both stops exactly and never passes them
+        sc, series = gimbal_run
+        for axis, limit in ((series.gimbal_azimuth_rad, sc.gimbal.azimuth_range_rad),
+                            (series.gimbal_pitch_rad, sc.gimbal.pitch_range_rad)):
+            assert axis.max() == limit
+            assert axis.min() == -limit
 
-    def test_range_limits_hold_under_random_commands(self):
-        rng = np.random.default_rng(7)
-        state = GimbalState(azimuth_rad=1.5, pitch_rad=1.0)
-        for _ in range(100_000):
-            cmd_az, cmd_p = rng.uniform(-10.0, 10.0, size=2)
-            state = gimbal_step(state, self.SPEC, cmd_az, cmd_p, DT)
-            assert abs(state.azimuth_rad) <= self.SPEC.azimuth_range_rad
-            assert abs(state.pitch_rad) <= self.SPEC.pitch_range_rad
-
-    def test_converges_to_command(self):
-        state = GimbalState()
-        for _ in range(2000):
-            state = gimbal_step(state, self.SPEC, 0.01, -0.02, DT)
-        assert state.azimuth_rad == pytest.approx(0.01, abs=1e-9)
-        assert state.pitch_rad == pytest.approx(-0.02, abs=1e-9)
-
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError):
-            gimbal_step(GimbalState(), self.SPEC, 0.0, 0.0, 0.0)
+    def test_converges_to_command(self, coarse_p_run):
+        # the P loop steers onto the bias and stops inside half a pixel
+        sc, series = coarse_p_run
+        target = sc.apt.acquisition_bias_rad / math.sqrt(2.0)
+        tail = series.window(4.0, 5.0)
+        for axis, pixel in ((tail.gimbal_pitch_rad, sc.cmos0.pixel_pitch_pitch_rad),
+                            (tail.gimbal_azimuth_rad, sc.cmos0.pixel_pitch_azimuth_rad)):
+            assert np.all(axis == axis[-1])
+            assert abs(axis[-1] - target) < 0.5 * pixel
 
 
 class TestFsm:
-    SPEC = FsmSpec(range_rad=212e-6, bandwidth_hz=300.0)
-
     def test_deflection_never_exceeds_range(self):
-        rng = np.random.default_rng(11)
-        state = FsmState()
-        for _ in range(100_000):
-            cmd_p, cmd_a = rng.uniform(-5e-3, 5e-3, size=2)
-            state = fsm_step(state, self.SPEC, cmd_p, cmd_a, DT)
-            assert abs(state.pitch_rad) <= self.SPEC.range_rad
-            assert abs(state.azimuth_rad) <= self.SPEC.range_rad
+        # each mirror axis reaches both stops exactly and never passes them
+        sc = fsm_saturation_scenario()
+        series = run_apt(sc, 20.0, seed=3, initial_state=AptState.LINKED)
+        for axis, limit in ((series.fsm1_pitch_rad, sc.fsm1.range_rad),
+                            (series.fsm1_azimuth_rad, sc.fsm1.range_rad),
+                            (series.fsm2_pitch_rad, sc.fsm2.range_rad),
+                            (series.fsm2_azimuth_rad, sc.fsm2.range_rad)):
+            assert axis.max() == limit
+            assert axis.min() == -limit
 
     def test_tracks_small_command(self):
-        state = FsmState()
-        for _ in range(100):
-            state = fsm_step(state, self.SPEC, 100e-6, -50e-6, DT)
-        assert state.pitch_rad == pytest.approx(100e-6, abs=1e-9)
-        assert state.azimuth_rad == pytest.approx(-50e-6, abs=1e-9)
+        # gimbal held at rest: FSM1 alone nulls a 100 urad offset to within
+        # half a fine-camera pixel and holds there
+        sc = make_scenario(**zero_noise_overrides(), **{
+            "control.coarse.ki": 0.0, "apt.acquisition_bias_urad": 100.0})
+        series = run_apt(sc, 1.0, seed=0, enable_fine2=False,
+                         initial_state=AptState.FINE_TRACK1)
+        assert np.all(series.gimbal_pitch_rad == 0.0)
+        assert np.all(series.state == int(AptState.FINE_TRACK1))
+        offset = sc.apt.acquisition_bias_rad / math.sqrt(2.0)
+        tail = series.window(0.8, 1.0)
+        for axis, pixel in ((tail.fsm1_pitch_rad, sc.cmos1.pixel_pitch_pitch_rad),
+                            (tail.fsm1_azimuth_rad, sc.cmos1.pixel_pitch_azimuth_rad)):
+            assert np.all(axis == axis[-1])
+            assert abs(axis[-1] - offset) < 0.5 * pixel
+
+
+def exact_half_pixel_offsets(count):
+    """Offsets (urad) whose resolved value is exactly (k + 1/2) coarse pixels."""
+    pixel = make_scenario().cmos0.pixel_pitch_pitch_rad
+    found = []
+    for k in range(100):
+        amplitude_urad = (k + 0.5) * pixel * 1e6
+        if amplitude_urad * 1e-6 / pixel == k + 0.5:
+            found.append((k, amplitude_urad))
+    assert len(found) >= count
+    return found[:count]
 
 
 class TestQuantization:
     def test_halves_round_away_from_zero(self):
-        assert quantize_half_away(0.5, 1.0) == 1.0
-        assert quantize_half_away(-0.5, 1.0) == -1.0
-        assert quantize_half_away(1.5, 1.0) == 2.0
-        assert quantize_half_away(-1.5, 1.0) == -2.0
+        for k, offset_urad in exact_half_pixel_offsets(3):
+            for sign in (1.0, -1.0):
+                for reading, seen, pixel in first_readings(sign * offset_urad):
+                    assert seen / pixel == sign * (k + 0.5)
+                    assert reading / pixel == pytest.approx(sign * (k + 1), rel=1e-12)
 
-    def test_below_half_rounds_to_zero(self):
-        assert quantize_half_away(0.49, 1.0) == 0.0
-        assert quantize_half_away(-0.49, 1.0) == 0.0
+    def test_below_half_rounds_to_zero(self, coarse_p_run):
+        pixel = make_scenario().cmos0.pixel_pitch_pitch_rad
+        for sign in (1.0, -1.0):
+            for reading, _, _ in first_readings(sign * 0.49 * pixel * 1e6):
+                assert reading == 0.0
+        # the closed loop therefore stops with a residual inside half a pixel
+        sc, series = coarse_p_run
+        tail = series.window(4.0, 5.0)
+        assert np.all(np.abs(tail.error_pitch_rad) < 0.5 * sc.cmos0.pixel_pitch_pitch_rad)
+        assert np.all(np.abs(tail.error_azimuth_rad) < 0.5 * sc.cmos0.pixel_pitch_azimuth_rad)
+        assert np.all(moves(series.gimbal_pitch_rad)[-1000:] == 0.0)
+        assert np.all(moves(series.gimbal_azimuth_rad)[-1000:] == 0.0)
 
-    @given(st.floats(-1e-2, 1e-2), st.floats(1e-7, 1e-4))
+    @given(st.floats(-19e3, 19e3), st.integers(400, 400_000))
     @settings(max_examples=300, deadline=None)
-    def test_result_is_pitch_multiple_within_half_pitch(self, value, pitch):
-        q = quantize_half_away(value, pitch)
-        assert abs(q - value) <= 0.5 * pitch * (1.0 + 1e-9)
-        assert round(q / pitch) == pytest.approx(q / pitch, abs=1e-6)
+    def test_result_is_pitch_multiple_within_half_pitch(self, offset_urad, pixels):
+        for reading, seen, pixel in first_readings(offset_urad, **{"cmos0.pixels": pixels}):
+            assert abs(reading - seen) <= 0.5 * pixel * (1.0 + 1e-9)
+            assert round(reading / pixel) == pytest.approx(reading / pixel, abs=1e-6)
 
     def test_nonpositive_pitch_rejected(self):
+        # the pixel pitch is FOV / pixels; neither may be non-positive
         with pytest.raises(ValueError):
-            quantize_half_away(1.0, 0.0)
+            CmosSpec(fov_pitch_rad=40e-3, fov_azimuth_rad=40e-3, pixels=0)
+        with pytest.raises(ValueError):
+            CmosSpec(fov_pitch_rad=0.0, fov_azimuth_rad=40e-3)
+        with pytest.raises(ScenarioError):
+            make_scenario(**{"cmos0.pixels": 0})
+        with pytest.raises(ScenarioError):
+            make_scenario(**{"cmos0.fov_pitch_mrad": 0.0})
 
 
 class TestCmos:
-    SPEC = CmosSpec(fov_pitch_rad=40e-3, fov_azimuth_rad=40e-3, pixels=288,
-                    frame_rate_hz=1000.0, centroid_noise_rad=0.0)
-
     def test_invalid_when_beacon_unseen(self):
-        rng = np.random.default_rng(0)
-        frame = cmos_measure(self.SPEC, 0.0, 0.0, False, rng)
-        assert not frame.valid
-        assert frame.offset_pitch_rad == 0.0
+        # a bl0 half-cone below the acquisition bias never locks
+        sc = never_locking_scenario()
+        assert 0.5 * sc.beacon_bl0.divergence_full_angle_rad < sc.apt.acquisition_bias_rad
+        series = run_apt(sc, 20.0, seed=5)
+        assert not series.lock0.any()
+        assert series.state.max() == int(AptState.ACQUIRE)
 
     def test_invalid_outside_fov_either_axis(self):
-        rng = np.random.default_rng(0)
-        assert not cmos_measure(self.SPEC, 21e-3, 0.0, True, rng).valid
-        assert not cmos_measure(self.SPEC, 0.0, -21e-3, True, rng).valid
-        assert cmos_measure(self.SPEC, 19e-3, -19e-3, True, rng).valid
+        # fast base motion the gimbal cannot follow sweeps the error across
+        # the +/-20 mrad field on each axis; a 50 mrad bl0 half-cone leaves
+        # the field as the only gate
+        sc = make_scenario(**{
+            **zero_noise_overrides(),
+            "apt.fine1_enabled": False, "apt.fine2_enabled": False,
+            "beacons.bl0.divergence_mrad": 100.0,
+            "disturbance.pitch.sinusoids": sinusoid(25_000.0, 30.0),
+            "disturbance.azimuth.sinusoids": sinusoid(25_000.0, 23.0),
+        })
+        series = run_apt(sc, 4.0, seed=0)
+        assert np.all(series.fsm1_pitch_rad == 0.0) and np.all(series.fsm2_azimuth_rad == 0.0)
+        seen_p, seen_a = seen_errors(sc, series)
+        in_p = np.abs(seen_p) <= 0.5 * sc.cmos0.fov_pitch_rad
+        in_a = np.abs(seen_a) <= 0.5 * sc.cmos0.fov_azimuth_rad
+        assert np.array_equal(series.lock0, in_p & in_a)
+        assert np.any(~in_p & in_a) and np.any(in_p & ~in_a) and np.any(in_p & in_a)
 
-    def test_noiseless_reading_is_quantized_truth(self):
-        rng = np.random.default_rng(0)
-        truth = 1.234e-3
-        frame = cmos_measure(self.SPEC, truth, -truth, True, rng)
-        pp = self.SPEC.pixel_pitch_pitch_rad
-        assert frame.offset_pitch_rad == pytest.approx(quantize_half_away(truth, pp), rel=1e-12)
-        assert frame.offset_azimuth_rad == pytest.approx(-frame.offset_pitch_rad, rel=1e-12)
+    def test_noiseless_reading_is_quantized_truth(self, coarse_p_run):
+        sc, series = coarse_p_run
+        tracking = series.state == COARSE
+        for reading, seen, pixel in zip(coarse_readings(sc, series), seen_errors(sc, series),
+                                        (sc.cmos0.pixel_pitch_pitch_rad,
+                                         sc.cmos0.pixel_pitch_azimuth_rad)):
+            expected = round_half_away(seen[tracking] / pixel)
+            assert np.abs(reading[tracking] / pixel - expected).max() < 1e-9
+            assert np.count_nonzero(expected) > 10
 
     def test_reading_clamped_to_half_fov(self):
-        noisy = CmosSpec(fov_pitch_rad=40e-3, fov_azimuth_rad=40e-3, pixels=288,
-                         frame_rate_hz=1000.0, centroid_noise_rad=50e-3)
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            frame = cmos_measure(noisy, 19.9e-3, -19.9e-3, True, rng)
-            assert abs(frame.offset_pitch_rad) <= 20e-3
-            assert abs(frame.offset_azimuth_rad) <= 20e-3
+        # 50 mrad centroid noise pushes raw readings far past the field
+        sc = coarse_p_scenario(**{"cmos0.centroid_noise_urad": 50_000.0,
+                                  "gimbal.max_rate_deg_s": 1000.0})
+        series = run_apt(sc, 1.0, seed=3)
+        assert np.any(series.state == COARSE)
+        for reading, half in zip(coarse_readings(sc, series),
+                                 (0.5 * sc.cmos0.fov_pitch_rad, 0.5 * sc.cmos0.fov_azimuth_rad)):
+            assert np.abs(reading).max() == pytest.approx(half, rel=1e-12)
 
     def test_noise_level_matches_spec(self):
         # noise far above a pixel so quantization barely biases the std
-        sigma = 5 * self.SPEC.pixel_pitch_pitch_rad
-        noisy = CmosSpec(fov_pitch_rad=40e-3, fov_azimuth_rad=40e-3, pixels=288,
-                         frame_rate_hz=1000.0, centroid_noise_rad=sigma)
-        rng = np.random.default_rng(42)
-        errs = [
-            cmos_measure(noisy, 0.0, 0.0, True, rng).offset_pitch_rad
-            for _ in range(20_000)
-        ]
-        assert np.std(errs) == pytest.approx(sigma, rel=0.05)
+        sigma_urad = 5 * make_scenario().cmos0.pixel_pitch_pitch_rad * 1e6
+        sc = coarse_p_scenario(**{"cmos0.centroid_noise_urad": sigma_urad})
+        series = run_apt(sc, 22.0, seed=0)
+        tracking = series.state == COARSE
+        assert np.count_nonzero(tracking) >= 20_000
+        # the run's cmos0 stream draws n pitch samples, then n azimuth samples
+        rng = component_rng(series.seed, "cmos0")
+        sigma = sc.cmos0.centroid_noise_rad
+        for reading, seen, pixel in zip(coarse_readings(sc, series), seen_errors(sc, series),
+                                        (sc.cmos0.pixel_pitch_pitch_rad,
+                                         sc.cmos0.pixel_pitch_azimuth_rad)):
+            noisy = (seen + sigma * rng.standard_normal(len(series)))[tracking]
+            expected = round_half_away(noisy / pixel)
+            assert np.abs(reading[tracking] / pixel - expected).max() < 1e-9
+            assert np.std((reading - seen)[tracking]) == pytest.approx(sigma, rel=0.05)
 
 
 class TestImuAndBeacon:
     def test_imu_noiseless_returns_truth(self):
-        rng = np.random.default_rng(0)
-        assert imu_measure(ImuSpec(rate_noise_rad_s=0.0), 1.5e-3, rng) == 1.5e-3
+        sc = never_locking_scenario(**{"imu.rate_noise_urad_s": 0.0})
+        series = run_apt(sc, 20.0, seed=5)
+        for measured, truth in imu_rates(sc, series):
+            assert np.abs(truth).max() > 1e-3
+            assert np.abs(measured - truth).max() < 1e-12
 
     def test_imu_noise_scale(self):
-        rng = np.random.default_rng(1)
-        spec = ImuSpec(rate_noise_rad_s=30e-6)
-        samples = [imu_measure(spec, 0.0, rng) for _ in range(20_000)]
-        assert np.std(samples) == pytest.approx(30e-6, rel=0.05)
+        sc = never_locking_scenario(**{"imu.rate_noise_urad_s": 30.0})
+        series = run_apt(sc, 20.0, seed=5)
+        for measured, truth in imu_rates(sc, series):
+            assert np.std(measured - truth) == pytest.approx(30e-6, rel=0.05)
 
     def test_beacon_edge_inclusive(self):
-        beacon = BeaconSpec(wavelength_m=940e-9, divergence_full_angle_rad=35e-3)
-        assert beacon_visible(beacon, 17.5e-3)
-        assert not beacon_visible(beacon, 17.5e-3 + 1e-12)
-        assert beacon_visible(beacon, 0.0)
-        with pytest.raises(ValueError):
-            beacon_visible(beacon, -1e-6)
+        # gimbal held at rest, so every tick sees the bias: a bl0 half-cone
+        # exactly at the bias radius locks, one ulp narrower never does
+        raw = zero_noise_overrides()
+        raw["control.coarse.ki"] = 0.0
+        sc = make_scenario(**raw)
+        bias = sc.apt.acquisition_bias_rad / math.sqrt(2.0)
+        radius = math.hypot(bias, bias)
+        edge_mrad = 2000.0 * radius
+        raw["beacons.bl0.divergence_mrad"] = edge_mrad
+        edge = make_scenario(**raw)
+        assert 0.5 * edge.beacon_bl0.divergence_full_angle_rad == radius
+        assert run_apt(edge, 0.2, seed=0).lock0.all()
+        raw["beacons.bl0.divergence_mrad"] = float(np.nextafter(edge_mrad, 0.0))
+        assert not run_apt(make_scenario(**raw), 0.2, seed=0).lock0.any()
+
+        # inside the field, the cone alone gates the coarse camera
+        cone = make_scenario(**{
+            **zero_noise_overrides(),
+            "apt.fine1_enabled": False, "apt.fine2_enabled": False,
+            "disturbance.pitch.sinusoids": sinusoid(15_000.0, 30.0),
+            "disturbance.azimuth.sinusoids": sinusoid(15_000.0, 23.0),
+        })
+        series = run_apt(cone, 4.0, seed=0)
+        seen_p, seen_a = seen_errors(cone, series)
+        radial = np.array([math.hypot(p, a) for p, a in zip(seen_p, seen_a)])
+        assert np.abs(seen_p).max() < 0.5 * cone.cmos0.fov_pitch_rad
+        assert np.abs(seen_a).max() < 0.5 * cone.cmos0.fov_azimuth_rad
+        inside = radial <= 0.5 * cone.beacon_bl0.divergence_full_angle_rad
+        assert np.array_equal(series.lock0, inside)
+        assert inside.any() and not inside.all()
 
 
 class TestDisturbance:

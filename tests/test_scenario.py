@@ -131,6 +131,15 @@ class TestValidation:
         self.reject({"schema_version": 1, "beam": {"wavelength_nm": "x"}},
                      "expected a number, got str")
 
+    def test_camera_frame_rate_must_equal_tick_rate(self):
+        # every camera frames once per loop tick; a slower rate would be ignored
+        with pytest.raises(ScenarioError) as err:
+            resolve_scenario({"schema_version": 1, "cmos1": {"frame_rate_hz": 10.0}})
+        assert err.value.field == "cmos1.frame_rate_hz"
+        for rate in (1000, 1000.0):
+            sc = resolve_scenario({"schema_version": 1, "cmos2": {"frame_rate_hz": rate}})
+            assert sc.cmos2 == default_scenario().cmos2
+
     def test_pixels_must_be_integer(self):
         self.reject({"schema_version": 1, "cmos0": {"pixels": 2.5}},
                      "expected an integer")
