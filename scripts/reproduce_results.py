@@ -2,8 +2,9 @@
 """Regenerate the headline link-budget, tracking, loss, and throughput numbers.
 
 Each block prints the simulated value next to the reference it should land on.
-Runtime is a few seconds per tracking run (the simulator runs at 36-44x
-realtime end to end; see perfbench/README.md).
+Runtime is a few seconds per tracking run (the simulator runs at about 70x
+realtime end to end with CSV output and about 100x without, on a 2-core
+x86-64 VM; see perfbench/README.md).
 
 Usage:
     python3 scripts/reproduce_results.py [--seed 1] [--duration 120]

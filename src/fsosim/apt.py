@@ -36,6 +36,19 @@ from .link import summarize
 from .scenario import AptParams, Scenario
 from .states import AptState
 
+# AptState members as module globals: the 1 kHz loop and the state machine
+# test the state several times per tick, and an enum class attribute lookup
+# costs several times a global one
+_STABILIZE = AptState.STABILIZE
+_ACQUIRE = AptState.ACQUIRE
+_COARSE_TRACK = AptState.COARSE_TRACK
+_FINE_TRACK1 = AptState.FINE_TRACK1
+_FINE_TRACK2 = AptState.FINE_TRACK2
+_LINKED = AptState.LINKED
+_REACQUIRE = AptState.REACQUIRE
+_FINE1_STATES = (_FINE_TRACK1, _FINE_TRACK2, _LINKED)
+_FINE2_STATES = (_FINE_TRACK2, _LINKED)
+
 RNG_STREAM_LABELS = {
     "disturbance": 1,
     "cmos0": 2,
@@ -103,7 +116,7 @@ class AptStateMachine:
         self.params = params
         self.fine1_enabled = fine1_enabled
         self.fine2_enabled = fine2_enabled
-        self.state = AptState.STABILIZE
+        self.state = _STABILIZE
         self.lock_loss_count = 0
         self.link_dwell_count = 0
         self.stabilize_count = 0
@@ -125,44 +138,44 @@ class AptStateMachine:
         p = self.params
         state = self.state
 
-        if state == AptState.STABILIZE:
+        if state == _STABILIZE:
             self.stabilize_count = self.stabilize_count + 1 if stabilize_ok else 0
             if self.stabilize_count >= p.stabilize_dwell_s * TICK_RATE_HZ:
-                state = AptState.ACQUIRE
-        elif state == AptState.ACQUIRE:
+                state = _ACQUIRE
+        elif state == _ACQUIRE:
             if lock0:
-                state = AptState.COARSE_TRACK
+                state = _COARSE_TRACK
                 self.lock_loss_count = 0
-        elif state == AptState.REACQUIRE:
-            state = AptState.ACQUIRE
+        elif state == _REACQUIRE:
+            state = _ACQUIRE
         else:
             # tracking states: debounced lock supervision first
-            if state == AptState.COARSE_TRACK:
+            if state == _COARSE_TRACK:
                 locks_ok = lock0
-            elif state == AptState.FINE_TRACK1:
+            elif state == _FINE_TRACK1:
                 locks_ok = lock0 and lock1
             else:  # FINE_TRACK2, LINKED
                 locks_ok = lock0 and lock1 and lock2
             self.lock_loss_count = 0 if locks_ok else self.lock_loss_count + 1
             if self.lock_loss_count >= p.lock_loss_frames:
-                state = AptState.REACQUIRE
+                state = _REACQUIRE
                 self.lock_loss_count = 0
                 self.link_dwell_count = 0
-            elif state == AptState.COARSE_TRACK:
+            elif state == _COARSE_TRACK:
                 if (
                     self.fine1_enabled
                     and lock1
                     and coarse_radial_rad < p.fine_capture_threshold_rad
                 ):
-                    state = AptState.FINE_TRACK1
-            elif state == AptState.FINE_TRACK1:
+                    state = _FINE_TRACK1
+            elif state == _FINE_TRACK1:
                 if self.fine2_enabled and lock2:
-                    state = AptState.FINE_TRACK2
-            elif state == AptState.FINE_TRACK2:
+                    state = _FINE_TRACK2
+            elif state == _FINE_TRACK2:
                 if fine_radial_rad < p.link_threshold_rad:
                     self.link_dwell_count += 1
                     if self.link_dwell_count >= p.link_dwell_s * TICK_RATE_HZ:
-                        state = AptState.LINKED
+                        state = _LINKED
                 else:
                     self.link_dwell_count = 0
 
@@ -197,11 +210,16 @@ class TrackingSeries:
     def __len__(self) -> int:
         return self.t_s.size
 
-    def window(self, t0_s: float, t1_s: float) -> "TrackingSeries":
-        """Samples with t0_s <= t < t1_s.  Raises on an empty selection."""
+    def _window_mask(self, t0_s: float, t1_s: float) -> np.ndarray:
+        """Boolean selection of t0_s <= t < t1_s.  Raises on an empty selection."""
         mask = (self.t_s >= t0_s) & (self.t_s < t1_s)
         if not mask.any():
             raise ValueError(f"window [{t0_s}, {t1_s}) selects no samples")
+        return mask
+
+    def window(self, t0_s: float, t1_s: float) -> "TrackingSeries":
+        """Samples with t0_s <= t < t1_s.  Raises on an empty selection."""
+        mask = self._window_mask(t0_s, t1_s)
         return TrackingSeries(
             t_s=self.t_s[mask],
             state=self.state[mask],
@@ -238,15 +256,18 @@ class TrackingStats:
 def tracking_stats(series: TrackingSeries, t0_s: float | None = None,
                    t1_s: float | None = None) -> TrackingStats:
     """Residual statistics, optionally restricted to [t0_s, t1_s)."""
+    pitch, azimuth = series.error_pitch_rad, series.error_azimuth_rad
     if t0_s is not None or t1_s is not None:
-        series = series.window(
+        # select the two residual arrays only, not a window copy of all of them
+        mask = series._window_mask(
             t0_s if t0_s is not None else float(series.t_s[0]),
             t1_s if t1_s is not None else float(series.t_s[-1]) + 1.0,
         )
-    radial = np.hypot(series.error_pitch_rad, series.error_azimuth_rad)
+        pitch, azimuth = pitch[mask], azimuth[mask]
+    radial = np.hypot(pitch, azimuth)
     s_r = summarize(radial)
-    s_p = summarize(series.error_pitch_rad)
-    s_a = summarize(series.error_azimuth_rad)
+    s_p = summarize(pitch)
+    s_a = summarize(azimuth)
     return TrackingStats(
         radial_mean_rad=s_r.mean,
         radial_std_rad=s_r.std,
@@ -262,8 +283,14 @@ def tracking_stats(series: TrackingSeries, t0_s: float | None = None,
 # simulation loop
 
 def tick_count(duration_s: float) -> int:
-    """Number of loop ticks in a run of duration_s seconds (t = k / TICK_RATE_HZ)."""
-    return int(round(duration_s * TICK_RATE_HZ))
+    """Number of loop ticks in a run of duration_s seconds (t = k / TICK_RATE_HZ).
+
+    Raises ValueError when duration_s * TICK_RATE_HZ is not finite.
+    """
+    ticks = duration_s * TICK_RATE_HZ
+    if not math.isfinite(ticks):
+        raise ValueError(f"{duration_s} s has no finite tick count at {TICK_RATE_HZ:g} Hz")
+    return int(round(ticks))
 
 
 def run_apt(
@@ -317,8 +344,9 @@ def run_apt(
         noise[cam] = (sigma * rng.standard_normal(n), sigma * rng.standard_normal(n))
     imu_rng = component_rng(seed, "imu")
     imu_sigma = scenario.imu.rate_noise_rad_s
-    imu_noise_pitch = imu_sigma * imu_rng.standard_normal(n)
-    imu_noise_az = imu_sigma * imu_rng.standard_normal(n)
+    # measured IMU rate = true rate + noise, summed in place once for all ticks
+    rate_pitch += imu_sigma * imu_rng.standard_normal(n)
+    rate_az += imu_sigma * imu_rng.standard_normal(n)
 
     # hoisted plant constants
     alpha_g = lag_alpha(scenario.gimbal.bandwidth_hz, dt)
@@ -353,8 +381,12 @@ def run_apt(
     p = scenario.apt
     stab_thresh = p.stabilize_rate_threshold_rad_s
 
-    # acquisition bias split evenly across axes (radial magnitude preserved)
+    # acquisition bias split evenly across axes (radial magnitude preserved);
+    # the loop's coarse error is (bias + base) - gimbal, so add bias + base
+    # in place once for all ticks
     bias = p.acquisition_bias_rad / math.sqrt(2.0)
+    base_pitch += bias
+    base_az += bias
 
     machine = AptStateMachine(p, enable_fine1 and fine_after_s <= 0.0,
                               enable_fine2 and fine_after_s <= 0.0)
@@ -388,18 +420,32 @@ def run_apt(
     prev_g_rate_p = prev_g_rate_a = 0.0
 
     machine.state = initial_state
-    if initial_state == AptState.LINKED:
+    if initial_state == _LINKED:
         e0_p = e0_a = e1_p = e1_a = e2_p = e2_a = 0.0
+    # the tick at which the fine stages are released (-1: never held back)
+    handover = int(fine_after_s * TICK_RATE_HZ) if fine_after_s > 0.0 else -1
 
-    n0p, n0a = noise["cmos0"]
-    n1p, n1a = noise["cmos1"]
-    n2p, n2a = noise["cmos2"]
+    # The loop reads and writes the float64 arrays through memoryviews:
+    # indexing one yields a Python float and stores one without boxing a
+    # numpy scalar, so every operation in the loop is native float math.
+    n0p, n0a = map(memoryview, noise["cmos0"])
+    n1p, n1a = map(memoryview, noise["cmos1"])
+    n2p, n2a = map(memoryview, noise["cmos2"])
+    imu_p = memoryview(rate_pitch)
+    imu_a = memoryview(rate_az)
+    base_p = memoryview(base_pitch)
+    base_a = memoryview(base_az)
+    (o_state, o_e2p, o_e2a, o_gaz, o_gp, o_f1p, o_f1a, o_f2p, o_f2a,
+     o_l0, o_l1, o_l2) = map(memoryview, (
+        out_state, out_e2p, out_e2a, out_gaz, out_gp, out_f1p, out_f1a,
+        out_f2p, out_f2a, out_l0, out_l1, out_l2))
 
     floor = math.floor
     hypot = math.hypot
+    step = machine.step
 
     for i in range(n):
-        if fine_after_s > 0.0 and i == int(fine_after_s * TICK_RATE_HZ):
+        if i == handover:
             machine.set_fine_enabled(enable_fine1, enable_fine2)
 
         # --- sensing (previous-tick errors; one-frame latency) ---
@@ -447,23 +493,23 @@ def run_apt(
         else:
             m2_p = m2_a = 0.0
 
-        imu_rate_p = rate_pitch[i] + imu_noise_pitch[i]
-        imu_rate_a = rate_az[i] + imu_noise_az[i]
+        imu_rate_p = imu_p[i]
+        imu_rate_a = imu_a[i]
 
         # --- state machine ---
         stab_ok = (abs(prev_g_rate_p - imu_rate_p) < stab_thresh
                    and abs(prev_g_rate_a - imu_rate_a) < stab_thresh)
-        state = machine.step(
+        state = step(
             stab_ok, valid0, valid1, valid2,
             hypot(m0_p, m0_a), hypot(m2_p, m2_a),
         )
-        if state == AptState.REACQUIRE or state == AptState.ACQUIRE:
+        if state == _REACQUIRE or state == _ACQUIRE:
             vis_p = vis_a = 0.0
             i1_p = i1_a = i2_p = i2_a = 0.0
 
-        coarse_active = state >= AptState.COARSE_TRACK and state != AptState.REACQUIRE
-        f1_active = state in (AptState.FINE_TRACK1, AptState.FINE_TRACK2, AptState.LINKED)
-        f2_active = state in (AptState.FINE_TRACK2, AptState.LINKED)
+        coarse_active = state >= _COARSE_TRACK and state != _REACQUIRE
+        f1_active = state in _FINE1_STATES
+        f2_active = state in _FINE2_STATES
 
         # --- control ---
         if enable_feedforward:
@@ -539,25 +585,25 @@ def run_apt(
         elif f2_a < -f2_range: f2_a = -f2_range
 
         # --- new errors ---
-        e0_p = bias + base_pitch[i] - g_p
-        e0_a = bias + base_az[i] - g_az
+        e0_p = base_p[i] - g_p
+        e0_a = base_a[i] - g_az
         e1_p = e0_p - f1_p
         e1_a = e0_a - f1_a
         e2_p = e1_p - f2_p
         e2_a = e1_a - f2_a
 
-        out_state[i] = state
-        out_e2p[i] = e2_p
-        out_e2a[i] = e2_a
-        out_gaz[i] = g_az
-        out_gp[i] = g_p
-        out_f1p[i] = f1_p
-        out_f1a[i] = f1_a
-        out_f2p[i] = f2_p
-        out_f2a[i] = f2_a
-        out_l0[i] = valid0
-        out_l1[i] = valid1
-        out_l2[i] = valid2
+        o_state[i] = state
+        o_e2p[i] = e2_p
+        o_e2a[i] = e2_a
+        o_gaz[i] = g_az
+        o_gp[i] = g_p
+        o_f1p[i] = f1_p
+        o_f1a[i] = f1_a
+        o_f2p[i] = f2_p
+        o_f2a[i] = f2_a
+        o_l0[i] = valid0
+        o_l1[i] = valid1
+        o_l2[i] = valid2
 
     return TrackingSeries(
         t_s=np.arange(n) / TICK_RATE_HZ,

@@ -153,20 +153,30 @@ def _scenario_header(scenario: Scenario) -> dict:
 def _check_duration(duration: float) -> None:
     if not (duration > 0.0 and math.isfinite(duration)):
         raise ValueError("--duration must be positive and finite")
+    try:
+        tick_count(duration)
+    except ValueError as exc:
+        raise ValueError(f"--duration: {exc}") from None
 
 
 def _check_window(flag: str, t0: float, t1: float) -> None:
-    """Reject flags whose statistics window [t0, t1) would hold no tick."""
-    # ticks sit at k / TICK_RATE_HZ (as in TrackingSeries.t_s); up to rounding,
-    # the first one at or after t0 is floor(t0 * TICK_RATE_HZ) or the next
-    k = max(0, math.floor(t0 * TICK_RATE_HZ))
-    if k / TICK_RATE_HZ < t0:
-        k += 1
-    if k >= tick_count(t1) or k / TICK_RATE_HZ >= t1:
-        raise ValueError(
-            f"{flag}: the statistics window [{t0}, {t1}) s holds no "
-            f"{TICK_RATE_HZ:g} Hz tick"
-        )
+    """Reject flags whose statistics window [t0, t1) would hold no tick.
+
+    t1 must already have passed _check_duration.
+    """
+    # with t0 < t1, t0 * TICK_RATE_HZ is finite as t1's is
+    if t0 < t1:
+        # ticks sit at k / TICK_RATE_HZ (as in TrackingSeries.t_s); up to rounding,
+        # the first one at or after t0 is floor(t0 * TICK_RATE_HZ) or the next
+        k = max(0, math.floor(t0 * TICK_RATE_HZ))
+        if k / TICK_RATE_HZ < t0:
+            k += 1
+        if k < tick_count(t1) and k / TICK_RATE_HZ < t1:
+            return
+    raise ValueError(
+        f"{flag}: the statistics window [{t0}, {t1}) s holds no "
+        f"{TICK_RATE_HZ:g} Hz tick"
+    )
 
 
 def _check_seed(seed: int) -> int:
@@ -233,15 +243,20 @@ def _roundtrip(values: np.ndarray) -> np.ndarray:
 def cmd_budget(args) -> int:
     scenario = _load(args)
     distance = args.distance_m if args.distance_m is not None else scenario.distance_m
-    if distance < 0.0:
-        raise ValueError("--distance-m must be >= 0")
+    if not (distance >= 0.0 and math.isfinite(distance)):
+        raise ValueError("--distance-m must be >= 0 and finite")
+    if not (args.error_urad >= 0.0 and math.isfinite(args.error_urad)):
+        raise ValueError("--error-urad must be >= 0 and finite")
     error_rad = args.error_urad * 1e-6
-    if error_rad < 0.0:
-        raise ValueError("--error-urad must be >= 0")
-    budget = link_budget(
-        scenario.beam, scenario.antenna, scenario.antenna,
-        scenario.atmosphere, scenario.coupling, distance, error_rad,
-    )
+    try:
+        budget = link_budget(
+            scenario.beam, scenario.antenna, scenario.antenna,
+            scenario.atmosphere, scenario.coupling, distance, error_rad,
+        )
+    except OverflowError:
+        raise ValueError(f"--distance-m {distance} is too large for the beam model") from None
+    if not math.isfinite(budget.jitter_excess_db):
+        raise ValueError(f"--error-urad {args.error_urad} gives a non-finite jitter loss")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "scenario": _scenario_header(scenario),
@@ -264,11 +279,19 @@ def cmd_sweep(args) -> int:
     scenario = _load(args)
     from .optics import distance_sweep
 
-    rows = distance_sweep(
-        scenario.beam, scenario.antenna, scenario.antenna,
-        scenario.atmosphere, scenario.coupling,
-        args.min_km * 1000.0, args.max_km * 1000.0, args.steps,
-    )
+    for flag, km in (("--min-km", args.min_km), ("--max-km", args.max_km)):
+        if not (km > 0.0 and math.isfinite(km * 1000.0)):
+            raise ValueError(f"{flag} must be positive and finite in metres")
+    if args.min_km > args.max_km:
+        raise ValueError("--min-km must not exceed --max-km")
+    try:
+        rows = distance_sweep(
+            scenario.beam, scenario.antenna, scenario.antenna,
+            scenario.atmosphere, scenario.coupling,
+            args.min_km * 1000.0, args.max_km * 1000.0, args.steps,
+        )
+    except OverflowError:
+        raise ValueError(f"--max-km {args.max_km} is too large for the beam model") from None
     out = _out_dir(args)
     if out is None:
         sys.stdout.write(fsio.SWEEP_HEADER + "\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from fsosim import (
     run_apt,
     tracking_stats,
 )
-from fsosim.apt import RNG_STREAM_LABELS, TICK_RATE_HZ
+import fsosim.apt as apt
+from fsosim.apt import RNG_STREAM_LABELS, TICK_RATE_HZ, tick_count
 
 from conftest import make_scenario, zero_noise_overrides
 
@@ -245,6 +247,37 @@ class TestRunApt:
         with pytest.raises(ValueError):
             run_apt(scenario, duration, seed=0)
 
+    @pytest.mark.parametrize("duration", [1e306, math.inf])
+    def test_tick_count_must_be_finite(self, scenario, duration):
+        # 1e306 s is finite, but 1e306 * 1000 ticks overflows to inf
+        with pytest.raises(ValueError, match="finite tick count"):
+            tick_count(duration)
+        with pytest.raises(ValueError):
+            run_apt(scenario, duration, seed=0)
+
+    def test_loop_calls_the_shared_controller_and_state_machine(self, scenario,
+                                                                monkeypatch):
+        calls = {"pid_step": 0, "step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(apt, "pid_step", counted("pid_step", apt.pid_step))
+        monkeypatch.setattr(AptStateMachine, "step",
+                            counted("step", AptStateMachine.step))
+        series = run_apt(scenario, 2.0, seed=1, initial_state=AptState.LINKED)
+        assert calls["step"] == len(series)
+        # each active loop (coarse, FSM1, FSM2) runs one PID per axis per tick
+        state = series.state
+        coarse = (state >= AptState.COARSE_TRACK) & (state != AptState.REACQUIRE)
+        fine1 = np.isin(state, [AptState.FINE_TRACK1, AptState.FINE_TRACK2, AptState.LINKED])
+        fine2 = np.isin(state, [AptState.FINE_TRACK2, AptState.LINKED])
+        assert fine2.any() and not coarse.all()
+        assert calls["pid_step"] == 2 * int(coarse.sum() + fine1.sum() + fine2.sum())
+
     def test_shortest_run_is_one_tick(self, scenario):
         series = run_apt(scenario, 0.0006, seed=0)
         assert series.t_s.tolist() == [0.0]
@@ -300,3 +333,13 @@ class TestTrackingSeries:
         assert st_.radial_mean_rad == pytest.approx(radial.mean(), rel=1e-12)
         assert st_.radial_std_rad == pytest.approx(radial.std(), rel=1e-12)
         assert st_.count == 10
+
+    @pytest.mark.parametrize("t0, t1, w0, w1", [
+        (0.002, 0.007, 0.002, 0.007), (0.004, None, 0.004, 1.0), (None, 0.003, 0.0, 0.003),
+    ])
+    def test_windowed_stats_equal_stats_of_the_window(self, t0, t1, w0, w1):
+        s = self._series()
+        s = dataclasses.replace(s, error_azimuth_rad=np.sin(s.t_s) * 1e-6)
+        assert tracking_stats(s, t0, t1) == tracking_stats(s.window(w0, w1))
+        with pytest.raises(ValueError):
+            tracking_stats(s, 1.0, 2.0)

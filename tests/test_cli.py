@@ -43,6 +43,18 @@ class TestBudget:
     def test_negative_distance_rejected(self, capsys):
         assert run_cli("budget", "--distance-m", "-5") == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--distance-m", "nan"), ("--distance-m", "inf"),
+        ("--error-urad", "nan"), ("--error-urad", "inf"), ("--error-urad", "-1"),
+        # finite, but the beam radius or the jitter loss overflows
+        ("--distance-m", "1e308"), ("--error-urad", "1e300"),
+    ])
+    def test_bad_value_rejected_by_name(self, flag, value, capsys):
+        assert run_cli("budget", f"{flag}={value}") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag in err
+
 
 class TestSweep:
     def test_stdout_rows(self, capsys):
@@ -63,6 +75,23 @@ class TestSweep:
 
     def test_bad_step_count(self, capsys):
         assert run_cli("sweep", "--steps", "0") == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-km", "inf"), ("--max-km", "nan"), ("--min-km", "nan"),
+        ("--min-km", "0"), ("--min-km", "-1"), ("--min-km", "-inf"),
+        # finite, but not in metres; finite, but the beam radius overflows
+        ("--min-km", "1e306"), ("--max-km", "1e306"), ("--max-km", "1e305"),
+    ])
+    def test_bad_distance_rejected_by_name(self, flag, value, capsys):
+        assert run_cli("sweep", "--steps", "3", f"{flag}={value}") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag in err
+
+    def test_min_above_max_rejected(self, capsys):
+        assert run_cli("sweep", "--steps", "3", "--min-km", "5", "--max-km", "1") == 1
+        err = capsys.readouterr().err
+        assert "--min-km" in err and "--max-km" in err
 
 
 class TestTrack:
@@ -96,9 +125,10 @@ class TestTrack:
     def test_zero_duration_rejected(self, capsys):
         assert run_cli("track", "--duration", "0") == 1
 
-    @pytest.mark.parametrize("duration", ["0.0004", "0.001", "inf", "nan"])
+    @pytest.mark.parametrize("duration", ["0.0004", "0.001", "inf", "nan", "1e306"])
     def test_duration_without_a_window_tick_rejected(self, duration, capsys):
-        # 0.4 ms rounds to no tick; 1 ms gives one tick, before the window at 0.5 ms
+        # 0.4 ms rounds to no tick; 1 ms gives one tick, before the window at
+        # 0.5 ms; 1e306 s has no finite tick count
         assert run_cli("track", "--duration", duration) == 1
         err = capsys.readouterr().err
         assert "--duration" in err and "selects no samples" not in err
@@ -107,7 +137,7 @@ class TestTrack:
         assert run_cli("track", "--duration", "0.0015", "--out", str(tmp_path)) == 0
         assert read_json(tmp_path / "tracking_stats.json")["stats"]["count"] == 1
 
-    @pytest.mark.parametrize("fine_after", ["2", "1.9995", "inf"])
+    @pytest.mark.parametrize("fine_after", ["2", "1.9995", "inf", "1e306"])
     def test_fine_after_without_a_window_tick_rejected(self, fine_after, capsys):
         assert run_cli("track", "--duration", "2", "--fine-after", fine_after) == 1
         assert "--fine-after" in capsys.readouterr().err
@@ -178,9 +208,10 @@ class TestRun:
         assert run_cli("run", "--duration", "10") == 1
         assert "warmup" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("duration", ["10.0005", "inf", "nan"])
+    @pytest.mark.parametrize("duration", ["10.0005", "inf", "nan", "1e306"])
     def test_duration_without_a_window_tick_rejected(self, duration, capsys):
-        # 10.0005 s rounds to 10000 ticks, the last at 9.999 s, before the window
+        # 10.0005 s rounds to 10000 ticks, the last at 9.999 s, before the window;
+        # 1e306 s has no finite tick count
         assert run_cli("run", "--duration", duration) == 1
         err = capsys.readouterr().err
         assert "--duration" in err and "selects no samples" not in err
