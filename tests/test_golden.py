@@ -2,8 +2,10 @@
 
 Every artifact that `fsosim track --out` and `fsosim run --seeds 1..3 --out`
 write for the four scenarios under `scenarios/` (20 simulated seconds each)
-is pinned here.  A refactor of the simulation loop, the link model or the
-writers must leave every digest unchanged.  If a digest changes on purpose,
+is pinned here, and so are `budget --out` for each scenario and
+`sweep --out` and the CSV that `sweep` prints without `--out` (5000 rows,
+more than one block of the CSV writer).  A refactor of the simulation loop,
+the link model or the writers must leave every digest unchanged.  If a digest changes on purpose,
 regenerate the table with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -11,7 +13,9 @@ regenerate the table with
 and say in CHANGES.md which artifacts moved and why.
 """
 
+import contextlib
 import hashlib
+import io
 import sys
 from pathlib import Path
 
@@ -28,6 +32,12 @@ def _argv(verb, scenario, *flags):
             "--duration", DURATION, *flags]
 
 
+def _static_argv(verb, scenario, *flags):
+    return [verb, "--scenario", str(SCENARIOS / f"{scenario}.json"), *flags]
+
+
+SWEEP_FLAGS = ("--min-km", "0.05", "--max-km", "40", "--steps", "5000")
+
 CASES = {
     "track-1km_default-coarse": _argv("track", "1km_default", "--stages", "coarse"),
     "track-1km_default-fine1": _argv("track", "1km_default", "--stages", "fine1"),
@@ -40,9 +50,37 @@ CASES = {
     "run-1km_coarse_only": _argv("run", "1km_coarse_only", "--seeds", "1..3"),
     "run-4km_fog": _argv("run", "4km_fog", "--seeds", "1..3"),
     "run-bench_direct": _argv("run", "bench_direct", "--seeds", "1..3"),
+    "budget-1km_default": _static_argv("budget", "1km_default", "--error-urad", "3"),
+    "budget-1km_coarse_only": _static_argv("budget", "1km_coarse_only", "--error-urad", "24"),
+    "budget-4km_fog": _static_argv("budget", "4km_fog", "--distance-m", "2500.5"),
+    "budget-bench_direct": _static_argv("budget", "bench_direct"),
+    "sweep-1km_default": _static_argv("sweep", "1km_default", *SWEEP_FLAGS),
+    "sweep-4km_fog": _static_argv("sweep", "4km_fog", *SWEEP_FLAGS),
+}
+
+# cases whose artifact is what the verb prints when run without --out
+STDOUT_CASES = {
+    "sweep-1km_default-stdout": _static_argv("sweep", "1km_default", *SWEEP_FLAGS),
+    "sweep-4km_fog-stdout": _static_argv("sweep", "4km_fog"),
 }
 
 GOLDEN = {
+    'budget-1km_coarse_only': {
+        'budget.json':
+            '2524594045ddcc49cb9a9c612735354436a3a9e5d5892d88e6fae19da01ce310',
+    },
+    'budget-1km_default': {
+        'budget.json':
+            '0b9e5e860af4ccc680fdd7c7fa02b460d14abd30f49c2537695a115d205078c3',
+    },
+    'budget-4km_fog': {
+        'budget.json':
+            '9e9406d2ae6e15738643c90137a792c21d81a5058dc4e2d2e9a4478bf0eba761',
+    },
+    'budget-bench_direct': {
+        'budget.json':
+            '4644965531902603bc2af00f4555cabcd078cfce9c907fd8c4c00ac7b0f3a4e1',
+    },
     'run-1km_coarse_only': {
         'loss_1.csv':
             'fc8285252566a0fb35440012d0431f3d0a213da873b3ef5dc2340c64ec41ad41',
@@ -107,6 +145,22 @@ GOLDEN = {
         'throughput_3.csv':
             '60f18196106d3f98e73126688805e85874c5e567eb755eb90e0c7d2cfd950440',
     },
+    'sweep-1km_default': {
+        'sweep.csv':
+            'a897615529ddbcbcc7a4c22fce42e16d3ea41d2681c1f2604987b52dcd0e084c',
+    },
+    'sweep-1km_default-stdout': {
+        'stdout':
+            'a897615529ddbcbcc7a4c22fce42e16d3ea41d2681c1f2604987b52dcd0e084c',
+    },
+    'sweep-4km_fog': {
+        'sweep.csv':
+            'de68629839a22b9894be06c6714f110a328863c1e2e597aa447f9f6880ec7dac',
+    },
+    'sweep-4km_fog-stdout': {
+        'stdout':
+            '11bfb9e0b273f57db44aeb95db2fac037087b0fa0c098b53699ba5f23a367fc8',
+    },
     'track-1km_coarse_only': {
         'tracking.csv':
             '205af20c7e28d1d2183d26efe6e023008c7dabab1f78a0cf8582219aa1a8e4a9',
@@ -161,22 +215,36 @@ def artifact_digests(argv, out: Path) -> dict:
     }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+def stdout_digest(argv) -> dict:
+    """Run one CLI case without --out; SHA-256 of what it printed."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    return {"stdout": hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()}
+
+
+def case_digests(case, out: Path) -> dict:
+    if case in STDOUT_CASES:
+        return stdout_digest(STDOUT_CASES[case])
+    return artifact_digests(CASES[case], out)
+
+
+@pytest.mark.parametrize("case", sorted({**CASES, **STDOUT_CASES}))
 def test_artifact_digests(case, tmp_path):
-    assert artifact_digests(CASES[case], tmp_path) == GOLDEN[case]
+    assert case_digests(case, tmp_path) == GOLDEN[case]
 
 
 def test_every_case_is_pinned():
-    assert sorted(GOLDEN) == sorted(CASES)
+    assert sorted(GOLDEN) == sorted({**CASES, **STDOUT_CASES})
 
 
 if __name__ == "__main__":
     import tempfile
 
     sys.stdout.write("GOLDEN = {\n")
-    for case in sorted(CASES):
+    for case in sorted({**CASES, **STDOUT_CASES}):
         with tempfile.TemporaryDirectory() as tmp:
-            digests = artifact_digests(CASES[case], Path(tmp))
+            digests = case_digests(case, Path(tmp))
         sys.stdout.write(f"    {case!r}: {{\n")
         for name, digest in digests.items():
             sys.stdout.write(f"        {name!r}:\n            {digest!r},\n")
