@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -150,13 +152,34 @@ def _scenario_header(scenario: Scenario) -> dict:
     }
 
 
+# bytes per tick of the TrackingSeries a run returns: nine float64 arrays
+# (t_s and the angles) and four one-byte arrays (state and the lock flags)
+_SERIES_BYTES_PER_TICK = 9 * 8 + 4
+
+
+def _physical_memory() -> int:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+
+
 def _check_duration(duration: float) -> None:
     if not (duration > 0.0 and math.isfinite(duration)):
         raise ValueError("--duration must be positive and finite")
     try:
-        tick_count(duration)
+        ticks = tick_count(duration)
     except ValueError as exc:
         raise ValueError(f"--duration: {exc}") from None
+    # refuse up front a run whose output alone cannot fit in memory, rather
+    # than fail (or be killed) in run_apt's allocations
+    need = ticks * _SERIES_BYTES_PER_TICK
+    memory = _physical_memory()
+    if need > memory:
+        raise ValueError(
+            f"--duration: {duration:g} s needs at least {need:.3g} bytes for its "
+            f"{TICK_RATE_HZ:g} Hz series, more than the {memory:.3g} bytes of memory here"
+        )
 
 
 def _check_window(flag: str, t0: float, t1: float) -> None:
@@ -234,7 +257,11 @@ def _summary_dict(stats) -> dict:
 def _roundtrip(values: np.ndarray) -> np.ndarray:
     # pass values through the CSV number format so reported statistics equal
     # statistics of the emitted file exactly
-    return np.array([float(fsio.format_sig(v)) for v in values])
+    blocks = fsio._csv_blocks("%.6g\n", len(values), lambda b: [values[b]])
+    return np.fromiter(
+        chain.from_iterable(map(float, text.splitlines()) for text in blocks),
+        dtype=float, count=len(values),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +281,8 @@ def cmd_budget(args) -> int:
             scenario.atmosphere, scenario.coupling, distance, error_rad,
         )
     except OverflowError:
-        raise ValueError(f"--distance-m {distance} is too large for the beam model") from None
+        source = "--distance-m" if args.distance_m is not None else "the scenario's node distance"
+        raise ValueError(f"{source} {distance} is too large for the beam model") from None
     if not math.isfinite(budget.jitter_excess_db):
         raise ValueError(f"--error-urad {args.error_urad} gives a non-finite jitter loss")
     payload = {
@@ -294,11 +322,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--max-km {args.max_km} is too large for the beam model") from None
     out = _out_dir(args)
     if out is None:
-        sys.stdout.write(fsio.SWEEP_HEADER + "\n")
-        for d, diff, total in rows:
-            sys.stdout.write(
-                f"{fsio.format_sig(d)},{fsio.format_sig(diff)},{fsio.format_sig(total)}\n"
-            )
+        fsio._write_sweep(sys.stdout, rows)
     else:
         fsio.write_sweep_csv(out / "sweep.csv", rows)
     return EXIT_OK
@@ -468,7 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"fsosim: scenario error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # an OverflowError is an input beyond a model's numeric range
         print(f"fsosim: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

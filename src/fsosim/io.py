@@ -3,15 +3,18 @@
 All CSVs use 6 significant digits, '.' as the decimal separator and plain
 '\\n' line endings.  A written file re-parses to values that format back to
 the identical text, so emitted artifacts are stable round-trip.  Infinite
-loss samples are written as 'inf'.
+loss samples are written as 'inf'.  Writers format a block of rows with one
+%-format and readers parse a whole file with one np.loadtxt; neither goes
+cell by cell in Python.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import warnings
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -27,106 +30,173 @@ TRACKING_HEADER = (
 LOSS_HEADER = "t_s,loss_db,link_up"
 THROUGHPUT_HEADER = "t_s,rate_gbps"
 
+# one row of each CSV: %.6g for numbers, %s for state names, %d for flags
+_SWEEP_ROW = "%.6g,%.6g,%.6g\n"
+_TRACKING_ROW = "%.6g,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%d,%d,%d\n"
+_LOSS_ROW = "%.6g,%.6g,%d\n"
+_THROUGHPUT_ROW = "%.6g,%.6g\n"
+
+# rows formatted together; bounds the text and the cells held at once
+_BLOCK_ROWS = 4096
+# the cells of a block of rows (a slice), column by column
+_Cells = Callable[[slice], Sequence]
+
+_STATE_NAME_OF = np.array([STATE_NAMES[s] for s in range(len(STATE_NAMES))], dtype=object)
+# one character wider than any name, so that a longer cell is never cut to a valid name
+_STATE_FIELD = f"U{max(map(len, NAME_TO_STATE)) + 1}"
+
 
 def format_sig(value: float) -> str:
-    """One CSV number: 6 significant digits ('%.6g'), infinities as 'inf'."""
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+    """One CSV number: 6 significant digits ('%.6g'); infinities read 'inf'/'-inf'.
+
+    The writers format whole blocks of rows with the same '%.6g'.
+    """
     return "%.6g" % value
 
 
-def _write_lines(path: str | Path, header: str, rows: Iterable[str]) -> None:
+def _csv_blocks(row: str, n: int, cells: _Cells) -> Iterator[str]:
+    """Text of rows 0..n-1, one string per block of _BLOCK_ROWS rows.
+
+    cells(block) returns the block's cells column by column; each block is
+    formatted with a single `row * k % (cells row by row)`.
+    """
+    for lo in range(0, n, _BLOCK_ROWS):
+        columns = [np.asarray(c).tolist() for c in cells(slice(lo, lo + _BLOCK_ROWS))]
+        yield row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _write_rows(fh: TextIO, header: str, row: str, n: int, cells: _Cells) -> None:
+    fh.write(header + "\n")
+    fh.writelines(_csv_blocks(row, n, cells))
+
+
+def _write_csv(path: str | Path, header: str, row: str, n: int, cells: _Cells) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        _write_rows(fh, header, row, n, cells)
 
 
-def _read_rows(path: str | Path, expected_header: str) -> list[list[str]]:
+def _loadtxt(lines, dtype: np.dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        # a header-only file is an empty series, not a fault
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _row_fault(line: str, dtype: np.dtype) -> str | None:
+    """Why one data line does not parse as a record of dtype, or None."""
+    cells = line.rstrip("\n").split(",")
+    if len(cells) != len(dtype.names):
+        return f"{len(cells)} cells, expected {len(dtype.names)}"
+    for name, cell in zip(dtype.names, cells):
+        if not cell.strip():
+            return f"{name} cell is empty"
+        try:
+            _loadtxt([cell], dtype[name])
+        except ValueError:
+            return f"{name} cell {cell!r} is not a {dtype[name]} value"
+    return None
+
+
+def _read_csv(path: str | Path, header: str, fields: list[tuple[str, str]]) -> np.ndarray:
+    """Records of a CSV, one per non-blank line after the header.
+
+    Raises ValueError naming the file and the line of the first malformed row.
+    """
+    dtype = np.dtype(fields)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != expected_header:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        return [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        found = fh.readline().rstrip("\n")
+        if found != header:
+            raise ValueError(f"unexpected CSV header {found!r}")
+        try:
+            return _loadtxt(fh, dtype)
+        except ValueError:
+            pass
+        # np.loadtxt stops at whitespace-only lines, which count as blank,
+        # and at malformed rows: read the lines again, numbered
+        fh.seek(0)
+        fh.readline()
+        lines = [(number, line) for number, line in enumerate(fh, 2) if line.strip()]
+    try:
+        return _loadtxt([line for _, line in lines], dtype)
+    except ValueError as exc:
+        for number, line in lines:
+            fault = _row_fault(line, dtype)
+            if fault is not None:
+                raise ValueError(f"{path}, line {number}: {fault}") from None
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _data_line(path: str | Path, index: int) -> tuple[int, str]:
+    """Line number and text of data row `index` (blank lines skipped)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        lines = ((number, line) for number, line in enumerate(fh, 2) if line.strip())
+        return next(islice(lines, index, None))
 
 
 # ---------------------------------------------------------------------------
 # distance sweep
 
+def _write_sweep(fh: TextIO, rows: Iterable[tuple[float, float, float]]) -> None:
+    rows = list(rows)
+    table = np.array(rows, dtype=float).reshape(len(rows), 3)
+    _write_rows(fh, SWEEP_HEADER, _SWEEP_ROW, len(table), lambda b: table[b].T)
+
+
 def write_sweep_csv(path: str | Path, rows: Iterable[tuple[float, float, float]]) -> None:
-    _write_lines(
-        path,
-        SWEEP_HEADER,
-        (
-            f"{format_sig(d)},{format_sig(diff)},{format_sig(total)}"
-            for d, diff, total in rows
-        ),
-    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _write_sweep(fh, rows)
 
 
 def read_sweep_csv(path: str | Path) -> list[tuple[float, float, float]]:
-    return [
-        (float(r[0]), float(r[1]), float(r[2]))
-        for r in _read_rows(path, SWEEP_HEADER)
-    ]
+    fields = [(name, "f8") for name in SWEEP_HEADER.split(",")]
+    return _read_csv(path, SWEEP_HEADER, fields).tolist()
 
 
 # ---------------------------------------------------------------------------
 # tracking
 
 def write_tracking_csv(path: str | Path, series: TrackingSeries) -> None:
-    f = format_sig
-    rows = (
-        f"{f(t)},{STATE_NAMES[int(s)]},{f(ep * 1e6)},{f(ea * 1e6)},"
-        f"{f(f1p * 1e6)},{f(f1a * 1e6)},{f(f2p * 1e6)},{f(f2a * 1e6)},"
-        f"{int(l0)},{int(l1)},{int(l2)}"
-        for t, s, ep, ea, f1p, f1a, f2p, f2a, l0, l1, l2 in zip(
-            series.t_s,
-            series.state,
-            series.error_pitch_rad,
-            series.error_azimuth_rad,
-            series.fsm1_pitch_rad,
-            series.fsm1_azimuth_rad,
-            series.fsm2_pitch_rad,
-            series.fsm2_azimuth_rad,
-            series.lock0,
-            series.lock1,
-            series.lock2,
-        )
+    s = series
+    urad = (s.error_pitch_rad, s.error_azimuth_rad, s.fsm1_pitch_rad,
+            s.fsm1_azimuth_rad, s.fsm2_pitch_rad, s.fsm2_azimuth_rad)
+    _write_csv(
+        path, TRACKING_HEADER, _TRACKING_ROW, len(s.t_s),
+        lambda b: [s.t_s[b], _STATE_NAME_OF[s.state[b]], *(a[b] * 1e6 for a in urad),
+                   s.lock0[b], s.lock1[b], s.lock2[b]],
     )
-    _write_lines(path, TRACKING_HEADER, rows)
 
 
 def read_tracking_csv(path: str | Path) -> TrackingSeries:
     """Parse a tracking CSV.  Gimbal angles and run metadata are not stored
     in the CSV; they come back zeroed/empty."""
-    raw = _read_rows(path, TRACKING_HEADER)
-    n = len(raw)
-    t = np.empty(n)
-    state = np.empty(n, dtype=np.int8)
-    cols = [np.empty(n) for _ in range(6)]
-    locks = [np.empty(n, dtype=bool) for _ in range(3)]
-    for i, r in enumerate(raw):
-        t[i] = float(r[0])
-        state[i] = int(NAME_TO_STATE[r[1]])
-        for j in range(6):
-            cols[j][i] = float(r[2 + j]) * 1e-6
-        for j in range(3):
-            locks[j][i] = r[8 + j] == "1"
+    names = TRACKING_HEADER.split(",")
+    fields = [(names[0], "f8"), (names[1], _STATE_FIELD)]
+    fields += [(name, "f8") for name in names[2:8]] + [(name, "i1") for name in names[8:]]
+    rec = _read_csv(path, TRACKING_HEADER, fields)
+    n = len(rec)
+    state = np.full(n, -1, dtype=np.int8)
+    for name, code in NAME_TO_STATE.items():
+        state[rec["state"] == name] = code
+    unknown = np.flatnonzero(state < 0)
+    if unknown.size:
+        number, line = _data_line(path, unknown[0])
+        raise ValueError(f"{path}, line {number}: unknown state {line.split(',')[1]!r}")
+    urad = [rec[name] * 1e-6 for name in names[2:8]]
     return TrackingSeries(
-        t_s=t,
+        t_s=rec["t_s"].copy(),
         state=state,
-        error_pitch_rad=cols[0],
-        error_azimuth_rad=cols[1],
+        error_pitch_rad=urad[0],
+        error_azimuth_rad=urad[1],
         gimbal_azimuth_rad=np.zeros(n),
         gimbal_pitch_rad=np.zeros(n),
-        fsm1_pitch_rad=cols[2],
-        fsm1_azimuth_rad=cols[3],
-        fsm2_pitch_rad=cols[4],
-        fsm2_azimuth_rad=cols[5],
-        lock0=locks[0],
-        lock1=locks[1],
-        lock2=locks[2],
+        fsm1_pitch_rad=urad[2],
+        fsm1_azimuth_rad=urad[3],
+        fsm2_pitch_rad=urad[4],
+        fsm2_azimuth_rad=urad[5],
+        lock0=rec["lock0"] == 1,
+        lock1=rec["lock1"] == 1,
+        lock2=rec["lock2"] == 1,
         scenario_name="",
         scenario_digest="",
         seed=0,
@@ -137,38 +207,27 @@ def read_tracking_csv(path: str | Path) -> TrackingSeries:
 # loss / throughput
 
 def write_loss_csv(path: str | Path, series: LossSeries) -> None:
-    f = format_sig
-    rows = (
-        f"{f(t)},{f(loss)},{int(up)}"
-        for t, loss, up in zip(series.t_s, series.loss_db, series.link_up)
-    )
-    _write_lines(path, LOSS_HEADER, rows)
+    s = series
+    _write_csv(path, LOSS_HEADER, _LOSS_ROW, len(s.t_s),
+               lambda b: [s.t_s[b], s.loss_db[b], s.link_up[b]])
 
 
 def read_loss_csv(path: str | Path) -> LossSeries:
-    raw = _read_rows(path, LOSS_HEADER)
-    n = len(raw)
-    t = np.empty(n)
-    loss = np.empty(n)
-    up = np.empty(n, dtype=bool)
-    for i, r in enumerate(raw):
-        t[i] = float(r[0])
-        loss[i] = float(r[1])
-        up[i] = r[2] == "1"
-    return LossSeries(t_s=t, loss_db=loss, link_up=up)
+    rec = _read_csv(path, LOSS_HEADER, [("t_s", "f8"), ("loss_db", "f8"), ("link_up", "i1")])
+    return LossSeries(
+        t_s=rec["t_s"].copy(), loss_db=rec["loss_db"].copy(), link_up=rec["link_up"] == 1
+    )
 
 
 def write_throughput_csv(path: str | Path, series: ThroughputSeries) -> None:
-    f = format_sig
-    rows = (f"{f(t)},{f(r)}" for t, r in zip(series.t_s, series.rate_gbps))
-    _write_lines(path, THROUGHPUT_HEADER, rows)
+    s = series
+    _write_csv(path, THROUGHPUT_HEADER, _THROUGHPUT_ROW, len(s.t_s),
+               lambda b: [s.t_s[b], s.rate_gbps[b]])
 
 
 def read_throughput_csv(path: str | Path) -> ThroughputSeries:
-    raw = _read_rows(path, THROUGHPUT_HEADER)
-    t = np.array([float(r[0]) for r in raw])
-    rate = np.array([float(r[1]) for r in raw])
-    return ThroughputSeries(t_s=t, rate_gbps=rate)
+    rec = _read_csv(path, THROUGHPUT_HEADER, [("t_s", "f8"), ("rate_gbps", "f8")])
+    return ThroughputSeries(t_s=rec["t_s"].copy(), rate_gbps=rec["rate_gbps"].copy())
 
 
 # ---------------------------------------------------------------------------

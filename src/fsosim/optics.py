@@ -139,6 +139,10 @@ def diffraction_loss_db(
     w = beam_radius_m(beam, distance_m)
     a = rx.aperture_radius_m
     captured = 1.0 - math.exp(-2.0 * a * a / (w * w))
+    if captured == 0.0:
+        # so far out that the captured fraction rounds to 0: the loss in dB
+        # overflows, as beam_radius_m does a little further out
+        raise OverflowError(f"distance_m={distance_m} is beyond the range of the beam model")
     return -10.0 * math.log10(captured)
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from fsosim import downtime_fraction, loss_statistics, summarize
 from fsosim.cli import main
 from fsosim.io import read_loss_csv, read_sweep_csv, read_throughput_csv
+from fsosim.scenario import DEFAULTS
 
 
 def run_cli(*argv):
@@ -15,6 +17,15 @@ def run_cli(*argv):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def _far_scenario(tmp_path):
+    """The default scenario with node b 1e13 m up, beyond the beam model's range."""
+    payload = copy.deepcopy(DEFAULTS)
+    payload["nodes"]["b"]["altitude_m"] = 1e13
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(payload))
+    return path
 
 
 class TestBudget:
@@ -48,12 +59,21 @@ class TestBudget:
         ("--error-urad", "nan"), ("--error-urad", "inf"), ("--error-urad", "-1"),
         # finite, but the beam radius or the jitter loss overflows
         ("--distance-m", "1e308"), ("--error-urad", "1e300"),
+        # finite, but the captured power fraction rounds to 0
+        ("--distance-m", "1e12"), ("--distance-m", "1e155"),
     ])
     def test_bad_value_rejected_by_name(self, flag, value, capsys):
         assert run_cli("budget", f"{flag}={value}") == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert flag in err
+
+    def test_scenario_distance_beyond_beam_model_rejected(self, tmp_path, capsys):
+        path = _far_scenario(tmp_path)
+        assert run_cli("budget", "--scenario", str(path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "scenario's node distance" in err and "--distance-m" not in err
 
 
 class TestSweep:
@@ -87,6 +107,20 @@ class TestSweep:
         out, err = capsys.readouterr()
         assert out == ""
         assert flag in err
+
+    def test_distances_beyond_beam_model_rejected_by_name(self, capsys):
+        # the beam radius stays finite here, but the captured fraction rounds to 0
+        assert run_cli("sweep", "--min-km", "1e150", "--max-km", "1e160", "--steps", "3") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--max-km" in err and "math domain error" not in err
+
+    def test_stdout_is_the_csv_artifact(self, tmp_path, capsys):
+        flags = ("--steps", "9", "--min-km", "0.01", "--max-km", "2e4")
+        assert run_cli("sweep", *flags) == 0
+        printed = capsys.readouterr().out
+        assert run_cli("sweep", *flags, "--out", str(tmp_path)) == 0
+        assert printed.encode() == (tmp_path / "sweep.csv").read_bytes()
 
     def test_min_above_max_rejected(self, capsys):
         assert run_cli("sweep", "--steps", "3", "--min-km", "5", "--max-km", "1") == 1
@@ -124,6 +158,13 @@ class TestTrack:
 
     def test_zero_duration_rejected(self, capsys):
         assert run_cli("track", "--duration", "0") == 1
+
+    @pytest.mark.parametrize("duration", ["1e300", "1e12"])
+    def test_duration_beyond_memory_rejected_by_name(self, duration, capsys):
+        # finite tick counts whose series alone would not fit in memory
+        assert run_cli("track", "--duration", duration) == 1
+        err = capsys.readouterr().err
+        assert "--duration" in err and "Maximum allowed size" not in err
 
     @pytest.mark.parametrize("duration", ["0.0004", "0.001", "inf", "nan", "1e306"])
     def test_duration_without_a_window_tick_rejected(self, duration, capsys):
@@ -203,6 +244,18 @@ class TestRun:
         assert report["aggregate"]["loss_db_mean"] == pytest.approx(
             float(np.mean(means)))
         assert [r["seed"] for r in report["per_seed"]] == [3, 4, 5]
+
+    @pytest.mark.parametrize("duration", ["1e300", "1e12"])
+    def test_duration_beyond_memory_rejected_by_name(self, duration, capsys):
+        # finite tick counts whose series alone would not fit in memory
+        assert run_cli("run", "--duration", duration) == 1
+        err = capsys.readouterr().err
+        assert "--duration" in err and "Maximum allowed size" not in err
+
+    def test_scenario_distance_beyond_beam_model_rejected(self, tmp_path, capsys):
+        assert run_cli("run", "--scenario", str(_far_scenario(tmp_path)),
+                       "--duration", "10.5") == 1
+        assert "beyond the range of the beam model" in capsys.readouterr().err
 
     def test_duration_must_exceed_warmup(self, capsys):
         assert run_cli("run", "--duration", "10") == 1

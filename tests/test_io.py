@@ -1,10 +1,17 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fsosim import io as fsio
 from fsosim import run_apt
+from fsosim.apt import TrackingSeries
+from fsosim.cli import _roundtrip
 from fsosim.io import (
     canonical_json,
     format_sig,
@@ -160,3 +167,234 @@ class TestCanonicalJson:
     def test_parses_as_json(self):
         payload = {"nested": {"k": [1, 2, 3]}, "v": 1.5}
         assert json.loads(canonical_json(payload)) == payload
+
+
+# ---------------------------------------------------------------------------
+# block-wise writers and readers against the per-cell definitions
+
+BLOCK = fsio._BLOCK_ROWS
+ROW_COUNTS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1]
+SPECIAL = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
+           2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, -1e-300]
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+special_floats = st.one_of(st.sampled_from(SPECIAL), finite_or_not)
+float_arrays = hnp.arrays(np.float64, st.integers(0, 40), elements=special_floats)
+
+
+def sample_values(n, seed=0):
+    """n float64 values of every magnitude, with SPECIAL spread through them."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    values[rng.integers(0, max(n, 1), min(n, 3 * len(SPECIAL)))] = 0.0
+    for i, v in zip(rng.integers(0, max(n, 1), len(SPECIAL)), SPECIAL):
+        if n:
+            values[i] = v
+    return values
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def per_cell_text(header, rows):
+    """The CSV each writer must produce: every cell through format_sig."""
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def tracking_from(values, seed=0):
+    n = len(values)
+    rng = np.random.default_rng(seed)
+    shifted = [np.roll(values, k) for k in range(6)]
+    locks = rng.random((3, n)) < 0.5
+    return TrackingSeries(
+        t_s=np.roll(values, 6), state=rng.integers(0, len(STATE_NAMES), n).astype(np.int8),
+        error_pitch_rad=shifted[0], error_azimuth_rad=shifted[1],
+        gimbal_azimuth_rad=np.zeros(n), gimbal_pitch_rad=np.zeros(n),
+        fsm1_pitch_rad=shifted[2], fsm1_azimuth_rad=shifted[3],
+        fsm2_pitch_rad=shifted[4], fsm2_azimuth_rad=shifted[5],
+        lock0=locks[0], lock1=locks[1], lock2=locks[2],
+        scenario_name="", scenario_digest="", seed=0,
+    )
+
+
+def tracking_text(s):
+    f = format_sig
+    urad = (s.error_pitch_rad, s.error_azimuth_rad, s.fsm1_pitch_rad,
+            s.fsm1_azimuth_rad, s.fsm2_pitch_rad, s.fsm2_azimuth_rad)
+    rows = (
+        [f(float(s.t_s[i])), STATE_NAMES[int(s.state[i])],
+         *(f(float(a[i]) * 1e6) for a in urad),
+         *(str(int(lock[i])) for lock in (s.lock0, s.lock1, s.lock2))]
+        for i in range(len(s.t_s))
+    )
+    return per_cell_text(fsio.TRACKING_HEADER, rows)
+
+
+def loss_from(values, seed=0):
+    up = np.random.default_rng(seed).random(len(values)) < 0.5
+    return LossSeries(t_s=np.roll(values, 1), loss_db=values, link_up=up)
+
+
+def loss_text(s):
+    rows = ([format_sig(float(t)), format_sig(float(v)), str(int(u))]
+            for t, v, u in zip(s.t_s, s.loss_db, s.link_up))
+    return per_cell_text(fsio.LOSS_HEADER, rows)
+
+
+def throughput_from(values):
+    return ThroughputSeries(t_s=np.roll(values, 1), rate_gbps=values)
+
+
+def throughput_text(s):
+    rows = ([format_sig(float(t)), format_sig(float(r))]
+            for t, r in zip(s.t_s, s.rate_gbps))
+    return per_cell_text(fsio.THROUGHPUT_HEADER, rows)
+
+
+def sweep_from(values):
+    return list(zip(values.tolist(), np.roll(values, 1).tolist(), np.roll(values, 2).tolist()))
+
+
+def sweep_text(rows):
+    return per_cell_text(fsio.SWEEP_HEADER, ([format_sig(v) for v in row] for row in rows))
+
+
+def cells(path, column):
+    """Column `column` of every data row, as float() parses the text."""
+    lines = path.read_text().splitlines()[1:]
+    return np.array([float(line.split(",")[column]) for line in lines], dtype=np.float64)
+
+
+def check_writers_and_readers(values, tmp_path):
+    """Every writer equals its per-cell definition; every reader parses like float()."""
+    series = tracking_from(values)
+    p = tmp_path / "tracking.csv"
+    with np.errstate(over="ignore"):  # values near the float64 limit overflow to inf in urad
+        write_tracking_csv(p, series)
+    assert p.read_text() == tracking_text(series)
+    back = read_tracking_csv(p)
+    assert np.array_equal(bits(back.t_s), bits(cells(p, 0)))
+    assert np.array_equal(bits(back.fsm2_azimuth_rad), bits(cells(p, 7) * 1e-6))
+    assert np.array_equal(back.state, series.state)
+    assert np.array_equal(back.lock2, series.lock2)
+
+    loss = loss_from(values)
+    p = tmp_path / "loss.csv"
+    write_loss_csv(p, loss)
+    assert p.read_text() == loss_text(loss)
+    back = read_loss_csv(p)
+    assert np.array_equal(bits(back.loss_db), bits(cells(p, 1)))
+    assert np.array_equal(back.link_up, loss.link_up)
+
+    rate = throughput_from(values)
+    p = tmp_path / "throughput.csv"
+    write_throughput_csv(p, rate)
+    assert p.read_text() == throughput_text(rate)
+    back = read_throughput_csv(p)
+    assert np.array_equal(bits(back.t_s), bits(cells(p, 0)))
+    assert np.array_equal(bits(back.rate_gbps), bits(cells(p, 1)))
+
+    rows = sweep_from(values)
+    p = tmp_path / "sweep.csv"
+    write_sweep_csv(p, rows)
+    assert p.read_text() == sweep_text(rows)
+    parsed = [float(c) for line in sweep_text(rows).splitlines()[1:] for c in line.split(",")]
+    assert np.array_equal(bits(read_sweep_csv(p)).ravel(), bits(parsed))
+
+
+def check_roundtrip(values):
+    expected = [float(format_sig(v)) for v in values.tolist()]
+    assert np.array_equal(bits(_roundtrip(values)), bits(expected))
+
+
+class TestBlockFormatting:
+    @settings(max_examples=60, deadline=None)
+    @given(values=float_arrays)
+    def test_writers_and_readers_match_per_cell(self, values, tmp_path_factory):
+        check_writers_and_readers(values, tmp_path_factory.mktemp("csv"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=float_arrays)
+    def test_roundtrip_is_float_of_format_sig(self, values):
+        check_roundtrip(values)
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_block_boundaries(self, n, tmp_path):
+        values = sample_values(n, seed=n)
+        check_writers_and_readers(values, tmp_path)
+        check_roundtrip(values)
+
+
+# ---------------------------------------------------------------------------
+# reader faults and edge cases
+
+READERS = {
+    "tracking": (read_tracking_csv, fsio.TRACKING_HEADER, "0,Linked,1,2,3,4,5,6,1,0,1"),
+    "loss": (read_loss_csv, fsio.LOSS_HEADER, "0,13.7,1"),
+    "throughput": (read_throughput_csv, fsio.THROUGHPUT_HEADER, "0,9.15876"),
+    "sweep": (read_sweep_csv, fsio.SWEEP_HEADER, "100,0.385064,12.1235"),
+}
+
+
+def write_text(tmp_path, header, lines):
+    p = tmp_path / "in.csv"
+    p.write_text(header + "\n" + "".join(line + "\n" for line in lines))
+    return p
+
+
+def series_len(result):
+    return len(result) if isinstance(result, list) else len(result.t_s)
+
+
+class TestReaderFaults:
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_header_only_is_empty_without_warning(self, kind, tmp_path):
+        read, header, _ = READERS[kind]
+        p = write_text(tmp_path, header, [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert series_len(read(p)) == 0
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_blank_and_whitespace_lines_skipped(self, kind, tmp_path):
+        read, header, row = READERS[kind]
+        plain = read(write_text(tmp_path, header, [row, row]))
+        p = write_text(tmp_path, header, ["", "  ", row, "\t", "", row, " "])
+        spaced = read(p)
+        assert series_len(spaced) == series_len(plain) == 2
+        if kind == "sweep":
+            assert spaced == plain
+        else:
+            assert np.array_equal(spaced.t_s, plain.t_s)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("fault", ["short", "long", "text", "empty"])
+    def test_malformed_row_names_file_and_line(self, kind, fault, tmp_path):
+        read, header, row = READERS[kind]
+        cells = row.split(",")
+        bad = {
+            "short": ",".join(cells[:-1]),
+            "long": row + ",7",
+            "text": ",".join(["abc", *cells[1:]]),
+            "empty": ",".join(["", *cells[1:]]),
+        }[fault]
+        # line 1 is the header and line 3 is blank, so the bad row is line 5
+        p = write_text(tmp_path, header, [row, "", row, bad, row])
+        with pytest.raises(ValueError, match=rf"in\.csv, line 5: "):
+            read(p)
+
+    def test_non_numeric_lock_flag_rejected(self, tmp_path):
+        p = write_text(tmp_path, fsio.TRACKING_HEADER, ["0,Linked,1,2,3,4,5,6,1,x,1"])
+        with pytest.raises(ValueError, match=r"line 2: lock1 cell 'x'"):
+            read_tracking_csv(p)
+
+    @pytest.mark.parametrize("name", ["Bogus", "linked", " Linked", "CoarseTrackX",
+                                      "CoarseTrackCoarseTrack"])
+    def test_unknown_state_names_file_and_line(self, name, tmp_path):
+        # a name longer than every state must not be cut down to a valid one
+        row = f"0.001,{name},1,2,3,4,5,6,1,0,1"
+        p = write_text(tmp_path, fsio.TRACKING_HEADER,
+                       ["0,Linked,1,2,3,4,5,6,1,0,1", "  ", row])
+        with pytest.raises(ValueError, match=rf"in\.csv, line 4: unknown state '{name}'"):
+            read_tracking_csv(p)
