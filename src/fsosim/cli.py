@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -257,11 +256,7 @@ def _summary_dict(stats) -> dict:
 def _roundtrip(values: np.ndarray) -> np.ndarray:
     # pass values through the CSV number format so reported statistics equal
     # statistics of the emitted file exactly
-    blocks = fsio._csv_blocks("%.6g\n", len(values), lambda b: [values[b]])
-    return np.fromiter(
-        chain.from_iterable(map(float, text.splitlines()) for text in blocks),
-        dtype=float, count=len(values),
-    )
+    return fsio._through_csv(values)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,15 @@ def _csv_blocks(row: str, n: int, cells: _Cells) -> Iterator[str]:
         yield row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
 
 
+def _through_csv(values: np.ndarray) -> np.ndarray:
+    """Each value as it reads back from a CSV number cell: float('%.6g' % v)."""
+    blocks = _csv_blocks("%.6g\n", len(values), lambda b: [values[b]])
+    return np.fromiter(
+        chain.from_iterable(map(float, text.splitlines()) for text in blocks),
+        dtype=float, count=len(values),
+    )
+
+
 def _write_rows(fh: TextIO, header: str, row: str, n: int, cells: _Cells) -> None:
     fh.write(header + "\n")
     fh.writelines(_csv_blocks(row, n, cells))
