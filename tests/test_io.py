@@ -186,10 +186,8 @@ def sample_values(n, seed=0):
     """n float64 values of every magnitude, with SPECIAL spread through them."""
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
-    values[rng.integers(0, max(n, 1), min(n, 3 * len(SPECIAL)))] = 0.0
-    for i, v in zip(rng.integers(0, max(n, 1), len(SPECIAL)), SPECIAL):
-        if n:
-            values[i] = v
+    if n:
+        values[rng.integers(0, n, len(SPECIAL))] = SPECIAL
     return values
 
 
@@ -275,7 +273,10 @@ def check_writers_and_readers(values, tmp_path):
     assert p.read_text() == tracking_text(series)
     back = read_tracking_csv(p)
     assert np.array_equal(bits(back.t_s), bits(cells(p, 0)))
-    assert np.array_equal(bits(back.fsm2_azimuth_rad), bits(cells(p, 7) * 1e-6))
+    urad = (back.error_pitch_rad, back.error_azimuth_rad, back.fsm1_pitch_rad,
+            back.fsm1_azimuth_rad, back.fsm2_pitch_rad, back.fsm2_azimuth_rad)
+    for column, rad in enumerate(urad, 2):
+        assert np.array_equal(bits(rad), bits(cells(p, column) * 1e-6))
     assert np.array_equal(back.state, series.state)
     assert np.array_equal(back.lock2, series.lock2)
 
