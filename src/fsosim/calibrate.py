@@ -19,6 +19,7 @@ residuals above tolerance; that is reported, never raised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -181,36 +182,61 @@ def calibrate_coupling(
     )
 
 
+def _finite_number(value, field: str) -> float:
+    # a JSON number: bools are ints to Python, and float() would parse "nan"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field}: expected a number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{field}: must be finite") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{field}: must be finite")
+    return value
+
+
 def parse_anchor_file(payload: dict) -> tuple[list[MeanLossAnchor], float | None, float | None]:
     """Decode the anchors JSON document.
 
     Schema: {"mean_loss_anchors": [{"sigma_urad", "distance_m", "mean_loss_db"}...],
-             "static_total_db": number | absent,
-             "static_distance_m": number | absent}
+             "static_total_db": number | null | absent,
+             "static_distance_m": number | null | absent}
+
+    Every number must be finite; any other document raises ValueError
+    naming the entry and key at fault.
     """
+    if not isinstance(payload, dict):
+        raise ValueError("anchors file: expected a JSON object")
     known = {"mean_loss_anchors", "static_total_db", "static_distance_m"}
     unknown = set(payload) - known
     if unknown:
         raise ValueError(f"unknown anchor keys: {sorted(unknown)}")
+    entries = payload.get("mean_loss_anchors", [])
+    if not isinstance(entries, list):
+        raise ValueError("mean_loss_anchors: expected a list")
     anchors = []
-    for i, entry in enumerate(payload.get("mean_loss_anchors", [])):
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"anchor {i}: expected an object")
         extra = set(entry) - {"sigma_urad", "distance_m", "mean_loss_db"}
         if extra:
             raise ValueError(f"anchor {i}: unknown keys {sorted(extra)}")
+        values = {}
+        for key in ("sigma_urad", "distance_m", "mean_loss_db"):
+            if key not in entry:
+                raise ValueError(f"anchor {i}: missing key {key!r}")
+            values[key] = _finite_number(entry[key], f"anchor {i}: {key}")
         try:
-            anchors.append(
-                MeanLossAnchor(
-                    sigma_rad=float(entry["sigma_urad"]) * 1e-6,
-                    distance_m=float(entry["distance_m"]),
-                    mean_loss_db=float(entry["mean_loss_db"]),
-                )
+            anchor = MeanLossAnchor(
+                sigma_rad=values["sigma_urad"] * 1e-6,
+                distance_m=values["distance_m"],
+                mean_loss_db=values["mean_loss_db"],
             )
-        except KeyError as exc:
-            raise ValueError(f"anchor {i}: missing key {exc}") from exc
-    static_total = payload.get("static_total_db")
-    static_distance = payload.get("static_distance_m")
-    return (
-        anchors,
-        None if static_total is None else float(static_total),
-        None if static_distance is None else float(static_distance),
+        except ValueError as exc:
+            raise ValueError(f"anchor {i}: {exc}") from None
+        anchors.append(anchor)
+    static_total, static_distance = (
+        None if payload.get(key) is None else _finite_number(payload[key], key)
+        for key in ("static_total_db", "static_distance_m")
     )
+    return anchors, static_total, static_distance

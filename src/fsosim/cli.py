@@ -135,12 +135,10 @@ def _out_dir(args) -> Path | None:
 
 
 def _emit_json(payload: dict, out: Path | None, filename: str) -> None:
-    text = fsio.canonical_json(payload)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(fsio.canonical_json(payload))
     else:
-        with open(out / filename, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        fsio.write_json(out / filename, payload)
 
 
 def _scenario_header(scenario: Scenario) -> dict:
@@ -447,6 +445,8 @@ def cmd_run(args) -> int:
 def cmd_calibrate(args) -> int:
     scenario = _load(args)
     _check_seed(args.seed)
+    if not (args.tolerance_db >= 0.0 and math.isfinite(args.tolerance_db)):
+        raise ValueError("--tolerance-db must be >= 0 and finite")
     if args.anchors is None:
         payload = DEFAULT_ANCHORS
     else:

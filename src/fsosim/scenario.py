@@ -2,41 +2,16 @@
 
 A scenario file is a JSON object with human-friendly units encoded in the
 key names (deg, km, mm, mrad, urad).  Everything is converted to SI (m, rad)
-when the file is resolved into a `Scenario`.  Omitted groups fall back to
-the documented defaults below; unknown keys are rejected so typos cannot
-silently change an experiment.
+when the file is resolved into a `Scenario`.
 
-Schema reference (defaults in parentheses):
-
-    schema_version            int, must equal 1
-    name                      str
-    nodes.a / nodes.b         latitude_deg, longitude_deg, altitude_m
-    beam                      wavelength_nm (1550), waist_radius_mm (40.5)
-    antenna                   aperture_diameter_mm (90), magnification (10),
-                              insertion_loss_db (2.942)
-    atmosphere                visibility_km (null = unlimited)
-    link                      fixed_loss_db (null = compute from the model)
-    coupling                  base_loss_db, rolloff_halfwidth_urad
-    transceiver               rated_gbps (10), effective_tcp_gbps (9.27),
-                              tcp_efficiency (0.988), max_tolerable_loss_db (24.1)
-    gimbal                    azimuth_range_deg (90), pitch_range_deg (60),
-                              bandwidth_hz (20), max_rate_deg_s (28.65)
-    fsm1 / fsm2               range_urad (212), bandwidth_hz (300 / 600)
-    cmos0 / cmos1 / cmos2     fov_pitch_mrad, fov_azimuth_mrad, pixels (288),
-                              frame_rate_hz (must equal the 1000 Hz tick rate),
-                              centroid_noise_urad
-    imu                       rate_noise_urad_s (30)
-    beacons.bl0/bl1/bl2       wavelength_nm, divergence_mrad
-    disturbance.pitch/azimuth sinusoids: [{amplitude_urad, frequency_hz,
-                              phase_deg}], noise_rms_urad, noise_bandwidth_hz
-    control.coarse/fsm1/fsm2  kp, ki, kd
-    apt                       acquisition_bias_urad (2000),
-                              fine_capture_threshold_urad (5000),
-                              link_threshold_urad (50), link_dwell_s (0.5),
-                              lock_loss_frames (50), stats_warmup_s (10),
-                              stabilize_rate_threshold_urad_s (5000),
-                              stabilize_dwell_s (0.1),
-                              fine1_enabled (true), fine2_enabled (true)
+`DEFAULTS` below is the schema: its nesting gives every valid key and each
+key's default.  `schema_version` is required and must equal 1; every other
+key is optional and, when omitted, takes its default.  A key that
+`DEFAULTS` lacks, at any depth, is rejected with its dotted path, so typos
+cannot silently change an experiment; so is a non-object where `DEFAULTS`
+holds an object, and a `sinusoids` entry whose keys differ from those of
+the default entry.  Values, bounds and cross-field rules are checked as
+each group is resolved.
 """
 
 from __future__ import annotations
@@ -135,9 +110,13 @@ class Scenario:
 
     @property
     def distance_m(self) -> float:
-        a = geodetic_to_ecef(self.node_a)
-        b = geodetic_to_ecef(self.node_b)
-        return math.sqrt((b.x_m - a.x_m) ** 2 + (b.y_m - a.y_m) ** 2 + (b.z_m - a.z_m) ** 2)
+        return _distance_m(self.node_a, self.node_b)
+
+
+def _distance_m(node_a: GeodeticPosition, node_b: GeodeticPosition) -> float:
+    a = geodetic_to_ecef(node_a)
+    b = geodetic_to_ecef(node_b)
+    return math.sqrt((b.x_m - a.x_m) ** 2 + (b.y_m - a.y_m) ** 2 + (b.z_m - a.z_m) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +214,6 @@ DEFAULTS: dict = {
 # ---------------------------------------------------------------------------
 # validation helpers
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ScenarioError(f"{path}.{key}" if path else key, "unknown key")
-
-
 def _number(obj: dict, key: str, path: str, low: float | None = None,
             high: float | None = None, allow_none: bool = False) -> float | None:
     value = obj[key]
@@ -251,7 +224,10 @@ def _number(obj: dict, key: str, path: str, low: float | None = None,
         raise ScenarioError(field, "must be a number")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(field, f"expected a number, got {type(value).__name__}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ScenarioError(field, "must be finite") from None
     if not math.isfinite(value):
         raise ScenarioError(field, "must be finite")
     if low is not None and value < low:
@@ -285,22 +261,47 @@ def _boolean(obj: dict, key: str, path: str) -> bool:
     return value
 
 
-def _merge_defaults(raw: dict, defaults: dict) -> dict:
-    """Fill omitted keys from defaults, recursively (dicts only)."""
+def _merge_defaults(raw: dict, defaults: dict, path: str = "") -> dict:
+    """Fill omitted keys from defaults, recursively, checking raw's shape.
+
+    The nesting of defaults is the schema.  A key it lacks is unknown; where
+    it holds an object raw must too; where it holds a list of objects (the
+    sinusoids), every entry of raw's list must have exactly the keys of the
+    first default entry.  Leaf values are copied unchecked.
+    """
     merged = copy.deepcopy(defaults)
     for key, value in raw.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _merge_defaults(value, merged[key])
-        else:
-            merged[key] = copy.deepcopy(value)
+        field = f"{path}.{key}" if path else key
+        if key not in defaults:
+            raise ScenarioError(field, "unknown key")
+        default = defaults[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ScenarioError(field, "expected an object")
+            merged[key] = _merge_defaults(value, default, field)
+            continue
+        if isinstance(default, list):
+            if not isinstance(value, list):
+                raise ScenarioError(field, "expected a list")
+            for i, entry in enumerate(value):
+                _check_entry(entry, default[0], f"{field}[{i}]")
+        merged[key] = copy.deepcopy(value)
     return merged
 
 
-def _node(obj: dict, path: str) -> GeodeticPosition:
-    _check_keys(obj, {"latitude_deg", "longitude_deg", "altitude_m"}, path)
-    for key in ("latitude_deg", "longitude_deg", "altitude_m"):
-        if key not in obj:
+def _check_entry(entry, template: dict, path: str) -> None:
+    if not isinstance(entry, dict):
+        raise ScenarioError(path, "expected an object")
+    for key in entry:
+        if key not in template:
+            raise ScenarioError(f"{path}.{key}", "unknown key")
+    # in the template's key order, so every run names the same missing key
+    for key in template:
+        if key not in entry:
             raise ScenarioError(f"{path}.{key}", "missing required key")
+
+
+def _node(obj: dict, path: str) -> GeodeticPosition:
     lat = _number(obj, "latitude_deg", path, low=-90.0, high=90.0)
     lon = _number(obj, "longitude_deg", path, low=-180.0, high=180.0)
     alt = _number(obj, "altitude_m", path)
@@ -308,8 +309,6 @@ def _node(obj: dict, path: str) -> GeodeticPosition:
 
 
 def _cmos(obj: dict, path: str) -> CmosSpec:
-    _check_keys(obj, {"fov_pitch_mrad", "fov_azimuth_mrad", "pixels", "frame_rate_hz",
-                      "centroid_noise_urad"}, path)
     # every camera frames once per loop tick; other rates are not modelled
     if _number(obj, "frame_rate_hz", path) != TICK_RATE_HZ:
         raise ScenarioError(f"{path}.frame_rate_hz", f"must equal the {TICK_RATE_HZ:g} Hz tick rate")
@@ -322,7 +321,6 @@ def _cmos(obj: dict, path: str) -> CmosSpec:
 
 
 def _beacon(obj: dict, path: str) -> BeaconSpec:
-    _check_keys(obj, {"wavelength_nm", "divergence_mrad"}, path)
     return BeaconSpec(
         wavelength_m=_positive(obj, "wavelength_nm", path) * 1e-9,
         divergence_full_angle_rad=_positive(obj, "divergence_mrad", path) * _MRAD,
@@ -330,16 +328,9 @@ def _beacon(obj: dict, path: str) -> BeaconSpec:
 
 
 def _axis_disturbance(obj: dict, path: str) -> AxisDisturbance:
-    _check_keys(obj, {"sinusoids", "noise_rms_urad", "noise_bandwidth_hz"}, path)
-    raw_sines = obj["sinusoids"]
-    if not isinstance(raw_sines, list):
-        raise ScenarioError(f"{path}.sinusoids", "expected a list")
     sines = []
-    for i, entry in enumerate(raw_sines):
+    for i, entry in enumerate(obj["sinusoids"]):
         spath = f"{path}.sinusoids[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(spath, "expected an object")
-        _check_keys(entry, {"amplitude_urad", "frequency_hz", "phase_deg"}, spath)
         sines.append(SinusoidComponent(
             amplitude_rad=_number(entry, "amplitude_urad", spath, low=0.0) * _URAD,
             frequency_hz=_positive(entry, "frequency_hz", spath),
@@ -353,7 +344,6 @@ def _axis_disturbance(obj: dict, path: str) -> AxisDisturbance:
 
 
 def _gains(obj: dict, path: str) -> ControllerGains:
-    _check_keys(obj, {"kp", "ki", "kd"}, path)
     return ControllerGains(
         kp=_number(obj, "kp", path, low=0.0),
         ki=_number(obj, "ki", path, low=0.0),
@@ -365,31 +355,34 @@ def resolve_scenario(raw: dict) -> Scenario:
     """Validate a parsed scenario object and resolve it against the defaults."""
     if not isinstance(raw, dict):
         raise ScenarioError("", "scenario must be a JSON object")
-    _check_keys(raw, set(DEFAULTS.keys()), "")
+    cfg = _merge_defaults(raw, DEFAULTS)
     if "schema_version" not in raw:
         raise ScenarioError("schema_version", "missing required key")
     if raw["schema_version"] != SCHEMA_VERSION:
         raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}, got {raw['schema_version']!r}")
-
-    cfg = _merge_defaults(raw, DEFAULTS)
 
     name = cfg["name"]
     if not isinstance(name, str) or not name:
         raise ScenarioError("name", "expected a non-empty string")
 
     nodes = cfg["nodes"]
-    _check_keys(nodes, {"a", "b"}, "nodes")
     node_a = _node(nodes["a"], "nodes.a")
     node_b = _node(nodes["b"], "nodes.b")
+    try:
+        distance_m = _distance_m(node_a, node_b)
+    except OverflowError:
+        distance_m = math.inf
+    if not math.isfinite(distance_m):
+        # latitudes and longitudes are bounded, so the larger altitude is at fault
+        far = "a" if abs(node_a.altitude_m) > abs(node_b.altitude_m) else "b"
+        raise ScenarioError(f"nodes.{far}.altitude_m", "puts the node distance beyond the float range")
 
     beam_obj = cfg["beam"]
-    _check_keys(beam_obj, {"wavelength_nm", "waist_radius_mm"}, "beam")
     wavelength_m = _positive(beam_obj, "wavelength_nm", "beam") * 1e-9
     beam = BeamModel(wavelength_m=wavelength_m,
                      waist_radius_m=_positive(beam_obj, "waist_radius_mm", "beam") * 1e-3)
 
     ant_obj = cfg["antenna"]
-    _check_keys(ant_obj, {"aperture_diameter_mm", "magnification", "insertion_loss_db"}, "antenna")
     antenna = AntennaSpec(
         aperture_diameter_m=_positive(ant_obj, "aperture_diameter_mm", "antenna") * 1e-3,
         magnification=_positive(ant_obj, "magnification", "antenna"),
@@ -399,7 +392,6 @@ def resolve_scenario(raw: dict) -> Scenario:
         raise ScenarioError("beam.waist_radius_mm", "exceeds the antenna aperture radius")
 
     atm_obj = cfg["atmosphere"]
-    _check_keys(atm_obj, {"visibility_km"}, "atmosphere")
     vis_km = _number(atm_obj, "visibility_km", "atmosphere", allow_none=True)
     if vis_km is not None and vis_km <= 0.0:
         raise ScenarioError("atmosphere.visibility_km", "must be positive or null")
@@ -409,21 +401,17 @@ def resolve_scenario(raw: dict) -> Scenario:
     )
 
     link_obj = cfg["link"]
-    _check_keys(link_obj, {"fixed_loss_db"}, "link")
     fixed_loss_db = _number(link_obj, "fixed_loss_db", "link", allow_none=True)
     if fixed_loss_db is not None and fixed_loss_db < 0.0:
         raise ScenarioError("link.fixed_loss_db", "must be >= 0 or null")
 
     cpl_obj = cfg["coupling"]
-    _check_keys(cpl_obj, {"base_loss_db", "rolloff_halfwidth_urad"}, "coupling")
     coupling = CouplingModel(
         base_coupling_loss_db=_positive(cpl_obj, "base_loss_db", "coupling"),
         rolloff_halfwidth_rad=_positive(cpl_obj, "rolloff_halfwidth_urad", "coupling") * _URAD,
     )
 
     trx_obj = cfg["transceiver"]
-    _check_keys(trx_obj, {"rated_gbps", "effective_tcp_gbps", "tcp_efficiency",
-                          "max_tolerable_loss_db"}, "transceiver")
     tcp_eff = _positive(trx_obj, "tcp_efficiency", "transceiver")
     if tcp_eff > 1.0:
         raise ScenarioError("transceiver.tcp_efficiency", "must be <= 1")
@@ -437,8 +425,6 @@ def resolve_scenario(raw: dict) -> Scenario:
         raise ScenarioError("transceiver.effective_tcp_gbps", "exceeds rated_gbps")
 
     gim_obj = cfg["gimbal"]
-    _check_keys(gim_obj, {"azimuth_range_deg", "pitch_range_deg", "bandwidth_hz",
-                          "max_rate_deg_s"}, "gimbal")
     gimbal = GimbalSpec(
         azimuth_range_rad=_positive(gim_obj, "azimuth_range_deg", "gimbal") * _DEG,
         pitch_range_rad=_positive(gim_obj, "pitch_range_deg", "gimbal") * _DEG,
@@ -449,7 +435,6 @@ def resolve_scenario(raw: dict) -> Scenario:
     fsm_specs = []
     for key in ("fsm1", "fsm2"):
         fsm_obj = cfg[key]
-        _check_keys(fsm_obj, {"range_urad", "bandwidth_hz"}, key)
         fsm_specs.append(FsmSpec(
             range_rad=_positive(fsm_obj, "range_urad", key) * _URAD,
             bandwidth_hz=_positive(fsm_obj, "bandwidth_hz", key),
@@ -463,33 +448,25 @@ def resolve_scenario(raw: dict) -> Scenario:
             raise ScenarioError(f"{key}.fov_pitch_mrad", "fine FOV exceeds the coarse camera FOV")
 
     imu_obj = cfg["imu"]
-    _check_keys(imu_obj, {"rate_noise_urad_s"}, "imu")
     imu = ImuSpec(rate_noise_rad_s=_number(imu_obj, "rate_noise_urad_s", "imu", low=0.0) * _URAD)
 
     bcn_obj = cfg["beacons"]
-    _check_keys(bcn_obj, {"bl0", "bl1", "bl2"}, "beacons")
     bl0 = _beacon(bcn_obj["bl0"], "beacons.bl0")
     bl1 = _beacon(bcn_obj["bl1"], "beacons.bl1")
     bl2 = _beacon(bcn_obj["bl2"], "beacons.bl2")
 
     dist_obj = cfg["disturbance"]
-    _check_keys(dist_obj, {"pitch", "azimuth"}, "disturbance")
     disturbance = DisturbanceProfile(
         pitch=_axis_disturbance(dist_obj["pitch"], "disturbance.pitch"),
         azimuth=_axis_disturbance(dist_obj["azimuth"], "disturbance.azimuth"),
     )
 
     ctl_obj = cfg["control"]
-    _check_keys(ctl_obj, {"coarse", "fsm1", "fsm2"}, "control")
     gains_coarse = _gains(ctl_obj["coarse"], "control.coarse")
     gains_fsm1 = _gains(ctl_obj["fsm1"], "control.fsm1")
     gains_fsm2 = _gains(ctl_obj["fsm2"], "control.fsm2")
 
     apt_obj = cfg["apt"]
-    _check_keys(apt_obj, {"acquisition_bias_urad", "fine_capture_threshold_urad",
-                          "link_threshold_urad", "link_dwell_s", "lock_loss_frames",
-                          "stats_warmup_s", "stabilize_rate_threshold_urad_s",
-                          "stabilize_dwell_s", "fine1_enabled", "fine2_enabled"}, "apt")
     apt = AptParams(
         acquisition_bias_rad=_number(apt_obj, "acquisition_bias_urad", "apt", low=0.0) * _URAD,
         fine_capture_threshold_rad=_positive(apt_obj, "fine_capture_threshold_urad", "apt") * _URAD,

@@ -1,6 +1,7 @@
 import copy
 
 import pytest
+from hypothesis import strategies as st
 
 from fsosim import default_scenario, resolve_scenario
 from fsosim.scenario import DEFAULTS
@@ -76,3 +77,50 @@ def gimbal_saturation_scenario():
         "disturbance.azimuth.sinusoids": sinusoid(20_000.0, 0.5) + sinusoid(10_000.0, 17.0),
         "disturbance.pitch.sinusoids": sinusoid(10_000.0, 0.5, 90.0) + sinusoid(10_000.0, 20.0),
     })
+
+
+# any JSON value json.loads can return, including NaN, infinities and
+# integers beyond the float range
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | st.floats()
+    | st.integers() | st.integers(min_value=10**308, max_value=10**400),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _containers(doc, path=()):
+    """(path, container) for doc and every object or list nested in it."""
+    yield path, doc
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        if isinstance(value, (dict, list)):
+            yield from _containers(value, path + (key,))
+
+
+def mutate_json(data, doc: dict, max_mutations: int = 3) -> dict:
+    """A copy of doc with 1..max_mutations random edits drawn from `data`.
+
+    Each edit, at any depth (list entries included), replaces a value with
+    an arbitrary JSON value, deletes a key or list entry, or adds a key or
+    list entry.
+    """
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, max_mutations), label="mutations")):
+        containers = [c for _, c in _containers(doc)]
+        container = data.draw(st.sampled_from(containers), label="container")
+        op = data.draw(st.sampled_from(["replace", "delete", "add"]), label="op")
+        if op == "add":
+            value = data.draw(JSON_VALUES, label="new value")
+            if isinstance(container, dict):
+                container[data.draw(st.text(max_size=6), label="new key")] = value
+            else:
+                container.append(value)
+        elif container:
+            key = data.draw(st.sampled_from(
+                list(container) if isinstance(container, dict) else range(len(container))),
+                label="key")
+            if op == "delete":
+                del container[key]
+            else:
+                container[key] = data.draw(JSON_VALUES, label="value")
+    return doc

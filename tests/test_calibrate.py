@@ -1,6 +1,10 @@
+import math
 from dataclasses import replace
 
 import pytest
+from conftest import mutate_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsosim import optics
 from fsosim.calibrate import (
@@ -182,3 +186,47 @@ class TestParseAnchorFile:
     def test_missing_entry_key(self):
         with pytest.raises(ValueError, match="anchor 0: missing key"):
             parse_anchor_file({"mean_loss_anchors": [{"sigma_urad": 3.0}]})
+
+    @pytest.mark.parametrize("payload, message", [
+        ([], "anchors file: expected a JSON object"),
+        ({"mean_loss_anchors": 5}, "mean_loss_anchors: expected a list"),
+        ({"mean_loss_anchors": [5]}, "anchor 0: expected an object"),
+    ])
+    def test_wrong_shape_rejected(self, payload, message):
+        with pytest.raises(ValueError) as err:
+            parse_anchor_file(payload)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("value", [None, "nan", "3.0", True, [3.0], {},
+                                       math.nan, math.inf, -math.inf, 10**400])
+    def test_entry_value_must_be_a_finite_number(self, value):
+        entry = dict(self.DOC["mean_loss_anchors"][1], sigma_urad=value)
+        with pytest.raises(ValueError, match="anchor 1: sigma_urad"):
+            parse_anchor_file({"mean_loss_anchors": [self.DOC["mean_loss_anchors"][0], entry]})
+
+    @pytest.mark.parametrize("key", ["static_total_db", "static_distance_m"])
+    @pytest.mark.parametrize("value", ["12.7", False, math.nan, math.inf])
+    def test_static_value_must_be_a_finite_number(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            parse_anchor_file(dict(self.DOC, **{key: value}))
+
+    def test_static_null_means_absent(self):
+        _, static_db, static_m = parse_anchor_file(
+            {"static_total_db": None, "static_distance_m": None})
+        assert static_db is None and static_m is None
+
+    def test_out_of_range_entry_named(self):
+        entry = dict(self.DOC["mean_loss_anchors"][0], distance_m=0.0)
+        with pytest.raises(ValueError, match="anchor 0: distance_m must be positive"):
+            parse_anchor_file({"mean_loss_anchors": [entry]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_document_parses_to_finite_values_or_raises(self, data):
+        try:
+            anchors, static_db, static_m = parse_anchor_file(mutate_json(data, self.DOC))
+        except ValueError:
+            return
+        values = [v for a in anchors for v in (a.sigma_rad, a.distance_m, a.mean_loss_db)]
+        values += [v for v in (static_db, static_m) if v is not None]
+        assert all(type(v) is float and math.isfinite(v) for v in values)

@@ -306,6 +306,35 @@ class TestCalibrate:
         anchors.write_text("{not json")
         assert run_cli("calibrate", "--anchors", str(anchors)) == 1
 
+    @pytest.mark.parametrize("text, field", [
+        ("[]", "anchors file"),
+        ('{"mean_loss_anchors": 5}', "mean_loss_anchors"),
+        ('{"mean_loss_anchors": [5]}', "anchor 0"),
+        ('{"mean_loss_anchors": [{"sigma_urad": null, "distance_m": 1000.0,'
+         ' "mean_loss_db": 13.7}]}', "anchor 0: sigma_urad"),
+        ('{"mean_loss_anchors": [{"sigma_urad": "nan", "distance_m": 1000.0,'
+         ' "mean_loss_db": 13.7}]}', "anchor 0: sigma_urad"),
+        ('{"static_total_db": NaN, "static_distance_m": 1000.0}', "static_total_db"),
+    ])
+    def test_malformed_anchor_file_exit_1_naming_the_field(self, tmp_path, capsys, text, field):
+        anchors = tmp_path / "anchors.json"
+        anchors.write_text(text)
+        assert run_cli("calibrate", "--anchors", str(anchors), "--out", str(tmp_path)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and field in err and "Traceback" not in err
+        assert not (tmp_path / "calibration.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1"])
+    def test_bad_tolerance_rejected_by_name(self, value, capsys):
+        assert run_cli("calibrate", "--samples", "1000", f"--tolerance-db={value}") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--tolerance-db" in err
+
+    def test_zero_tolerance_accepted(self, capsys):
+        assert run_cli("calibrate", "--samples", "1000", "--tolerance-db", "0") in (0, 2)
+        assert "result" in json.loads(capsys.readouterr().out)
+
 
 class TestExitCodes:
     def test_missing_scenario_file_exit_3(self):
@@ -321,6 +350,24 @@ class TestExitCodes:
         p.write_text(json.dumps({"schema_version": 1, "bogus": 1}))
         assert run_cli("budget", "--scenario", str(p)) == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, field", [
+        ({"beam": 5}, "beam"),
+        ({"nodes": {"a": None}}, "nodes.a"),
+        ({"disturbance": {"pitch": {"sinusoids": [{"frequency_hz": 1.0, "phase_deg": 0.0}]}}},
+         "disturbance.pitch.sinusoids[0].amplitude_urad"),
+        ({"nodes": {"b": {"altitude_m": 1e160}}}, "nodes.b.altitude_m"),
+    ])
+    @pytest.mark.parametrize("verb", [("budget",), ("track", "--duration", "1"),
+                                      ("run", "--duration", "11")])
+    def test_malformed_scenario_exit_1_naming_the_field(self, tmp_path, capsys,
+                                                        override, field, verb):
+        p = tmp_path / "sc.json"
+        p.write_text(json.dumps({"schema_version": 1, **override}))
+        assert run_cli(*verb, "--scenario", str(p)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"fsosim: scenario error: {field}: ")
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as err:

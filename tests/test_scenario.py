@@ -1,7 +1,11 @@
+import copy
 import json
 import math
 
 import pytest
+from conftest import mutate_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsosim.scenario import (
     DEFAULTS,
@@ -151,6 +155,84 @@ class TestValidation:
                  {"amplitude_urad": -2.0, "frequency_hz": 1.0, "phase_deg": 0.0}]}}},
             "sinusoids[0].amplitude_urad",
         )
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"beam": 5}, "beam"),
+        ({"nodes": {"a": None}}, "nodes.a"),
+        ({"nodes": []}, "nodes"),
+        ({"disturbance": {"pitch": "x"}}, "disturbance.pitch"),
+        ({"control": {"fsm1": [0.0, 1.0, 0.0]}}, "control.fsm1"),
+    ])
+    def test_group_must_be_an_object(self, raw, field):
+        with pytest.raises(ScenarioError) as err:
+            resolve_scenario({"schema_version": 1, **raw})
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: expected an object"
+
+    def test_unknown_key_at_any_depth(self):
+        with pytest.raises(ScenarioError) as err:
+            resolve_scenario({"schema_version": 1, "beacons": {"bl1": {"power_mw": 1.0}}})
+        assert str(err.value) == "beacons.bl1.power_mw: unknown key"
+
+    def test_shape_checked_before_schema_version(self):
+        self.reject({"beam": 5}, "beam: expected an object")
+        self.reject({"schema_version": 2, "bogus": 1}, "bogus: unknown key")
+
+    def test_sinusoids_must_be_a_list_of_objects(self):
+        self.reject({"schema_version": 1, "disturbance": {"azimuth": {"sinusoids": {}}}},
+                    "disturbance.azimuth.sinusoids: expected a list")
+        self.reject({"schema_version": 1, "disturbance": {"azimuth": {"sinusoids": [None]}}},
+                    "disturbance.azimuth.sinusoids[0]: expected an object")
+
+    def test_sinusoid_missing_key_named_in_schema_order(self):
+        entry = {"amplitude_urad": 1.0, "frequency_hz": 1.0, "phase_deg": 0.0}
+        for missing in (("amplitude_urad",), ("frequency_hz", "phase_deg"), tuple(entry)):
+            partial = {k: v for k, v in entry.items() if k not in missing}
+            with pytest.raises(ScenarioError) as err:
+                resolve_scenario({"schema_version": 1, "disturbance": {"pitch": {
+                    "sinusoids": [entry, partial]}}})
+            assert str(err.value) == (
+                f"disturbance.pitch.sinusoids[1].{missing[0]}: missing required key")
+
+    def test_sinusoid_unknown_key(self):
+        self.reject(
+            {"schema_version": 1, "disturbance": {"pitch": {"sinusoids": [
+                {"amplitude_urad": 1.0, "frequency_hz": 1.0, "phase_deg": 0.0, "x": 1}]}}},
+            "disturbance.pitch.sinusoids[0].x: unknown key",
+        )
+
+    def test_integer_beyond_float_range_rejected(self):
+        self.reject({"schema_version": 1, "gimbal": {"bandwidth_hz": 10**400}},
+                    "gimbal.bandwidth_hz: must be finite")
+
+    @pytest.mark.parametrize("node, altitude", [
+        ("b", 1e160), ("a", 1e160), ("b", -1e200), ("a", 1.7e308),
+    ])
+    def test_node_distance_beyond_float_range_names_altitude(self, node, altitude):
+        with pytest.raises(ScenarioError) as err:
+            resolve_scenario({"schema_version": 1, "nodes": {node: {"altitude_m": altitude}}})
+        assert err.value.field == f"nodes.{node}.altitude_m"
+
+    def test_large_finite_node_distance_resolves(self):
+        sc = resolve_scenario({"schema_version": 1, "nodes": {"b": {"altitude_m": 1e150}}})
+        assert math.isfinite(sc.distance_m)
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_resolves_or_raises_scenario_error(self, data):
+        raw = mutate_json(data, DEFAULTS)
+        try:
+            sc = resolve_scenario(raw)
+        except ScenarioError:
+            return
+        assert math.isfinite(sc.distance_m)
+
+    def test_defaults_are_not_mutated(self):
+        before = copy.deepcopy(DEFAULTS)
+        resolve_scenario({"schema_version": 1, "disturbance": {"pitch": {"sinusoids": []}}})
+        assert DEFAULTS == before
 
 
 class TestDigest:
