@@ -48,6 +48,15 @@ _LINKED = AptState.LINKED
 _REACQUIRE = AptState.REACQUIRE
 _FINE1_STATES = (_FINE_TRACK1, _FINE_TRACK2, _LINKED)
 _FINE2_STATES = (_FINE_TRACK2, _LINKED)
+# the 1 kHz loop's flags for each state, indexed by its value: (reset the
+# vision integrators, coarse loop active, FSM1 loop active, FSM2 loop active)
+_LOOP_FLAGS = tuple(
+    (state in (_ACQUIRE, _REACQUIRE),
+     state >= _COARSE_TRACK and state != _REACQUIRE,
+     state in _FINE1_STATES,
+     state in _FINE2_STATES)
+    for state in sorted(AptState)
+)
 
 RNG_STREAM_LABELS = {
     "disturbance": 1,
@@ -62,35 +71,6 @@ def component_rng(seed: int, component: str) -> np.random.Generator:
     """Derive the named component's generator from the run seed."""
     label = RNG_STREAM_LABELS[component]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(label,))))
-
-
-# ---------------------------------------------------------------------------
-# controller
-
-def pid_step(
-    kp: float,
-    ki: float,
-    kd: float,
-    error: float,
-    integrator: float,
-    previous_error: float,
-    dt_s: float,
-    output_limit: float,
-) -> tuple[float, float]:
-    """One PID update; returns (command, new_integrator).
-
-    The integrator is clamped so the integral term alone cannot exceed the
-    output limit (anti-windup for saturated actuators).
-    """
-    integrator += error * dt_s
-    if ki > 0.0:
-        bound = output_limit / ki
-        if integrator > bound:
-            integrator = bound
-        elif integrator < -bound:
-            integrator = -bound
-    command = kp * error + ki * integrator + kd * (error - previous_error) / dt_s
-    return command, integrator
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +100,9 @@ class AptStateMachine:
         self.lock_loss_count = 0
         self.link_dwell_count = 0
         self.stabilize_count = 0
+        # dwell times in ticks, the same float products step once formed each tick
+        self._stabilize_ticks = params.stabilize_dwell_s * TICK_RATE_HZ
+        self._link_dwell_ticks = params.link_dwell_s * TICK_RATE_HZ
 
     def set_fine_enabled(self, fine1: bool, fine2: bool) -> None:
         self.fine1_enabled = fine1
@@ -140,7 +123,7 @@ class AptStateMachine:
 
         if state == _STABILIZE:
             self.stabilize_count = self.stabilize_count + 1 if stabilize_ok else 0
-            if self.stabilize_count >= p.stabilize_dwell_s * TICK_RATE_HZ:
+            if self.stabilize_count >= self._stabilize_ticks:
                 state = _ACQUIRE
         elif state == _ACQUIRE:
             if lock0:
@@ -174,7 +157,7 @@ class AptStateMachine:
             elif state == _FINE_TRACK2:
                 if fine_radial_rad < p.link_threshold_rad:
                     self.link_dwell_count += 1
-                    if self.link_dwell_count >= p.link_dwell_s * TICK_RATE_HZ:
+                    if self.link_dwell_count >= self._link_dwell_ticks:
                         state = _LINKED
                 else:
                     self.link_dwell_count = 0
@@ -375,9 +358,30 @@ def run_apt(
     bl1_half = 0.5 * scenario.beacon_bl1.divergence_full_angle_rad
     bl2_half = 0.5 * scenario.beacon_bl2.divergence_full_angle_rad
 
+    # PID gains.  With integral action (ki > 0) a loop's integrator is
+    # clamped to +-limit / ki, so the integral term alone cannot exceed the
+    # actuator limit (anti-windup); without it (ki == 0) the loop steers
+    # relative to the actuator's current position.
     gc = scenario.gains_coarse
+    c_kp, c_ki, c_kd = gc.kp, gc.ki, gc.kd
+    c_integral = c_ki > 0.0
+    if c_integral:
+        c_bound_p, c_bound_a = g_range_p / c_ki, g_range_az / c_ki
+        neg_c_bound_p, neg_c_bound_a = -c_bound_p, -c_bound_a
     g1 = scenario.gains_fsm1
+    f1_kp, f1_ki, f1_kd = g1.kp, g1.ki, g1.kd
+    f1_integral = f1_ki > 0.0
+    f1_relative = f1_ki == 0.0
+    if f1_integral:
+        f1_bound = f1_range / f1_ki
+        neg_f1_bound = -f1_bound
     g2 = scenario.gains_fsm2
+    f2_kp, f2_ki, f2_kd = g2.kp, g2.ki, g2.kd
+    f2_integral = f2_ki > 0.0
+    f2_relative = f2_ki == 0.0
+    if f2_integral:
+        f2_bound = f2_range / f2_ki
+        neg_f2_bound = -f2_bound
     p = scenario.apt
     stab_thresh = p.stabilize_rate_threshold_rad_s
 
@@ -443,53 +447,70 @@ def run_apt(
     floor = math.floor
     hypot = math.hypot
     step = machine.step
+    loop_flags = _LOOP_FLAGS
+    # negated bounds, so the loop compares and clamps without negating
+    neg_c0_half_p, neg_c0_half_a = -c0_half_p, -c0_half_a
+    neg_c1_half_p, neg_c1_half_a = -c1_half_p, -c1_half_a
+    neg_c2_half_p, neg_c2_half_a = -c2_half_p, -c2_half_a
+    neg_g_max_delta = -g_max_delta
+    neg_g_range_p, neg_g_range_az = -g_range_p, -g_range_az
+    neg_f1_range, neg_f2_range = -f1_range, -f2_range
 
     for i in range(n):
         if i == handover:
             machine.set_fine_enabled(enable_fine1, enable_fine2)
 
         # --- sensing (previous-tick errors; one-frame latency) ---
+        # a camera sees the spot when its beacon is in view and the error is
+        # inside its FOV; it reports the noisy centroid rounded to its pixel
+        # pitch and clipped to the FOV
         coarse_radial = hypot(e0_p, e0_a)
-        seen0 = coarse_radial <= bl0_half
-        seen1 = coarse_radial <= bl1_half
-        seen2 = coarse_radial <= bl2_half
 
-        valid0 = seen0 and abs(e0_p) <= c0_half_p and abs(e0_a) <= c0_half_a
+        valid0 = (coarse_radial <= bl0_half and neg_c0_half_p <= e0_p <= c0_half_p
+                  and neg_c0_half_a <= e0_a <= c0_half_a)
         if valid0:
-            m0_p = floor(abs(e0_p + n0p[i]) / c0_pp + 0.5) * c0_pp
-            m0_p = m0_p if e0_p + n0p[i] >= 0.0 else -m0_p
-            m0_a = floor(abs(e0_a + n0a[i]) / c0_pa + 0.5) * c0_pa
-            m0_a = m0_a if e0_a + n0a[i] >= 0.0 else -m0_a
+            x_p = e0_p + n0p[i]
+            x_a = e0_a + n0a[i]
+            m0_p = floor(abs(x_p) / c0_pp + 0.5) * c0_pp
+            m0_p = m0_p if x_p >= 0.0 else -m0_p
+            m0_a = floor(abs(x_a) / c0_pa + 0.5) * c0_pa
+            m0_a = m0_a if x_a >= 0.0 else -m0_a
             if m0_p > c0_half_p: m0_p = c0_half_p
-            elif m0_p < -c0_half_p: m0_p = -c0_half_p
+            elif m0_p < neg_c0_half_p: m0_p = neg_c0_half_p
             if m0_a > c0_half_a: m0_a = c0_half_a
-            elif m0_a < -c0_half_a: m0_a = -c0_half_a
+            elif m0_a < neg_c0_half_a: m0_a = neg_c0_half_a
         else:
             m0_p = m0_a = 0.0
 
-        valid1 = seen1 and abs(e1_p) <= c1_half_p and abs(e1_a) <= c1_half_a
+        valid1 = (coarse_radial <= bl1_half and neg_c1_half_p <= e1_p <= c1_half_p
+                  and neg_c1_half_a <= e1_a <= c1_half_a)
         if valid1:
-            m1_p = floor(abs(e1_p + n1p[i]) / c1_pp + 0.5) * c1_pp
-            m1_p = m1_p if e1_p + n1p[i] >= 0.0 else -m1_p
-            m1_a = floor(abs(e1_a + n1a[i]) / c1_pa + 0.5) * c1_pa
-            m1_a = m1_a if e1_a + n1a[i] >= 0.0 else -m1_a
+            x_p = e1_p + n1p[i]
+            x_a = e1_a + n1a[i]
+            m1_p = floor(abs(x_p) / c1_pp + 0.5) * c1_pp
+            m1_p = m1_p if x_p >= 0.0 else -m1_p
+            m1_a = floor(abs(x_a) / c1_pa + 0.5) * c1_pa
+            m1_a = m1_a if x_a >= 0.0 else -m1_a
             if m1_p > c1_half_p: m1_p = c1_half_p
-            elif m1_p < -c1_half_p: m1_p = -c1_half_p
+            elif m1_p < neg_c1_half_p: m1_p = neg_c1_half_p
             if m1_a > c1_half_a: m1_a = c1_half_a
-            elif m1_a < -c1_half_a: m1_a = -c1_half_a
+            elif m1_a < neg_c1_half_a: m1_a = neg_c1_half_a
         else:
             m1_p = m1_a = 0.0
 
-        valid2 = seen2 and abs(e2_p) <= c2_half_p and abs(e2_a) <= c2_half_a
+        valid2 = (coarse_radial <= bl2_half and neg_c2_half_p <= e2_p <= c2_half_p
+                  and neg_c2_half_a <= e2_a <= c2_half_a)
         if valid2:
-            m2_p = floor(abs(e2_p + n2p[i]) / c2_pp + 0.5) * c2_pp
-            m2_p = m2_p if e2_p + n2p[i] >= 0.0 else -m2_p
-            m2_a = floor(abs(e2_a + n2a[i]) / c2_pa + 0.5) * c2_pa
-            m2_a = m2_a if e2_a + n2a[i] >= 0.0 else -m2_a
+            x_p = e2_p + n2p[i]
+            x_a = e2_a + n2a[i]
+            m2_p = floor(abs(x_p) / c2_pp + 0.5) * c2_pp
+            m2_p = m2_p if x_p >= 0.0 else -m2_p
+            m2_a = floor(abs(x_a) / c2_pa + 0.5) * c2_pa
+            m2_a = m2_a if x_a >= 0.0 else -m2_a
             if m2_p > c2_half_p: m2_p = c2_half_p
-            elif m2_p < -c2_half_p: m2_p = -c2_half_p
+            elif m2_p < neg_c2_half_p: m2_p = neg_c2_half_p
             if m2_a > c2_half_a: m2_a = c2_half_a
-            elif m2_a < -c2_half_a: m2_a = -c2_half_a
+            elif m2_a < neg_c2_half_a: m2_a = neg_c2_half_a
         else:
             m2_p = m2_a = 0.0
 
@@ -503,28 +524,32 @@ def run_apt(
             stab_ok, valid0, valid1, valid2,
             hypot(m0_p, m0_a), hypot(m2_p, m2_a),
         )
-        if state == _REACQUIRE or state == _ACQUIRE:
+        reset, coarse_active, f1_active, f2_active = loop_flags[state]
+        if reset:
             vis_p = vis_a = 0.0
             i1_p = i1_a = i2_p = i2_a = 0.0
 
-        coarse_active = state >= _COARSE_TRACK and state != _REACQUIRE
-        f1_active = state in _FINE1_STATES
-        f2_active = state in _FINE2_STATES
-
-        # --- control ---
+        # --- control: one PID per loop and axis on the measured error ---
         if enable_feedforward:
             ff_p += imu_rate_p * dt
             ff_a += imu_rate_a * dt
         if coarse_active:
-            cmd_p, vis_p = pid_step(gc.kp, gc.ki, gc.kd, m0_p, vis_p, pe0_p, dt, g_range_p)
-            cmd_a, vis_a = pid_step(gc.kp, gc.ki, gc.kd, m0_a, vis_a, pe0_a, dt, g_range_az)
+            vis_p += m0_p * dt
+            vis_a += m0_a * dt
+            if c_integral:
+                if vis_p > c_bound_p: vis_p = c_bound_p
+                elif vis_p < neg_c_bound_p: vis_p = neg_c_bound_p
+                if vis_a > c_bound_a: vis_a = c_bound_a
+                elif vis_a < neg_c_bound_a: vis_a = neg_c_bound_a
+            cmd_p = c_kp * m0_p + c_ki * vis_p + c_kd * (m0_p - pe0_p) / dt
+            cmd_a = c_kp * m0_a + c_ki * vis_a + c_kd * (m0_a - pe0_a) / dt
             pe0_p, pe0_a = m0_p, m0_a
         else:
             cmd_p = cmd_a = 0.0
             pe0_p = pe0_a = 0.0
         # integral control carries the absolute vision command; proportional-only
         # configurations steer relative to the current position instead
-        if gc.ki > 0.0:
+        if c_integral:
             g_cmd_p = ff_p + cmd_p
             g_cmd_a = ff_a + cmd_a
         else:
@@ -532,20 +557,35 @@ def run_apt(
             g_cmd_a = g_az + cmd_a
 
         if f1_active:
-            f1_cmd_p, i1_p = pid_step(g1.kp, g1.ki, g1.kd, m1_p, i1_p, pe1_p, dt, f1_range)
-            f1_cmd_a, i1_a = pid_step(g1.kp, g1.ki, g1.kd, m1_a, i1_a, pe1_a, dt, f1_range)
-            # command accumulates on the current deflection for proportional action
-            f1_cmd_p += f1_p if g1.ki == 0.0 else 0.0
-            f1_cmd_a += f1_a if g1.ki == 0.0 else 0.0
+            i1_p += m1_p * dt
+            i1_a += m1_a * dt
+            if f1_integral:
+                if i1_p > f1_bound: i1_p = f1_bound
+                elif i1_p < neg_f1_bound: i1_p = neg_f1_bound
+                if i1_a > f1_bound: i1_a = f1_bound
+                elif i1_a < neg_f1_bound: i1_a = neg_f1_bound
+            f1_cmd_p = f1_kp * m1_p + f1_ki * i1_p + f1_kd * (m1_p - pe1_p) / dt
+            f1_cmd_a = f1_kp * m1_a + f1_ki * i1_a + f1_kd * (m1_a - pe1_a) / dt
+            if f1_relative:
+                f1_cmd_p += f1_p
+                f1_cmd_a += f1_a
             pe1_p, pe1_a = m1_p, m1_a
         else:
             f1_cmd_p = f1_cmd_a = 0.0
             pe1_p = pe1_a = 0.0
         if f2_active:
-            f2_cmd_p, i2_p = pid_step(g2.kp, g2.ki, g2.kd, m2_p, i2_p, pe2_p, dt, f2_range)
-            f2_cmd_a, i2_a = pid_step(g2.kp, g2.ki, g2.kd, m2_a, i2_a, pe2_a, dt, f2_range)
-            f2_cmd_p += f2_p if g2.ki == 0.0 else 0.0
-            f2_cmd_a += f2_a if g2.ki == 0.0 else 0.0
+            i2_p += m2_p * dt
+            i2_a += m2_a * dt
+            if f2_integral:
+                if i2_p > f2_bound: i2_p = f2_bound
+                elif i2_p < neg_f2_bound: i2_p = neg_f2_bound
+                if i2_a > f2_bound: i2_a = f2_bound
+                elif i2_a < neg_f2_bound: i2_a = neg_f2_bound
+            f2_cmd_p = f2_kp * m2_p + f2_ki * i2_p + f2_kd * (m2_p - pe2_p) / dt
+            f2_cmd_a = f2_kp * m2_a + f2_ki * i2_a + f2_kd * (m2_a - pe2_a) / dt
+            if f2_relative:
+                f2_cmd_p += f2_p
+                f2_cmd_a += f2_a
             pe2_p, pe2_a = m2_p, m2_a
         else:
             f2_cmd_p = f2_cmd_a = 0.0
@@ -555,34 +595,34 @@ def run_apt(
         new_g_p = g_p + alpha_g * (g_cmd_p - g_p)
         dlt = new_g_p - g_p
         if dlt > g_max_delta: new_g_p = g_p + g_max_delta
-        elif dlt < -g_max_delta: new_g_p = g_p - g_max_delta
+        elif dlt < neg_g_max_delta: new_g_p = g_p - g_max_delta
         if new_g_p > g_range_p: new_g_p = g_range_p
-        elif new_g_p < -g_range_p: new_g_p = -g_range_p
+        elif new_g_p < neg_g_range_p: new_g_p = neg_g_range_p
         prev_g_rate_p = (new_g_p - g_p) / dt
         g_p = new_g_p
 
         new_g_a = g_az + alpha_g * (g_cmd_a - g_az)
         dlt = new_g_a - g_az
         if dlt > g_max_delta: new_g_a = g_az + g_max_delta
-        elif dlt < -g_max_delta: new_g_a = g_az - g_max_delta
+        elif dlt < neg_g_max_delta: new_g_a = g_az - g_max_delta
         if new_g_a > g_range_az: new_g_a = g_range_az
-        elif new_g_a < -g_range_az: new_g_a = -g_range_az
+        elif new_g_a < neg_g_range_az: new_g_a = neg_g_range_az
         prev_g_rate_a = (new_g_a - g_az) / dt
         g_az = new_g_a
 
         f1_p += alpha_f1 * (f1_cmd_p - f1_p)
         if f1_p > f1_range: f1_p = f1_range
-        elif f1_p < -f1_range: f1_p = -f1_range
+        elif f1_p < neg_f1_range: f1_p = neg_f1_range
         f1_a += alpha_f1 * (f1_cmd_a - f1_a)
         if f1_a > f1_range: f1_a = f1_range
-        elif f1_a < -f1_range: f1_a = -f1_range
+        elif f1_a < neg_f1_range: f1_a = neg_f1_range
 
         f2_p += alpha_f2 * (f2_cmd_p - f2_p)
         if f2_p > f2_range: f2_p = f2_range
-        elif f2_p < -f2_range: f2_p = -f2_range
+        elif f2_p < neg_f2_range: f2_p = neg_f2_range
         f2_a += alpha_f2 * (f2_cmd_a - f2_a)
         if f2_a > f2_range: f2_a = f2_range
-        elif f2_a < -f2_range: f2_a = -f2_range
+        elif f2_a < neg_f2_range: f2_a = neg_f2_range
 
         # --- new errors ---
         e0_p = base_p[i] - g_p

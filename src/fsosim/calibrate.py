@@ -77,6 +77,17 @@ def _static_total_db(scenario: Scenario, insertion_db: float, distance_m: float)
     )
 
 
+def _finite_db(compute, message: str) -> float:
+    """compute(), a loss in dB; ValueError(message) if it overflows."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(message)
+    return value
+
+
 def calibrate_coupling(
     scenario: Scenario,
     anchors: list[MeanLossAnchor],
@@ -89,7 +100,9 @@ def calibrate_coupling(
     """Solve (rolloff halfwidth, base loss, insertion loss) against anchors.
 
     Parameters without an anchor to determine them keep the scenario values;
-    residuals are evaluated for every anchor provided.
+    residuals are evaluated for every anchor provided.  An anchor whose
+    distance or jitter puts a loss beyond the float range raises ValueError
+    naming the anchor and its anchors-file key.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
@@ -102,7 +115,9 @@ def calibrate_coupling(
     # 1. insertion loss from the static anchor
     insertion = scenario.antenna.insertion_loss_db
     if static_total_db is not None:
-        bare = _static_total_db(scenario, 0.0, static_distance_m)
+        bare = _finite_db(
+            lambda: _static_total_db(scenario, 0.0, static_distance_m),
+            f"static_distance_m: {static_distance_m:g} m is beyond the range of the beam model")
         insertion = 0.5 * (static_total_db - bare)
         if insertion < 0.0:
             insertion = 0.0
@@ -120,8 +135,21 @@ def calibrate_coupling(
     def mean_excess_db(sigma_rad: float, halfwidth_rad: float) -> float:
         return optics.DB_PER_NEPER * sigma_rad**2 * mean_unit_r2 / halfwidth_rad**2
 
-    # 2. rolloff halfwidth by bisection on the widest jitter spread
+    # each anchor's static total, and its jitter excess at the narrowest
+    # halfwidth the solution can take (the excess falls as it widens), must
+    # be finite
     halfwidth = scenario.coupling.rolloff_halfwidth_rad
+    narrowest = min(halfwidth, _BISECT_LO_RAD)
+    statics = {}
+    for i, anchor in enumerate(anchors):
+        statics[anchor] = _finite_db(
+            lambda: _static_total_db(scenario, insertion, anchor.distance_m),
+            f"anchor {i}: distance_m {anchor.distance_m:g} is beyond the range of the beam model")
+        _finite_db(lambda: mean_excess_db(anchor.sigma_rad, narrowest),
+                   f"anchor {i}: sigma_urad {anchor.sigma_rad * 1e6:g} puts the mean jitter "
+                   "loss beyond the float range")
+
+    # 2. rolloff halfwidth by bisection on the widest jitter spread
     base = scenario.coupling.base_coupling_loss_db
     if anchors:
         lo_anchor = min(anchors, key=lambda a: a.sigma_rad)
@@ -129,10 +157,7 @@ def calibrate_coupling(
         if hi_anchor.sigma_rad > lo_anchor.sigma_rad:
             target_gap = (
                 (hi_anchor.mean_loss_db - lo_anchor.mean_loss_db)
-                - (
-                    _static_total_db(scenario, insertion, hi_anchor.distance_m)
-                    - _static_total_db(scenario, insertion, lo_anchor.distance_m)
-                )
+                - (statics[hi_anchor] - statics[lo_anchor])
             )
             if target_gap > 0.0:
                 lo, hi = _BISECT_LO_RAD, _BISECT_HI_RAD
@@ -152,7 +177,7 @@ def calibrate_coupling(
         # 3. base loss from the smallest-jitter anchor
         base = (
             lo_anchor.mean_loss_db
-            - _static_total_db(scenario, insertion, lo_anchor.distance_m)
+            - statics[lo_anchor]
             - mean_excess_db(lo_anchor.sigma_rad, halfwidth)
         )
         if base <= 0.0:
@@ -161,13 +186,15 @@ def calibrate_coupling(
 
     for i, anchor in enumerate(anchors):
         achieved = (
-            _static_total_db(scenario, insertion, anchor.distance_m)
+            statics[anchor]
             + base
             + mean_excess_db(anchor.sigma_rad, halfwidth)
         )
-        residuals[f"anchor_{i}_sigma_{anchor.sigma_rad * 1e6:g}_urad"] = (
-            achieved - anchor.mean_loss_db
-        )
+        residual = achieved - anchor.mean_loss_db
+        if not math.isfinite(residual):
+            raise ValueError(f"anchor {i}: mean_loss_db {anchor.mean_loss_db:g} leaves a "
+                             "residual beyond the float range")
+        residuals[f"anchor_{i}_sigma_{anchor.sigma_rad * 1e6:g}_urad"] = residual
 
     if any(abs(r) > tolerance_db for r in residuals.values()):
         converged = False

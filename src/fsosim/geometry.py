@@ -1,4 +1,4 @@
-"""Terminal geometry: WGS-84 positions, line-of-sight pointing, angular separation.
+"""Terminal geometry: WGS-84 positions and line-of-sight pointing.
 
 Conventions
 -----------
@@ -109,29 +109,3 @@ def pointing_solution(observer: GeodeticPosition, target: GeodeticPosition) -> P
     azimuth = math.atan2(east, north) if horizontal > 1e-8 * abs(up) else 0.0
     elevation = math.atan2(up, horizontal)
     return PointingAngles(azimuth_rad=azimuth, elevation_rad=elevation)
-
-
-def _los_unit_vector(angles: PointingAngles) -> tuple[float, float, float]:
-    # east, north, up components of the unit line-of-sight vector
-    cos_el = math.cos(angles.elevation_rad)
-    return (
-        cos_el * math.sin(angles.azimuth_rad),
-        cos_el * math.cos(angles.azimuth_rad),
-        math.sin(angles.elevation_rad),
-    )
-
-
-def angular_separation(a: PointingAngles, b: PointingAngles) -> float:
-    """Great-circle angle between two pointing directions, radians in [0, pi].
-
-    Computed via atan2(|u x v|, u . v), which stays accurate for both
-    near-parallel and near-antiparallel directions.
-    """
-    ua = _los_unit_vector(a)
-    ub = _los_unit_vector(b)
-    cx = ua[1] * ub[2] - ua[2] * ub[1]
-    cy = ua[2] * ub[0] - ua[0] * ub[2]
-    cz = ua[0] * ub[1] - ua[1] * ub[0]
-    cross = math.sqrt(cx * cx + cy * cy + cz * cz)
-    dot = ua[0] * ub[0] + ua[1] * ub[1] + ua[2] * ub[2]
-    return math.atan2(cross, dot)

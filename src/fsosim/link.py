@@ -111,18 +111,69 @@ def throughput_timeseries(loss: LossSeries, transceiver: TransceiverSpec) -> Thr
     return ThroughputSeries(t_s=loss.t_s.copy(), rate_gbps=rate)
 
 
-def summarize(values: Iterable[float]) -> SummaryStats:
-    """Mean/population-std/min/max with compensated summation in index order.
+# _exact_sum works through its input in blocks of this many values
+_SUM_BLOCK = 8192
+# np.frexp writes a finite x as m * 2**e with 0.5 <= |m| < 1 and e from
+# -1073 (the smallest subnormal) to 1024; m * 2**53 is then an integer
+_MIN_EXP = -1073
+_EXP_BINS = 1024 - _MIN_EXP + 1
+_LOW_MASK = (1 << 26) - 1
 
-    Sums use math.fsum (exactly rounded, order independent up to rounding),
-    so repeated runs over the same samples give identical statistics.
+
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values) for a float64 array, the same float bit for bit.
+
+    Each value is an integer below 2**53 times 2**(e - 53).  The integers
+    of one exponent are summed in 26-bit halves, one block at a time, so
+    every float64 partial sum stays below 2**40 and is exact.  One Python
+    int then takes the exact total, and one int division rounds it
+    correctly, as fsum does.  Non-finite values, totals whose magnitude
+    could overflow inside fsum, and zero totals (fsum picks the sign of
+    zero) are left to math.fsum.
+    """
+    low_sums = np.zeros(_EXP_BINS, dtype=np.int64)
+    high_sums = np.zeros(_EXP_BINS, dtype=np.int64)
+    top = _MIN_EXP
+    for start in range(0, values.size, _SUM_BLOCK):
+        block = values[start:start + _SUM_BLOCK]
+        if not np.isfinite(block).all():
+            return math.fsum(values)
+        mantissa, exponent = np.frexp(block)
+        ints = (mantissa * 2.0**53).astype(np.int64)
+        top = max(top, int(exponent.max()))
+        bins = exponent - _MIN_EXP
+        low_sums += np.bincount(bins, weights=ints & _LOW_MASK,
+                                minlength=_EXP_BINS).astype(np.int64)
+        high_sums += np.bincount(bins, weights=ints >> 26,
+                                 minlength=_EXP_BINS).astype(np.int64)
+    # every |value| is below 2**top, so the sum of magnitudes is below
+    # 2**(top + bit_length(n)); fsum's partials stay within a few times that
+    used = np.flatnonzero(low_sums | high_sums)
+    if used.size == 0 or top + values.size.bit_length() > 1020:
+        return math.fsum(values)
+    first = int(used[0])
+    total = 0
+    for k, low, high in zip(used.tolist(), low_sums[used].tolist(), high_sums[used].tolist()):
+        total += ((high << 26) + low) << (k - first)
+    if total == 0:
+        return math.fsum(values)
+    scale = first + _MIN_EXP - 53
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+
+
+def summarize(values: Iterable[float]) -> SummaryStats:
+    """Mean/population-std/min/max from exactly rounded sums.
+
+    Both sums are exactly rounded (math.fsum's result, see _exact_sum) and
+    so independent of the order of the samples: repeated runs over the same
+    samples give identical statistics.
     """
     data = np.asarray(values, dtype=float)
     if data.size == 0:
         raise ValueError("summarize requires at least one value")
     n = data.size
-    mean = math.fsum(data) / n
-    var = math.fsum((data - mean) ** 2) / n
+    mean = _exact_sum(data) / n
+    var = _exact_sum((data - mean) ** 2) / n
     return SummaryStats(
         mean=mean,
         std=math.sqrt(var),

@@ -108,11 +108,6 @@ class LinkBudget:
     total_db: float
 
 
-def far_field_divergence(beam: BeamModel) -> float:
-    """Far-field half-angle divergence of the Gaussian beam: lambda / (pi w0)."""
-    return beam.wavelength_m / (math.pi * beam.waist_radius_m)
-
-
 def beam_radius_m(beam: BeamModel, distance_m: float) -> float:
     """1/e^2 intensity radius after propagating distance_m."""
     if distance_m < 0.0:

@@ -44,6 +44,13 @@ _DEG = math.pi / 180.0
 _MRAD = 1e-3
 _URAD = 1e-6
 
+# a camera's centroid reading must stay in the float range for noise draws
+# within this many standard deviations (far beyond any normal draw)
+_NOISE_REACH = 40.0
+# DisturbanceGenerator weighs the noise filter's impulse response over
+# 20 / bandwidth seconds: 2e6 samples at this floor, without bound below it
+_MIN_NOISE_BANDWIDTH_HZ = 0.01
+
 
 class ScenarioError(ValueError):
     """Scenario file failed validation; `field` names the offending entry."""
@@ -237,10 +244,17 @@ def _number(obj: dict, key: str, path: str, low: float | None = None,
     return value
 
 
-def _positive(obj: dict, key: str, path: str) -> float:
+def _positive(obj: dict, key: str, path: str, scale: float = 1.0) -> float:
+    """obj[key] * scale (the value in SI units), which must be positive.
+
+    A positive value whose SI value underflows to zero is rejected too.
+    """
     value = _number(obj, key, path)
     if value <= 0.0:
         raise ScenarioError(f"{path}.{key}", "must be positive")
+    value *= scale
+    if value == 0.0:
+        raise ScenarioError(f"{path}.{key}", "is too small: it rounds to zero in SI units")
     return value
 
 
@@ -251,6 +265,10 @@ def _integer(obj: dict, key: str, path: str, low: int = 1) -> int:
         raise ScenarioError(field, "expected an integer")
     if value < low:
         raise ScenarioError(field, f"must be >= {low}")
+    try:
+        float(value)  # the simulation does float arithmetic with it (FOV / pixels)
+    except OverflowError:
+        raise ScenarioError(field, "must be within the float range") from None
     return value
 
 
@@ -312,18 +330,29 @@ def _cmos(obj: dict, path: str) -> CmosSpec:
     # every camera frames once per loop tick; other rates are not modelled
     if _number(obj, "frame_rate_hz", path) != TICK_RATE_HZ:
         raise ScenarioError(f"{path}.frame_rate_hz", f"must equal the {TICK_RATE_HZ:g} Hz tick rate")
-    return CmosSpec(
-        fov_pitch_rad=_positive(obj, "fov_pitch_mrad", path) * _MRAD,
-        fov_azimuth_rad=_positive(obj, "fov_azimuth_mrad", path) * _MRAD,
+    cam = CmosSpec(
+        fov_pitch_rad=_positive(obj, "fov_pitch_mrad", path, _MRAD),
+        fov_azimuth_rad=_positive(obj, "fov_azimuth_mrad", path, _MRAD),
         pixels=_integer(obj, "pixels", path),
         centroid_noise_rad=_number(obj, "centroid_noise_urad", path, low=0.0) * _URAD,
     )
+    # the loop reads |error + noise| / pixel pitch for an error inside the
+    # half-FOV; that must be a finite float for any noise draw within
+    # _NOISE_REACH standard deviations
+    for fov, pitch in ((cam.fov_pitch_rad, cam.pixel_pitch_pitch_rad),
+                       (cam.fov_azimuth_rad, cam.pixel_pitch_azimuth_rad)):
+        if pitch == 0.0:
+            raise ScenarioError(f"{path}.pixels", "makes the pixel pitch round to zero")
+        if not math.isfinite((0.5 * fov + _NOISE_REACH * cam.centroid_noise_rad) / pitch):
+            raise ScenarioError(f"{path}.centroid_noise_urad",
+                                "puts centroid readings in pixels beyond the float range")
+    return cam
 
 
 def _beacon(obj: dict, path: str) -> BeaconSpec:
     return BeaconSpec(
-        wavelength_m=_positive(obj, "wavelength_nm", path) * 1e-9,
-        divergence_full_angle_rad=_positive(obj, "divergence_mrad", path) * _MRAD,
+        wavelength_m=_positive(obj, "wavelength_nm", path, 1e-9),
+        divergence_full_angle_rad=_positive(obj, "divergence_mrad", path, _MRAD),
     )
 
 
@@ -331,15 +360,22 @@ def _axis_disturbance(obj: dict, path: str) -> AxisDisturbance:
     sines = []
     for i, entry in enumerate(obj["sinusoids"]):
         spath = f"{path}.sinusoids[{i}]"
+        frequency_hz = _positive(entry, "frequency_hz", spath)
+        # the loop samples the base motion once per tick
+        if frequency_hz > 0.5 * TICK_RATE_HZ:
+            raise ScenarioError(f"{spath}.frequency_hz",
+                                f"must be <= {0.5 * TICK_RATE_HZ:g} Hz, the Nyquist "
+                                f"frequency of the {TICK_RATE_HZ:g} Hz tick")
         sines.append(SinusoidComponent(
             amplitude_rad=_number(entry, "amplitude_urad", spath, low=0.0) * _URAD,
-            frequency_hz=_positive(entry, "frequency_hz", spath),
+            frequency_hz=frequency_hz,
             phase_rad=_number(entry, "phase_deg", spath) * _DEG,
         ))
     return AxisDisturbance(
         sinusoids=tuple(sines),
         noise_rms_rad=_number(obj, "noise_rms_urad", path, low=0.0) * _URAD,
-        noise_bandwidth_hz=_positive(obj, "noise_bandwidth_hz", path),
+        noise_bandwidth_hz=_number(obj, "noise_bandwidth_hz", path,
+                                   low=_MIN_NOISE_BANDWIDTH_HZ),
     )
 
 
@@ -358,8 +394,10 @@ def resolve_scenario(raw: dict) -> Scenario:
     cfg = _merge_defaults(raw, DEFAULTS)
     if "schema_version" not in raw:
         raise ScenarioError("schema_version", "missing required key")
-    if raw["schema_version"] != SCHEMA_VERSION:
-        raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}, got {raw['schema_version']!r}")
+    version = raw["schema_version"]
+    # only the integer: true and 1.0 equal 1 in Python but hash differently
+    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
+        raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
 
     name = cfg["name"]
     if not isinstance(name, str) or not name:
@@ -378,13 +416,13 @@ def resolve_scenario(raw: dict) -> Scenario:
         raise ScenarioError(f"nodes.{far}.altitude_m", "puts the node distance beyond the float range")
 
     beam_obj = cfg["beam"]
-    wavelength_m = _positive(beam_obj, "wavelength_nm", "beam") * 1e-9
+    wavelength_m = _positive(beam_obj, "wavelength_nm", "beam", 1e-9)
     beam = BeamModel(wavelength_m=wavelength_m,
-                     waist_radius_m=_positive(beam_obj, "waist_radius_mm", "beam") * 1e-3)
+                     waist_radius_m=_positive(beam_obj, "waist_radius_mm", "beam", 1e-3))
 
     ant_obj = cfg["antenna"]
     antenna = AntennaSpec(
-        aperture_diameter_m=_positive(ant_obj, "aperture_diameter_mm", "antenna") * 1e-3,
+        aperture_diameter_m=_positive(ant_obj, "aperture_diameter_mm", "antenna", 1e-3),
         magnification=_positive(ant_obj, "magnification", "antenna"),
         insertion_loss_db=_number(ant_obj, "insertion_loss_db", "antenna", low=0.0),
     )
@@ -408,35 +446,37 @@ def resolve_scenario(raw: dict) -> Scenario:
     cpl_obj = cfg["coupling"]
     coupling = CouplingModel(
         base_coupling_loss_db=_positive(cpl_obj, "base_loss_db", "coupling"),
-        rolloff_halfwidth_rad=_positive(cpl_obj, "rolloff_halfwidth_urad", "coupling") * _URAD,
+        rolloff_halfwidth_rad=_positive(cpl_obj, "rolloff_halfwidth_urad", "coupling", _URAD),
     )
 
     trx_obj = cfg["transceiver"]
     tcp_eff = _positive(trx_obj, "tcp_efficiency", "transceiver")
     if tcp_eff > 1.0:
         raise ScenarioError("transceiver.tcp_efficiency", "must be <= 1")
+    rated_gbps = _positive(trx_obj, "rated_gbps", "transceiver")
+    effective_tcp_gbps = _positive(trx_obj, "effective_tcp_gbps", "transceiver")
+    if effective_tcp_gbps > rated_gbps:
+        raise ScenarioError("transceiver.effective_tcp_gbps", "exceeds rated_gbps")
     transceiver = TransceiverSpec(
-        rated_gbps=_positive(trx_obj, "rated_gbps", "transceiver"),
-        effective_tcp_gbps=_positive(trx_obj, "effective_tcp_gbps", "transceiver"),
+        rated_gbps=rated_gbps,
+        effective_tcp_gbps=effective_tcp_gbps,
         tcp_efficiency=tcp_eff,
         max_tolerable_loss_db=_positive(trx_obj, "max_tolerable_loss_db", "transceiver"),
     )
-    if transceiver.effective_tcp_gbps > transceiver.rated_gbps:
-        raise ScenarioError("transceiver.effective_tcp_gbps", "exceeds rated_gbps")
 
     gim_obj = cfg["gimbal"]
     gimbal = GimbalSpec(
-        azimuth_range_rad=_positive(gim_obj, "azimuth_range_deg", "gimbal") * _DEG,
-        pitch_range_rad=_positive(gim_obj, "pitch_range_deg", "gimbal") * _DEG,
+        azimuth_range_rad=_positive(gim_obj, "azimuth_range_deg", "gimbal", _DEG),
+        pitch_range_rad=_positive(gim_obj, "pitch_range_deg", "gimbal", _DEG),
         bandwidth_hz=_positive(gim_obj, "bandwidth_hz", "gimbal"),
-        max_rate_rad_s=_positive(gim_obj, "max_rate_deg_s", "gimbal") * _DEG,
+        max_rate_rad_s=_positive(gim_obj, "max_rate_deg_s", "gimbal", _DEG),
     )
 
     fsm_specs = []
     for key in ("fsm1", "fsm2"):
         fsm_obj = cfg[key]
         fsm_specs.append(FsmSpec(
-            range_rad=_positive(fsm_obj, "range_urad", key) * _URAD,
+            range_rad=_positive(fsm_obj, "range_urad", key, _URAD),
             bandwidth_hz=_positive(fsm_obj, "bandwidth_hz", key),
         ))
 
@@ -469,12 +509,12 @@ def resolve_scenario(raw: dict) -> Scenario:
     apt_obj = cfg["apt"]
     apt = AptParams(
         acquisition_bias_rad=_number(apt_obj, "acquisition_bias_urad", "apt", low=0.0) * _URAD,
-        fine_capture_threshold_rad=_positive(apt_obj, "fine_capture_threshold_urad", "apt") * _URAD,
-        link_threshold_rad=_positive(apt_obj, "link_threshold_urad", "apt") * _URAD,
+        fine_capture_threshold_rad=_positive(apt_obj, "fine_capture_threshold_urad", "apt", _URAD),
+        link_threshold_rad=_positive(apt_obj, "link_threshold_urad", "apt", _URAD),
         link_dwell_s=_positive(apt_obj, "link_dwell_s", "apt"),
         lock_loss_frames=_integer(apt_obj, "lock_loss_frames", "apt"),
         stats_warmup_s=_number(apt_obj, "stats_warmup_s", "apt", low=0.0),
-        stabilize_rate_threshold_rad_s=_positive(apt_obj, "stabilize_rate_threshold_urad_s", "apt") * _URAD,
+        stabilize_rate_threshold_rad_s=_positive(apt_obj, "stabilize_rate_threshold_urad_s", "apt", _URAD),
         stabilize_dwell_s=_positive(apt_obj, "stabilize_dwell_s", "apt"),
         fine1_enabled=_boolean(apt_obj, "fine1_enabled", "apt"),
         fine2_enabled=_boolean(apt_obj, "fine2_enabled", "apt"),

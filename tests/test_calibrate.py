@@ -131,6 +131,31 @@ class TestFailureModes:
         assert result.base_coupling_loss_db == scenario.coupling.base_coupling_loss_db
         assert result.converged
 
+    @pytest.mark.parametrize("anchors, message", [
+        ([MeanLossAnchor(1e-6, 1e300, 13.7)],
+         "anchor 0: distance_m 1e+300 is beyond the range of the beam model"),
+        ([MeanLossAnchor(3e-6, 1000.0, 13.7), MeanLossAnchor(1e-6, 1e13, 29.3)],
+         "anchor 1: distance_m 1e+13 is beyond the range of the beam model"),
+        ([MeanLossAnchor(1e-6, 1000.0, 13.7), MeanLossAnchor(1e294, 1000.0, 29.3)],
+         "anchor 1: sigma_urad 1e+300 puts the mean jitter loss beyond the float range"),
+        ([MeanLossAnchor(1e294, 1000.0, 29.3)],
+         "anchor 0: sigma_urad 1e+300 puts the mean jitter loss beyond the float range"),
+        ([MeanLossAnchor(1e-6, 1000.0, 1e308), MeanLossAnchor(3e-6, 1000.0, -1e308)],
+         "anchor 1: mean_loss_db -1e+308 leaves a residual beyond the float range"),
+    ])
+    def test_huge_anchor_values_named(self, scenario, anchors, message):
+        # each overflowed with a bare "(34, 'Numerical result out of range')"
+        # or wrote an infinite residual
+        with pytest.raises(ValueError) as err:
+            calibrate_coupling(scenario, anchors, seed=0, samples=1000)
+        assert str(err.value) == message
+
+    def test_huge_static_distance_named(self, scenario):
+        with pytest.raises(ValueError) as err:
+            calibrate_coupling(scenario, [], static_total_db=12.7, static_distance_m=1e300)
+        assert str(err.value) == (
+            "static_distance_m: 1e+300 m is beyond the range of the beam model")
+
     def test_anchor_validation(self):
         with pytest.raises(ValueError):
             MeanLossAnchor(-1e-6, 1000.0, 10.0)

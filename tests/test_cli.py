@@ -315,6 +315,11 @@ class TestCalibrate:
         ('{"mean_loss_anchors": [{"sigma_urad": "nan", "distance_m": 1000.0,'
          ' "mean_loss_db": 13.7}]}', "anchor 0: sigma_urad"),
         ('{"static_total_db": NaN, "static_distance_m": 1000.0}', "static_total_db"),
+        ('{"mean_loss_anchors": [{"sigma_urad": 3.0, "distance_m": 1e300,'
+         ' "mean_loss_db": 13.7}]}', "anchor 0: distance_m"),
+        ('{"mean_loss_anchors": [{"sigma_urad": 3.0, "distance_m": 1000.0,'
+         ' "mean_loss_db": 13.7}, {"sigma_urad": 1e300, "distance_m": 1000.0,'
+         ' "mean_loss_db": 29.3}]}', "anchor 1: sigma_urad"),
     ])
     def test_malformed_anchor_file_exit_1_naming_the_field(self, tmp_path, capsys, text, field):
         anchors = tmp_path / "anchors.json"
@@ -357,6 +362,9 @@ class TestExitCodes:
         ({"disturbance": {"pitch": {"sinusoids": [{"frequency_hz": 1.0, "phase_deg": 0.0}]}}},
          "disturbance.pitch.sinusoids[0].amplitude_urad"),
         ({"nodes": {"b": {"altitude_m": 1e160}}}, "nodes.b.altitude_m"),
+        ({"cmos0": {"pixels": 10**400}}, "cmos0.pixels"),
+        ({"schema_version": True}, "schema_version"),
+        ({"schema_version": 1.0}, "schema_version"),
     ])
     @pytest.mark.parametrize("verb", [("budget",), ("track", "--duration", "1"),
                                       ("run", "--duration", "11")])

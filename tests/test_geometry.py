@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from fsosim import (
     CoincidentEndpointsError,
     GeodeticPosition,
-    PointingAngles,
-    angular_separation,
     geodetic_to_ecef,
     pointing_solution,
 )
@@ -114,39 +112,3 @@ class TestPointingSolution:
         b = deg(lat, lon + dlon, 50.0)
         assert pointing_solution(a, b).elevation_rad < 0.0
         assert pointing_solution(b, a).elevation_rad < 0.0
-
-
-class TestAngularSeparation:
-    def test_identical_directions(self):
-        d = PointingAngles(0.3, 0.1)
-        assert angular_separation(d, d) == 0.0
-
-    def test_orthogonal_directions(self):
-        a = PointingAngles(0.0, 0.0)
-        b = PointingAngles(math.pi / 2, 0.0)
-        assert angular_separation(a, b) == pytest.approx(math.pi / 2, abs=1e-12)
-
-    def test_antiparallel_directions(self):
-        a = PointingAngles(0.0, 0.0)
-        b = PointingAngles(math.pi, 0.0)
-        assert angular_separation(a, b) == pytest.approx(math.pi, abs=1e-12)
-
-    def test_small_angle_reference(self):
-        a = PointingAngles(0.0, 0.0)
-        b = PointingAngles(1e-3, 1e-3)
-        assert angular_separation(a, b) == pytest.approx(1.414213444522e-3, rel=1e-9)
-
-    @given(
-        az1=st.floats(-math.pi, math.pi), el1=st.floats(-1.5, 1.5),
-        az2=st.floats(-math.pi, math.pi), el2=st.floats(-1.5, 1.5),
-        az3=st.floats(-math.pi, math.pi), el3=st.floats(-1.5, 1.5),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_metric_properties(self, az1, el1, az2, el2, az3, el3):
-        a = PointingAngles(az1, el1)
-        b = PointingAngles(az2, el2)
-        c = PointingAngles(az3, el3)
-        ab = angular_separation(a, b)
-        assert 0.0 <= ab <= math.pi
-        assert ab == angular_separation(b, a)
-        assert ab <= angular_separation(a, c) + angular_separation(c, b) + 1e-9

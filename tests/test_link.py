@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsosim import (
     AptState,
@@ -13,7 +16,7 @@ from fsosim import (
     summarize,
     throughput_timeseries,
 )
-from fsosim.link import NO_LINK_LOSS_DB, LossSeries
+from fsosim.link import _SUM_BLOCK, NO_LINK_LOSS_DB, LossSeries, _exact_sum
 from fsosim.optics import DB_PER_NEPER
 
 TRX = TransceiverSpec(rated_gbps=10.0, effective_tcp_gbps=9.27,
@@ -155,6 +158,73 @@ class TestSummarize:
         assert s.mean == 4.2
         assert s.std == 0.0
         assert s.count == 1
+
+
+def assert_sums_like_fsum(values):
+    """_exact_sum(values) is math.fsum(values) bit for bit, or raises alike."""
+    try:
+        expected = math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _exact_sum(values)
+        return
+    got = _exact_sum(values)
+    assert struct.pack("<d", got) == struct.pack("<d", expected), (got, expected)
+
+
+# lengths from one value to three blocks, block edges included
+SUM_LENGTHS = st.one_of(
+    st.integers(1, 40),
+    st.sampled_from([_SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, 2 * _SUM_BLOCK,
+                     2 * _SUM_BLOCK + 1, 3 * _SUM_BLOCK]),
+    st.integers(1, 3 * _SUM_BLOCK),
+)
+SPECIAL_VALUES = st.one_of(
+    st.floats(),  # nan, +-inf, +-0.0, subnormals and +-1e308 included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+class TestExactSum:
+    @given(length=SUM_LENGTHS,
+           exponents=st.tuples(st.integers(-1074, 1023), st.integers(-1074, 1023)),
+           seed=st.integers(0, 2**32 - 1),
+           specials=st.lists(st.tuples(st.integers(0, 3 * _SUM_BLOCK), SPECIAL_VALUES),
+                             max_size=4),
+           cancel=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum(self, length, exponents, seed, specials, cancel):
+        rng = np.random.default_rng(seed)
+        low, high = sorted(exponents)
+        values = np.ldexp(rng.uniform(-1.0, 1.0, length),
+                          rng.integers(low, high + 1, length))
+        if cancel:
+            # the second half negates the first in another order, so the
+            # total is exactly zero unless the length is odd or a special lands
+            half = length // 2
+            values[half:2 * half] = -rng.permutation(values[:half])
+        for position, value in specials:
+            values[position % length] = value
+        assert_sums_like_fsum(values)
+
+    @pytest.mark.parametrize("values", [
+        [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324], [-5e-324, 5e-324],
+        [1e308, 1e308, -1e308], [1.7976931348623157e308, 1e292],
+        [2.0**1023, 2.0**1023, -(2.0**1023), -(2.0**1023), 1.0],
+        [1e308, -1e308, 1.0], [math.inf, 1.0], [-math.inf, math.inf], [math.nan, 1.0],
+        [1.0, 1e100, 1.0, -1e100], [0.1] * 10, [2.0**-1074] * 3 * _SUM_BLOCK,
+        [1.0, 2.0**-53], [1.0, 2.0**-53, 2.0**-105], [1.0, -(2.0**-54), 2.0**-200],
+    ])
+    def test_edge_cases(self, values):
+        assert_sums_like_fsum(np.array(values, dtype=float))
+
+    def test_summarize_sums_exactly(self):
+        # the default tolerance of np.mean would hide a wrong last bit
+        data = np.random.default_rng(5).normal(13.7, 1.4, 3 * _SUM_BLOCK + 7)
+        s = summarize(data)
+        assert s.mean == math.fsum(data.tolist()) / data.size
+        assert s.std == math.sqrt(math.fsum(((data - s.mean) ** 2).tolist()) / data.size)
 
 
 class TestLossStatisticsAndDowntime:

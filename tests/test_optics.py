@@ -15,7 +15,6 @@ from fsosim import (
     coupling_loss_db,
     diffraction_loss_db,
     distance_sweep,
-    far_field_divergence,
     jitter_excess_db,
     kim_size_exponent,
     link_budget,
@@ -30,11 +29,13 @@ COUPLING = CouplingModel(base_coupling_loss_db=6.435, rolloff_halfwidth_rad=7e-6
 
 class TestBeam:
     def test_divergence_formula(self):
-        assert far_field_divergence(BEAM) == pytest.approx(
-            1550e-9 / (math.pi * 0.0405), rel=1e-15
+        # far from the waist the radius grows at the half-angle lambda / (pi w0)
+        z = 1e9  # z / z_R ~ 5e5
+        assert beam_radius_m(BEAM, z) / z == pytest.approx(
+            1550e-9 / (math.pi * 0.0405), rel=1e-9
         )
         narrow = BeamModel(wavelength_m=1550e-9, waist_radius_m=0.03195)
-        assert far_field_divergence(narrow) == pytest.approx(15.44226365e-6, rel=1e-9)
+        assert beam_radius_m(narrow, z) / z == pytest.approx(15.44226365e-6, rel=1e-9)
 
     def test_radius_at_waist(self):
         assert beam_radius_m(BEAM, 0.0) == BEAM.waist_radius_m
@@ -42,7 +43,7 @@ class TestBeam:
     def test_radius_far_field_asymptote(self):
         z = 500_000.0  # z / z_R ~ 150
         assert beam_radius_m(BEAM, z) == pytest.approx(
-            far_field_divergence(BEAM) * z, rel=1e-4
+            BEAM.wavelength_m / (math.pi * BEAM.waist_radius_m) * z, rel=1e-4
         )
 
     @given(st.floats(0.0, 1e5), st.floats(1.0, 1e5))

@@ -201,6 +201,67 @@ class TestValidation:
             "disturbance.pitch.sinusoids[0].x: unknown key",
         )
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+    def test_schema_version_must_be_the_integer_one(self, version):
+        # true and 1.0 equal 1 in Python, but would hash to other digests
+        with pytest.raises(ScenarioError) as err:
+            resolve_scenario({"schema_version": version})
+        assert err.value.field == "schema_version"
+
+    @pytest.mark.parametrize("group, key", [("cmos0", "pixels"), ("cmos2", "pixels"),
+                                            ("apt", "lock_loss_frames")])
+    def test_integer_key_beyond_float_range_named(self, group, key):
+        with pytest.raises(ScenarioError) as err:
+            resolve_scenario({"schema_version": 1, group: {key: 10**400}})
+        assert str(err.value) == f"{group}.{key}: must be within the float range"
+
+    def test_pixel_pitch_must_not_round_to_zero(self):
+        with pytest.raises(ScenarioError) as err:
+            resolve_scenario({"schema_version": 1, "cmos0": {
+                "fov_pitch_mrad": 1e-300, "pixels": 10**300}})
+        assert err.value.field == "cmos0.pixels"
+
+    def test_centroid_noise_must_keep_readings_in_float_range(self):
+        with pytest.raises(ScenarioError) as err:
+            resolve_scenario({"schema_version": 1, "cmos1": {"centroid_noise_urad": 1e308}})
+        assert err.value.field == "cmos1.centroid_noise_urad"
+        # noise beyond the FOV is fine: readings clip to the FOV
+        resolve_scenario({"schema_version": 1, "cmos1": {"centroid_noise_urad": 1e9}})
+
+    def test_sinusoid_frequency_at_most_nyquist(self):
+        def doc(frequency_hz):
+            return {"schema_version": 1, "disturbance": {"azimuth": {"sinusoids": [
+                {"amplitude_urad": 1.0, "frequency_hz": frequency_hz, "phase_deg": 0.0}]}}}
+        assert resolve_scenario(doc(500.0)).disturbance.azimuth.sinusoids[0].frequency_hz == 500.0
+        for frequency_hz in (500.001, 1e308):
+            with pytest.raises(ScenarioError) as err:
+                resolve_scenario(doc(frequency_hz))
+            assert err.value.field == "disturbance.azimuth.sinusoids[0].frequency_hz"
+
+    def test_noise_bandwidth_floor(self):
+        sc = resolve_scenario({"schema_version": 1,
+                               "disturbance": {"pitch": {"noise_bandwidth_hz": 0.01}}})
+        assert sc.disturbance.pitch.noise_bandwidth_hz == 0.01
+        for bandwidth in (0.0099, 1e-300, 0.0):
+            self.reject({"schema_version": 1,
+                         "disturbance": {"pitch": {"noise_bandwidth_hz": bandwidth}}},
+                        "disturbance.pitch.noise_bandwidth_hz: must be >= 0.01")
+
+    @pytest.mark.parametrize("group, key", [
+        ("beam", "wavelength_nm"), ("antenna", "aperture_diameter_mm"),
+        ("cmos1", "fov_azimuth_mrad"), ("fsm2", "range_urad"), ("gimbal", "pitch_range_deg"),
+    ])
+    def test_value_rounding_to_zero_in_si_units_named(self, group, key):
+        # 5e-324 is positive, but times the unit scale it is 0.0
+        with pytest.raises(ScenarioError) as err:
+            resolve_scenario({"schema_version": 1, group: {key: 5e-324}})
+        assert str(err.value) == f"{group}.{key}: is too small: it rounds to zero in SI units"
+
+    def test_rated_rate_below_effective_named(self):
+        with pytest.raises(ScenarioError) as err:
+            resolve_scenario({"schema_version": 1, "transceiver": {"rated_gbps": 3.0}})
+        assert str(err.value) == "transceiver.effective_tcp_gbps: exceeds rated_gbps"
+
     def test_integer_beyond_float_range_rejected(self):
         self.reject({"schema_version": 1, "gimbal": {"bandwidth_hz": 10**400}},
                     "gimbal.bandwidth_hz: must be finite")
