@@ -6,7 +6,6 @@ loss/throughput mapping, scenario configs and a deterministic CLI.
 """
 
 from .apt import (
-    AptStateMachine,
     TrackingSeries,
     TrackingStats,
     component_rng,
@@ -76,7 +75,6 @@ __all__ = [
     "AntennaSpec",
     "AptParams",
     "AptState",
-    "AptStateMachine",
     "AtmosphereModel",
     "AxisDisturbance",
     "BeaconSpec",

@@ -15,6 +15,28 @@ feedforward integrates measured base rate into the gimbal command in every
 state; the three vision loops are enabled per state.  All loops run at the
 common 1 kHz tick.
 
+State machine
+-------------
+`run_apt` advances the acquisition chain once per tick, after sensing and
+before control, on the cameras' lock flags and measured readings:
+
+  Stabilize   -> Acquire     the gimbal's last rate within the stabilize
+                             threshold of the IMU rate on both axes, for
+                             the stabilize dwell
+  Acquire     -> CoarseTrack coarse camera lock
+  CoarseTrack -> FineTrack1  measured coarse radial below the capture
+                             threshold and mid camera lock (stage enabled)
+  FineTrack1  -> FineTrack2  fine camera lock (stage enabled)
+  FineTrack2  -> Linked      measured fine radial below the link threshold
+                             for the link dwell
+  any tracking state -> Reacquire   a lock the state needs (coarse; mid
+                             from FineTrack1; fine from FineTrack2) absent
+                             for lock_loss_frames consecutive ticks
+  Reacquire   -> Acquire     immediately
+
+Acquire and Reacquire reset the vision integrators.  Every other tick
+stays in its state.
+
 Determinism
 -----------
 A run is seeded by a single 64-bit integer.  Independent component streams
@@ -33,29 +55,27 @@ import numpy as np
 
 from .dynamics import TICK_RATE_HZ, DisturbanceGenerator, lag_alpha
 from .link import summarize
-from .scenario import AptParams, Scenario
+from .scenario import Scenario
 from .states import AptState
 
-# AptState members as module globals: the 1 kHz loop and the state machine
-# test the state several times per tick, and an enum class attribute lookup
-# costs several times a global one
-_STABILIZE = AptState.STABILIZE
-_ACQUIRE = AptState.ACQUIRE
-_COARSE_TRACK = AptState.COARSE_TRACK
-_FINE_TRACK1 = AptState.FINE_TRACK1
-_FINE_TRACK2 = AptState.FINE_TRACK2
-_LINKED = AptState.LINKED
-_REACQUIRE = AptState.REACQUIRE
-_FINE1_STATES = (_FINE_TRACK1, _FINE_TRACK2, _LINKED)
-_FINE2_STATES = (_FINE_TRACK2, _LINKED)
+# the states as plain ints: the 1 kHz loop compares the state several times
+# per tick and indexes _LOOP_FLAGS with it, and an exact int takes 3.11's
+# int compare and tuple index fast paths where an IntEnum member does not
+_STABILIZE = int(AptState.STABILIZE)
+_ACQUIRE = int(AptState.ACQUIRE)
+_COARSE_TRACK = int(AptState.COARSE_TRACK)
+_FINE_TRACK1 = int(AptState.FINE_TRACK1)
+_FINE_TRACK2 = int(AptState.FINE_TRACK2)
+_LINKED = int(AptState.LINKED)
+_REACQUIRE = int(AptState.REACQUIRE)
 # the 1 kHz loop's flags for each state, indexed by its value: (reset the
 # vision integrators, coarse loop active, FSM1 loop active, FSM2 loop active)
 _LOOP_FLAGS = tuple(
     (state in (_ACQUIRE, _REACQUIRE),
      state >= _COARSE_TRACK and state != _REACQUIRE,
-     state in _FINE1_STATES,
-     state in _FINE2_STATES)
-    for state in sorted(AptState)
+     state in (_FINE_TRACK1, _FINE_TRACK2, _LINKED),
+     state in (_FINE_TRACK2, _LINKED))
+    for state in range(len(AptState))
 )
 
 RNG_STREAM_LABELS = {
@@ -71,99 +91,6 @@ def component_rng(seed: int, component: str) -> np.random.Generator:
     """Derive the named component's generator from the run seed."""
     label = RNG_STREAM_LABELS[component]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(label,))))
-
-
-# ---------------------------------------------------------------------------
-# state machine
-
-class AptStateMachine:
-    """Transition logic of the acquisition chain, one call per tick.
-
-    Edges:
-      Stabilize   -> Acquire     stabilization converged (dwell)
-      Acquire     -> CoarseTrack coarse camera lock
-      CoarseTrack -> FineTrack1  measured coarse radial below the capture
-                                 threshold and mid camera lock (stage enabled)
-      FineTrack1  -> FineTrack2  fine camera lock (stage enabled)
-      FineTrack2  -> Linked      measured residual below the link threshold
-                                 for the dwell time
-      any tracking state -> Reacquire   required locks absent for
-                                 lock_loss_frames consecutive ticks
-      Reacquire   -> Acquire     immediately
-    """
-
-    def __init__(self, params: AptParams, fine1_enabled: bool = True, fine2_enabled: bool = True):
-        self.params = params
-        self.fine1_enabled = fine1_enabled
-        self.fine2_enabled = fine2_enabled
-        self.state = _STABILIZE
-        self.lock_loss_count = 0
-        self.link_dwell_count = 0
-        self.stabilize_count = 0
-        # dwell times in ticks, the same float products step once formed each tick
-        self._stabilize_ticks = params.stabilize_dwell_s * TICK_RATE_HZ
-        self._link_dwell_ticks = params.link_dwell_s * TICK_RATE_HZ
-
-    def set_fine_enabled(self, fine1: bool, fine2: bool) -> None:
-        self.fine1_enabled = fine1
-        self.fine2_enabled = fine2
-
-    def step(
-        self,
-        stabilize_ok: bool,
-        lock0: bool,
-        lock1: bool,
-        lock2: bool,
-        coarse_radial_rad: float,
-        fine_radial_rad: float,
-    ) -> AptState:
-        """Advance one tick.  Radial arguments are measured magnitudes."""
-        p = self.params
-        state = self.state
-
-        if state == _STABILIZE:
-            self.stabilize_count = self.stabilize_count + 1 if stabilize_ok else 0
-            if self.stabilize_count >= self._stabilize_ticks:
-                state = _ACQUIRE
-        elif state == _ACQUIRE:
-            if lock0:
-                state = _COARSE_TRACK
-                self.lock_loss_count = 0
-        elif state == _REACQUIRE:
-            state = _ACQUIRE
-        else:
-            # tracking states: debounced lock supervision first
-            if state == _COARSE_TRACK:
-                locks_ok = lock0
-            elif state == _FINE_TRACK1:
-                locks_ok = lock0 and lock1
-            else:  # FINE_TRACK2, LINKED
-                locks_ok = lock0 and lock1 and lock2
-            self.lock_loss_count = 0 if locks_ok else self.lock_loss_count + 1
-            if self.lock_loss_count >= p.lock_loss_frames:
-                state = _REACQUIRE
-                self.lock_loss_count = 0
-                self.link_dwell_count = 0
-            elif state == _COARSE_TRACK:
-                if (
-                    self.fine1_enabled
-                    and lock1
-                    and coarse_radial_rad < p.fine_capture_threshold_rad
-                ):
-                    state = _FINE_TRACK1
-            elif state == _FINE_TRACK1:
-                if self.fine2_enabled and lock2:
-                    state = _FINE_TRACK2
-            elif state == _FINE_TRACK2:
-                if fine_radial_rad < p.link_threshold_rad:
-                    self.link_dwell_count += 1
-                    if self.link_dwell_count >= self._link_dwell_ticks:
-                        state = _LINKED
-                else:
-                    self.link_dwell_count = 0
-
-        self.state = state
-        return state
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +319,21 @@ def run_apt(
     base_pitch += bias
     base_az += bias
 
-    machine = AptStateMachine(p, enable_fine1 and fine_after_s <= 0.0,
-                              enable_fine2 and fine_after_s <= 0.0)
+    # the state machine's thresholds, and its dwell times in ticks (float
+    # products, compared with the integer tick counts)
+    capture_thresh = p.fine_capture_threshold_rad
+    link_thresh = p.link_threshold_rad
+    lock_loss_frames = p.lock_loss_frames
+    stab_ticks = p.stabilize_dwell_s * TICK_RATE_HZ
+    link_dwell_ticks = p.link_dwell_s * TICK_RATE_HZ
+    # which fine stages may engage; fine_after_s holds both back until the
+    # handover tick (-1: never held back)
+    fine1_on = enable_fine1 and fine_after_s <= 0.0
+    fine2_on = enable_fine2 and fine_after_s <= 0.0
+    handover = int(fine_after_s * TICK_RATE_HZ) if fine_after_s > 0.0 else -1
 
-    # output buffers
+    # output buffers; the residual columns are formed after the loop
     out_state = np.empty(n, dtype=np.int8)
-    out_e2p = np.empty(n)
-    out_e2a = np.empty(n)
     out_gaz = np.empty(n)
     out_gp = np.empty(n)
     out_f1p = np.empty(n)
@@ -411,6 +346,7 @@ def run_apt(
 
     # plant state
     g_az = g_p = 0.0              # gimbal correction
+    g_last_a = g_last_p = 0.0     # gimbal correction one tick earlier
     f1_p = f1_a = f2_p = f2_a = 0.0   # mirror deflections
     ff_p = ff_a = 0.0             # feedforward command (integrated IMU rate)
     vis_p = vis_a = 0.0           # coarse vision integrators
@@ -421,33 +357,29 @@ def run_apt(
     e0_p = e0_a = bias
     e1_p, e1_a = e0_p, e0_a
     e2_p, e2_a = e0_p, e0_a
-    prev_g_rate_p = prev_g_rate_a = 0.0
-
-    machine.state = initial_state
-    if initial_state == _LINKED:
+    # state machine: the state and its tick counters
+    state = int(initial_state)
+    stab_count = 0                # consecutive stabilized ticks
+    loss_count = 0                # consecutive ticks without a needed lock
+    dwell_count = 0               # consecutive ticks below the link threshold
+    if state == _LINKED:
         e0_p = e0_a = e1_p = e1_a = e2_p = e2_a = 0.0
-    # the tick at which the fine stages are released (-1: never held back)
-    handover = int(fine_after_s * TICK_RATE_HZ) if fine_after_s > 0.0 else -1
 
-    # The loop reads and writes the float64 arrays through memoryviews:
-    # indexing one yields a Python float and stores one without boxing a
-    # numpy scalar, so every operation in the loop is native float math.
-    n0p, n0a = map(memoryview, noise["cmos0"])
-    n1p, n1a = map(memoryview, noise["cmos1"])
-    n2p, n2a = map(memoryview, noise["cmos2"])
-    imu_p = memoryview(rate_pitch)
-    imu_a = memoryview(rate_az)
-    base_p = memoryview(base_pitch)
-    base_a = memoryview(base_az)
-    (o_state, o_e2p, o_e2a, o_gaz, o_gp, o_f1p, o_f1a, o_f2p, o_f2a,
-     o_l0, o_l1, o_l2) = map(memoryview, (
-        out_state, out_e2p, out_e2a, out_gaz, out_gp, out_f1p, out_f1a,
-        out_f2p, out_f2a, out_l0, out_l1, out_l2))
+    # The loop reads its ten per-tick inputs by iterating memoryviews of the
+    # float64 arrays (each item a Python float, no copy) and writes through
+    # memoryviews of the preallocated outputs, so every operation in the
+    # loop is native float math.
+    inputs = zip(*map(memoryview, (
+        noise["cmos0"][0], noise["cmos0"][1], noise["cmos1"][0], noise["cmos1"][1],
+        noise["cmos2"][0], noise["cmos2"][1], rate_pitch, rate_az, base_pitch, base_az)))
+    (o_state, o_gaz, o_gp, o_f1p, o_f1a, o_f2p, o_f2a, o_l0, o_l1, o_l2) = map(
+        memoryview, (out_state, out_gaz, out_gp, out_f1p, out_f1a, out_f2p, out_f2a,
+                     out_l0, out_l1, out_l2))
 
     floor = math.floor
     hypot = math.hypot
-    step = machine.step
     loop_flags = _LOOP_FLAGS
+    f1_active = loop_flags[state][2]  # as of the tick before the first
     # negated bounds, so the loop compares and clamps without negating
     neg_c0_half_p, neg_c0_half_a = -c0_half_p, -c0_half_a
     neg_c1_half_p, neg_c1_half_a = -c1_half_p, -c1_half_a
@@ -456,9 +388,10 @@ def run_apt(
     neg_g_range_p, neg_g_range_az = -g_range_p, -g_range_az
     neg_f1_range, neg_f2_range = -f1_range, -f2_range
 
-    for i in range(n):
+    for i, (n0_p, n0_a, n1_p, n1_a, n2_p, n2_a, imu_rate_p, imu_rate_a,
+            base_i_p, base_i_a) in enumerate(inputs):
         if i == handover:
-            machine.set_fine_enabled(enable_fine1, enable_fine2)
+            fine1_on, fine2_on = enable_fine1, enable_fine2
 
         # --- sensing (previous-tick errors; one-frame latency) ---
         # a camera sees the spot when its beacon is in view and the error is
@@ -469,8 +402,8 @@ def run_apt(
         valid0 = (coarse_radial <= bl0_half and neg_c0_half_p <= e0_p <= c0_half_p
                   and neg_c0_half_a <= e0_a <= c0_half_a)
         if valid0:
-            x_p = e0_p + n0p[i]
-            x_a = e0_a + n0a[i]
+            x_p = e0_p + n0_p
+            x_a = e0_a + n0_a
             m0_p = floor(abs(x_p) / c0_pp + 0.5) * c0_pp
             m0_p = m0_p if x_p >= 0.0 else -m0_p
             m0_a = floor(abs(x_a) / c0_pa + 0.5) * c0_pa
@@ -484,25 +417,14 @@ def run_apt(
 
         valid1 = (coarse_radial <= bl1_half and neg_c1_half_p <= e1_p <= c1_half_p
                   and neg_c1_half_a <= e1_a <= c1_half_a)
-        if valid1:
-            x_p = e1_p + n1p[i]
-            x_a = e1_a + n1a[i]
-            m1_p = floor(abs(x_p) / c1_pp + 0.5) * c1_pp
-            m1_p = m1_p if x_p >= 0.0 else -m1_p
-            m1_a = floor(abs(x_a) / c1_pa + 0.5) * c1_pa
-            m1_a = m1_a if x_a >= 0.0 else -m1_a
-            if m1_p > c1_half_p: m1_p = c1_half_p
-            elif m1_p < neg_c1_half_p: m1_p = neg_c1_half_p
-            if m1_a > c1_half_a: m1_a = c1_half_a
-            elif m1_a < neg_c1_half_a: m1_a = neg_c1_half_a
-        else:
-            m1_p = m1_a = 0.0
 
         valid2 = (coarse_radial <= bl2_half and neg_c2_half_p <= e2_p <= c2_half_p
                   and neg_c2_half_a <= e2_a <= c2_half_a)
-        if valid2:
-            x_p = e2_p + n2p[i]
-            x_a = e2_a + n2a[i]
+        # FSM2's reading serves the FSM2 loop and the link dwell test, which
+        # run only in ticks that start in a state running FSM1
+        if valid2 and f1_active:
+            x_p = e2_p + n2_p
+            x_a = e2_a + n2_a
             m2_p = floor(abs(x_p) / c2_pp + 0.5) * c2_pp
             m2_p = m2_p if x_p >= 0.0 else -m2_p
             m2_a = floor(abs(x_a) / c2_pa + 0.5) * c2_pa
@@ -514,16 +436,47 @@ def run_apt(
         else:
             m2_p = m2_a = 0.0
 
-        imu_rate_p = imu_p[i]
-        imu_rate_a = imu_a[i]
-
-        # --- state machine ---
-        stab_ok = (abs(prev_g_rate_p - imu_rate_p) < stab_thresh
-                   and abs(prev_g_rate_a - imu_rate_a) < stab_thresh)
-        state = step(
-            stab_ok, valid0, valid1, valid2,
-            hypot(m0_p, m0_a), hypot(m2_p, m2_a),
-        )
+        # --- state machine (edges in the module docstring) ---
+        if state == _STABILIZE:
+            # the gimbal's rate over the last tick against the measured IMU rate
+            if (abs((g_p - g_last_p) / dt - imu_rate_p) < stab_thresh
+                    and abs((g_az - g_last_a) / dt - imu_rate_a) < stab_thresh):
+                stab_count += 1
+            else:
+                stab_count = 0
+            if stab_count >= stab_ticks:
+                state = _ACQUIRE
+        elif state == _ACQUIRE:
+            if valid0:
+                state = _COARSE_TRACK
+                loss_count = 0
+        elif state == _REACQUIRE:
+            state = _ACQUIRE
+        else:
+            # tracking states: debounced lock supervision first
+            if state == _COARSE_TRACK:
+                locks_ok = valid0
+            elif state == _FINE_TRACK1:
+                locks_ok = valid0 and valid1
+            else:  # FINE_TRACK2, LINKED
+                locks_ok = valid0 and valid1 and valid2
+            loss_count = 0 if locks_ok else loss_count + 1
+            if loss_count >= lock_loss_frames:
+                state = _REACQUIRE
+                loss_count = dwell_count = 0
+            elif state == _COARSE_TRACK:
+                if fine1_on and valid1 and hypot(m0_p, m0_a) < capture_thresh:
+                    state = _FINE_TRACK1
+            elif state == _FINE_TRACK1:
+                if fine2_on and valid2:
+                    state = _FINE_TRACK2
+            elif state == _FINE_TRACK2:
+                if hypot(m2_p, m2_a) < link_thresh:
+                    dwell_count += 1
+                    if dwell_count >= link_dwell_ticks:
+                        state = _LINKED
+                else:
+                    dwell_count = 0
         reset, coarse_active, f1_active, f2_active = loop_flags[state]
         if reset:
             vis_p = vis_a = 0.0
@@ -557,6 +510,20 @@ def run_apt(
             g_cmd_a = g_az + cmd_a
 
         if f1_active:
+            # FSM1's reading serves only its loop
+            if valid1:
+                x_p = e1_p + n1_p
+                x_a = e1_a + n1_a
+                m1_p = floor(abs(x_p) / c1_pp + 0.5) * c1_pp
+                m1_p = m1_p if x_p >= 0.0 else -m1_p
+                m1_a = floor(abs(x_a) / c1_pa + 0.5) * c1_pa
+                m1_a = m1_a if x_a >= 0.0 else -m1_a
+                if m1_p > c1_half_p: m1_p = c1_half_p
+                elif m1_p < neg_c1_half_p: m1_p = neg_c1_half_p
+                if m1_a > c1_half_a: m1_a = c1_half_a
+                elif m1_a < neg_c1_half_a: m1_a = neg_c1_half_a
+            else:
+                m1_p = m1_a = 0.0
             i1_p += m1_p * dt
             i1_a += m1_a * dt
             if f1_integral:
@@ -592,23 +559,21 @@ def run_apt(
             pe2_p = pe2_a = 0.0
 
         # --- actuators ---
-        new_g_p = g_p + alpha_g * (g_cmd_p - g_p)
-        dlt = new_g_p - g_p
-        if dlt > g_max_delta: new_g_p = g_p + g_max_delta
-        elif dlt < neg_g_max_delta: new_g_p = g_p - g_max_delta
-        if new_g_p > g_range_p: new_g_p = g_range_p
-        elif new_g_p < neg_g_range_p: new_g_p = neg_g_range_p
-        prev_g_rate_p = (new_g_p - g_p) / dt
-        g_p = new_g_p
+        g_last_p = g_p
+        g_p = g_last_p + alpha_g * (g_cmd_p - g_last_p)
+        dlt = g_p - g_last_p
+        if dlt > g_max_delta: g_p = g_last_p + g_max_delta
+        elif dlt < neg_g_max_delta: g_p = g_last_p - g_max_delta
+        if g_p > g_range_p: g_p = g_range_p
+        elif g_p < neg_g_range_p: g_p = neg_g_range_p
 
-        new_g_a = g_az + alpha_g * (g_cmd_a - g_az)
-        dlt = new_g_a - g_az
-        if dlt > g_max_delta: new_g_a = g_az + g_max_delta
-        elif dlt < neg_g_max_delta: new_g_a = g_az - g_max_delta
-        if new_g_a > g_range_az: new_g_a = g_range_az
-        elif new_g_a < neg_g_range_az: new_g_a = neg_g_range_az
-        prev_g_rate_a = (new_g_a - g_az) / dt
-        g_az = new_g_a
+        g_last_a = g_az
+        g_az = g_last_a + alpha_g * (g_cmd_a - g_last_a)
+        dlt = g_az - g_last_a
+        if dlt > g_max_delta: g_az = g_last_a + g_max_delta
+        elif dlt < neg_g_max_delta: g_az = g_last_a - g_max_delta
+        if g_az > g_range_az: g_az = g_range_az
+        elif g_az < neg_g_range_az: g_az = neg_g_range_az
 
         f1_p += alpha_f1 * (f1_cmd_p - f1_p)
         if f1_p > f1_range: f1_p = f1_range
@@ -625,16 +590,14 @@ def run_apt(
         elif f2_a < neg_f2_range: f2_a = neg_f2_range
 
         # --- new errors ---
-        e0_p = base_p[i] - g_p
-        e0_a = base_a[i] - g_az
+        e0_p = base_i_p - g_p
+        e0_a = base_i_a - g_az
         e1_p = e0_p - f1_p
         e1_a = e0_a - f1_a
         e2_p = e1_p - f2_p
         e2_a = e1_a - f2_a
 
         o_state[i] = state
-        o_e2p[i] = e2_p
-        o_e2a[i] = e2_a
         o_gaz[i] = g_az
         o_gp[i] = g_p
         o_f1p[i] = f1_p
@@ -644,6 +607,15 @@ def run_apt(
         o_l0[i] = valid0
         o_l1[i] = valid1
         o_l2[i] = valid2
+
+    # the residual the loop formed each tick, ((base - g) - f1) - f2: the
+    # same IEEE operations in the same order, elementwise
+    out_e2p = base_pitch - out_gp
+    out_e2p -= out_f1p
+    out_e2p -= out_f2p
+    out_e2a = base_az - out_gaz
+    out_e2a -= out_f1a
+    out_e2a -= out_f2a
 
     return TrackingSeries(
         t_s=np.arange(n) / TICK_RATE_HZ,

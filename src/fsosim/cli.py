@@ -152,6 +152,9 @@ def _scenario_header(scenario: Scenario) -> dict:
 # bytes per tick of the TrackingSeries a run returns: nine float64 arrays
 # (t_s and the angles) and four one-byte arrays (state and the lock flags)
 _SERIES_BYTES_PER_TICK = 9 * 8 + 4
+# bytes per Monte Carlo sample of calibrate_coupling: two float64 draws and
+# their sum are alive at once
+_CALIBRATE_BYTES_PER_SAMPLE = 3 * 8
 
 
 def _physical_memory() -> int:
@@ -447,6 +450,13 @@ def cmd_calibrate(args) -> int:
     _check_seed(args.seed)
     if not (args.tolerance_db >= 0.0 and math.isfinite(args.tolerance_db)):
         raise ValueError("--tolerance-db must be >= 0 and finite")
+    # refuse up front a sample count whose draws cannot fit in memory, rather
+    # than fail in numpy's allocation
+    memory = _physical_memory()
+    if args.samples > memory // _CALIBRATE_BYTES_PER_SAMPLE:
+        raise ValueError(
+            f"--samples: {args.samples} samples at {_CALIBRATE_BYTES_PER_SAMPLE} bytes each "
+            f"need more than the {memory:.3g} bytes of memory here")
     if args.anchors is None:
         payload = DEFAULT_ANCHORS
     else:

@@ -23,6 +23,9 @@ from scipy import signal
 
 # common rate of every loop, camera frame and disturbance sample
 TICK_RATE_HZ = 1000.0
+# the largest disturbance noise bandwidth, as a fraction of the sample rate:
+# the Butterworth design needs a corner below Nyquist
+MAX_NOISE_BANDWIDTH_FRACTION = 0.45
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +168,16 @@ class DisturbanceGenerator:
         self._rng = rng
         self._filters = {}
         for name, axis in (("pitch", profile.pitch), ("azimuth", profile.azimuth)):
+            if axis.noise_bandwidth_hz > MAX_NOISE_BANDWIDTH_FRACTION * rate_hz:
+                raise ValueError(
+                    f"{name} noise_bandwidth_hz {axis.noise_bandwidth_hz:g} exceeds "
+                    f"{MAX_NOISE_BANDWIDTH_FRACTION:g} x the {rate_hz:g} Hz sample rate")
             self._filters[name] = self._make_filter(axis)
 
     def _make_filter(self, axis: AxisDisturbance):
         if axis.noise_rms_rad == 0.0:
             return None
-        bw = min(axis.noise_bandwidth_hz, 0.45 * self.rate_hz)
+        bw = axis.noise_bandwidth_hz
         b, a = signal.butter(4, bw, fs=self.rate_hz)
         # white-noise gain of the filter: sqrt(sum h^2) from the impulse response
         impulse_len = max(64, int(20.0 * self.rate_hz / bw))

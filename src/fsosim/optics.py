@@ -55,6 +55,8 @@ class BeamModel:
             raise ValueError("wavelength_m must be positive")
         if self.waist_radius_m <= 0.0:
             raise ValueError("waist_radius_m must be positive")
+        if self.rayleigh_range_m == 0.0:
+            raise ValueError("waist_radius_m is too small: the Rayleigh range rounds to zero")
 
     @property
     def rayleigh_range_m(self) -> float:

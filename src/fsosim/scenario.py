@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import (
+    MAX_NOISE_BANDWIDTH_FRACTION,
     TICK_RATE_HZ,
     AxisDisturbance,
     BeaconSpec,
@@ -375,7 +376,8 @@ def _axis_disturbance(obj: dict, path: str) -> AxisDisturbance:
         sinusoids=tuple(sines),
         noise_rms_rad=_number(obj, "noise_rms_urad", path, low=0.0) * _URAD,
         noise_bandwidth_hz=_number(obj, "noise_bandwidth_hz", path,
-                                   low=_MIN_NOISE_BANDWIDTH_HZ),
+                                   low=_MIN_NOISE_BANDWIDTH_HZ,
+                                   high=MAX_NOISE_BANDWIDTH_FRACTION * TICK_RATE_HZ),
     )
 
 
@@ -417,8 +419,11 @@ def resolve_scenario(raw: dict) -> Scenario:
 
     beam_obj = cfg["beam"]
     wavelength_m = _positive(beam_obj, "wavelength_nm", "beam", 1e-9)
-    beam = BeamModel(wavelength_m=wavelength_m,
-                     waist_radius_m=_positive(beam_obj, "waist_radius_mm", "beam", 1e-3))
+    waist_radius_m = _positive(beam_obj, "waist_radius_mm", "beam", 1e-3)
+    try:
+        beam = BeamModel(wavelength_m=wavelength_m, waist_radius_m=waist_radius_m)
+    except ValueError as exc:  # a waist so small that pi w^2 / wavelength is 0
+        raise ScenarioError("beam.waist_radius_mm", str(exc)) from None
 
     ant_obj = cfg["antenna"]
     antenna = AntennaSpec(

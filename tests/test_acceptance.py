@@ -15,9 +15,7 @@ import pytest
 from scipy import integrate
 
 from fsosim import (
-    AptParams,
     AptState,
-    AptStateMachine,
     loss_statistics,
     loss_timeseries,
     run_apt,
@@ -40,6 +38,7 @@ from conftest import (
     fsm_saturation_scenario,
     gimbal_saturation_scenario,
     make_scenario,
+    sinusoid,
     zero_noise_overrides,
 )
 
@@ -281,28 +280,33 @@ class TestModelProperties:
               + f", worst slew/limit {worst_move / max_move:.17g} (limit + 1e-15 rad)")
 
     def test_state_machine_safety(self, capsys):
-        rng = np.random.default_rng(7)
-        n = 100_000
-        locks = rng.random((n, 4)) < 0.7
-        coarse_r = rng.uniform(0.0, 10e-3, n)
-        fine_r = rng.uniform(0.0, 500e-6, n)
-        machine = AptStateMachine(AptParams())
-        prev = machine.state
-        illegal = 0
-        for i in range(n):
-            nxt = machine.step(bool(locks[i, 0]), bool(locks[i, 1]),
-                               bool(locks[i, 2]), bool(locks[i, 3]),
-                               float(coarse_r[i]), float(fine_r[i]))
-            if (prev, nxt) not in LEGAL_EDGES:
-                illegal += 1
-            prev = nxt
-
+        # run_apt through every edge: a noise-free run from Stabilize to
+        # Linked, runs from every other state in which an 8 Hz, 20 mrad
+        # pitch swing outruns the gimbal so that locks come and go, and two
+        # whose bl0 cone hides the acquisition bias, so the coarse camera
+        # never locks
         quiet = make_scenario(**zero_noise_overrides())
-        series = run_apt(quiet, 6.0, seed=0)
-        linked = bool(np.any(series.state == int(AptState.LINKED)))
-        check(capsys, "state-machine-safety", illegal == 0 and linked,
-              f"1e5 random steps, {illegal} illegal edges; "
-              f"noise-free run reaches Linked: {linked}")
+        swing = make_scenario(**{"cmos0.centroid_noise_urad": 300.0,
+                                 "disturbance.pitch.sinusoids": sinusoid(20_000.0, 8.0),
+                                 "apt.lock_loss_frames": 5})
+        blind = make_scenario(**zero_noise_overrides(), **{"beacons.bl0.divergence_mrad": 2.0})
+        runs = ([(quiet, AptState.STABILIZE, 6.0), (blind, AptState.ACQUIRE, 0.5),
+                 (blind, AptState.COARSE_TRACK, 0.5)]
+                + [(swing, state, 3.0) for state in list(AptState)[1:]])
+        observed = set()
+        linked = False
+        for scenario, initial, duration in runs:
+            series = run_apt(scenario, duration, 5, initial_state=initial)
+            states = [initial] + [AptState(s) for s in series.state]
+            observed |= set(zip(states, states[1:]))
+            if scenario is quiet:
+                linked = bool(np.any(series.state == int(AptState.LINKED)))
+        illegal = observed - LEGAL_EDGES
+        missing = LEGAL_EDGES - observed
+        check(capsys, "state-machine-safety", not illegal and not missing and linked,
+              f"{len(runs)} runs, {len(observed & LEGAL_EDGES)}/{len(LEGAL_EDGES)} legal "
+              f"edges observed, {len(illegal)} illegal; noise-free run reaches Linked: {linked}"
+              + (f"; missing {sorted((a.name, b.name) for a, b in missing)}" if missing else ""))
 
     def test_run_determinism(self, tmp_path, capsys):
         outs = [tmp_path / "a", tmp_path / "b"]

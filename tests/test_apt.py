@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,16 +10,16 @@ from hypothesis import strategies as st
 from fsosim import (
     AptParams,
     AptState,
-    AptStateMachine,
     ScenarioError,
     TrackingSeries,
     component_rng,
+    load_scenario,
     resolve_scenario,
     run_apt,
     tracking_stats,
 )
 from fsosim.apt import RNG_STREAM_LABELS, TICK_RATE_HZ, tick_count
-from fsosim.dynamics import lag_alpha
+from fsosim.dynamics import DisturbanceGenerator, lag_alpha
 from fsosim.scenario import DEFAULTS
 
 from conftest import make_scenario, mutate_json, sinusoid, zero_noise_overrides
@@ -216,80 +217,302 @@ class TestComponentRng:
             component_rng(42, "lidar")
 
 
-lock_step = st.tuples(
-    st.booleans(), st.booleans(), st.booleans(), st.booleans(),
-    st.floats(0.0, 10e-3), st.floats(0.0, 500e-6),
-)
+NOT_FINE = (AptState.STABILIZE, AptState.ACQUIRE, AptState.COARSE_TRACK,
+            AptState.REACQUIRE)
+COARSE_ONLY = {"enable_fine1": False, "enable_fine2": False}
+FINE_STATES = (int(AptState.FINE_TRACK1), int(AptState.FINE_TRACK2), int(AptState.LINKED))
+
+
+def camera_reading(error, noise, pixel, half):
+    """One axis of a camera's measured reading: error + noise rounded to the
+    pixel pitch (halves away from zero) and clipped to the half-FOV."""
+    x = error + noise
+    reading = math.floor(abs(x) / pixel + 0.5) * pixel
+    reading = reading if x >= 0.0 else -reading
+    return min(max(reading, -half), half)
+
+
+def replay_states(scenario, series, initial_state=AptState.STABILIZE,
+                  enable_fine1=None, enable_fine2=None, fine_after_s=0.0):
+    """The run's state series replayed from its recorded locks and readings.
+
+    Applies the transition rules of the `apt` module docstring tick by tick
+    to the run's lock flags, to its coarse and fine cameras' measured
+    readings, and to the gimbal's rate over the previous tick against the
+    measured IMU rate.  The readings are formed again from the run's
+    recorded angles and from the camera, IMU and disturbance streams drawn
+    again from its seed.  Takes `run_apt`'s keyword arguments.
+    """
+    n = len(series)
+    p = scenario.apt
+    fine1 = p.fine1_enabled if enable_fine1 is None else enable_fine1
+    fine2 = p.fine2_enabled if enable_fine2 is None else enable_fine2
+    bias = p.acquisition_bias_rad / math.sqrt(2.0)
+    start = 0.0 if initial_state == AptState.LINKED else bias
+    base = DisturbanceGenerator(scenario.disturbance,
+                                component_rng(series.seed, "disturbance")).series(n + 1, -DT)
+    imu_rng = component_rng(series.seed, "imu")
+    imu = [np.diff(b) / DT + scenario.imu.rate_noise_rad_s * imu_rng.standard_normal(n)
+           for b in base]
+    gimbal = (series.gimbal_pitch_rad, series.gimbal_azimuth_rad)
+    residual = (series.error_pitch_rad, series.error_azimuth_rad)
+
+    def readings(cam_name, locks, errors):
+        """Per-axis readings of the errors the camera sees (the previous
+        tick's); 0 in the ticks without the camera's lock."""
+        cam = getattr(scenario, cam_name)
+        rng = component_rng(series.seed, cam_name)
+        noises = [cam.centroid_noise_rad * rng.standard_normal(n) for _ in range(2)]
+        out = []
+        for axis, error, noise in zip(("pitch", "azimuth"), errors, noises):
+            seen = np.r_[start, error[:-1]]
+            pixel = getattr(cam, f"pixel_pitch_{axis}_rad")
+            half = 0.5 * getattr(cam, f"fov_{axis}_rad")
+            out.append([camera_reading(e, w, pixel, half) if lock else 0.0
+                        for e, w, lock in zip(seen, noise, locks)])
+        return out
+
+    coarse = readings("cmos0", series.lock0,
+                      [(b[1:] + bias) - g for b, g in zip(base, gimbal)])
+    fine = readings("cmos2", series.lock2, residual)
+    rates = []
+    for g in gimbal:
+        previous = np.r_[0.0, g[:-1]]
+        rates.append((previous - np.r_[0.0, previous[:-1]]) / DT)
+
+    # fine_after_s holds both fine stages back until its tick
+    held = fine_after_s > 0.0
+    handover = int(fine_after_s * TICK_RATE_HZ) if held else -1
+    state = initial_state
+    stabilized = lost = dwell = 0
+    out = []
+    for k in range(n):
+        if k == handover:
+            held = False
+        lock0, lock1, lock2 = series.lock0[k], series.lock1[k], series.lock2[k]
+        if state == AptState.STABILIZE:
+            steady = all(abs(rates[a][k] - imu[a][k]) < p.stabilize_rate_threshold_rad_s
+                         for a in (0, 1))
+            stabilized = stabilized + 1 if steady else 0
+            if stabilized >= p.stabilize_dwell_s * TICK_RATE_HZ:
+                state = AptState.ACQUIRE
+        elif state == AptState.ACQUIRE:
+            if lock0:
+                state = AptState.COARSE_TRACK
+                lost = 0
+        elif state == AptState.REACQUIRE:
+            state = AptState.ACQUIRE
+        else:
+            needed = {AptState.COARSE_TRACK: lock0, AptState.FINE_TRACK1: lock0 and lock1}
+            lost = 0 if needed.get(state, lock0 and lock1 and lock2) else lost + 1
+            if lost >= p.lock_loss_frames:
+                state = AptState.REACQUIRE
+                lost = dwell = 0
+            elif state == AptState.COARSE_TRACK:
+                radial = math.hypot(coarse[0][k], coarse[1][k])
+                if fine1 and not held and lock1 and radial < p.fine_capture_threshold_rad:
+                    state = AptState.FINE_TRACK1
+            elif state == AptState.FINE_TRACK1:
+                if fine2 and not held and lock2:
+                    state = AptState.FINE_TRACK2
+            elif state == AptState.FINE_TRACK2:
+                if math.hypot(fine[0][k], fine[1][k]) < p.link_threshold_rad:
+                    dwell += 1
+                    if dwell >= p.link_dwell_s * TICK_RATE_HZ:
+                        state = AptState.LINKED
+                else:
+                    dwell = 0
+        out.append(int(state))
+    return np.array(out, dtype=np.int8)
+
+
+def run_and_replay(scenario, duration_s, seed, **kwargs):
+    """(series, replayed states) of one run_apt call."""
+    series = run_apt(scenario, duration_s, seed, **kwargs)
+    return series, replay_states(scenario, series, **kwargs)
+
+
+def edges(series, initial_state=AptState.STABILIZE):
+    """The run's (source, target) state pairs, the initial state included."""
+    states = [AptState(initial_state)] + [AptState(s) for s in series.state]
+    return set(zip(states, states[1:]))
+
+
+def lossy_scenario():
+    """Noise-free defaults whose 1 mrad bl0 half-cone excludes the 2 mrad
+    acquisition bias: no camera ever locks."""
+    return make_scenario(**zero_noise_overrides(), **{"beacons.bl0.divergence_mrad": 2.0})
+
+
+def still_scenario(**overrides):
+    """Noise-free, unbiased defaults whose gimbal and mirrors never move.
+
+    Without integral gains each loop steers relative to its actuator's
+    position, so the IMU feedforward does not act either: the errors are the
+    base motion (`overrides` may add sinusoids) and each camera reads their
+    noise-free quantized value.
+    """
+    raw = zero_noise_overrides()
+    raw.update({"apt.acquisition_bias_urad": 0.0})
+    for loop in ("coarse", "fsm1", "fsm2"):
+        raw.update({f"control.{loop}.kp": 0.0, f"control.{loop}.ki": 0.0,
+                    f"control.{loop}.kd": 0.0})
+    raw.update(overrides)
+    return make_scenario(**raw)
+
+
+def threshold_equal_to(radial):
+    """A value in urad that a scenario resolves to exactly `radial` rad."""
+    value = radial / 1e-6
+    for _ in range(8):
+        if value * 1e-6 == radial:
+            return value
+        value = math.nextafter(value, math.inf if value * 1e-6 < radial else -math.inf)
+    raise AssertionError(f"no urad value resolves to {radial!r}")
+
+
+def runs(flags):
+    """Lengths of the runs of True in a boolean series."""
+    out, length = [], 0
+    for flag in flags:
+        if flag:
+            length += 1
+        elif length:
+            out.append(length)
+            length = 0
+    return out + [length] if length else out
 
 
 class TestStateMachine:
-    @given(st.lists(lock_step, min_size=1, max_size=400))
-    @settings(max_examples=300, deadline=None)
-    def test_only_legal_edges(self, steps):
-        machine = AptStateMachine(PARAMS)
-        prev = machine.state
-        for stab, l0, l1, l2, coarse_r, fine_r in steps:
-            nxt = machine.step(stab, l0, l1, l2, coarse_r, fine_r)
-            assert (prev, nxt) in LEGAL_EDGES
-            prev = nxt
+    """The transition rules, read back from `run_apt`'s state series."""
 
-    @given(st.lists(lock_step, min_size=1, max_size=400))
-    @settings(max_examples=150, deadline=None)
-    def test_fine_states_unreachable_when_disabled(self, steps):
-        machine = AptStateMachine(PARAMS, fine1_enabled=False, fine2_enabled=False)
-        for stab, l0, l1, l2, coarse_r, fine_r in steps:
-            state = machine.step(stab, l0, l1, l2, coarse_r, fine_r)
-            assert state not in (AptState.FINE_TRACK1, AptState.FINE_TRACK2, AptState.LINKED)
+    @given(seed=st.integers(0, 2**64 - 1), initial=st.sampled_from(list(AptState)),
+           frames=st.integers(1, 60), noise=st.floats(0.0, 3000.0),
+           stages=st.sampled_from([(False, False), (True, False), (True, True)]))
+    @settings(max_examples=60, deadline=None)
+    def test_only_legal_edges(self, seed, initial, frames, noise, stages):
+        # coarse-camera noise up to 3 mrad, and base noise five times that,
+        # shake the spot out of the fine cameras' 1 mrad fields: locks come and go
+        sc = make_scenario(**{"apt.lock_loss_frames": frames,
+                              "cmos0.centroid_noise_urad": noise,
+                              "disturbance.pitch.noise_rms_urad": 5.0 * noise})
+        series = run_apt(sc, 0.6, seed, initial_state=initial,
+                         enable_fine1=stages[0], enable_fine2=stages[1])
+        assert edges(series, initial) <= LEGAL_EDGES
+
+    @given(seed=st.integers(0, 2**64 - 1), initial=st.sampled_from(NOT_FINE),
+           bias=st.floats(0.0, 19_000.0), fine_after=st.sampled_from([0.0, 0.5, 5.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_fine_states_unreachable_when_disabled(self, seed, initial, bias, fine_after):
+        # the default run captures and links within a second with the stages on
+        sc = make_scenario(**zero_noise_overrides(), **{"apt.acquisition_bias_urad": bias})
+        for kwargs in ({"enable_fine1": False, "enable_fine2": False},
+                       {"enable_fine1": True, "enable_fine2": False}):
+            series = run_apt(sc, 1.2, seed, initial_state=initial, fine_after_s=fine_after,
+                             **kwargs)
+            unreachable = FINE_STATES[kwargs["enable_fine1"]:]
+            assert not np.isin(series.state, unreachable).any()
+        sc = make_scenario(**zero_noise_overrides(), **{
+            "apt.acquisition_bias_urad": bias,
+            "apt.fine1_enabled": False, "apt.fine2_enabled": False})
+        series = run_apt(sc, 1.2, seed, initial_state=initial, fine_after_s=fine_after)
+        assert not np.isin(series.state, FINE_STATES).any()
 
     def test_lock_loss_debounce_is_exact(self):
-        machine = AptStateMachine(PARAMS)
-        machine.state = AptState.COARSE_TRACK
-        for _ in range(PARAMS.lock_loss_frames - 1):
-            assert machine.step(True, False, False, False, 0.0, 0.0) == AptState.COARSE_TRACK
-        assert machine.step(True, False, False, False, 0.0, 0.0) == AptState.REACQUIRE
+        frames = PARAMS.lock_loss_frames
+        series = run_apt(lossy_scenario(), 0.2, seed=0,
+                         initial_state=AptState.COARSE_TRACK, **COARSE_ONLY)
+        assert not series.lock0.any()
+        assert (series.state[:frames - 1] == int(AptState.COARSE_TRACK)).all()
+        assert series.state[frames - 1] == int(AptState.REACQUIRE)
+        assert (series.state[frames:] == int(AptState.ACQUIRE)).all()
 
     def test_debounce_counter_resets_on_lock(self):
-        machine = AptStateMachine(PARAMS)
-        machine.state = AptState.COARSE_TRACK
-        for _ in range(PARAMS.lock_loss_frames - 1):
-            machine.step(True, False, False, False, 0.0, 0.0)
-        machine.step(True, True, False, False, 10e-3, 0.0)  # lock returns
-        for _ in range(PARAMS.lock_loss_frames - 1):
-            assert machine.step(True, False, False, False, 0.0, 0.0) == AptState.COARSE_TRACK
+        # a 10 Hz, 3.3 mrad pitch swing leaves the 1 mrad bl0 half-cone for
+        # about 40 of every 50 ticks: many losses, none of them lock_loss_frames long
+        swing = {"beacons.bl0.divergence_mrad": 2.0,
+                 "disturbance.pitch.sinusoids": sinusoid(3300.0, 10.0)}
+        series = run_apt(still_scenario(**swing), 1.0, seed=0, initial_state=AptState.COARSE_TRACK,
+                         **COARSE_ONLY)
+        gaps = runs(~series.lock0)
+        assert len(gaps) >= 10 and max(gaps) < PARAMS.lock_loss_frames
+        assert (series.state == int(AptState.COARSE_TRACK)).all()
+        # the same swing with a debounce as long as the first gap
+        short = still_scenario(**swing, **{"apt.lock_loss_frames": gaps[0]})
+        series = run_apt(short, 1.0, seed=0, initial_state=AptState.COARSE_TRACK,
+                         **COARSE_ONLY)
+        first_loss = int(np.argmin(series.lock0))
+        assert (series.state[:first_loss + gaps[0] - 1] == int(AptState.COARSE_TRACK)).all()
+        assert series.state[first_loss + gaps[0] - 1] == int(AptState.REACQUIRE)
 
     def test_linked_requires_dwell(self):
-        machine = AptStateMachine(PARAMS)
-        machine.state = AptState.FINE_TRACK2
         need = int(PARAMS.link_dwell_s * TICK_RATE_HZ)
-        for _ in range(need - 1):
-            assert machine.step(True, True, True, True, 1e-3, 10e-6) == AptState.FINE_TRACK2
-        assert machine.step(True, True, True, True, 1e-3, 10e-6) == AptState.LINKED
+        series = run_apt(still_scenario(), 1.0, seed=0, initial_state=AptState.FINE_TRACK2)
+        assert series.lock2.all() and not series.error_pitch_rad.any()
+        assert (series.state[:need - 1] == int(AptState.FINE_TRACK2)).all()
+        assert (series.state[need - 1:] == int(AptState.LINKED)).all()
 
     def test_dwell_resets_when_threshold_exceeded(self):
-        machine = AptStateMachine(PARAMS)
-        machine.state = AptState.FINE_TRACK2
-        need = int(PARAMS.link_dwell_s * TICK_RATE_HZ)
-        for _ in range(need - 1):
-            machine.step(True, True, True, True, 1e-3, 10e-6)
-        machine.step(True, True, True, True, 1e-3, 200e-6)  # residual spike
-        for _ in range(need - 1):
-            assert machine.step(True, True, True, True, 1e-3, 10e-6) == AptState.FINE_TRACK2
-        assert machine.step(True, True, True, True, 1e-3, 10e-6) == AptState.LINKED
+        # a 1 Hz, 60 urad pitch swing: the fine reading stays below the 50 urad
+        # link threshold for the first ~155 ticks, then for ~310 ticks at a
+        # time, so a 0.5 s dwell never completes and a 0.25 s one completes
+        # only in the second stretch, its count reset after the first
+        for dwell_s in (0.5, 0.25):
+            sc = still_scenario(**{"apt.link_dwell_s": dwell_s,
+                                   "disturbance.pitch.sinusoids": sinusoid(60.0, 1.0)})
+            series = run_apt(sc, 3.0, seed=0, initial_state=AptState.FINE_TRACK2)
+            assert series.lock0.all() and series.lock1.all() and series.lock2.all()
+            cam = sc.cmos2
+            seen = np.r_[0.0, series.error_pitch_rad[:-1]]
+            below = np.array([abs(camera_reading(e, 0.0, cam.pixel_pitch_pitch_rad,
+                                                 0.5 * cam.fov_pitch_rad))
+                              < PARAMS.link_threshold_rad for e in seen])
+            need = int(dwell_s * TICK_RATE_HZ)
+            stretches = runs(below)
+            assert len(stretches) >= 4 and below.sum() >= 2 * need
+            linked = series.state == int(AptState.LINKED)
+            if dwell_s == 0.5:
+                assert max(stretches) < need and not linked.any()
+            else:
+                assert stretches[0] < need < stretches[1]
+                # the first tick that ends `need` consecutive ticks below the threshold
+                window = np.convolve(below, np.ones(need, dtype=int), "valid")
+                first = int(np.argmax(window == need)) + need - 1
+                assert not linked[:first].any() and linked[first:].all()
 
-    def test_stabilize_dwell(self):
-        machine = AptStateMachine(PARAMS)
+    def test_stabilize_dwell(self, zero_noise_scenario):
         need = int(PARAMS.stabilize_dwell_s * TICK_RATE_HZ)
-        for _ in range(need - 1):
-            assert machine.step(True, False, False, False, 0.0, 0.0) == AptState.STABILIZE
-        assert machine.step(True, False, False, False, 0.0, 0.0) == AptState.ACQUIRE
+        series = run_apt(zero_noise_scenario, 0.2, seed=0)
+        assert (series.state[:need - 1] == int(AptState.STABILIZE)).all()
+        assert series.state[need - 1] == int(AptState.ACQUIRE)
+        assert (series.state[need:] != int(AptState.STABILIZE)).all()
 
     def test_coarse_capture_needs_threshold_and_mid_lock(self):
-        machine = AptStateMachine(PARAMS)
-        machine.state = AptState.COARSE_TRACK
-        r = PARAMS.fine_capture_threshold_rad
-        assert machine.step(True, True, True, False, r, 0.0) == AptState.COARSE_TRACK
-        assert machine.step(True, True, False, False, 0.5 * r, 0.0) == AptState.COARSE_TRACK
-        assert machine.step(True, True, True, False, 0.5 * r, 0.0) == AptState.FINE_TRACK1
+        # a still run from CoarseTrack reads its bias on every tick
+        def capture(threshold_urad, bl1_mrad):
+            sc = still_scenario(**{"apt.acquisition_bias_urad": 400.0,
+                                   "apt.fine_capture_threshold_urad": threshold_urad,
+                                   "beacons.bl1.divergence_mrad": bl1_mrad})
+            series = run_apt(sc, 0.1, seed=0, initial_state=AptState.COARSE_TRACK)
+            assert series.lock0.all()
+            return sc, series
+
+        sc, series = capture(5000.0, 6.0)
+        cam = sc.cmos0
+        radial = math.hypot(*(camera_reading(400e-6 / math.sqrt(2.0), 0.0,
+                                             getattr(cam, f"pixel_pitch_{axis}_rad"),
+                                             0.5 * getattr(cam, f"fov_{axis}_rad"))
+                              for axis in ("pitch", "azimuth")))
+        assert series.lock1.all() and series.state[0] == int(AptState.FINE_TRACK1)
+        # a threshold equal to the measured radial does not capture
+        at = threshold_equal_to(radial)
+        sc, series = capture(at, 6.0)
+        assert sc.apt.fine_capture_threshold_rad == radial
+        assert (series.state == int(AptState.COARSE_TRACK)).all()
+        # below the threshold, but the bl1 cone hides the mid camera's beacon
+        sc, series = capture(5000.0, 0.2)
+        assert not series.lock1.any()
+        assert (series.state == int(AptState.COARSE_TRACK)).all()
 
 
 class TestRunApt:
@@ -379,22 +602,6 @@ class TestRunApt:
         with pytest.raises(ValueError):
             run_apt(scenario, duration, seed=0)
 
-    def test_loop_calls_the_shared_controller_and_state_machine(self, scenario,
-                                                                monkeypatch):
-        # the loop runs the one state machine, one step per tick (the PID
-        # updates are checked through run_apt in TestPidStep)
-        calls = 0
-        original = AptStateMachine.step
-
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(AptStateMachine, "step", counted)
-        series = run_apt(scenario, 2.0, seed=1, initial_state=AptState.LINKED)
-        assert calls == len(series)
-
     def test_shortest_run_is_one_tick(self, scenario):
         series = run_apt(scenario, 0.0006, seed=0)
         assert series.t_s.tolist() == [0.0]
@@ -407,6 +614,59 @@ class TestRunApt:
         assert not np.isin(series.state, fine_states).any()
         forced = run_apt(sc, 4.0, seed=1, enable_fine1=True, enable_fine2=True)
         assert np.isin(forced.state, fine_states).any()
+
+
+SHIPPED = sorted(p.stem for p in Path(__file__).resolve().parents[1].glob("scenarios/*.json"))
+
+
+class TestStateReplay:
+    """`series.state` equals the replay of the transition rules on the run's
+    recorded locks and measured readings, bit for bit."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_scenario_state_equals_replay(self, name):
+        sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json")
+        series, replay = run_and_replay(sc, 12.0, 1)
+        assert np.array_equal(series.state, replay)
+        assert edges(series) <= LEGAL_EDGES
+
+    def test_handover_state_equals_replay(self, scenario):
+        series, replay = run_and_replay(scenario, 8.0, 2, fine_after_s=3.0)
+        assert np.array_equal(series.state, replay)
+        assert not np.isin(series.state[:3000], FINE_STATES).any()
+        assert series.state[-1] == int(AptState.LINKED)
+
+    def test_interrupted_stabilize_equals_replay(self):
+        # IMU noise of 2 mrad/s against the 5 mrad/s threshold breaks about
+        # one stabilized tick in 40, so the dwell restarts many times
+        sc = make_scenario(**{"imu.rate_noise_urad_s": 2000.0})
+        series, replay = run_and_replay(sc, 3.0, 3)
+        assert np.array_equal(series.state, replay)
+        stabilizing = runs(series.state == int(AptState.STABILIZE))
+        assert stabilizing[0] > 3 * PARAMS.stabilize_dwell_s * TICK_RATE_HZ
+        assert series.state[-1] == int(AptState.LINKED)
+
+    def test_fine_lock_gaps_equal_replay(self):
+        # a 10 Hz, 150 urad swing leaves a 0.2 mrad fine camera field for 27
+        # of every 50 ticks while the other cameras keep their locks: the
+        # tick without a fine lock has a zero fine reading
+        sc = still_scenario(**{"cmos2.fov_pitch_mrad": 0.2, "apt.link_dwell_s": 0.02,
+                               "disturbance.pitch.sinusoids": sinusoid(150.0, 10.0)})
+        series, replay = run_and_replay(sc, 1.0, 0, initial_state=AptState.FINE_TRACK2)
+        assert np.array_equal(series.state, replay)
+        assert series.lock1.all() and len(runs(~series.lock2)) >= 10
+
+    @pytest.mark.parametrize("initial", list(AptState)[1:])
+    def test_lossy_runs_equal_replay(self, initial):
+        # an 8 Hz, 20 mrad pitch swing outruns the gimbal's slew limit, so the
+        # spot leaves the bl0 cone and comes back: locks come and go.  (It
+        # also keeps the gimbal from ever stabilizing, so no run starts there.)
+        sc = make_scenario(**{"cmos0.centroid_noise_urad": 300.0,
+                              "disturbance.pitch.sinusoids": sinusoid(20_000.0, 8.0),
+                              "apt.lock_loss_frames": 5})
+        series, replay = run_and_replay(sc, 3.0, 5, initial_state=initial)
+        assert np.array_equal(series.state, replay)
+        assert int(AptState.REACQUIRE) in series.state
 
 
 class TestFuzzedScenarios:
@@ -424,8 +684,25 @@ class TestFuzzedScenarios:
                       "gimbal_pitch_rad", "fsm1_pitch_rad", "fsm1_azimuth_rad",
                       "fsm2_pitch_rad", "fsm2_azimuth_rad"):
             assert np.isfinite(getattr(series, field)).all(), field
-        states = [AptState.STABILIZE] + [AptState(s) for s in series.state]
-        assert set(zip(states, states[1:])) <= LEGAL_EDGES
+        assert edges(series) <= LEGAL_EDGES
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_state_equals_replay(self, data):
+        # a resolved document's state series is the replay of its locks and readings
+        raw = mutate_json(data, DEFAULTS)
+        try:
+            sc = resolve_scenario(raw)
+        except ScenarioError:
+            return
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        initial = data.draw(st.sampled_from(list(AptState)), label="initial state")
+        stages = data.draw(st.sampled_from([{}, {"enable_fine1": True, "enable_fine2": False},
+                                            {"enable_fine1": False, "enable_fine2": False}]),
+                           label="stages")
+        series, replay = run_and_replay(sc, 0.3, seed, initial_state=initial, **stages)
+        assert np.array_equal(series.state, replay)
+        assert edges(series, initial) <= LEGAL_EDGES
 
 
 class TestTrackingSeries:

@@ -1,9 +1,14 @@
 import copy
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fsosim import downtime_fraction, loss_statistics, summarize
 from fsosim.cli import main
@@ -67,6 +72,14 @@ class TestBudget:
         out, err = capsys.readouterr()
         assert out == ""
         assert flag in err
+
+    def test_waist_with_no_rayleigh_range_rejected_by_name(self, tmp_path, capsys):
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps({"schema_version": 1, "beam": {"waist_radius_mm": 1e-160}}))
+        assert run_cli("budget", "--scenario", str(path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fsosim: scenario error: beam.waist_radius_mm: ")
 
     def test_scenario_distance_beyond_beam_model_rejected(self, tmp_path, capsys):
         path = _far_scenario(tmp_path)
@@ -340,6 +353,15 @@ class TestCalibrate:
         assert run_cli("calibrate", "--samples", "1000", "--tolerance-db", "0") in (0, 2)
         assert "result" in json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("samples", [10**13, 10**400])
+    def test_samples_beyond_memory_rejected_by_name(self, samples, capsys):
+        # 10**13 samples would need 240 TB; numpy's allocation error once
+        # ended the command in a traceback
+        assert run_cli("calibrate", "--samples", str(samples)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fsosim: --samples: ")
+
 
 class TestExitCodes:
     def test_missing_scenario_file_exit_3(self):
@@ -390,3 +412,123 @@ class TestExitCodes:
     def test_seed_must_fit_64_bits(self, capsys):
         assert run_cli("track", "--duration", "1", "--seed", str(2**64)) == 1
         assert run_cli("track", "--duration", "1", "--seed", "-1") == 1
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing
+
+# values no flag should turn into a traceback or a non-JSON number; every
+# simulated duration is capped at 2 s and every sample or step count kept
+# small, so no drawn argv runs long or allocates much
+SPECIAL = st.sampled_from(["nan", "-nan", "inf", "-inf", "-0", "0", "1e308", "-1e308",
+                           "1e-320", "", " ", "1_0", "0x10"])
+TEXT = st.text(max_size=8)
+FLOATS = SPECIAL | TEXT | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+DURATIONS = SPECIAL | TEXT.filter(lambda t: not _finite_above(t, 2.0)) | st.floats(0.0, 2.0).map(repr)
+COUNTS = st.sampled_from(["-1", "0", "1", "2", "3", "17", "", "nan", "1e3", "x"])
+SAMPLES = st.sampled_from(["-1", "0", "999", "1000", "2000", str(10**13), str(10**400), "",
+                           "nan", "2e3", "x"])
+SEEDS = st.integers(-3, 2**64 + 3).map(str) | SPECIAL | TEXT
+# malformed ranges, and well-formed ones of at most three seeds
+SEED_RANGES = st.sampled_from([
+    "", "..", "1..", "..2", "3..1", "1...2", "1..2..3", "a..b", "-1..2", "1.5..2",
+    "0..0", " 1..3 ", "1..20000", "18446744073709551615..18446744073709551615",
+    "18446744073709551615..18446744073709551616",
+]) | TEXT.filter(lambda t: not re.fullmatch(r"\s*\d+\.\.\d+\s*", t))
+VERB_FLAGS = {
+    "budget": {"--distance-m": FLOATS, "--error-urad": FLOATS},
+    "sweep": {"--min-km": FLOATS, "--max-km": FLOATS, "--steps": COUNTS},
+    "track": {"--duration": DURATIONS, "--seed": SEEDS, "--fine-after": FLOATS,
+              "--stages": st.sampled_from(["coarse", "fine1", "full", "", "all"]) | TEXT},
+    "run": {"--duration": DURATIONS, "--seed": SEEDS, "--seeds": SEED_RANGES},
+    "calibrate": {"--seed": SEEDS, "--samples": SAMPLES, "--tolerance-db": FLOATS,
+                  "--anchors": st.sampled_from(["anchors.json", "contradictory.json",
+                                                "bad.json", "missing.json", "."])},
+}
+# track and run default to 120 s: an argv without --duration gets 2 s instead
+DEFAULT_DURATION = {"track": "2", "run": "2"}
+
+
+def _finite_above(text, limit):
+    try:
+        value = float(text)
+    except ValueError:
+        return False
+    return math.isfinite(value) and value > limit
+
+
+def _reject_constant(name):
+    raise AssertionError(f"JSON output holds {name}")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Scenario and anchor files the fuzzed argv may name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    short = copy.deepcopy(DEFAULTS)
+    short["apt"]["stats_warmup_s"] = 0.5  # so `run` fits in a 2 s duration
+    (root / "short.json").write_text(json.dumps(short))
+    (root / "broken.json").write_text("{")
+    (root / "unknown.json").write_text(json.dumps({"schema_version": 1, "x": 1}))
+    (root / "anchors.json").write_text(json.dumps({"static_total_db": 12.7}))
+    (root / "contradictory.json").write_text(json.dumps({"mean_loss_anchors": [
+        {"sigma_urad": 3.0, "distance_m": 1000.0, "mean_loss_db": 20.0},
+        {"sigma_urad": 24.0, "distance_m": 1000.0, "mean_loss_db": 10.0}]}))
+    (root / "bad.json").write_text("[1, 2")
+    return root
+
+
+@st.composite
+def argvs(draw, files):
+    """(verb, argv, out) for one in-process CLI call; out says whether --out is
+    omitted (None) or names a new directory ("out") or an existing file ("file")."""
+    verb = draw(st.sampled_from(sorted(VERB_FLAGS)))
+    argv = [verb]
+    flags = dict(VERB_FLAGS[verb])
+    flags["--scenario"] = st.sampled_from([
+        "scenarios/1km_default.json", str(files / "short.json"), str(files / "broken.json"),
+        str(files / "unknown.json"), str(files / "missing.json"), str(files)])
+    for flag in draw(st.permutations(sorted(flags))):
+        if not draw(st.booleans()):
+            if flag == "--duration" and verb in DEFAULT_DURATION:
+                argv += [flag, DEFAULT_DURATION[verb]]
+            continue
+        value = draw(flags[flag])
+        if flag == "--anchors":
+            value = str(files / value)
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    out = draw(st.sampled_from([None, "out", "file"]))
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(draw(TEXT))  # a stray token
+    return verb, argv, out
+
+
+class TestArgvFuzz:
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    def test_any_argv_exits_with_a_contract_code(self, data, fuzz_files, capsys):
+        verb, argv, out = data.draw(argvs(fuzz_files), label="argv")
+        with tempfile.TemporaryDirectory() as workdir:
+            if out is not None:
+                target = Path(workdir) / "out"
+                if out == "file":
+                    target.write_text("")  # --out names a file, not a directory
+                argv += ["--out", str(target)]
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors and --help
+                code = exc.code
+            stdout, stderr = capsys.readouterr()
+            assert code in (0, 1, 2, 3), (argv, code, stderr)
+            assert "Traceback" not in stderr, argv
+            if code in (1, 3):
+                assert stderr.strip(), argv  # a rejection says why
+            written = sorted(Path(workdir).rglob("*.json"))
+            texts = [path.read_text() for path in written]
+            if out is None and verb != "sweep" and stdout:
+                texts.append(stdout)
+            for text in texts:
+                json.loads(text, parse_constant=_reject_constant)

@@ -432,6 +432,17 @@ class TestDisturbance:
         in_band = spectrum[freqs <= 12.0].sum()
         assert in_band / spectrum.sum() > 0.95
 
+    def test_bandwidth_above_ceiling_rejected(self):
+        # the Butterworth corner must sit below 0.45 x the sample rate; a wider
+        # band raises rather than being capped to it
+        wide = AxisDisturbance(noise_rms_rad=100e-6, noise_bandwidth_hz=450.5)
+        with pytest.raises(ValueError, match="pitch noise_bandwidth_hz"):
+            DisturbanceGenerator(DisturbanceProfile(pitch=wide), np.random.default_rng(0), 1000.0)
+        edge = AxisDisturbance(noise_rms_rad=100e-6, noise_bandwidth_hz=450.0)
+        pitch, _ = DisturbanceGenerator(DisturbanceProfile(pitch=edge), np.random.default_rng(0),
+                                        1000.0).series(1000)
+        assert np.isfinite(pitch).all() and pitch.any()
+
     def test_deterministic_given_rng(self):
         axis = AxisDisturbance(noise_rms_rad=50e-6, noise_bandwidth_hz=5.0)
         profile = DisturbanceProfile(pitch=axis, azimuth=axis)

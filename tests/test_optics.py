@@ -57,6 +57,11 @@ class TestBeam:
         with pytest.raises(ValueError):
             beam_radius_m(BEAM, -1.0)
 
+    def test_waist_with_no_rayleigh_range_rejected(self):
+        # w^2 underflows, which would divide by zero in beam_radius_m
+        with pytest.raises(ValueError, match="Rayleigh range"):
+            BeamModel(wavelength_m=1550e-9, waist_radius_m=1e-163)
+
 
 class TestDiffraction:
     def test_zero_distance_convention(self):

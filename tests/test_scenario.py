@@ -104,6 +104,13 @@ class TestValidation:
         self.reject({"schema_version": 1, "beam": {"waist_radius_mm": 50.0}},
                      "exceeds the antenna aperture radius")
 
+    def test_waist_whose_rayleigh_range_rounds_to_zero_rejected(self):
+        # 1e-160 mm is positive in SI units, but pi w^2 / wavelength underflows
+        self.reject({"schema_version": 1, "beam": {"waist_radius_mm": 1e-160}},
+                     "beam.waist_radius_mm: waist_radius_m is too small")
+        sc = resolve_scenario({"schema_version": 1, "beam": {"waist_radius_mm": 1e-150}})
+        assert sc.beam.rayleigh_range_m > 0.0
+
     def test_fine_fov_must_fit_coarse_fov(self):
         self.reject({"schema_version": 1, "cmos1": {"fov_azimuth_mrad": 50.0}},
                      "fine FOV exceeds the coarse camera FOV")
@@ -207,6 +214,19 @@ class TestValidation:
         with pytest.raises(ScenarioError) as err:
             resolve_scenario({"schema_version": version})
         assert err.value.field == "schema_version"
+
+    @pytest.mark.parametrize("axis", ["pitch", "azimuth"])
+    def test_noise_bandwidth_ceiling(self, axis):
+        # 0.45 x the 1000 Hz tick rate; above it the bandwidth was once
+        # silently capped to 450 Hz
+        def doc(bandwidth):
+            return {"schema_version": 1,
+                    "disturbance": {axis: {"noise_bandwidth_hz": bandwidth}}}
+
+        sc = resolve_scenario(doc(450))
+        assert getattr(sc.disturbance, axis).noise_bandwidth_hz == 450.0
+        for bandwidth in (450.5, 499, 1e308):
+            self.reject(doc(bandwidth), f"disturbance.{axis}.noise_bandwidth_hz: must be <= 450")
 
     @pytest.mark.parametrize("group, key", [("cmos0", "pixels"), ("cmos2", "pixels"),
                                             ("apt", "lock_loss_frames")])
