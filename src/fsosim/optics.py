@@ -55,8 +55,14 @@ class BeamModel:
             raise ValueError("wavelength_m must be positive")
         if self.waist_radius_m <= 0.0:
             raise ValueError("waist_radius_m must be positive")
-        if self.rayleigh_range_m == 0.0:
+        try:
+            rayleigh_range_m = self.rayleigh_range_m
+        except OverflowError:  # the float power raises where a product would give inf
+            rayleigh_range_m = math.inf
+        if rayleigh_range_m == 0.0:
             raise ValueError("waist_radius_m is too small: the Rayleigh range rounds to zero")
+        if not math.isfinite(rayleigh_range_m):
+            raise ValueError("waist_radius_m is too large: the Rayleigh range overflows")
 
     @property
     def rayleigh_range_m(self) -> float:

@@ -422,7 +422,7 @@ def resolve_scenario(raw: dict) -> Scenario:
     waist_radius_m = _positive(beam_obj, "waist_radius_mm", "beam", 1e-3)
     try:
         beam = BeamModel(wavelength_m=wavelength_m, waist_radius_m=waist_radius_m)
-    except ValueError as exc:  # a waist so small that pi w^2 / wavelength is 0
+    except ValueError as exc:  # a waist whose pi w^2 / wavelength is 0 or overflows
         raise ScenarioError("beam.waist_radius_mm", str(exc)) from None
 
     ant_obj = cfg["antenna"]

@@ -62,6 +62,12 @@ class TestBeam:
         with pytest.raises(ValueError, match="Rayleigh range"):
             BeamModel(wavelength_m=1550e-9, waist_radius_m=1e-163)
 
+    def test_waist_whose_rayleigh_range_overflows_rejected(self):
+        # w ** 2 raises OverflowError at 1e155; at 1e152, pi w^2 / wavelength is inf
+        for waist_radius_m in (1e155, 1e152):
+            with pytest.raises(ValueError, match="Rayleigh range overflows"):
+                BeamModel(wavelength_m=1550e-9, waist_radius_m=waist_radius_m)
+
 
 class TestDiffraction:
     def test_zero_distance_convention(self):

@@ -111,6 +111,11 @@ class TestValidation:
         sc = resolve_scenario({"schema_version": 1, "beam": {"waist_radius_mm": 1e-150}})
         assert sc.beam.rayleigh_range_m > 0.0
 
+    def test_waist_whose_rayleigh_range_overflows_rejected(self):
+        # caught before the aperture check, which would otherwise name it
+        self.reject({"schema_version": 1, "beam": {"waist_radius_mm": 1.3407807929942597e+157}},
+                     "beam.waist_radius_mm: waist_radius_m is too large")
+
     def test_fine_fov_must_fit_coarse_fov(self):
         self.reject({"schema_version": 1, "cmos1": {"fov_azimuth_mrad": 50.0}},
                      "fine FOV exceeds the coarse camera FOV")
