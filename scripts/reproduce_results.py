@@ -1,53 +1,50 @@
 #!/usr/bin/env python3
 """Regenerate the headline link-budget, tracking, loss, and throughput numbers.
 
-Each block prints the simulated value next to the reference it should land on.
-Runtime is a few seconds per tracking run (the simulator runs at about 70x
-realtime end to end with CSV output and about 100x without, on a 2-core
-x86-64 VM; see perfbench/README.md).
+Each row of REFERENCE prints the simulated value, the bounds the paper's
+figure allows and PASS or FAIL; the script exits 1 if any row fails, and
+tests/test_acceptance.py asserts the same rows.  Loss and throughput come
+from `fsosim.cli.simulate_run`, the chain behind `fsosim run`, so they are
+the numbers its report.json holds.  The README's Performance section gives
+the simulator's speed (about 160x realtime without CSV output, about 125x
+with it).
 
 Usage:
     python3 scripts/reproduce_results.py [--seed 1] [--duration 120]
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fsosim import (
-    atmospheric_loss_db,
-    default_scenario,
-    link_budget,
-    load_scenario,
-    loss_statistics,
-    loss_timeseries,
-    run_apt,
-    summarize,
-    throughput_timeseries,
-    tracking_stats,
-)
+from fsosim import atmospheric_loss_db, link_budget, load_scenario, run_apt, tracking_stats
+from fsosim.cli import simulate_run
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 UR = 1e6
 
-
-def budget_for(scenario, distance_m=None, radial_error_rad=0.0):
-    return link_budget(
-        scenario.beam, scenario.antenna, scenario.antenna, scenario.atmosphere,
-        scenario.coupling, scenario.distance_m if distance_m is None else distance_m,
-        radial_error_rad,
-    )
-
-
-def loss_for(scenario, series, t0, t1):
-    return loss_timeseries(
-        series.window(t0, t1), scenario.beam, scenario.antenna, scenario.antenna,
-        scenario.atmosphere, scenario.coupling, scenario.distance_m,
-        fixed_loss_db=scenario.fixed_loss_db,
-    )
+# The paper's figures as (low, high): a reproduced value must lie in [low, high].
+REFERENCE = {
+    "static_10km_db": (8.0, 12.7),  # static path loss at 10 km
+    "coarse_radial_mean_urad": (19.0, 29.0),  # 24 +- 5, coarse stage only
+    "coarse_pitch_std_urad": (15.0, 45.0),
+    "coarse_azimuth_std_urad": (15.0, 45.0),
+    "handover_radial_mean_urad": (2.0, 4.0),  # 3 +- 1, 60 s after a 30 s fine delay
+    "handover_pitch_std_urad": (2.0, 5.0),
+    "handover_azimuth_std_urad": (2.0, 5.0),
+    "full_radial_mean_urad": (2.0, 4.0),  # 3 +- 1, full cascade
+    "full_loss_mean_db": (12.7, 14.7),  # 13.7 +- 1.0
+    "full_loss_std_db": (0.7, 2.1),  # 1.4 +- 0.7
+    "fine1_loss_mean_db": (27.3, 31.3),  # 29.3 +- 2, first fine stage only
+    "throughput_mean_gbps": (8.96, 9.36),  # 9.16 +- 0.2
+    "throughput_std_gbps": (0.0, 0.5),
+    "bench_full_rate_frac": (1.0, 1.0),  # a fixed 24.0 dB bench runs at full rate
+    "fog_loss_mean_db": (16.0, 20.0),  # 18 +- 2, 4 km in fog
+    "fog_loss_std_db": (0.0, 4.0),
+    "fog_atmosphere_db": (3.7, 4.7),  # 4.2 +- 0.5
+}
 
 
 def main() -> int:
@@ -56,68 +53,51 @@ def main() -> int:
     ap.add_argument("--duration", type=float, default=120.0)
     args = ap.parse_args()
     seed, dur = args.seed, args.duration
-    warm = 10.0
+    failed = []
+
+    def row(key: str, value: float) -> None:
+        low, high = REFERENCE[key]
+        ok = low <= value <= high
+        if not ok:
+            failed.append(key)
+        print(f"{key:28s} {value:9.3f}  in [{low:g}, {high:g}]  {'PASS' if ok else 'FAIL'}")
 
     one_km = load_scenario(SCENARIOS / "1km_default.json")
     fog = load_scenario(SCENARIOS / "4km_fog.json")
     bench = load_scenario(SCENARIOS / "bench_direct.json")
+    print(f"seed {seed}, {dur:g} s runs")
 
-    print("== static link budget ==")
-    b1 = budget_for(one_km)
-    print(f"1 km total at zero error   {b1.total_db:7.3f} dB   (reference ~12.8)")
-    print(f"10 km path-only loss       "
-          f"{budget_for(one_km, distance_m=10_000.0).diffraction_db + 2 * one_km.antenna.insertion_loss_db:7.3f}"
-          " dB   (reference 8 .. 12.7)")
-    atm4 = atmospheric_loss_db(fog.atmosphere, 4000.0)
-    print(f"4 km fog, V = 5 km, atmosphere only {atm4:7.3f} dB   (reference ~4.2)")
+    b10 = link_budget(one_km.beam, one_km.antenna, one_km.atmosphere, one_km.coupling, 10_000.0)
+    row("static_10km_db", b10.diffraction_db + b10.optics_db + b10.atmosphere_db)
 
-    print("\n== tracking residuals, 1 km ==")
-    coarse = run_apt(one_km, dur, seed, enable_fine1=False, enable_fine2=False)
-    sc_ = tracking_stats(coarse, warm, dur)
-    print(f"coarse-only radial mean    {sc_.radial_mean_rad * UR:6.2f} urad"
-          f"  (reference 24 +- 5), per-axis stds "
-          f"{sc_.pitch_std_rad * UR:.1f} / {sc_.azimuth_std_rad * UR:.1f} urad")
+    coarse = simulate_run(one_km, dur, seed, enable_fine1=False, enable_fine2=False).tracking
+    row("coarse_radial_mean_urad", coarse.radial_mean_rad * UR)
+    row("coarse_pitch_std_urad", coarse.pitch_std_rad * UR)
+    row("coarse_azimuth_std_urad", coarse.azimuth_std_rad * UR)
+    handover = tracking_stats(run_apt(one_km, 90.0, seed, fine_after_s=30.0), 30.0, 90.0)
+    row("handover_radial_mean_urad", handover.radial_mean_rad * UR)
+    row("handover_pitch_std_urad", handover.pitch_std_rad * UR)
+    row("handover_azimuth_std_urad", handover.azimuth_std_rad * UR)
 
-    delayed = run_apt(one_km, 90.0, seed, fine_after_s=30.0)
-    first = tracking_stats(delayed, warm, 30.0)
-    last = tracking_stats(delayed, 30.0, 90.0)
-    print(f"fine stages off 30 s, on 60 s: "
-          f"{first.radial_mean_rad * UR:.1f} -> {last.radial_mean_rad * UR:.2f} urad"
-          "  (reference 24 -> 3)")
+    full = simulate_run(one_km, dur, seed)
+    row("full_radial_mean_urad", full.tracking.radial_mean_rad * UR)
+    row("full_loss_mean_db", full.loss_stats.mean)
+    row("full_loss_std_db", full.loss_stats.std)
+    fine1 = simulate_run(one_km, dur, seed, enable_fine1=True, enable_fine2=False)
+    row("fine1_loss_mean_db", fine1.loss_stats.mean)
+    row("throughput_mean_gbps", full.throughput_stats.mean)
+    row("throughput_std_gbps", full.throughput_stats.std)
+    rate = simulate_run(bench, 40.0, seed).throughput.rate_gbps
+    row("bench_full_rate_frac", float((rate == bench.transceiver.link_rate_gbps).mean()))
 
-    full = run_apt(one_km, dur, seed)
-    sf = tracking_stats(full, warm, dur)
-    print(f"full-cascade radial mean   {sf.radial_mean_rad * UR:6.2f} urad"
-          f"  (reference 3 +- 1), per-axis stds "
-          f"{sf.pitch_std_rad * UR:.1f} / {sf.azimuth_std_rad * UR:.1f} urad")
+    fog_loss = simulate_run(fog, dur, seed).loss_stats
+    row("fog_loss_mean_db", fog_loss.mean)
+    row("fog_loss_std_db", fog_loss.std)
+    row("fog_atmosphere_db", atmospheric_loss_db(fog.atmosphere, fog.distance_m))
 
-    print("\n== link loss, 1 km ==")
-    stats_full = loss_statistics(loss_for(one_km, full, warm, dur))
-    print(f"full-cascade loss          {stats_full.mean:6.2f} dB mean, "
-          f"{stats_full.std:.2f} dB std   (reference 13.7 / 1.4)")
-    f1 = run_apt(one_km, dur, seed, enable_fine1=True, enable_fine2=False)
-    stats_f1 = loss_statistics(loss_for(one_km, f1, warm, dur))
-    print(f"first-fine-stage-only loss {stats_f1.mean:6.2f} dB mean   (reference 29.3 +- 2)")
-
-    print("\n== throughput ==")
-    thr = throughput_timeseries(loss_for(one_km, full, warm, warm + 100.0),
-                                one_km.transceiver)
-    st = summarize(thr.rate_gbps)
-    print(f"1 km, 100 s                {st.mean:6.3f} Gbps mean, {st.std:.3f} std"
-          "   (reference 9.16 / <= 0.5)")
-    bench_run = run_apt(bench, 40.0, seed)
-    thr_b = throughput_timeseries(loss_for(bench, bench_run, warm, 40.0),
-                                  bench.transceiver)
-    st_b = summarize(thr_b.rate_gbps)
-    print(f"bench at fixed 24.0 dB     {st_b.mean:6.3f} Gbps mean"
-          f"   (reference full rate {bench.transceiver.link_rate_gbps:.3f})")
-
-    print("\n== 4 km in fog ==")
-    fog_run = run_apt(fog, dur, seed)
-    stats_fog = loss_statistics(loss_for(fog, fog_run, warm, dur))
-    print(f"loss                       {stats_fog.mean:6.2f} dB mean, "
-          f"{stats_fog.std:.2f} dB std   (reference 18 +- 2 / <= 4)")
-    return 0
+    print(f"{len(REFERENCE) - len(failed)}/{len(REFERENCE)} reference rows PASS"
+          + (f"; FAIL: {', '.join(failed)}" if failed else ""))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from fsosim import link_budget, run_apt, tracking_stats
+from fsosim import link_budget
+from fsosim.cli import simulate_run
 from fsosim.optics import DB_PER_NEPER
 from fsosim.scenario import DEFAULTS, resolve_scenario
 
@@ -45,10 +46,10 @@ def build_scenario(args):
 def stage_stats(scenario, fine1, fine2, seeds, duration):
     rows = []
     for seed in seeds:
-        series = run_apt(scenario, duration, seed, enable_fine1=fine1, enable_fine2=fine2)
-        st = tracking_stats(series, 10.0, duration)
-        sel = series.t_s >= 10.0
-        r2 = np.hypot(series.error_pitch_rad[sel], series.error_azimuth_rad[sel]) ** 2
+        run = simulate_run(scenario, duration, seed, enable_fine1=fine1, enable_fine2=fine2)
+        st = run.tracking
+        window = run.series.window(run.t0_s, run.t1_s)
+        r2 = np.hypot(window.error_pitch_rad, window.error_azimuth_rad) ** 2
         rows.append((
             st.radial_mean_rad * 1e6,
             st.pitch_std_rad * 1e6,
@@ -92,10 +93,8 @@ def main() -> None:
     full = describe("full", stage_stats(scenario, True, True, seeds, args.duration))
 
     # implied coupling parameters for the 1-km loss targets
-    budget0 = link_budget(
-        scenario.beam, scenario.antenna, scenario.antenna,
-        scenario.atmosphere, scenario.coupling, 1000.0, 0.0,
-    )
+    budget0 = link_budget(scenario.beam, scenario.antenna, scenario.atmosphere,
+                          scenario.coupling, 1000.0, 0.0)
     static_1km = budget0.diffraction_db + budget0.optics_db + budget0.atmosphere_db
     theta2 = args.theta_c**2
     e_r2_full = float(np.mean([r[3] for r in full]))

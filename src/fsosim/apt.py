@@ -234,6 +234,8 @@ def run_apt(
         enable_fine2 = scenario.apt.fine2_enabled
     if enable_fine2 and not enable_fine1:
         raise ValueError("enable_fine2 requires enable_fine1")
+    if not (fine_after_s >= 0.0 and math.isfinite(fine_after_s)):
+        raise ValueError(f"fine_after_s must be >= 0 and finite, got {fine_after_s}")
     dt = 1.0 / TICK_RATE_HZ
 
     # component noise streams (fixed labels; see module docstring)

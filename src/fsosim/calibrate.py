@@ -20,7 +20,7 @@ residuals above tolerance; that is reported, never raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class CalibrationResult:
 
 def _static_total_db(scenario: Scenario, insertion_db: float, distance_m: float) -> float:
     """Diffraction + insertion (both terminals) + atmosphere at one distance."""
-    antenna = replace(scenario.antenna, insertion_loss_db=insertion_db)
-    diffraction = optics.diffraction_loss_db(scenario.beam, antenna, antenna, distance_m)
+    diffraction = optics.diffraction_loss_db(scenario.beam, scenario.antenna, distance_m)
     return diffraction + 2.0 * insertion_db + optics.atmospheric_loss_db(
         scenario.atmosphere, distance_m
     )

@@ -15,15 +15,18 @@ import math
 import os
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import io as fsio
-from .apt import TICK_RATE_HZ, TrackingSeries, run_apt, tick_count, tracking_stats
+from .apt import TICK_RATE_HZ, TrackingSeries, TrackingStats, run_apt, tick_count, tracking_stats
 from .calibrate import DEFAULT_TOLERANCE_DB, calibrate_coupling, parse_anchor_file
 from .link import (
     LossSeries,
+    SummaryStats,
+    ThroughputSeries,
     downtime_fraction,
     loss_statistics,
     loss_timeseries,
@@ -155,6 +158,9 @@ _SERIES_BYTES_PER_TICK = 9 * 8 + 4
 # bytes per Monte Carlo sample of calibrate_coupling: two float64 draws and
 # their sum are alive at once
 _CALIBRATE_BYTES_PER_SAMPLE = 3 * 8
+# bytes per row of the list distance_sweep builds (three floats in a tuple):
+# 1e6 rows peaked about 180 MB above 1e5 rows
+_SWEEP_BYTES_PER_STEP = 200
 
 
 def _physical_memory() -> int:
@@ -164,6 +170,15 @@ def _physical_memory() -> int:
         return sys.maxsize
 
 
+def _check_fits(flag: str, count: int, what: str, bytes_each: int) -> None:
+    """Refuse up front a count whose arrays cannot fit in memory, rather
+    than fail (or be killed) while they are allocated."""
+    memory = _physical_memory()
+    if count > memory // bytes_each:
+        raise ValueError(f"{flag}: {count} {what} at {bytes_each} bytes each need more "
+                         f"than the {memory:.3g} bytes of memory here")
+
+
 def _check_duration(duration: float) -> None:
     if not (duration > 0.0 and math.isfinite(duration)):
         raise ValueError("--duration must be positive and finite")
@@ -171,15 +186,7 @@ def _check_duration(duration: float) -> None:
         ticks = tick_count(duration)
     except ValueError as exc:
         raise ValueError(f"--duration: {exc}") from None
-    # refuse up front a run whose output alone cannot fit in memory, rather
-    # than fail (or be killed) in run_apt's allocations
-    need = ticks * _SERIES_BYTES_PER_TICK
-    memory = _physical_memory()
-    if need > memory:
-        raise ValueError(
-            f"--duration: {duration:g} s needs at least {need:.3g} bytes for its "
-            f"{TICK_RATE_HZ:g} Hz series, more than the {memory:.3g} bytes of memory here"
-        )
+    _check_fits("--duration", ticks, f"{TICK_RATE_HZ:g} Hz ticks", _SERIES_BYTES_PER_TICK)
 
 
 def _check_window(flag: str, t0: float, t1: float) -> None:
@@ -220,8 +227,7 @@ def _parse_seed_range(text: str) -> list[int]:
     return [_check_seed(s) for s in range(a, b + 1)]
 
 
-def _stats_dict(series: TrackingSeries, t0: float, t1: float) -> dict:
-    s = tracking_stats(series, t0, t1)
+def _stats_dict(s: TrackingStats, t0: float, t1: float) -> dict:
     return {
         "window_t0_s": t0,
         "window_t1_s": t1,
@@ -244,7 +250,9 @@ def _time_in_state(series: TrackingSeries) -> dict:
     }
 
 
-def _summary_dict(stats) -> dict:
+def _summary_dict(stats: SummaryStats | None) -> dict:
+    if stats is None:  # nothing to summarize
+        return {"mean": None, "std": None, "min": None, "max": None, "count": 0}
     return {
         "mean": stats.mean,
         "std": stats.std,
@@ -261,6 +269,53 @@ def _roundtrip(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# one simulated run, as `fsosim run` reports it
+
+@dataclass(frozen=True)
+class RunResult:
+    """One seed of `fsosim run`: the whole run's series, and the loss,
+    throughput and statistics over the window [t0_s, t1_s) that its
+    report.json holds.  The loss is at CSV precision, so `loss` and
+    `throughput` equal the loss.csv and throughput.csv of `run --out`.
+    """
+
+    series: TrackingSeries
+    t0_s: float
+    t1_s: float
+    loss: LossSeries
+    throughput: ThroughputSeries
+    tracking: TrackingStats
+    loss_stats: SummaryStats | None  # None when no sample is in lock
+    downtime_fraction: float
+    throughput_stats: SummaryStats
+
+
+def simulate_run(scenario: Scenario, duration_s: float, seed: int,
+                 enable_fine1: bool | None = None,
+                 enable_fine2: bool | None = None) -> RunResult:
+    """The chain behind `fsosim run` for one seed: `run_apt`, then the loss,
+    throughput and statistics over [stats_warmup_s, duration_s)."""
+    series = run_apt(scenario, duration_s, seed,
+                     enable_fine1=enable_fine1, enable_fine2=enable_fine2)
+    t0 = scenario.apt.stats_warmup_s
+    loss = loss_timeseries(series.window(t0, duration_s), scenario)
+    # statistics are taken over CSV-precision values, those loss.csv holds
+    loss = LossSeries(t_s=loss.t_s, loss_db=_roundtrip(loss.loss_db), link_up=loss.link_up)
+    throughput = throughput_timeseries(loss, scenario.transceiver)
+    return RunResult(
+        series=series,
+        t0_s=t0,
+        t1_s=duration_s,
+        loss=loss,
+        throughput=throughput,
+        tracking=tracking_stats(series, t0, duration_s),
+        loss_stats=loss_statistics(loss) if np.isfinite(loss.loss_db).any() else None,
+        downtime_fraction=downtime_fraction(loss, scenario.transceiver),
+        throughput_stats=summarize(throughput.rate_gbps),
+    )
+
+
+# ---------------------------------------------------------------------------
 # verbs
 
 def cmd_budget(args) -> int:
@@ -272,10 +327,8 @@ def cmd_budget(args) -> int:
         raise ValueError("--error-urad must be >= 0 and finite")
     error_rad = args.error_urad * 1e-6
     try:
-        budget = link_budget(
-            scenario.beam, scenario.antenna, scenario.antenna,
-            scenario.atmosphere, scenario.coupling, distance, error_rad,
-        )
+        budget = link_budget(scenario.beam, scenario.antenna, scenario.atmosphere,
+                             scenario.coupling, distance, error_rad)
     except OverflowError:
         source = "--distance-m" if args.distance_m is not None else "the scenario's node distance"
         raise ValueError(f"{source} {distance} is too large for the beam model") from None
@@ -308,12 +361,13 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{flag} must be positive and finite in metres")
     if args.min_km > args.max_km:
         raise ValueError("--min-km must not exceed --max-km")
+    if args.steps < 2:
+        raise ValueError("--steps must be >= 2")
+    _check_fits("--steps", args.steps, "rows", _SWEEP_BYTES_PER_STEP)
     try:
-        rows = distance_sweep(
-            scenario.beam, scenario.antenna, scenario.antenna,
-            scenario.atmosphere, scenario.coupling,
-            args.min_km * 1000.0, args.max_km * 1000.0, args.steps,
-        )
+        rows = distance_sweep(scenario.beam, scenario.antenna, scenario.atmosphere,
+                              scenario.coupling, args.min_km * 1000.0, args.max_km * 1000.0,
+                              args.steps)
     except OverflowError:
         raise ValueError(f"--max-km {args.max_km} is too large for the beam model") from None
     out = _out_dir(args)
@@ -343,8 +397,8 @@ def cmd_track(args) -> int:
         enable_fine1=fine1, enable_fine2=fine2, fine_after_s=args.fine_after,
     )
     out = _out_dir(args)
-    stage_name = {(False, False): "coarse", (True, False): "fine1",
-                  (True, True): "full"}[(fine1, fine2)]
+    stage_name = next(name for name, flags in _STAGE_CHOICES.items()
+                      if flags == (fine1, fine2))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "scenario": _scenario_header(scenario),
@@ -352,12 +406,13 @@ def cmd_track(args) -> int:
         "duration_s": args.duration,
         "stages": stage_name,
         "fine_after_s": args.fine_after,
-        "stats": _stats_dict(series, warmup, args.duration),
+        "stats": _stats_dict(tracking_stats(series, warmup, args.duration), warmup, args.duration),
         "time_in_state_s": _time_in_state(series),
         "files": {"tracking_csv": "tracking.csv"} if out is not None else None,
     }
     if args.fine_after > 0.0:
-        payload["stats_after_fine"] = _stats_dict(series, args.fine_after, args.duration)
+        payload["stats_after_fine"] = _stats_dict(
+            tracking_stats(series, args.fine_after, args.duration), args.fine_after, args.duration)
     if out is not None:
         fsio.write_tracking_csv(out / "tracking.csv", series)
     _emit_json(payload, out, "tracking_stats.json")
@@ -366,43 +421,21 @@ def cmd_track(args) -> int:
 
 def _run_one_seed(scenario: Scenario, duration: float, seed: int,
                   out: Path | None, multi: bool) -> dict:
-    series = run_apt(scenario, duration, seed)
-    warmup = scenario.apt.stats_warmup_s
-    windowed = series.window(warmup, duration)
-    loss = loss_timeseries(
-        windowed, scenario.beam, scenario.antenna, scenario.antenna,
-        scenario.atmosphere, scenario.coupling, scenario.distance_m,
-        fixed_loss_db=scenario.fixed_loss_db,
-    )
-    # statistics are taken over CSV-precision values (see module docstring)
-    loss = LossSeries(
-        t_s=loss.t_s, loss_db=_roundtrip(loss.loss_db), link_up=loss.link_up
-    )
-    throughput = throughput_timeseries(loss, scenario.transceiver)
-
-    loss_name = f"loss_{seed}.csv" if multi else "loss.csv"
-    thr_name = f"throughput_{seed}.csv" if multi else "throughput.csv"
+    # the RunResult, and with it the seed's series, dies when this returns
+    run = simulate_run(scenario, duration, seed)
+    files = None
     if out is not None:
-        fsio.write_loss_csv(out / loss_name, loss)
-        fsio.write_throughput_csv(out / thr_name, throughput)
-
-    finite = loss.loss_db[np.isfinite(loss.loss_db)]
-    down = downtime_fraction(loss, scenario.transceiver)
+        files = {"loss_csv": f"loss_{seed}.csv" if multi else "loss.csv",
+                 "throughput_csv": f"throughput_{seed}.csv" if multi else "throughput.csv"}
+        fsio.write_loss_csv(out / files["loss_csv"], run.loss)
+        fsio.write_throughput_csv(out / files["throughput_csv"], run.throughput)
     return {
         "seed": seed,
-        "files": (
-            {"loss_csv": loss_name, "throughput_csv": thr_name}
-            if out is not None else None
-        ),
-        "tracking": _stats_dict(series, warmup, duration),
-        "loss_db": (
-            dict(_summary_dict(loss_statistics(loss)), downtime_fraction=down)
-            if finite.size
-            else {"mean": None, "std": None, "min": None, "max": None,
-                  "count": 0, "downtime_fraction": down}
-        ),
-        "throughput_gbps": _summary_dict(summarize(throughput.rate_gbps)),
-        "time_in_state_s": _time_in_state(series),
+        "files": files,
+        "tracking": _stats_dict(run.tracking, run.t0_s, run.t1_s),
+        "loss_db": dict(_summary_dict(run.loss_stats), downtime_fraction=run.downtime_fraction),
+        "throughput_gbps": _summary_dict(run.throughput_stats),
+        "time_in_state_s": _time_in_state(run.series),
     }
 
 
@@ -450,13 +483,7 @@ def cmd_calibrate(args) -> int:
     _check_seed(args.seed)
     if not (args.tolerance_db >= 0.0 and math.isfinite(args.tolerance_db)):
         raise ValueError("--tolerance-db must be >= 0 and finite")
-    # refuse up front a sample count whose draws cannot fit in memory, rather
-    # than fail in numpy's allocation
-    memory = _physical_memory()
-    if args.samples > memory // _CALIBRATE_BYTES_PER_SAMPLE:
-        raise ValueError(
-            f"--samples: {args.samples} samples at {_CALIBRATE_BYTES_PER_SAMPLE} bytes each "
-            f"need more than the {memory:.3g} bytes of memory here")
+    _check_fits("--samples", args.samples, "samples", _CALIBRATE_BYTES_PER_SAMPLE)
     if args.anchors is None:
         payload = DEFAULT_ANCHORS
     else:

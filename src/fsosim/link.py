@@ -16,8 +16,9 @@ import numpy as np
 from . import optics
 from .states import LOCK_STATES
 
-if TYPE_CHECKING:  # avoid a runtime import cycle; apt provides the series type
+if TYPE_CHECKING:  # avoid runtime import cycles; both modules import this one
     from .apt import TrackingSeries
+    from .scenario import Scenario
 
 NO_LINK_LOSS_DB = math.inf
 
@@ -71,32 +72,25 @@ class SummaryStats:
     count: int
 
 
-def loss_timeseries(
-    tracking: "TrackingSeries",
-    beam: optics.BeamModel,
-    tx: optics.AntennaSpec,
-    rx: optics.AntennaSpec,
-    atm: optics.AtmosphereModel,
-    cm: optics.CouplingModel,
-    distance_m: float,
-    fixed_loss_db: float | None = None,
-) -> LossSeries:
-    """Total loss per tracking sample.
+def loss_timeseries(tracking: "TrackingSeries", scenario: "Scenario") -> LossSeries:
+    """Total loss per tracking sample of a run of `scenario`.
 
     Static terms come from the budget at the scenario distance; the jitter
-    excess follows the instantaneous radial pointing error.  When
-    fixed_loss_db is set (bench configurations with an inline attenuator)
-    it replaces the modeled loss while in lock.  Out-of-lock ticks get the
-    no-link sentinel.
+    excess follows the instantaneous radial pointing error.  When the
+    scenario's fixed_loss_db is set (bench configurations with an inline
+    attenuator) it replaces the modeled loss while in lock.  Out-of-lock
+    ticks get the no-link sentinel.
     """
     in_lock = np.isin(tracking.state, [int(s) for s in LOCK_STATES])
     radial = np.hypot(tracking.error_pitch_rad, tracking.error_azimuth_rad)
-    if fixed_loss_db is None:
-        static = optics.link_budget(beam, tx, rx, atm, cm, distance_m, 0.0).total_db
+    if scenario.fixed_loss_db is None:
+        cm = scenario.coupling
+        static = optics.link_budget(scenario.beam, scenario.antenna, scenario.atmosphere,
+                                    cm, scenario.distance_m, 0.0).total_db
         scale = optics.DB_PER_NEPER / cm.rolloff_halfwidth_rad**2
         loss = static + scale * radial * radial
     else:
-        loss = np.full(radial.shape, float(fixed_loss_db))
+        loss = np.full(radial.shape, float(scenario.fixed_loss_db))
     loss = np.where(in_lock, loss, NO_LINK_LOSS_DB)
     return LossSeries(t_s=tracking.t_s.copy(), loss_db=loss, link_up=in_lock.copy())
 

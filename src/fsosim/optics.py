@@ -123,24 +123,22 @@ def beam_radius_m(beam: BeamModel, distance_m: float) -> float:
     return beam.waist_radius_m * math.sqrt(1.0 + (distance_m / beam.rayleigh_range_m) ** 2)
 
 
-def diffraction_loss_db(
-    beam: BeamModel, tx: AntennaSpec, rx: AntennaSpec, distance_m: float
-) -> float:
+def diffraction_loss_db(beam: BeamModel, antenna: AntennaSpec, distance_m: float) -> float:
     """Geometric capture loss of the expanded beam at the receive aperture.
 
-    The captured power fraction of a Gaussian of radius w(z) over a circular
-    aperture of radius a is 1 - exp(-2 a^2 / w(z)^2).  At distance 0 all
-    transmitted power is inside the (co-located) aperture and the loss is 0
-    by convention.
+    Both terminals carry `antenna`.  The captured power fraction of a
+    Gaussian of radius w(z) over a circular aperture of radius a is
+    1 - exp(-2 a^2 / w(z)^2).  At distance 0 all transmitted power is inside
+    the (co-located) aperture and the loss is 0 by convention.
     """
-    if beam.waist_radius_m > tx.aperture_radius_m:
+    if beam.waist_radius_m > antenna.aperture_radius_m:
         raise ValueError("waist_radius_m exceeds transmit aperture radius")
     if distance_m < 0.0:
         raise ValueError("distance_m must be >= 0")
     if distance_m == 0.0:
         return 0.0
     w = beam_radius_m(beam, distance_m)
-    a = rx.aperture_radius_m
+    a = antenna.aperture_radius_m
     captured = 1.0 - math.exp(-2.0 * a * a / (w * w))
     if captured == 0.0:
         # so far out that the captured fraction rounds to 0: the loss in dB
@@ -197,16 +195,15 @@ def jitter_excess_db(cm: CouplingModel, radial_error_rad: float) -> float:
 
 def link_budget(
     beam: BeamModel,
-    tx: AntennaSpec,
-    rx: AntennaSpec,
+    antenna: AntennaSpec,
     atm: AtmosphereModel,
     cm: CouplingModel,
     distance_m: float,
     radial_error_rad: float = 0.0,
 ) -> LinkBudget:
     """Full additive budget at one distance and instantaneous pointing error."""
-    diffraction = diffraction_loss_db(beam, tx, rx, distance_m)
-    optics = tx.insertion_loss_db + rx.insertion_loss_db
+    diffraction = diffraction_loss_db(beam, antenna, distance_m)
+    optics = 2.0 * antenna.insertion_loss_db  # both terminals carry `antenna`
     atmosphere = atmospheric_loss_db(atm, distance_m)
     excess = jitter_excess_db(cm, radial_error_rad)
     total = diffraction + optics + atmosphere + cm.base_coupling_loss_db + excess
@@ -222,8 +219,7 @@ def link_budget(
 
 def distance_sweep(
     beam: BeamModel,
-    tx: AntennaSpec,
-    rx: AntennaSpec,
+    antenna: AntennaSpec,
     atm: AtmosphereModel,
     cm: CouplingModel,
     d_min_m: float,
@@ -245,7 +241,7 @@ def distance_sweep(
     span = d_max_m - d_min_m
     for i in range(steps):
         d = d_min_m + span * i / (steps - 1)
-        budget = link_budget(beam, tx, rx, atm, cm, d, 0.0)
+        budget = link_budget(beam, antenna, atm, cm, d, 0.0)
         static = budget.diffraction_db + budget.optics_db + budget.atmosphere_db
         rows.append((d, budget.diffraction_db, static))
     return rows

@@ -8,23 +8,17 @@ calibration.
 """
 
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from fsosim import (
-    AptState,
-    loss_statistics,
-    loss_timeseries,
-    run_apt,
-    summarize,
-    throughput_timeseries,
-    tracking_stats,
-)
+from fsosim import AptState, run_apt, summarize, tracking_stats
 from fsosim.apt import TICK_RATE_HZ
-from fsosim.cli import main
+from fsosim.cli import main, simulate_run
 from fsosim.io import read_loss_csv, read_throughput_csv
 from fsosim.optics import (
     atmospheric_loss_db,
@@ -41,6 +35,9 @@ from conftest import (
     sinusoid,
     zero_noise_overrides,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from reproduce_results import REFERENCE  # noqa: E402  (the paper's figures, one table)
 
 LEGAL_EDGES = frozenset({
     (AptState.STABILIZE, AptState.STABILIZE),
@@ -68,19 +65,17 @@ def check(capsys, label, ok, detail):
     assert ok, f"{label}: {detail}"
 
 
-def timed_apt(timings, key, scenario, duration_s, seed, **kwargs):
+def timed(timings, key, simulate, scenario, duration_s, seed, **kwargs):
     t0 = time.perf_counter()
-    series = run_apt(scenario, duration_s, seed, **kwargs)
+    result = simulate(scenario, duration_s, seed, **kwargs)
     timings[key] = time.perf_counter() - t0
-    return series
+    return result
 
 
-def loss_for(scenario, series, t0, t1):
-    return loss_timeseries(
-        series.window(t0, t1), scenario.beam, scenario.antenna, scenario.antenna,
-        scenario.atmosphere, scenario.coupling, scenario.distance_m,
-        fixed_loss_db=scenario.fixed_loss_db,
-    )
+def in_reference(key, value):
+    """Whether value meets REFERENCE[key], and the bounds as text for the message."""
+    low, high = REFERENCE[key]
+    return low <= value <= high, f"[{low:g}, {high:g}]"
 
 
 # ---------------------------------------------------------------------------
@@ -97,107 +92,117 @@ def default_1km():
 
 
 @pytest.fixture(scope="module")
-def full_series(default_1km, timings):
-    return timed_apt(timings, "full 120 s", default_1km, 120.0, 1)
+def full_run(default_1km, timings):
+    return timed(timings, "full 120 s", simulate_run, default_1km, 120.0, 1)
 
 
 @pytest.fixture(scope="module")
 def coarse_series(timings):
     scenario = load_scenario("scenarios/1km_coarse_only.json")
-    return timed_apt(timings, "coarse 120 s", scenario, 120.0, 1)
+    return timed(timings, "coarse 120 s", run_apt, scenario, 120.0, 1)
 
 
 @pytest.fixture(scope="module")
-def fine1_series(default_1km, timings):
-    return timed_apt(timings, "fine1 120 s", default_1km, 120.0, 1,
-                     enable_fine1=True, enable_fine2=False)
+def fine1_run(default_1km, timings):
+    return timed(timings, "fine1 120 s", simulate_run, default_1km, 120.0, 1,
+                 enable_fine1=True, enable_fine2=False)
 
 
 class TestCalibratedReproduction:
     def test_static_budget_sweep(self, default_1km, capsys):
         sc = default_1km
-        rows = distance_sweep(sc.beam, sc.antenna, sc.antenna, sc.atmosphere,
-                              sc.coupling, 100.0, 10_000.0, 100)
+        rows = distance_sweep(sc.beam, sc.antenna, sc.atmosphere, sc.coupling,
+                              100.0, 10_000.0, 100)
         totals = [total for _, _, total in rows]
         at_10km = totals[-1]
         monotone = all(b >= a for a, b in zip(totals, totals[1:]))
         below_1km = [t for d, _, t in rows if d <= 1000.0]
         flat_rise = max(below_1km) - min(below_1km)
+        ok, bounds = in_reference("static_10km_db", at_10km)
         check(
             capsys, "static-budget-sweep",
-            8.0 <= at_10km <= 12.7 and monotone and flat_rise < 1.0,
-            f"10 km static {at_10km:.3f} dB in [8, 12.7], monotone={monotone}, "
+            ok and monotone and flat_rise < 1.0,
+            f"10 km static {at_10km:.3f} dB in {bounds}, monotone={monotone}, "
             f"rise below 1 km {flat_rise:.3f} dB < 1",
         )
 
     def test_coarse_tracking_residual(self, coarse_series, capsys):
         s = tracking_stats(coarse_series, 10.0, 120.0)
-        mean = s.radial_mean_rad * 1e6
-        stds = (s.pitch_std_rad * 1e6, s.azimuth_std_rad * 1e6)
+        mean_ok, mean_bounds = in_reference("coarse_radial_mean_urad", s.radial_mean_rad * 1e6)
+        pitch_ok, std_bounds = in_reference("coarse_pitch_std_urad", s.pitch_std_rad * 1e6)
+        azimuth_ok, _ = in_reference("coarse_azimuth_std_urad", s.azimuth_std_rad * 1e6)
         check(
             capsys, "coarse-tracking-residual",
-            19.0 <= mean <= 29.0 and all(15.0 <= v <= 45.0 for v in stds),
-            f"radial mean {mean:.1f} urad in 24±5, "
-            f"axis stds {stds[0]:.1f}/{stds[1]:.1f} urad in [15, 45]",
+            mean_ok and pitch_ok and azimuth_ok,
+            f"radial mean {s.radial_mean_rad * 1e6:.1f} urad in {mean_bounds}, axis stds "
+            f"{s.pitch_std_rad * 1e6:.1f}/{s.azimuth_std_rad * 1e6:.1f} urad in {std_bounds}",
         )
 
     def test_fine_handover_residual(self, default_1km, timings, capsys):
-        series = timed_apt(timings, "handover 90 s", default_1km, 90.0, 1,
-                           fine_after_s=30.0)
+        series = timed(timings, "handover 90 s", run_apt, default_1km, 90.0, 1,
+                       fine_after_s=30.0)
         s = tracking_stats(series, 30.0, 90.0)
-        mean = s.radial_mean_rad * 1e6
-        stds = (s.pitch_std_rad * 1e6, s.azimuth_std_rad * 1e6)
+        mean_ok, mean_bounds = in_reference("handover_radial_mean_urad", s.radial_mean_rad * 1e6)
+        pitch_ok, std_bounds = in_reference("handover_pitch_std_urad", s.pitch_std_rad * 1e6)
+        azimuth_ok, _ = in_reference("handover_azimuth_std_urad", s.azimuth_std_rad * 1e6)
         check(
             capsys, "fine-handover-residual",
-            2.0 <= mean <= 4.0 and all(2.0 <= v <= 5.0 for v in stds),
-            f"last-60 s radial mean {mean:.2f} urad in 3±1, "
-            f"axis stds {stds[0]:.2f}/{stds[1]:.2f} urad in [2, 5]",
+            mean_ok and pitch_ok and azimuth_ok,
+            f"last-60 s radial mean {s.radial_mean_rad * 1e6:.2f} urad in {mean_bounds}, axis "
+            f"stds {s.pitch_std_rad * 1e6:.2f}/{s.azimuth_std_rad * 1e6:.2f} urad in {std_bounds}",
         )
 
-    def test_full_cascade_loss(self, default_1km, full_series, fine1_series, capsys):
-        full = loss_statistics(loss_for(default_1km, full_series, 10.0, 120.0))
-        first = loss_statistics(loss_for(default_1km, fine1_series, 10.0, 120.0))
+    def test_full_cascade_loss(self, full_run, fine1_run, capsys):
+        full, first = full_run.loss_stats, fine1_run.loss_stats
+        radial = full_run.tracking.radial_mean_rad * 1e6
+        radial_ok, radial_bounds = in_reference("full_radial_mean_urad", radial)
+        mean_ok, mean_bounds = in_reference("full_loss_mean_db", full.mean)
+        std_ok, std_bounds = in_reference("full_loss_std_db", full.std)
+        first_ok, first_bounds = in_reference("fine1_loss_mean_db", first.mean)
         check(
             capsys, "full-cascade-loss",
-            12.7 <= full.mean <= 14.7 and 0.7 <= full.std <= 2.1
-            and 27.3 <= first.mean <= 31.3,
-            f"full mean {full.mean:.2f} dB in 13.7±1.0, std {full.std:.2f} dB in "
-            f"1.4±0.7; first-stage mean {first.mean:.2f} dB in 29.3±2",
+            radial_ok and mean_ok and std_ok and first_ok,
+            f"radial mean {radial:.2f} urad in {radial_bounds}; "
+            f"full mean {full.mean:.2f} dB in {mean_bounds}, std {full.std:.2f} dB in "
+            f"{std_bounds}; first-stage mean {first.mean:.2f} dB in {first_bounds}",
         )
 
-    def test_throughput(self, default_1km, full_series, timings, capsys):
-        loss = loss_for(default_1km, full_series, 10.0, 110.0)
-        rate = throughput_timeseries(loss, default_1km.transceiver)
-        s = summarize(rate.rate_gbps)
+    def test_throughput(self, full_run, timings, capsys):
+        # the first 100 s of the run's window [10 s, 120 s)
+        s = summarize(full_run.throughput.rate_gbps[:100_000])
         assert s.count == 100_000  # exactly 100 s at 1 kHz
 
         bench_sc = load_scenario("scenarios/bench_direct.json")
-        bench = timed_apt(timings, "bench 15 s", bench_sc, 15.0, 1)
-        bench_rate = throughput_timeseries(
-            loss_for(bench_sc, bench, 10.0, 15.0), bench_sc.transceiver)
+        bench = timed(timings, "bench 15 s", simulate_run, bench_sc, 15.0, 1)
         full_rate = bench_sc.transceiver.link_rate_gbps
-        bench_ok = bool(np.all(bench_rate.rate_gbps == full_rate))
+        at_full_rate = float(np.mean(bench.throughput.rate_gbps == full_rate))
+        mean_ok, mean_bounds = in_reference("throughput_mean_gbps", s.mean)
+        std_ok, std_bounds = in_reference("throughput_std_gbps", s.std)
+        bench_ok, bench_bounds = in_reference("bench_full_rate_frac", at_full_rate)
         check(
             capsys, "throughput",
-            8.96 <= s.mean <= 9.36 and s.std <= 0.5 and bench_ok,
-            f"100 s mean {s.mean:.5f} Gbps in 9.16±0.2, std {s.std:.3f} <= 0.5; "
-            f"fixed 24.0 dB bench at full rate {full_rate:.5f} Gbps: {bench_ok}",
+            mean_ok and std_ok and bench_ok,
+            f"100 s mean {s.mean:.5f} Gbps in {mean_bounds}, std {s.std:.3f} in {std_bounds}; "
+            f"fixed 24.0 dB bench at full rate {full_rate:.5f} Gbps for a share "
+            f"{at_full_rate:g} in {bench_bounds}",
         )
 
     def test_fog_4km_loss(self, timings, capsys):
         scenario = load_scenario("scenarios/4km_fog.json")
-        series = timed_apt(timings, "fog 120 s", scenario, 120.0, 1)
-        s = loss_statistics(loss_for(scenario, series, 10.0, 120.0))
+        s = timed(timings, "fog 120 s", simulate_run, scenario, 120.0, 1).loss_stats
         atm = atmospheric_loss_db(scenario.atmosphere, scenario.distance_m)
+        mean_ok, mean_bounds = in_reference("fog_loss_mean_db", s.mean)
+        std_ok, std_bounds = in_reference("fog_loss_std_db", s.std)
+        atm_ok, atm_bounds = in_reference("fog_atmosphere_db", atm)
         check(
             capsys, "fog-4km-loss",
-            16.0 <= s.mean <= 20.0 and s.std <= 4.0 and 3.7 <= atm <= 4.7,
-            f"mean {s.mean:.2f} dB in 18±2, std {s.std:.2f} <= 4, "
-            f"atmospheric term {atm:.3f} dB in 4.2±0.5",
+            mean_ok and std_ok and atm_ok,
+            f"mean {s.mean:.2f} dB in {mean_bounds}, std {s.std:.2f} in {std_bounds}, "
+            f"atmospheric term {atm:.3f} dB in {atm_bounds}",
         )
 
-    def test_runs_fit_wall_clock_budget(self, full_series, coarse_series,
-                                        fine1_series, timings, capsys):
+    def test_runs_fit_wall_clock_budget(self, full_run, coarse_series,
+                                        fine1_run, timings, capsys):
         worst = max(timings.values())
         check(
             capsys, "wall-clock",
@@ -250,7 +255,7 @@ class TestModelProperties:
                 * math.exp(-2.0 * r * r / (w * w)) * r,
                 0.0, 2.0 * math.pi, 0.0, antenna.aperture_radius_m,
             )
-            closed = diffraction_loss_db(beam, antenna, antenna, km * 1000.0)
+            closed = diffraction_loss_db(beam, antenna, km * 1000.0)
             worst = max(worst, abs(closed + 10.0 * math.log10(captured)))
         check(capsys, "diffraction-quadrature-oracle", worst <= 0.3,
               f"worst deviation {worst:.3f} dB <= 0.3 over 0.1-20 km")

@@ -564,6 +564,13 @@ class TestRunApt:
         late = series.window(8.0, 12.0)
         assert np.isin(late.state, fine_states).all()
 
+    @pytest.mark.parametrize("fine_after", [math.nan, math.inf, -math.inf, -1.0, -1e-9])
+    def test_fine_after_must_be_nonnegative_and_finite(self, scenario, fine_after):
+        # NaN would hold both fine stages off for the whole run, a negative
+        # value would act as 0 and inf would overflow the handover tick
+        with pytest.raises(ValueError, match="fine_after_s"):
+            run_apt(scenario, 0.01, seed=1, fine_after_s=fine_after)
+
     def test_feedforward_rejects_slow_base_rotation(self):
         # base rate large enough that the vision-loop lag error dominates
         # the coarse camera's pixel floor

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from conftest import mutate_json
@@ -16,8 +15,7 @@ from fsosim.calibrate import (
 
 
 def model_static_db(scenario, insertion_db, distance_m):
-    antenna = replace(scenario.antenna, insertion_loss_db=insertion_db)
-    diffraction = optics.diffraction_loss_db(scenario.beam, antenna, antenna, distance_m)
+    diffraction = optics.diffraction_loss_db(scenario.beam, scenario.antenna, distance_m)
     return diffraction + 2.0 * insertion_db + optics.atmospheric_loss_db(
         scenario.atmosphere, distance_m)
 

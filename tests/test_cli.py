@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fsosim import downtime_fraction, loss_statistics, summarize
-from fsosim.cli import main
+import fsosim.optics
+from fsosim import default_scenario, downtime_fraction, loss_statistics, summarize
+from fsosim.cli import main, simulate_run
 from fsosim.io import read_loss_csv, read_sweep_csv, read_throughput_csv
 from fsosim.scenario import DEFAULTS
 
@@ -107,7 +108,22 @@ class TestSweep:
         assert totals == sorted(totals)
 
     def test_bad_step_count(self, capsys):
-        assert run_cli("sweep", "--steps", "0") == 1
+        for steps in ("0", "1"):
+            assert run_cli("sweep", "--steps", steps) == 1
+            assert capsys.readouterr().err.startswith("fsosim: --steps ")
+
+    @pytest.mark.parametrize("steps", [10**15, 10**400])
+    def test_steps_beyond_memory_rejected_by_name(self, steps, monkeypatch, capsys):
+        # 10**15 rows would need some 200 PB: the count is refused before
+        # distance_sweep builds a single row
+        def no_sweep(*args):
+            raise AssertionError("distance_sweep ran")
+
+        monkeypatch.setattr(fsosim.optics, "distance_sweep", no_sweep)
+        assert run_cli("sweep", "--steps", str(steps)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fsosim: --steps: ")
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-km", "inf"), ("--max-km", "nan"), ("--min-km", "nan"),
@@ -230,6 +246,22 @@ class TestRun:
         from fsosim import TransceiverSpec
         trx = TransceiverSpec()
         assert entry["loss_db"]["downtime_fraction"] == downtime_fraction(loss, trx)
+
+    def test_simulate_run_is_the_reported_run(self, run_dir):
+        # the library chain gives the numbers and the loss.csv of `run --out`
+        entry = read_json(run_dir / "report.json")["per_seed"][0]
+        run = simulate_run(default_scenario(), 12.0, 7)
+        loss, rate = run.loss_stats, run.throughput_stats
+        assert entry["loss_db"] == {
+            "mean": loss.mean, "std": loss.std, "min": loss.minimum, "max": loss.maximum,
+            "count": loss.count, "downtime_fraction": run.downtime_fraction,
+        }
+        assert entry["throughput_gbps"] == {
+            "mean": rate.mean, "std": rate.std, "min": rate.minimum, "max": rate.maximum,
+            "count": rate.count,
+        }
+        emitted = read_loss_csv(run_dir / "loss.csv")
+        assert run.loss.loss_db.tobytes() == emitted.loss_db.tobytes()
 
     def test_window_bounds(self, run_dir):
         report = read_json(run_dir / "report.json")
@@ -418,14 +450,16 @@ class TestExitCodes:
 # argv fuzzing
 
 # values no flag should turn into a traceback or a non-JSON number; every
-# simulated duration is capped at 2 s and every sample or step count kept
-# small, so no drawn argv runs long or allocates much
+# simulated duration is capped at 2 s and every sample or step count is
+# either small or beyond memory (refused before any allocation), so no drawn
+# argv runs long or allocates much
 SPECIAL = st.sampled_from(["nan", "-nan", "inf", "-inf", "-0", "0", "1e308", "-1e308",
                            "1e-320", "", " ", "1_0", "0x10"])
 TEXT = st.text(max_size=8)
 FLOATS = SPECIAL | TEXT | st.floats(allow_nan=True, allow_infinity=True).map(repr)
 DURATIONS = SPECIAL | TEXT.filter(lambda t: not _finite_above(t, 2.0)) | st.floats(0.0, 2.0).map(repr)
-COUNTS = st.sampled_from(["-1", "0", "1", "2", "3", "17", "", "nan", "1e3", "x"])
+COUNTS = st.sampled_from(["-1", "0", "1", "2", "3", "17", str(10**15), str(10**400), "",
+                          "nan", "1e3", "x"])
 SAMPLES = st.sampled_from(["-1", "0", "999", "1000", "2000", str(10**13), str(10**400), "",
                            "nan", "2e3", "x"])
 SEEDS = st.integers(-3, 2**64 + 3).map(str) | SPECIAL | TEXT

@@ -19,6 +19,8 @@ from fsosim import (
 from fsosim.link import _SUM_BLOCK, NO_LINK_LOSS_DB, LossSeries, _exact_sum
 from fsosim.optics import DB_PER_NEPER
 
+from conftest import make_scenario
+
 TRX = TransceiverSpec(rated_gbps=10.0, effective_tcp_gbps=9.27,
                       tcp_efficiency=0.988, max_tolerable_loss_db=24.1)
 
@@ -52,10 +54,7 @@ class TestLossTimeseries:
                   AptState.FINE_TRACK1, AptState.FINE_TRACK2, AptState.LINKED,
                   AptState.REACQUIRE]
         tracked = series_with(states, [0.0] * len(states))
-        loss = loss_timeseries(
-            tracked, scenario.beam, scenario.antenna, scenario.antenna,
-            scenario.atmosphere, scenario.coupling, 1000.0,
-        )
+        loss = loss_timeseries(tracked, scenario)
         finite = np.isfinite(loss.loss_db)
         assert finite.tolist() == [False, False, True, True, True, True, False]
         assert loss.link_up.tolist() == finite.tolist()
@@ -64,35 +63,22 @@ class TestLossTimeseries:
     def test_loss_is_static_plus_quadratic_jitter(self, scenario):
         err = 10.0  # urad
         tracked = series_with([AptState.LINKED], [err])
-        loss = loss_timeseries(
-            tracked, scenario.beam, scenario.antenna, scenario.antenna,
-            scenario.atmosphere, scenario.coupling, 1000.0,
-        )
-        zero = loss_timeseries(
-            series_with([AptState.LINKED], [0.0]),
-            scenario.beam, scenario.antenna, scenario.antenna,
-            scenario.atmosphere, scenario.coupling, 1000.0,
-        )
+        loss = loss_timeseries(tracked, scenario)
+        zero = loss_timeseries(series_with([AptState.LINKED], [0.0]), scenario)
         expected_excess = DB_PER_NEPER * (err * 1e-6 / scenario.coupling.rolloff_halfwidth_rad) ** 2
         assert loss.loss_db[0] - zero.loss_db[0] == pytest.approx(expected_excess, rel=1e-12)
 
-    def test_fixed_loss_overrides_model_while_in_lock(self, scenario):
+    def test_fixed_loss_overrides_model_while_in_lock(self):
         tracked = series_with(
             [AptState.LINKED, AptState.ACQUIRE, AptState.COARSE_TRACK],
             [100.0, 100.0, 3000.0],
         )
-        loss = loss_timeseries(
-            tracked, scenario.beam, scenario.antenna, scenario.antenna,
-            scenario.atmosphere, scenario.coupling, 1000.0, fixed_loss_db=24.0,
-        )
+        loss = loss_timeseries(tracked, make_scenario(**{"link.fixed_loss_db": 24.0}))
         assert loss.loss_db.tolist() == [24.0, math.inf, 24.0]
 
     def test_same_length_and_timestamps_as_source(self, scenario):
         tracked = series_with([AptState.LINKED] * 5, [1.0] * 5)
-        loss = loss_timeseries(
-            tracked, scenario.beam, scenario.antenna, scenario.antenna,
-            scenario.atmosphere, scenario.coupling, 1000.0,
-        )
+        loss = loss_timeseries(tracked, scenario)
         assert loss.t_s.tolist() == tracked.t_s.tolist()
         assert loss.loss_db.size == len(tracked)
 

@@ -71,12 +71,12 @@ class TestBeam:
 
 class TestDiffraction:
     def test_zero_distance_convention(self):
-        assert diffraction_loss_db(BEAM, ANTENNA, ANTENNA, 0.0) == 0.0
+        assert diffraction_loss_db(BEAM, ANTENNA, 0.0) == 0.0
 
     def test_waist_larger_than_aperture_rejected(self):
         fat = BeamModel(wavelength_m=1550e-9, waist_radius_m=0.050)
         with pytest.raises(ValueError):
-            diffraction_loss_db(fat, ANTENNA, ANTENNA, 1000.0)
+            diffraction_loss_db(fat, ANTENNA, 1000.0)
 
     # frozen closed-form values (50-digit cross-check of the capture formula)
     @pytest.mark.parametrize("km,expected_db", [
@@ -88,7 +88,7 @@ class TestDiffraction:
         (20.0, 11.922324664),
     ])
     def test_reference_values(self, km, expected_db):
-        assert diffraction_loss_db(BEAM, ANTENNA, ANTENNA, km * 1000.0) == pytest.approx(
+        assert diffraction_loss_db(BEAM, ANTENNA, km * 1000.0) == pytest.approx(
             expected_db, abs=1e-8
         )
 
@@ -102,14 +102,14 @@ class TestDiffraction:
             0.0, 2.0 * math.pi, 0.0, a,
         )
         oracle_db = -10.0 * math.log10(captured)
-        closed = diffraction_loss_db(BEAM, ANTENNA, ANTENNA, km * 1000.0)
+        closed = diffraction_loss_db(BEAM, ANTENNA, km * 1000.0)
         assert closed == pytest.approx(oracle_db, abs=0.3)
 
     @given(st.floats(1.0, 20_000.0), st.floats(1.0, 5000.0))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_distance(self, z, dz):
-        assert diffraction_loss_db(BEAM, ANTENNA, ANTENNA, z + dz) >= diffraction_loss_db(
-            BEAM, ANTENNA, ANTENNA, z
+        assert diffraction_loss_db(BEAM, ANTENNA, z + dz) >= diffraction_loss_db(
+            BEAM, ANTENNA, z
         )
 
 
@@ -200,7 +200,7 @@ class TestCoupling:
 class TestLinkBudget:
     def test_total_is_exact_sum(self):
         fog = AtmosphereModel(visibility_m=5000.0, wavelength_m=1550e-9)
-        b = link_budget(BEAM, ANTENNA, ANTENNA, fog, COUPLING, 4000.0, 5e-6)
+        b = link_budget(BEAM, ANTENNA, fog, COUPLING, 4000.0, 5e-6)
         assert b.total_db == (
             b.diffraction_db + b.optics_db + b.atmosphere_db
             + b.coupling_base_db + b.jitter_excess_db
@@ -208,33 +208,33 @@ class TestLinkBudget:
         assert b.optics_db == 2 * ANTENNA.insertion_loss_db
 
     def test_one_km_zero_error_reference(self):
-        b = link_budget(BEAM, ANTENNA, ANTENNA, CLEAR, COUPLING, 1000.0, 0.0)
+        b = link_budget(BEAM, ANTENNA, CLEAR, COUPLING, 1000.0, 0.0)
         assert b.total_db == pytest.approx(12.795464104, abs=1e-6)
 
 
 class TestDistanceSweep:
     def test_endpoints_and_length(self):
-        rows = distance_sweep(BEAM, ANTENNA, ANTENNA, CLEAR, COUPLING, 100.0, 10_000.0, 100)
+        rows = distance_sweep(BEAM, ANTENNA, CLEAR, COUPLING, 100.0, 10_000.0, 100)
         assert len(rows) == 100
         assert rows[0][0] == 100.0
         assert rows[-1][0] == 10_000.0
 
     def test_static_excludes_coupling_terms(self):
-        rows = distance_sweep(BEAM, ANTENNA, ANTENNA, CLEAR, COUPLING, 100.0, 10_000.0, 5)
+        rows = distance_sweep(BEAM, ANTENNA, CLEAR, COUPLING, 100.0, 10_000.0, 5)
         for d, diff, static in rows:
-            b = link_budget(BEAM, ANTENNA, ANTENNA, CLEAR, COUPLING, d, 0.0)
+            b = link_budget(BEAM, ANTENNA, CLEAR, COUPLING, d, 0.0)
             assert diff == b.diffraction_db
             assert static == b.diffraction_db + b.optics_db + b.atmosphere_db
 
     def test_monotone_nondecreasing_total(self):
-        rows = distance_sweep(BEAM, ANTENNA, ANTENNA, CLEAR, COUPLING, 100.0, 20_000.0, 200)
+        rows = distance_sweep(BEAM, ANTENNA, CLEAR, COUPLING, 100.0, 20_000.0, 200)
         totals = [r[2] for r in rows]
         assert all(b >= a for a, b in zip(totals, totals[1:]))
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
-            distance_sweep(BEAM, ANTENNA, ANTENNA, CLEAR, COUPLING, 0.0, 1000.0, 10)
+            distance_sweep(BEAM, ANTENNA, CLEAR, COUPLING, 0.0, 1000.0, 10)
         with pytest.raises(ValueError):
-            distance_sweep(BEAM, ANTENNA, ANTENNA, CLEAR, COUPLING, 2000.0, 1000.0, 10)
+            distance_sweep(BEAM, ANTENNA, CLEAR, COUPLING, 2000.0, 1000.0, 10)
         with pytest.raises(ValueError):
-            distance_sweep(BEAM, ANTENNA, ANTENNA, CLEAR, COUPLING, 100.0, 1000.0, 1)
+            distance_sweep(BEAM, ANTENNA, CLEAR, COUPLING, 100.0, 1000.0, 1)
