@@ -6,7 +6,7 @@ figure allows and PASS or FAIL; the script exits 1 if any row fails, and
 tests/test_acceptance.py asserts the same rows.  Loss and throughput come
 from `fsosim.cli.simulate_run`, the chain behind `fsosim run`, so they are
 the numbers its report.json holds.  The README's Performance section gives
-the simulator's speed (about 160x realtime without CSV output, about 125x
+the simulator's speed (about 200x realtime without CSV output, about 140x
 with it).
 
 Usage:
@@ -101,4 +101,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+    except ValueError as exc:  # an argument the runs cannot use; the message names it
+        status = f"reproduce_results.py: {exc}"
+    raise SystemExit(status)

@@ -119,4 +119,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as exc:  # an argument the runs cannot use; the message names it
+        raise SystemExit(f"tune_defaults.py: {exc}") from None

@@ -259,6 +259,17 @@ def run_apt(
     # measured IMU rate = true rate + noise, summed in place once for all ticks
     rate_pitch += imu_sigma * imu_rng.standard_normal(n)
     rate_az += imu_sigma * imu_rng.standard_normal(n)
+    # the feedforward command: the running sum of the measured rate * dt, the
+    # tick's `ff += rate * dt` from ff = +0.0.  add.accumulate sums in index
+    # order, so the floats are the tick's; adding +0.0 to the first term
+    # turns a -0.0 into the +0.0 that the tick's first sum gives.
+    if enable_feedforward:
+        ff_pitch, ff_az = rate_pitch * dt, rate_az * dt
+        for ff in (ff_pitch, ff_az):
+            ff[0] += 0.0
+            np.cumsum(ff, out=ff)
+    else:
+        ff_pitch, ff_az = np.zeros(n), np.zeros(n)
 
     # hoisted plant constants
     alpha_g = lag_alpha(scenario.gimbal.bandwidth_hz, dt)
@@ -290,24 +301,32 @@ def run_apt(
     # PID gains.  With integral action (ki > 0) a loop's integrator is
     # clamped to +-limit / ki, so the integral term alone cannot exceed the
     # actuator limit (anti-windup); without it (ki == 0) the loop steers
-    # relative to the actuator's current position.
+    # relative to the actuator's current position.  A loop with P or D
+    # action (`*_pd`) forms kp * m + ki * integ + kd * (m - prev) / dt and
+    # keeps its previous reading; an integral-only one (kp == kd == 0 < ki)
+    # forms ki * integ alone.  The dropped terms are +-0.0, so the command
+    # can differ only in the sign of a zero, and it reaches its actuator
+    # through a sum with the feedforward or the position, which are never
+    # -0.0 (they start at +0.0, and an IEEE sum is -0.0 only when both its
+    # terms are): every output bit is kept.
     gc = scenario.gains_coarse
     c_kp, c_ki, c_kd = gc.kp, gc.ki, gc.kd
     c_integral = c_ki > 0.0
+    c_pd = not (c_kp == 0.0 and c_kd == 0.0 and c_integral)
     if c_integral:
         c_bound_p, c_bound_a = g_range_p / c_ki, g_range_az / c_ki
         neg_c_bound_p, neg_c_bound_a = -c_bound_p, -c_bound_a
     g1 = scenario.gains_fsm1
     f1_kp, f1_ki, f1_kd = g1.kp, g1.ki, g1.kd
     f1_integral = f1_ki > 0.0
-    f1_relative = f1_ki == 0.0
+    f1_pd = not (f1_kp == 0.0 and f1_kd == 0.0 and f1_integral)
     if f1_integral:
         f1_bound = f1_range / f1_ki
         neg_f1_bound = -f1_bound
     g2 = scenario.gains_fsm2
     f2_kp, f2_ki, f2_kd = g2.kp, g2.ki, g2.kd
     f2_integral = f2_ki > 0.0
-    f2_relative = f2_ki == 0.0
+    f2_pd = not (f2_kp == 0.0 and f2_kd == 0.0 and f2_integral)
     if f2_integral:
         f2_bound = f2_range / f2_ki
         neg_f2_bound = -f2_bound
@@ -350,7 +369,6 @@ def run_apt(
     g_az = g_p = 0.0              # gimbal correction
     g_last_a = g_last_p = 0.0     # gimbal correction one tick earlier
     f1_p = f1_a = f2_p = f2_a = 0.0   # mirror deflections
-    ff_p = ff_a = 0.0             # feedforward command (integrated IMU rate)
     vis_p = vis_a = 0.0           # coarse vision integrators
     i1_p = i1_a = i2_p = i2_a = 0.0   # fine-loop integrators
     pe0_p = pe0_a = 0.0           # previous errors (for D terms)
@@ -367,21 +385,30 @@ def run_apt(
     if state == _LINKED:
         e0_p = e0_a = e1_p = e1_a = e2_p = e2_a = 0.0
 
-    # The loop reads its ten per-tick inputs by iterating memoryviews of the
-    # float64 arrays (each item a Python float, no copy) and writes through
-    # memoryviews of the preallocated outputs, so every operation in the
-    # loop is native float math.
+    # The loop reads its twelve per-tick inputs by iterating memoryviews of
+    # the float64 arrays (each item a Python float, no copy) and writes
+    # through memoryviews of the preallocated outputs, so every operation in
+    # the loop is native float math.
     inputs = zip(*map(memoryview, (
         noise["cmos0"][0], noise["cmos0"][1], noise["cmos1"][0], noise["cmos1"][1],
-        noise["cmos2"][0], noise["cmos2"][1], rate_pitch, rate_az, base_pitch, base_az)))
+        noise["cmos2"][0], noise["cmos2"][1], rate_pitch, rate_az, ff_pitch, ff_az,
+        base_pitch, base_az)))
     (o_state, o_gaz, o_gp, o_f1p, o_f1a, o_f2p, o_f2a, o_l0, o_l1, o_l2) = map(
         memoryview, (out_state, out_gaz, out_gp, out_f1p, out_f1a, out_f2p, out_f2a,
                      out_l0, out_l1, out_l2))
 
+    # The tick decides nothing that is fixed for the run or changes only with
+    # the state: each loop's PID form (`*_pd`) and the feedforward (`ff_*`,
+    # summed above) are hoisted, and the loop flags are looked up when the
+    # state changes.  Each keeps the tick's IEEE operations and their order,
+    # so the series are bit-identical to deciding every tick.
     floor = math.floor
     hypot = math.hypot
     loop_flags = _LOOP_FLAGS
-    f1_active = loop_flags[state][2]  # as of the tick before the first
+    # the loop flags of the state, looked up again when the state changes
+    # (the integrators start at zero, so the first tick needs no reset)
+    flags_state = state
+    _, coarse_active, f1_active, f2_active = loop_flags[state]
     # negated bounds, so the loop compares and clamps without negating
     neg_c0_half_p, neg_c0_half_a = -c0_half_p, -c0_half_a
     neg_c1_half_p, neg_c1_half_a = -c1_half_p, -c1_half_a
@@ -390,7 +417,7 @@ def run_apt(
     neg_g_range_p, neg_g_range_az = -g_range_p, -g_range_az
     neg_f1_range, neg_f2_range = -f1_range, -f2_range
 
-    for i, (n0_p, n0_a, n1_p, n1_a, n2_p, n2_a, imu_rate_p, imu_rate_a,
+    for i, (n0_p, n0_a, n1_p, n1_a, n2_p, n2_a, imu_rate_p, imu_rate_a, ff_p, ff_a,
             base_i_p, base_i_a) in enumerate(inputs):
         if i == handover:
             fine1_on, fine2_on = enable_fine1, enable_fine2
@@ -439,7 +466,17 @@ def run_apt(
             m2_p = m2_a = 0.0
 
         # --- state machine (edges in the module docstring) ---
-        if state == _STABILIZE:
+        # Linked first: most ticks are there, and only lock supervision acts
+        # (lock_loss_frames >= 1, so a tick with every lock never leaves)
+        if state == _LINKED:
+            if valid0 and valid1 and valid2:
+                loss_count = 0
+            else:
+                loss_count += 1
+                if loss_count >= lock_loss_frames:
+                    state = _REACQUIRE
+                    loss_count = dwell_count = 0
+        elif state == _STABILIZE:
             # the gimbal's rate over the last tick against the measured IMU rate
             if (abs((g_p - g_last_p) / dt - imu_rate_p) < stab_thresh
                     and abs((g_az - g_last_a) / dt - imu_rate_a) < stab_thresh):
@@ -455,12 +492,12 @@ def run_apt(
         elif state == _REACQUIRE:
             state = _ACQUIRE
         else:
-            # tracking states: debounced lock supervision first
+            # the other tracking states: debounced lock supervision first
             if state == _COARSE_TRACK:
                 locks_ok = valid0
             elif state == _FINE_TRACK1:
                 locks_ok = valid0 and valid1
-            else:  # FINE_TRACK2, LINKED
+            else:  # FINE_TRACK2
                 locks_ok = valid0 and valid1 and valid2
             loss_count = 0 if locks_ok else loss_count + 1
             if loss_count >= lock_loss_frames:
@@ -479,15 +516,16 @@ def run_apt(
                         state = _LINKED
                 else:
                     dwell_count = 0
-        reset, coarse_active, f1_active, f2_active = loop_flags[state]
-        if reset:
-            vis_p = vis_a = 0.0
-            i1_p = i1_a = i2_p = i2_a = 0.0
+        if state != flags_state:
+            flags_state = state
+            reset, coarse_active, f1_active, f2_active = loop_flags[state]
+            # the resetting states run no loop: a reset on entry leaves the
+            # integrators a reset in every tick would
+            if reset:
+                vis_p = vis_a = 0.0
+                i1_p = i1_a = i2_p = i2_a = 0.0
 
         # --- control: one PID per loop and axis on the measured error ---
-        if enable_feedforward:
-            ff_p += imu_rate_p * dt
-            ff_a += imu_rate_a * dt
         if coarse_active:
             vis_p += m0_p * dt
             vis_a += m0_a * dt
@@ -496,9 +534,12 @@ def run_apt(
                 elif vis_p < neg_c_bound_p: vis_p = neg_c_bound_p
                 if vis_a > c_bound_a: vis_a = c_bound_a
                 elif vis_a < neg_c_bound_a: vis_a = neg_c_bound_a
-            cmd_p = c_kp * m0_p + c_ki * vis_p + c_kd * (m0_p - pe0_p) / dt
-            cmd_a = c_kp * m0_a + c_ki * vis_a + c_kd * (m0_a - pe0_a) / dt
-            pe0_p, pe0_a = m0_p, m0_a
+            cmd_p = c_ki * vis_p
+            cmd_a = c_ki * vis_a
+            if c_pd:
+                cmd_p = c_kp * m0_p + cmd_p + c_kd * (m0_p - pe0_p) / dt
+                cmd_a = c_kp * m0_a + cmd_a + c_kd * (m0_a - pe0_a) / dt
+                pe0_p, pe0_a = m0_p, m0_a
         else:
             cmd_p = cmd_a = 0.0
             pe0_p = pe0_a = 0.0
@@ -533,12 +574,15 @@ def run_apt(
                 elif i1_p < neg_f1_bound: i1_p = neg_f1_bound
                 if i1_a > f1_bound: i1_a = f1_bound
                 elif i1_a < neg_f1_bound: i1_a = neg_f1_bound
-            f1_cmd_p = f1_kp * m1_p + f1_ki * i1_p + f1_kd * (m1_p - pe1_p) / dt
-            f1_cmd_a = f1_kp * m1_a + f1_ki * i1_a + f1_kd * (m1_a - pe1_a) / dt
-            if f1_relative:
-                f1_cmd_p += f1_p
-                f1_cmd_a += f1_a
-            pe1_p, pe1_a = m1_p, m1_a
+            f1_cmd_p = f1_ki * i1_p
+            f1_cmd_a = f1_ki * i1_a
+            if f1_pd:
+                f1_cmd_p = f1_kp * m1_p + f1_cmd_p + f1_kd * (m1_p - pe1_p) / dt
+                f1_cmd_a = f1_kp * m1_a + f1_cmd_a + f1_kd * (m1_a - pe1_a) / dt
+                if not f1_integral:
+                    f1_cmd_p += f1_p
+                    f1_cmd_a += f1_a
+                pe1_p, pe1_a = m1_p, m1_a
         else:
             f1_cmd_p = f1_cmd_a = 0.0
             pe1_p = pe1_a = 0.0
@@ -550,12 +594,15 @@ def run_apt(
                 elif i2_p < neg_f2_bound: i2_p = neg_f2_bound
                 if i2_a > f2_bound: i2_a = f2_bound
                 elif i2_a < neg_f2_bound: i2_a = neg_f2_bound
-            f2_cmd_p = f2_kp * m2_p + f2_ki * i2_p + f2_kd * (m2_p - pe2_p) / dt
-            f2_cmd_a = f2_kp * m2_a + f2_ki * i2_a + f2_kd * (m2_a - pe2_a) / dt
-            if f2_relative:
-                f2_cmd_p += f2_p
-                f2_cmd_a += f2_a
-            pe2_p, pe2_a = m2_p, m2_a
+            f2_cmd_p = f2_ki * i2_p
+            f2_cmd_a = f2_ki * i2_a
+            if f2_pd:
+                f2_cmd_p = f2_kp * m2_p + f2_cmd_p + f2_kd * (m2_p - pe2_p) / dt
+                f2_cmd_a = f2_kp * m2_a + f2_cmd_a + f2_kd * (m2_a - pe2_a) / dt
+                if not f2_integral:
+                    f2_cmd_p += f2_p
+                    f2_cmd_a += f2_a
+                pe2_p, pe2_a = m2_p, m2_a
         else:
             f2_cmd_p = f2_cmd_a = 0.0
             pe2_p = pe2_a = 0.0

@@ -189,20 +189,29 @@ def _check_duration(duration: float) -> None:
     _check_fits("--duration", ticks, f"{TICK_RATE_HZ:g} Hz ticks", _SERIES_BYTES_PER_TICK)
 
 
+def _window_has_tick(t0: float, t1: float) -> bool:
+    """Whether a run of t1 seconds has a tick in its window [t0, t1).
+
+    Raises ValueError when t1 has no finite tick count.
+    """
+    # with t0 < t1, t0 * TICK_RATE_HZ is finite as t1's is
+    if not t0 < t1:
+        return False
+    # ticks sit at k / TICK_RATE_HZ (as in TrackingSeries.t_s); up to rounding,
+    # the first one at or after t0 is floor(t0 * TICK_RATE_HZ) or the next
+    k = max(0, math.floor(t0 * TICK_RATE_HZ))
+    if k / TICK_RATE_HZ < t0:
+        k += 1
+    return k < tick_count(t1) and k / TICK_RATE_HZ < t1
+
+
 def _check_window(flag: str, t0: float, t1: float) -> None:
     """Reject flags whose statistics window [t0, t1) would hold no tick.
 
     t1 must already have passed _check_duration.
     """
-    # with t0 < t1, t0 * TICK_RATE_HZ is finite as t1's is
-    if t0 < t1:
-        # ticks sit at k / TICK_RATE_HZ (as in TrackingSeries.t_s); up to rounding,
-        # the first one at or after t0 is floor(t0 * TICK_RATE_HZ) or the next
-        k = max(0, math.floor(t0 * TICK_RATE_HZ))
-        if k / TICK_RATE_HZ < t0:
-            k += 1
-        if k < tick_count(t1) and k / TICK_RATE_HZ < t1:
-            return
+    if _window_has_tick(t0, t1):
+        return
     raise ValueError(
         f"{flag}: the statistics window [{t0}, {t1}) s holds no "
         f"{TICK_RATE_HZ:g} Hz tick"
@@ -294,10 +303,20 @@ def simulate_run(scenario: Scenario, duration_s: float, seed: int,
                  enable_fine1: bool | None = None,
                  enable_fine2: bool | None = None) -> RunResult:
     """The chain behind `fsosim run` for one seed: `run_apt`, then the loss,
-    throughput and statistics over [stats_warmup_s, duration_s)."""
+    throughput and statistics over [stats_warmup_s, duration_s).
+
+    Raises ValueError, before any tick runs, when that window holds no tick.
+    """
+    t0 = scenario.apt.stats_warmup_s
+    try:
+        has_tick = _window_has_tick(t0, duration_s)
+    except ValueError as exc:
+        raise ValueError(f"duration_s: {exc}") from None
+    if not has_tick:
+        raise ValueError(f"duration_s {duration_s} s leaves no {TICK_RATE_HZ:g} Hz tick "
+                         f"after the scenario's stats_warmup_s ({t0} s)")
     series = run_apt(scenario, duration_s, seed,
                      enable_fine1=enable_fine1, enable_fine2=enable_fine2)
-    t0 = scenario.apt.stats_warmup_s
     loss = loss_timeseries(series.window(t0, duration_s), scenario)
     # statistics are taken over CSV-precision values, those loss.csv holds
     loss = LossSeries(t_s=loss.t_s, loss_db=_roundtrip(loss.loss_db), link_up=loss.link_up)

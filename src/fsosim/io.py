@@ -41,6 +41,12 @@ _BLOCK_ROWS = 4096
 # the cells of a block of rows (a slice), column by column
 _Cells = Callable[[slice], Sequence]
 
+# values _through_csv rounds together, and the powers of ten it scales by:
+# float(10**k) is exact up to 10**22 (5**22 < 2**53)
+_ROUND_BLOCK = 8192
+_MAX_EXACT_POW10 = 22
+_POW10 = np.array([float(10**k) for k in range(_MAX_EXACT_POW10 + 1)])
+
 _STATE_NAME_OF = np.array([STATE_NAMES[s] for s in range(len(STATE_NAMES))], dtype=object)
 # one character wider than any name, so that a longer cell is never cut to a valid name
 _STATE_FIELD = f"U{max(map(len, NAME_TO_STATE)) + 1}"
@@ -66,12 +72,38 @@ def _csv_blocks(row: str, n: int, cells: _Cells) -> Iterator[str]:
 
 
 def _through_csv(values: np.ndarray) -> np.ndarray:
-    """Each value as it reads back from a CSV number cell: float('%.6g' % v)."""
-    blocks = _csv_blocks("%.6g\n", len(values), lambda b: [values[b]])
-    return np.fromiter(
-        chain.from_iterable(map(float, text.splitlines()) for text in blocks),
-        dtype=float, count=len(values),
-    )
+    """Each value as it reads back from a CSV number cell: float('%.6g' % v).
+
+    Rounds in numpy, _ROUND_BLOCK values at a time.  With e = floor(log10|v|)
+    and k = 5 - e, '%.6g' prints the six-digit integer r = round(|v| * 10**k)
+    and float() reads back r / 10**k, correctly rounded.  For |k| <= 22, r
+    and 10**|k| are exact floats, so one IEEE division (or product) gives
+    that same float.  Only q = |v| * 10**k is inexact, by less than 2**-33,
+    so rint(q) is r unless q is within 1e-9 of a tie.  Those values, values
+    whose q is not a six-digit mantissa (a carry to seven digits or a
+    misjudged exponent), NaN and |k| > 22 go through '%.6g' one by one;
+    zeros and infinities read back as themselves.
+    """
+    out = np.empty(len(values))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log10(0); inf - inf
+        for lo in range(0, len(values), _ROUND_BLOCK):
+            v = values[lo:lo + _ROUND_BLOCK]
+            a = np.abs(v)
+            k = 5.0 - np.floor(np.log10(a))
+            exact = np.abs(k) <= _MAX_EXACT_POW10  # False for zero, inf and NaN
+            k = np.where(exact, k, 0.0).astype(np.intp)
+            up = k >= 0
+            scale = _POW10[np.abs(k)]
+            q = np.where(up, a * scale, a / scale)
+            r = np.rint(q)
+            exact &= (q > 1e5 + 0.5) & (q < 1e6 - 0.5) & (np.abs(q - r) < 0.5 - 1e-9)
+            block = np.copysign(np.where(up, r / scale, r * scale), v)
+            same = (a == 0.0) | (a == np.inf)
+            block[same] = v[same]
+            for i in np.flatnonzero(~(exact | same)):
+                block[i] = float("%.6g" % v[i])
+            out[lo:lo + len(v)] = block
+    return out
 
 
 def _write_rows(fh: TextIO, header: str, row: str, n: int, cells: _Cells) -> None:

@@ -58,23 +58,24 @@ MIRROR_LOOPS = {
 STAGE_AXES = [(stage, axis) for stage in MIRROR_LOOPS for axis in ("pitch", "azimuth")]
 
 
-def mirror_run(stage, **overrides):
+def mirror_run(stage, pitch_urad=200.0, **overrides):
     """2 s from Linked in which only `stage`'s mirror loop moves its mirror.
 
-    Noise-free defaults with 2 Hz (pitch) and 3 Hz (azimuth) 200 urad
-    sinusoids.  With the IMU feedforward off they reach the fine cameras
-    almost unreduced, so the mirror sees a residual swinging both ways.
-    The other mirror has no gains and stays at 0, so the run's residual
-    `error_*` is the error `stage`'s camera reads one tick later.  No
-    acquisition bias: started in Linked, the loop holds every lock.
-    `overrides` are control.<stage>.* and <stage>.* keys without the prefix.
+    Noise-free defaults with a 2 Hz `pitch_urad` (pitch) and a 3 Hz 200 urad
+    (azimuth) sinusoid.  With the IMU feedforward off they reach the fine
+    cameras almost unreduced, so the mirror sees a residual swinging both
+    ways.  The other mirror has no gains and stays at 0, so the run's
+    residual `error_*` is the error `stage`'s camera reads one tick later.
+    No acquisition bias: started in Linked, the loop holds every lock at the
+    default 200 urad swing.  `overrides` are control.<stage>.* and <stage>.*
+    keys without the prefix.
     """
     other = "fsm1" if stage == "fsm2" else "fsm2"
     raw = zero_noise_overrides()
     raw.update({
         "apt.acquisition_bias_urad": 0.0,
         f"control.{other}.ki": 0.0,
-        "disturbance.pitch.sinusoids": sinusoid(200.0, 2.0),
+        "disturbance.pitch.sinusoids": sinusoid(pitch_urad, 2.0),
         "disturbance.azimuth.sinusoids": sinusoid(200.0, 3.0),
     })
     for key, value in overrides.items():
@@ -82,7 +83,6 @@ def mirror_run(stage, **overrides):
     sc = make_scenario(**raw)
     series = run_apt(sc, 2.0, seed=0, initial_state=AptState.LINKED,
                      enable_feedforward=False)
-    assert (series.state == int(AptState.LINKED)).all()
     assert not getattr(series, f"{other}_pitch_rad").any()
     assert not getattr(series, f"{other}_azimuth_rad").any()
     return sc, series
@@ -154,6 +154,7 @@ class TestPidStep:
         out = []
         for stage in MIRROR_LOOPS:
             sc, series = mirror_run(stage, **overrides)
+            assert (series.state == int(AptState.LINKED)).all()
             for axis in ("pitch", "azimuth"):
                 replay = replay_mirror(sc, series, stage, axis)
                 assert np.array_equal(getattr(series, f"{stage}_{axis}_rad"), replay[0]), (
@@ -197,6 +198,37 @@ class TestPidStep:
         for _, _, (deflection, _, reading, _) in self.replays(ki=0.0, kp=0.5):
             assert (reading > 0.0).any() and (reading < 0.0).any()
             assert deflection.any()
+
+    def test_all_three_terms_with_anti_windup(self):
+        # kp, ki and kd all nonzero take the general PID expression; the
+        # 20 urad mirror still winds the integrator up to both bounds
+        for gains, limit, (_, integrator, reading, derivative) in self.replays(
+                kp=0.2, ki=67.0, kd=2e-5, range_urad=20.0):
+            assert gains.kp > 0.0 and gains.ki > 0.0 and gains.kd > 0.0
+            bound = limit / gains.ki
+            assert integrator.min() == -bound and integrator.max() == bound
+            steps = np.diff(reading, prepend=0.0) != 0.0
+            assert steps.any() and (derivative[steps] != 0.0).all()
+
+    def test_reacquisition_resets_the_integrator(self):
+        # a 2 Hz, 1 mrad pitch swing outruns the loops: from Linked the run
+        # loses its locks, passes Reacquire and Acquire and locks again, more
+        # than once.  The replay zeroes the integrator in every tick of those
+        # states; the run zeroes it once, on entry.
+        active = {stage: loop[2] for stage, loop in MIRROR_LOOPS.items()}
+        for stage in MIRROR_LOOPS:
+            sc, series = mirror_run(stage, pitch_urad=1000.0)
+            state = series.state
+            lost = np.flatnonzero(state == int(AptState.REACQUIRE))
+            assert len(lost) >= 2
+            assert (state[lost + 1] == int(AptState.ACQUIRE)).all()
+            assert np.isin(state[lost[0] + 2:lost[1]], active[stage]).any()
+            for axis in ("pitch", "azimuth"):
+                deflection, integrator, _, _ = replay_mirror(sc, series, stage, axis)
+                assert np.array_equal(getattr(series, f"{stage}_{axis}_rad"), deflection), (
+                    stage, axis)
+                assert (integrator[lost - 1] != 0.0).all()
+                assert not integrator[np.isin(state, RESET_STATES)].any()
 
 
 class TestComponentRng:

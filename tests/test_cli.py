@@ -1,7 +1,10 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fsosim.cli
 import fsosim.optics
 from fsosim import default_scenario, downtime_fraction, loss_statistics, summarize
 from fsosim.cli import main, simulate_run
@@ -314,9 +318,39 @@ class TestRun:
         err = capsys.readouterr().err
         assert "--duration" in err and "selects no samples" not in err
 
+    @pytest.mark.parametrize("duration, reason", [
+        (5.0, "stats_warmup_s"), (10.0, "stats_warmup_s"), (10.0005, "stats_warmup_s"),
+        (math.nan, "stats_warmup_s"), (math.inf, "finite tick count"),
+        (1e306, "finite tick count"),
+    ])
+    def test_simulate_run_checks_its_window_before_the_loop(self, duration, reason,
+                                                            monkeypatch):
+        # the default scenario's 10 s warmup leaves these runs no window tick:
+        # the error names duration_s and why, and no tick is simulated first
+        def no_loop(*args, **kwargs):
+            raise AssertionError("run_apt ran")
+
+        monkeypatch.setattr(fsosim.cli, "run_apt", no_loop)
+        with pytest.raises(ValueError, match=f"^duration_s.*{reason}"):
+            simulate_run(default_scenario(), duration, 1)
+
     @pytest.mark.parametrize("bad", ["x..y", "5..3", "0..20000", "3..", "..5"])
     def test_bad_seed_ranges(self, bad, capsys):
         assert run_cli("run", "--duration", "11", "--seeds", bad) == 1
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script", ["reproduce_results.py", "tune_defaults.py"])
+    def test_duration_inside_the_warmup_exits_1_with_one_line(self, script):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, str(root / "scripts" / script), "--duration", "5"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"{script}: duration_s 5.0 s ")
+        assert done.stderr.count("\n") == 1 and "stats_warmup_s" in done.stderr
 
 
 class TestCalibrate:

@@ -173,7 +173,8 @@ class TestCanonicalJson:
 # block-wise writers and readers against the per-cell definitions
 
 BLOCK = fsio._BLOCK_ROWS
-ROW_COUNTS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1]
+ROUND_BLOCK = fsio._ROUND_BLOCK
+ROW_COUNTS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1]
 SPECIAL = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
            2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, -1e-300]
 
@@ -304,6 +305,20 @@ def check_writers_and_readers(values, tmp_path):
     assert np.array_equal(bits(read_sweep_csv(p)).ravel(), bits(parsed))
 
 
+# values at the edges of the numpy rounding in fsio._through_csv
+ROUNDTRIP_EDGES = {
+    "sixth_digit_ties": [1.0000005, 1.000005, 123456.5, 0.1234565, 2.500005e-3,
+                         1234565.0, 8.888885e10, 4.5e-5, 314159.5],
+    "below_powers_of_ten": [9.999995, 99999.95, 999999.5, 9.9999949, 0.09999995,
+                            9.999995e19, 1e5, 1e6, 1.0, 10.0, 100.0],
+    "power_of_ten_range": [*(10.0**k for k in range(-19, 30)),
+                           *(1.234567 * 10.0**k for k in range(-19, 30)),
+                           9.99999e-18, 1.00001e-17, 1.5e-17, 9.5e22, 1.1e23, 4.4e27, 6e28],
+    "subnormals": [5e-324, 1e-323, 2.2250738585072014e-308 / 3, 1e-310,
+                   2.225073858507201e-308],
+}
+
+
 def check_roundtrip(values):
     expected = [float(format_sig(v)) for v in values.tolist()]
     assert np.array_equal(bits(_roundtrip(values)), bits(expected))
@@ -325,6 +340,16 @@ class TestBlockFormatting:
         values = sample_values(n, seed=n)
         check_writers_and_readers(values, tmp_path)
         check_roundtrip(values)
+
+    @pytest.mark.parametrize("kind", sorted(ROUNDTRIP_EDGES))
+    def test_roundtrip_edge_cases(self, kind):
+        # each value, its nextafter neighbours and their negations: ties in
+        # the sixth digit and carries to a seventh take the '%.6g' fallback,
+        # and so do magnitudes whose power of ten is not an exact float
+        values = np.array(ROUNDTRIP_EDGES[kind], dtype=float)
+        values = np.concatenate([values, np.nextafter(values, -np.inf),
+                                 np.nextafter(values, np.inf)])
+        check_roundtrip(np.concatenate([values, -values]))
 
 
 # ---------------------------------------------------------------------------
