@@ -2,9 +2,9 @@
 
 Every artifact that `fsosim track --out` and `fsosim run --seeds 1..3 --out`
 write for the four scenarios under `scenarios/` (20 simulated seconds each)
-is pinned here, and so are `budget --out` for each scenario and
-`sweep --out` and the CSV that `sweep` prints without `--out` (5000 rows,
-more than one block of the CSV writer).  A refactor of the simulation loop,
+is pinned here, and so are `budget --out` and `calibrate --out` for each
+scenario and `sweep --out` and the CSV that `sweep` prints without `--out`
+(5000 rows, more than one block of the CSV writer).  A refactor of the simulation loop,
 the link model or the writers must leave every digest unchanged.  If a digest changes on purpose,
 regenerate the table with
 
@@ -56,7 +56,16 @@ CASES = {
     "budget-bench_direct": _static_argv("budget", "bench_direct"),
     "sweep-1km_default": _static_argv("sweep", "1km_default", *SWEEP_FLAGS),
     "sweep-4km_fog": _static_argv("sweep", "4km_fog", *SWEEP_FLAGS),
+    "calibrate-1km_default": _static_argv("calibrate", "1km_default", "--seed", "7"),
+    "calibrate-1km_coarse_only": _static_argv("calibrate", "1km_coarse_only", "--seed", "7"),
+    "calibrate-4km_fog": _static_argv("calibrate", "4km_fog", "--seed", "7"),
+    "calibrate-bench_direct": _static_argv("calibrate", "bench_direct", "--seed", "7"),
 }
+
+# the exit status of each case that does not exit 0: in fog the default
+# anchors cannot all be met (exit 2, not converged), and the report is
+# still written
+EXIT_STATUS = {"calibrate-4km_fog": 2}
 
 # cases whose artifact is what the verb prints when run without --out
 STDOUT_CASES = {
@@ -80,6 +89,22 @@ GOLDEN = {
     'budget-bench_direct': {
         'budget.json':
             '4644965531902603bc2af00f4555cabcd078cfce9c907fd8c4c00ac7b0f3a4e1',
+    },
+    'calibrate-1km_coarse_only': {
+        'calibration.json':
+            '097062143996f948810b21fc589374e881d855c42f72ca80a49eb8a1779f4def',
+    },
+    'calibrate-1km_default': {
+        'calibration.json':
+            '03d18da4001bd0b0bc380d7129ab9a873d870052fb346122f7666879e4c74069',
+    },
+    'calibrate-4km_fog': {
+        'calibration.json':
+            'e92077082ccf11a1c64120696fa7f673146304c15d72d5200b856105d65cce7f',
+    },
+    'calibrate-bench_direct': {
+        'calibration.json':
+            'faa146a45f073eee25a8e27c90d084dcbf18de2a8dc35b4cd099841d2818f5db',
     },
     'run-1km_coarse_only': {
         'loss_1.csv':
@@ -206,9 +231,10 @@ GOLDEN = {
 }
 
 
-def artifact_digests(argv, out: Path) -> dict:
-    """Run one CLI case into `out`; SHA-256 of each file it wrote."""
-    assert main([*argv, "--out", str(out)]) == 0
+def artifact_digests(argv, out: Path, status: int = 0) -> dict:
+    """Run one CLI case into `out`, expecting exit `status`; SHA-256 of
+    each file it wrote."""
+    assert main([*argv, "--out", str(out)]) == status
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
@@ -226,7 +252,7 @@ def stdout_digest(argv) -> dict:
 def case_digests(case, out: Path) -> dict:
     if case in STDOUT_CASES:
         return stdout_digest(STDOUT_CASES[case])
-    return artifact_digests(CASES[case], out)
+    return artifact_digests(CASES[case], out, EXIT_STATUS.get(case, 0))
 
 
 @pytest.mark.parametrize("case", sorted({**CASES, **STDOUT_CASES}))
