@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fsosim import atmospheric_loss_db, link_budget, load_scenario, run_apt, tracking_stats
+from fsosim import link_budget, load_scenario, run_apt, tracking_stats
 from fsosim.cli import simulate_run
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -67,8 +67,7 @@ def main() -> int:
     bench = load_scenario(SCENARIOS / "bench_direct.json")
     print(f"seed {seed}, {dur:g} s runs")
 
-    b10 = link_budget(one_km.beam, one_km.antenna, one_km.atmosphere, one_km.coupling, 10_000.0)
-    row("static_10km_db", b10.diffraction_db + b10.optics_db + b10.atmosphere_db)
+    row("static_10km_db", link_budget(one_km, 10_000.0).static_db)
 
     coarse = simulate_run(one_km, dur, seed, enable_fine1=False, enable_fine2=False).tracking
     row("coarse_radial_mean_urad", coarse.radial_mean_rad * UR)
@@ -93,7 +92,7 @@ def main() -> int:
     fog_loss = simulate_run(fog, dur, seed).loss_stats
     row("fog_loss_mean_db", fog_loss.mean)
     row("fog_loss_std_db", fog_loss.std)
-    row("fog_atmosphere_db", atmospheric_loss_db(fog.atmosphere, fog.distance_m))
+    row("fog_atmosphere_db", link_budget(fog, fog.distance_m).atmosphere_db)
 
     print(f"{len(REFERENCE) - len(failed)}/{len(REFERENCE)} reference rows PASS"
           + (f"; FAIL: {', '.join(failed)}" if failed else ""))

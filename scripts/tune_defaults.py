@@ -82,6 +82,8 @@ def main() -> None:
     ap.add_argument("--seeds", type=int, default=3)
     ap.add_argument("--duration", type=float, default=70.0)
     args = ap.parse_args()
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
 
     scenario = build_scenario(args)
     seeds = list(range(1, args.seeds + 1))
@@ -93,9 +95,7 @@ def main() -> None:
     full = describe("full", stage_stats(scenario, True, True, seeds, args.duration))
 
     # implied coupling parameters for the 1-km loss targets
-    budget0 = link_budget(scenario.beam, scenario.antenna, scenario.atmosphere,
-                          scenario.coupling, 1000.0, 0.0)
-    static_1km = budget0.diffraction_db + budget0.optics_db + budget0.atmosphere_db
+    static_1km = link_budget(scenario, 1000.0).static_db
     theta2 = args.theta_c**2
     e_r2_full = float(np.mean([r[3] for r in full]))
     e_r2_f1 = float(np.mean([r[3] for r in fine1]))

@@ -20,7 +20,7 @@ residuals above tolerance; that is reported, never raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,14 +68,6 @@ class CalibrationResult:
         }
 
 
-def _static_total_db(scenario: Scenario, insertion_db: float, distance_m: float) -> float:
-    """Diffraction + insertion (both terminals) + atmosphere at one distance."""
-    diffraction = optics.diffraction_loss_db(scenario.beam, scenario.antenna, distance_m)
-    return diffraction + 2.0 * insertion_db + optics.atmospheric_loss_db(
-        scenario.atmosphere, distance_m
-    )
-
-
 def _finite_db(compute, message: str) -> float:
     """compute(), a loss in dB; ValueError(message) if it overflows."""
     try:
@@ -111,19 +103,22 @@ def calibrate_coupling(
     residuals: dict[str, float] = {}
     converged = True
 
+    def static_db(insertion_db: float, distance_m: float) -> float:
+        # a Python float: numpy floats warn when the residuals below overflow
+        antenna = replace(scenario.antenna, insertion_loss_db=insertion_db)
+        return float(optics.link_budget(replace(scenario, antenna=antenna), distance_m).static_db)
+
     # 1. insertion loss from the static anchor
     insertion = scenario.antenna.insertion_loss_db
     if static_total_db is not None:
         bare = _finite_db(
-            lambda: _static_total_db(scenario, 0.0, static_distance_m),
+            lambda: static_db(0.0, static_distance_m),
             f"static_distance_m: {static_distance_m:g} m is beyond the range of the beam model")
         insertion = 0.5 * (static_total_db - bare)
         if insertion < 0.0:
             insertion = 0.0
             converged = False
-        residuals["static_total_db"] = (
-            _static_total_db(scenario, insertion, static_distance_m) - static_total_db
-        )
+        residuals["static_total_db"] = static_db(insertion, static_distance_m) - static_total_db
 
     # fixed Monte Carlo unit draws, shared by every anchor evaluation so the
     # bisection objective is smooth and the result is seed-deterministic
@@ -142,7 +137,7 @@ def calibrate_coupling(
     statics = {}
     for i, anchor in enumerate(anchors):
         statics[anchor] = _finite_db(
-            lambda: _static_total_db(scenario, insertion, anchor.distance_m),
+            lambda: static_db(insertion, anchor.distance_m),
             f"anchor {i}: distance_m {anchor.distance_m:g} is beyond the range of the beam model")
         _finite_db(lambda: mean_excess_db(anchor.sigma_rad, narrowest),
                    f"anchor {i}: sigma_urad {anchor.sigma_rad * 1e6:g} puts the mean jitter "

@@ -158,9 +158,9 @@ _SERIES_BYTES_PER_TICK = 9 * 8 + 4
 # bytes per Monte Carlo sample of calibrate_coupling: two float64 draws and
 # their sum are alive at once
 _CALIBRATE_BYTES_PER_SAMPLE = 3 * 8
-# bytes per row of the list distance_sweep builds (three floats in a tuple):
-# 1e6 rows peaked about 180 MB above 1e5 rows
-_SWEEP_BYTES_PER_STEP = 200
+# bytes per sweep row: under tracemalloc, distance_sweep and the CSV writer
+# peaked 50.4 MB higher on 1e6 rows than on 1e5 rows
+_SWEEP_BYTES_PER_STEP = 56
 
 
 def _physical_memory() -> int:
@@ -305,7 +305,8 @@ def simulate_run(scenario: Scenario, duration_s: float, seed: int,
     """The chain behind `fsosim run` for one seed: `run_apt`, then the loss,
     throughput and statistics over [stats_warmup_s, duration_s).
 
-    Raises ValueError, before any tick runs, when that window holds no tick.
+    Raises ValueError, before any tick runs, when that window holds no tick
+    or the run's series would not fit in memory.
     """
     t0 = scenario.apt.stats_warmup_s
     try:
@@ -315,6 +316,8 @@ def simulate_run(scenario: Scenario, duration_s: float, seed: int,
     if not has_tick:
         raise ValueError(f"duration_s {duration_s} s leaves no {TICK_RATE_HZ:g} Hz tick "
                          f"after the scenario's stats_warmup_s ({t0} s)")
+    _check_fits("duration_s", tick_count(duration_s), f"{TICK_RATE_HZ:g} Hz ticks",
+                _SERIES_BYTES_PER_TICK)
     series = run_apt(scenario, duration_s, seed,
                      enable_fine1=enable_fine1, enable_fine2=enable_fine2)
     loss = loss_timeseries(series.window(t0, duration_s), scenario)
@@ -346,8 +349,7 @@ def cmd_budget(args) -> int:
         raise ValueError("--error-urad must be >= 0 and finite")
     error_rad = args.error_urad * 1e-6
     try:
-        budget = link_budget(scenario.beam, scenario.antenna, scenario.atmosphere,
-                             scenario.coupling, distance, error_rad)
+        budget = link_budget(scenario, distance, error_rad)
     except OverflowError:
         source = "--distance-m" if args.distance_m is not None else "the scenario's node distance"
         raise ValueError(f"{source} {distance} is too large for the beam model") from None
@@ -384,16 +386,14 @@ def cmd_sweep(args) -> int:
         raise ValueError("--steps must be >= 2")
     _check_fits("--steps", args.steps, "rows", _SWEEP_BYTES_PER_STEP)
     try:
-        rows = distance_sweep(scenario.beam, scenario.antenna, scenario.atmosphere,
-                              scenario.coupling, args.min_km * 1000.0, args.max_km * 1000.0,
-                              args.steps)
+        table = distance_sweep(scenario, args.min_km * 1000.0, args.max_km * 1000.0, args.steps)
     except OverflowError:
         raise ValueError(f"--max-km {args.max_km} is too large for the beam model") from None
     out = _out_dir(args)
     if out is None:
-        fsio._write_sweep(sys.stdout, rows)
+        fsio._write_sweep(sys.stdout, table)
     else:
-        fsio.write_sweep_csv(out / "sweep.csv", rows)
+        fsio.write_sweep_csv(out / "sweep.csv", table)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ import json
 import warnings
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -178,20 +178,20 @@ def _data_line(path: str | Path, index: int) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 # distance sweep
 
-def _write_sweep(fh: TextIO, rows: Iterable[tuple[float, float, float]]) -> None:
-    rows = list(rows)
-    table = np.array(rows, dtype=float).reshape(len(rows), 3)
+def _write_sweep(fh: TextIO, table: np.ndarray) -> None:
     _write_rows(fh, SWEEP_HEADER, _SWEEP_ROW, len(table), lambda b: table[b].T)
 
 
-def write_sweep_csv(path: str | Path, rows: Iterable[tuple[float, float, float]]) -> None:
+def write_sweep_csv(path: str | Path, table: np.ndarray) -> None:
+    """Write a (rows, 3) array of distance_sweep rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_sweep(fh, rows)
+        _write_sweep(fh, table)
 
 
-def read_sweep_csv(path: str | Path) -> list[tuple[float, float, float]]:
+def read_sweep_csv(path: str | Path) -> np.ndarray:
+    """The (rows, 3) array of a sweep CSV."""
     fields = [(name, "f8") for name in SWEEP_HEADER.split(",")]
-    return _read_csv(path, SWEEP_HEADER, fields).tolist()
+    return _read_csv(path, SWEEP_HEADER, fields).view(np.float64).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -84,10 +84,8 @@ def loss_timeseries(tracking: "TrackingSeries", scenario: "Scenario") -> LossSer
     in_lock = np.isin(tracking.state, [int(s) for s in LOCK_STATES])
     radial = np.hypot(tracking.error_pitch_rad, tracking.error_azimuth_rad)
     if scenario.fixed_loss_db is None:
-        cm = scenario.coupling
-        static = optics.link_budget(scenario.beam, scenario.antenna, scenario.atmosphere,
-                                    cm, scenario.distance_m, 0.0).total_db
-        scale = optics.DB_PER_NEPER / cm.rolloff_halfwidth_rad**2
+        static = optics.link_budget(scenario, scenario.distance_m).total_db
+        scale = optics.DB_PER_NEPER / scenario.coupling.rolloff_halfwidth_rad**2
         loss = static + scale * radial * radial
     else:
         loss = np.full(radial.shape, float(scenario.fixed_loss_db))

@@ -14,6 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+if TYPE_CHECKING:  # scenario imports this module
+    from .scenario import Scenario
 
 # exact conversion from base-e extinction to dB
 DB_PER_NEPER = 10.0 / math.log(10.0)
@@ -106,14 +112,24 @@ class CouplingModel:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Additive dB budget; total_db is the exact sum of the five terms."""
+    """Additive dB budget at one distance or an array of them; the terms that
+    depend on distance have its shape (a numpy float for one distance)."""
 
-    diffraction_db: float
+    diffraction_db: float | np.ndarray
     optics_db: float
-    atmosphere_db: float
+    atmosphere_db: float | np.ndarray
     coupling_base_db: float
     jitter_excess_db: float
-    total_db: float
+
+    @property
+    def static_db(self) -> float | np.ndarray:
+        """The propagation-path loss: diffraction plus optics insertion plus atmosphere."""
+        return self.diffraction_db + self.optics_db + self.atmosphere_db
+
+    @property
+    def total_db(self) -> float | np.ndarray:
+        """The exact sum of the five terms, left to right."""
+        return self.static_db + self.coupling_base_db + self.jitter_excess_db
 
 
 def beam_radius_m(beam: BeamModel, distance_m: float) -> float:
@@ -161,15 +177,16 @@ def kim_size_exponent(visibility_m: float) -> float:
     return 0.0
 
 
-def atmospheric_loss_db(atm: AtmosphereModel, distance_m: float) -> float:
-    """Kim-model extinction over the path, in dB.
+def atmospheric_loss_db(atm: AtmosphereModel,
+                        distance_m: float | np.ndarray) -> float | np.ndarray:
+    """Kim-model extinction over the path (one distance or an array), in dB.
 
     beta = (3.912 / V_km) (lambda_nm / 550)^-q  [1/km], loss = 4.343 beta d.
     """
-    if distance_m < 0.0:
+    if np.any(distance_m < 0.0):
         raise ValueError("distance_m must be >= 0")
     if math.isinf(atm.visibility_m):
-        return 0.0
+        return 0.0 * distance_m
     v_km = atm.visibility_m / 1000.0
     lam_nm = atm.wavelength_m * 1e9
     q = kim_size_exponent(atm.visibility_m)
@@ -193,55 +210,43 @@ def jitter_excess_db(cm: CouplingModel, radial_error_rad: float) -> float:
     return coupling_loss_db(cm, radial_error_rad) - cm.base_coupling_loss_db
 
 
-def link_budget(
-    beam: BeamModel,
-    antenna: AntennaSpec,
-    atm: AtmosphereModel,
-    cm: CouplingModel,
-    distance_m: float,
-    radial_error_rad: float = 0.0,
-) -> LinkBudget:
-    """Full additive budget at one distance and instantaneous pointing error."""
-    diffraction = diffraction_loss_db(beam, antenna, distance_m)
-    optics = 2.0 * antenna.insertion_loss_db  # both terminals carry `antenna`
-    atmosphere = atmospheric_loss_db(atm, distance_m)
-    excess = jitter_excess_db(cm, radial_error_rad)
-    total = diffraction + optics + atmosphere + cm.base_coupling_loss_db + excess
+def link_budget(scenario: "Scenario", distance_m: float | np.ndarray,
+                radial_error_rad: float = 0.0) -> LinkBudget:
+    """Full additive budget of `scenario` at a distance, or at each of an
+    array of distances, and one instantaneous pointing error.
+
+    The diffraction term is diffraction_loss_db's, element by element, so
+    it has the bits of libm's exp and log10; the other terms and the sums
+    are + - * / and round as they would on Python floats.  Raises
+    OverflowError if any distance is beyond the range of the beam model.
+    """
+    distances = np.asarray(distance_m, dtype=float)
+    diffraction = np.fromiter((diffraction_loss_db(scenario.beam, scenario.antenna, d)
+                               for d in distances.ravel().tolist()), float, distances.size)
     return LinkBudget(
-        diffraction_db=diffraction,
-        optics_db=optics,
-        atmosphere_db=atmosphere,
-        coupling_base_db=cm.base_coupling_loss_db,
-        jitter_excess_db=excess,
-        total_db=total,
+        diffraction_db=diffraction.reshape(distances.shape)[()],  # [()]: 0-d to a numpy float
+        optics_db=2.0 * scenario.antenna.insertion_loss_db,  # both terminals carry `antenna`
+        atmosphere_db=atmospheric_loss_db(scenario.atmosphere, distances),
+        coupling_base_db=scenario.coupling.base_coupling_loss_db,
+        jitter_excess_db=jitter_excess_db(scenario.coupling, radial_error_rad),
     )
 
 
-def distance_sweep(
-    beam: BeamModel,
-    antenna: AntennaSpec,
-    atm: AtmosphereModel,
-    cm: CouplingModel,
-    d_min_m: float,
-    d_max_m: float,
-    steps: int,
-) -> list[tuple[float, float, float]]:
-    """Sampled (distance_m, diffraction_db, total_static_db) rows.
+def distance_sweep(scenario: "Scenario", d_min_m: float, d_max_m: float,
+                   steps: int) -> np.ndarray:
+    """A (steps, 3) array of rows (distance_m, diffraction_db, total_static_db).
 
-    total_static_db is the propagation-path loss: diffraction plus optics
-    insertion plus atmosphere.  Receiver-side fiber-coupling terms and the
-    pointing-jitter excess are excluded; they do not depend on distance.
-    Distances are linearly spaced, endpoints included.
+    total_static_db is the budget's static_db, the propagation-path loss.
+    Receiver-side fiber-coupling terms and the pointing-jitter excess are
+    excluded; they do not depend on distance.  Distances are linearly
+    spaced, endpoints included.  Raises OverflowError if d_max_m is beyond
+    the range of the beam model.
     """
     if not (0.0 < d_min_m <= d_max_m):
         raise ValueError("require 0 < d_min_m <= d_max_m")
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    rows = []
-    span = d_max_m - d_min_m
-    for i in range(steps):
-        d = d_min_m + span * i / (steps - 1)
-        budget = link_budget(beam, antenna, atm, cm, d, 0.0)
-        static = budget.diffraction_db + budget.optics_db + budget.atmosphere_db
-        rows.append((d, budget.diffraction_db, static))
-    return rows
+    with np.errstate(over="ignore"):  # an infinite distance raises OverflowError below
+        distances = d_min_m + (d_max_m - d_min_m) * np.arange(steps) / (steps - 1)
+    budget = link_budget(scenario, distances)
+    return np.column_stack((distances, budget.diffraction_db, budget.static_db))

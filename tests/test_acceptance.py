@@ -111,8 +111,7 @@ def fine1_run(default_1km, timings):
 class TestCalibratedReproduction:
     def test_static_budget_sweep(self, default_1km, capsys):
         sc = default_1km
-        rows = distance_sweep(sc.beam, sc.antenna, sc.atmosphere, sc.coupling,
-                              100.0, 10_000.0, 100)
+        rows = distance_sweep(sc, 100.0, 10_000.0, 100)
         totals = [total for _, _, total in rows]
         at_10km = totals[-1]
         monotone = all(b >= a for a, b in zip(totals, totals[1:]))

@@ -118,7 +118,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("steps", [10**15, 10**400])
     def test_steps_beyond_memory_rejected_by_name(self, steps, monkeypatch, capsys):
-        # 10**15 rows would need some 200 PB: the count is refused before
+        # 10**15 rows would need some 56 PB: the count is refused before
         # distance_sweep builds a single row
         def no_sweep(*args):
             raise AssertionError("distance_sweep ran")
@@ -321,12 +321,13 @@ class TestRun:
     @pytest.mark.parametrize("duration, reason", [
         (5.0, "stats_warmup_s"), (10.0, "stats_warmup_s"), (10.0005, "stats_warmup_s"),
         (math.nan, "stats_warmup_s"), (math.inf, "finite tick count"),
-        (1e306, "finite tick count"),
+        (1e306, "finite tick count"), (1e12, "bytes of memory"),
     ])
     def test_simulate_run_checks_its_window_before_the_loop(self, duration, reason,
                                                             monkeypatch):
-        # the default scenario's 10 s warmup leaves these runs no window tick:
-        # the error names duration_s and why, and no tick is simulated first
+        # the default scenario's 10 s warmup leaves these runs no window tick,
+        # and 1e15 ticks do not fit in memory: the error names duration_s and
+        # why, and no tick is simulated first
         def no_loop(*args, **kwargs):
             raise AssertionError("run_apt ran")
 
@@ -339,18 +340,35 @@ class TestRun:
         assert run_cli("run", "--duration", "11", "--seeds", bad) == 1
 
 
+def run_script(script, *flags):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(root / "scripts" / script), *flags],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 class TestScripts:
     @pytest.mark.parametrize("script", ["reproduce_results.py", "tune_defaults.py"])
     def test_duration_inside_the_warmup_exits_1_with_one_line(self, script):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
-                                                          env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, str(root / "scripts" / script), "--duration", "5"],
-                              capture_output=True, text=True, env=env, timeout=300)
+        done = run_script(script, "--duration", "5")
         assert done.returncode == 1
         assert done.stderr.startswith(f"{script}: duration_s 5.0 s ")
         assert done.stderr.count("\n") == 1 and "stats_warmup_s" in done.stderr
+
+    def test_duration_beyond_memory_exits_1_with_one_line(self):
+        # 1e15 ticks: refused by name before the run allocates its series
+        done = run_script("reproduce_results.py", "--duration", "1e12")
+        assert done.returncode == 1
+        assert done.stderr.startswith("reproduce_results.py: duration_s: ")
+        assert done.stderr.count("\n") == 1 and "memory" in done.stderr
+
+    def test_no_seeds_exits_1_with_one_line(self):
+        done = run_script("tune_defaults.py", "--seeds", "0", "--duration", "12")
+        assert done.returncode == 1
+        assert done.stderr == "tune_defaults.py: --seeds must be >= 1\n"
+        assert done.stdout == ""
 
 
 class TestCalibrate:

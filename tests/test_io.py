@@ -50,7 +50,7 @@ class TestFormatSig:
 
 class TestSweepCsv:
     def test_write_read_write_is_byte_identical(self, tmp_path):
-        rows = [(100.0, 0.3850636, 12.123456), (10000.0, 11.9223246, 24.97)]
+        rows = np.array([(100.0, 0.3850636, 12.123456), (10000.0, 11.9223246, 24.97)])
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         write_sweep_csv(a, rows)
@@ -59,7 +59,7 @@ class TestSweepCsv:
 
     def test_header_and_line_endings(self, tmp_path):
         p = tmp_path / "s.csv"
-        write_sweep_csv(p, [(1.0, 2.0, 3.0)])
+        write_sweep_csv(p, np.array([(1.0, 2.0, 3.0)]))
         text = p.read_bytes().decode()
         assert text == "distance_m,diffraction_db,total_static_db\n1,2,3\n"
         assert "\r" not in text
@@ -252,11 +252,12 @@ def throughput_text(s):
 
 
 def sweep_from(values):
-    return list(zip(values.tolist(), np.roll(values, 1).tolist(), np.roll(values, 2).tolist()))
+    return np.column_stack((values, np.roll(values, 1), np.roll(values, 2)))
 
 
 def sweep_text(rows):
-    return per_cell_text(fsio.SWEEP_HEADER, ([format_sig(v) for v in row] for row in rows))
+    return per_cell_text(fsio.SWEEP_HEADER,
+                         ([format_sig(v) for v in row] for row in rows.tolist()))
 
 
 def cells(path, column):
@@ -370,7 +371,7 @@ def write_text(tmp_path, header, lines):
 
 
 def series_len(result):
-    return len(result) if isinstance(result, list) else len(result.t_s)
+    return len(result) if isinstance(result, np.ndarray) else len(result.t_s)
 
 
 class TestReaderFaults:
@@ -390,7 +391,7 @@ class TestReaderFaults:
         spaced = read(p)
         assert series_len(spaced) == series_len(plain) == 2
         if kind == "sweep":
-            assert spaced == plain
+            assert np.array_equal(spaced, plain)
         else:
             assert np.array_equal(spaced.t_s, plain.t_s)
 

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,18 +16,41 @@ from fsosim import (
     atmospheric_loss_db,
     beam_radius_m,
     coupling_loss_db,
+    default_scenario,
     diffraction_loss_db,
     distance_sweep,
     jitter_excess_db,
     kim_size_exponent,
     link_budget,
+    load_scenario,
 )
+from fsosim.io import read_sweep_csv, write_sweep_csv
 from fsosim.optics import DB_PER_NEPER
 
 BEAM = BeamModel(wavelength_m=1550e-9, waist_radius_m=0.0405)
 ANTENNA = AntennaSpec(aperture_diameter_m=0.090, magnification=10.0, insertion_loss_db=2.942)
 CLEAR = AtmosphereModel(visibility_m=math.inf, wavelength_m=1550e-9)
 COUPLING = CouplingModel(base_coupling_loss_db=6.435, rolloff_halfwidth_rad=7e-6)
+FOG = AtmosphereModel(visibility_m=5000.0, wavelength_m=1550e-9)
+
+
+def scenario_with(atmosphere=CLEAR):
+    """The default scenario with the models above."""
+    return dataclasses.replace(default_scenario(), beam=BEAM, antenna=ANTENNA,
+                               atmosphere=atmosphere, coupling=COUPLING)
+
+
+CLEAR_SCENARIO = scenario_with()
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# every shipped scenario, and the models above with unlimited visibility and in fog
+BUDGET_SCENARIOS = [
+    *(load_scenario(SCENARIOS / f"{name}.json")
+      for name in ("1km_default", "1km_coarse_only", "4km_fog", "bench_direct")),
+    CLEAR_SCENARIO,
+    scenario_with(FOG),
+]
+FIELDS = ("diffraction_db", "optics_db", "atmosphere_db", "coupling_base_db",
+          "jitter_excess_db", "static_db", "total_db")
 
 
 class TestBeam:
@@ -197,10 +223,14 @@ class TestCoupling:
             coupling_loss_db(COUPLING, -1e-6)
 
 
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
 class TestLinkBudget:
     def test_total_is_exact_sum(self):
-        fog = AtmosphereModel(visibility_m=5000.0, wavelength_m=1550e-9)
-        b = link_budget(BEAM, ANTENNA, fog, COUPLING, 4000.0, 5e-6)
+        b = link_budget(scenario_with(FOG), 4000.0, 5e-6)
+        assert b.static_db == b.diffraction_db + b.optics_db + b.atmosphere_db
         assert b.total_db == (
             b.diffraction_db + b.optics_db + b.atmosphere_db
             + b.coupling_base_db + b.jitter_excess_db
@@ -208,33 +238,65 @@ class TestLinkBudget:
         assert b.optics_db == 2 * ANTENNA.insertion_loss_db
 
     def test_one_km_zero_error_reference(self):
-        b = link_budget(BEAM, ANTENNA, CLEAR, COUPLING, 1000.0, 0.0)
+        b = link_budget(CLEAR_SCENARIO, 1000.0)
         assert b.total_db == pytest.approx(12.795464104, abs=1e-6)
+        # a float distance gives float terms, which serialise as Python floats do
+        assert all(isinstance(getattr(b, field), float) for field in FIELDS)
+
+    @given(st.sampled_from(BUDGET_SCENARIOS),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=20),
+           st.one_of(st.just(0.0), st.floats(0.0, 1e-4)))
+    @settings(max_examples=100, deadline=None)
+    def test_array_equals_float_calls_bit_for_bit(self, scenario, distances, error_rad):
+        b = link_budget(scenario, np.array(distances), error_rad)
+        each = [link_budget(scenario, d, error_rad) for d in distances]
+        for field in FIELDS:
+            got = np.broadcast_to(getattr(b, field), (len(distances),))
+            assert np.array_equal(bits(got), bits([getattr(e, field) for e in each])), field
+
+    @pytest.mark.parametrize("far_m", [1e12, 1e308])
+    def test_one_distance_beyond_the_beam_model_raises(self, far_m):
+        # 1e12 m: the captured fraction rounds to 0; 1e308 m: the beam radius overflows
+        with pytest.raises(OverflowError):
+            link_budget(CLEAR_SCENARIO, far_m)
+        with pytest.raises(OverflowError):
+            link_budget(CLEAR_SCENARIO, np.array([1000.0, far_m, 2000.0]))
 
 
 class TestDistanceSweep:
     def test_endpoints_and_length(self):
-        rows = distance_sweep(BEAM, ANTENNA, CLEAR, COUPLING, 100.0, 10_000.0, 100)
-        assert len(rows) == 100
-        assert rows[0][0] == 100.0
-        assert rows[-1][0] == 10_000.0
+        table = distance_sweep(CLEAR_SCENARIO, 100.0, 10_000.0, 100)
+        assert table.shape == (100, 3)
+        assert table[0, 0] == 100.0
+        assert table[-1, 0] == 10_000.0
 
     def test_static_excludes_coupling_terms(self):
-        rows = distance_sweep(BEAM, ANTENNA, CLEAR, COUPLING, 100.0, 10_000.0, 5)
-        for d, diff, static in rows:
-            b = link_budget(BEAM, ANTENNA, CLEAR, COUPLING, d, 0.0)
-            assert diff == b.diffraction_db
-            assert static == b.diffraction_db + b.optics_db + b.atmosphere_db
+        for scenario in BUDGET_SCENARIOS:
+            table = distance_sweep(scenario, 100.0, 10_000.0, 5)
+            for d, diff, static in table.tolist():
+                b = link_budget(scenario, d, 0.0)
+                assert diff == b.diffraction_db
+                assert static == b.static_db == b.diffraction_db + b.optics_db + b.atmosphere_db
 
     def test_monotone_nondecreasing_total(self):
-        rows = distance_sweep(BEAM, ANTENNA, CLEAR, COUPLING, 100.0, 20_000.0, 200)
-        totals = [r[2] for r in rows]
-        assert all(b >= a for a, b in zip(totals, totals[1:]))
+        totals = distance_sweep(CLEAR_SCENARIO, 100.0, 20_000.0, 200)[:, 2]
+        assert np.all(np.diff(totals) >= 0.0)
+
+    def test_csv_round_trips_the_array(self, tmp_path):
+        table = distance_sweep(scenario_with(FOG), 50.0, 40_000.0, 5000)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, table)
+        back = read_sweep_csv(path)
+        # each cell reads back as its 6-significant-digit text
+        assert np.array_equal(bits(back), bits([[float("%.6g" % v) for v in row]
+                                                for row in table.tolist()]))
+        write_sweep_csv(tmp_path / "again.csv", back)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
-            distance_sweep(BEAM, ANTENNA, CLEAR, COUPLING, 0.0, 1000.0, 10)
+            distance_sweep(CLEAR_SCENARIO, 0.0, 1000.0, 10)
         with pytest.raises(ValueError):
-            distance_sweep(BEAM, ANTENNA, CLEAR, COUPLING, 2000.0, 1000.0, 10)
+            distance_sweep(CLEAR_SCENARIO, 2000.0, 1000.0, 10)
         with pytest.raises(ValueError):
-            distance_sweep(BEAM, ANTENNA, CLEAR, COUPLING, 100.0, 1000.0, 1)
+            distance_sweep(CLEAR_SCENARIO, 100.0, 1000.0, 1)
