@@ -27,8 +27,9 @@ before control, on the cameras' lock flags and measured readings:
   CoarseTrack -> FineTrack1  measured coarse radial below the capture
                              threshold and mid camera lock (stage enabled)
   FineTrack1  -> FineTrack2  fine camera lock (stage enabled)
-  FineTrack2  -> Linked      measured fine radial below the link threshold
-                             for the link dwell
+  FineTrack2  -> Linked      fine camera lock and measured fine radial
+                             below the link threshold, in every tick of
+                             the link dwell
   any tracking state -> Reacquire   a lock the state needs (coarse; mid
                              from FineTrack1; fine from FineTrack2) absent
                              for lock_loss_frames consecutive ticks
@@ -55,6 +56,7 @@ import numpy as np
 
 from .dynamics import TICK_RATE_HZ, DisturbanceGenerator, lag_alpha
 from .link import summarize
+from .optics import _check_fits
 from .scenario import Scenario
 from .states import AptState
 
@@ -222,12 +224,24 @@ def run_apt(
     `enable_feedforward` switches the IMU rate feedforward into the gimbal
     command (off leaves the vision loops on their own).  Identical
     arguments produce bit-identical series.
+
+    Raises ValueError, before any array is allocated, naming `duration_s`
+    when it is not positive, has no finite tick count, rounds to zero ticks
+    or gives a series that would not fit in memory; naming `fine_after_s`
+    when it is negative or not finite; and when enable_fine2 is set
+    without enable_fine1.
     """
     if not (duration_s > 0.0 and math.isfinite(duration_s)):
         raise ValueError("duration_s must be positive and finite")
-    n = tick_count(duration_s)
+    try:
+        n = tick_count(duration_s)
+    except ValueError as exc:
+        raise ValueError(f"duration_s: {exc}") from None
     if n < 1:
-        raise ValueError(f"duration_s={duration_s} rounds to zero ticks at {TICK_RATE_HZ:g} Hz")
+        raise ValueError(f"duration_s {duration_s} s rounds to zero ticks at {TICK_RATE_HZ:g} Hz")
+    # bytes per tick of the returned series: nine float64 arrays (t_s and
+    # the angles) and four one-byte arrays (state and the lock flags)
+    _check_fits("duration_s", n, f"{TICK_RATE_HZ:g} Hz ticks", 9 * 8 + 4)
     if enable_fine1 is None:
         enable_fine1 = scenario.apt.fine1_enabled
     if enable_fine2 is None:
@@ -381,7 +395,7 @@ def run_apt(
     state = int(initial_state)
     stab_count = 0                # consecutive stabilized ticks
     loss_count = 0                # consecutive ticks without a needed lock
-    dwell_count = 0               # consecutive ticks below the link threshold
+    dwell_count = 0               # consecutive fine-locked ticks below the link threshold
     if state == _LINKED:
         e0_p = e0_a = e1_p = e1_a = e2_p = e2_a = 0.0
 
@@ -510,7 +524,7 @@ def run_apt(
                 if fine2_on and valid2:
                     state = _FINE_TRACK2
             elif state == _FINE_TRACK2:
-                if hypot(m2_p, m2_a) < link_thresh:
+                if valid2 and hypot(m2_p, m2_a) < link_thresh:
                     dwell_count += 1
                     if dwell_count >= link_dwell_ticks:
                         state = _LINKED

@@ -91,12 +91,18 @@ def calibrate_coupling(
     """Solve (rolloff halfwidth, base loss, insertion loss) against anchors.
 
     Parameters without an anchor to determine them keep the scenario values;
-    residuals are evaluated for every anchor provided.  An anchor whose
-    distance or jitter puts a loss beyond the float range raises ValueError
-    naming the anchor and its anchors-file key.
+    residuals are evaluated for every anchor provided.
+
+    Raises ValueError naming `samples` for fewer than 1000 samples or more
+    than fit in memory, before any is drawn; when only one of
+    static_total_db and static_distance_m is given; and, naming the anchor
+    and its anchors-file key, for an anchor whose distance or jitter puts a
+    loss beyond the float range.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
+    # bytes per sample: two float64 draws and their sum are alive at once
+    optics._check_fits("samples", samples, "samples", 3 * 8)
     if (static_total_db is None) != (static_distance_m is None):
         raise ValueError("static_total_db and static_distance_m go together")
 

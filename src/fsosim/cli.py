@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -152,41 +151,10 @@ def _scenario_header(scenario: Scenario) -> dict:
     }
 
 
-# bytes per tick of the TrackingSeries a run returns: nine float64 arrays
-# (t_s and the angles) and four one-byte arrays (state and the lock flags)
-_SERIES_BYTES_PER_TICK = 9 * 8 + 4
-# bytes per Monte Carlo sample of calibrate_coupling: two float64 draws and
-# their sum are alive at once
-_CALIBRATE_BYTES_PER_SAMPLE = 3 * 8
-# bytes per sweep row: under tracemalloc, distance_sweep and the CSV writer
-# peaked 50.4 MB higher on 1e6 rows than on 1e5 rows
-_SWEEP_BYTES_PER_STEP = 56
-
-
-def _physical_memory() -> int:
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return sys.maxsize
-
-
-def _check_fits(flag: str, count: int, what: str, bytes_each: int) -> None:
-    """Refuse up front a count whose arrays cannot fit in memory, rather
-    than fail (or be killed) while they are allocated."""
-    memory = _physical_memory()
-    if count > memory // bytes_each:
-        raise ValueError(f"{flag}: {count} {what} at {bytes_each} bytes each need more "
-                         f"than the {memory:.3g} bytes of memory here")
-
-
-def _check_duration(duration: float) -> None:
-    if not (duration > 0.0 and math.isfinite(duration)):
-        raise ValueError("--duration must be positive and finite")
-    try:
-        ticks = tick_count(duration)
-    except ValueError as exc:
-        raise ValueError(f"--duration: {exc}") from None
-    _check_fits("--duration", ticks, f"{TICK_RATE_HZ:g} Hz ticks", _SERIES_BYTES_PER_TICK)
+# the flag that sets each library parameter: a library refusal starts with
+# the parameter's name, and main() names the flag instead
+_FLAG_OF = {"duration_s": "--duration", "fine_after_s": "--fine-after",
+            "steps": "--steps", "samples": "--samples"}
 
 
 def _window_has_tick(t0: float, t1: float) -> bool:
@@ -208,10 +176,13 @@ def _window_has_tick(t0: float, t1: float) -> bool:
 def _check_window(flag: str, t0: float, t1: float) -> None:
     """Reject flags whose statistics window [t0, t1) would hold no tick.
 
-    t1 must already have passed _check_duration.
+    A t1 with no finite tick count is refused as --duration.
     """
-    if _window_has_tick(t0, t1):
-        return
+    try:
+        if _window_has_tick(t0, t1):
+            return
+    except ValueError as exc:
+        raise ValueError(f"--duration: {exc}") from None
     raise ValueError(
         f"{flag}: the statistics window [{t0}, {t1}) s holds no "
         f"{TICK_RATE_HZ:g} Hz tick"
@@ -305,8 +276,8 @@ def simulate_run(scenario: Scenario, duration_s: float, seed: int,
     """The chain behind `fsosim run` for one seed: `run_apt`, then the loss,
     throughput and statistics over [stats_warmup_s, duration_s).
 
-    Raises ValueError, before any tick runs, when that window holds no tick
-    or the run's series would not fit in memory.
+    Raises ValueError naming `duration_s`, before any tick runs, when that
+    window holds no tick; `run_apt` refuses the rest.
     """
     t0 = scenario.apt.stats_warmup_s
     try:
@@ -316,8 +287,6 @@ def simulate_run(scenario: Scenario, duration_s: float, seed: int,
     if not has_tick:
         raise ValueError(f"duration_s {duration_s} s leaves no {TICK_RATE_HZ:g} Hz tick "
                          f"after the scenario's stats_warmup_s ({t0} s)")
-    _check_fits("duration_s", tick_count(duration_s), f"{TICK_RATE_HZ:g} Hz ticks",
-                _SERIES_BYTES_PER_TICK)
     series = run_apt(scenario, duration_s, seed,
                      enable_fine1=enable_fine1, enable_fine2=enable_fine2)
     loss = loss_timeseries(series.window(t0, duration_s), scenario)
@@ -382,9 +351,6 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{flag} must be positive and finite in metres")
     if args.min_km > args.max_km:
         raise ValueError("--min-km must not exceed --max-km")
-    if args.steps < 2:
-        raise ValueError("--steps must be >= 2")
-    _check_fits("--steps", args.steps, "rows", _SWEEP_BYTES_PER_STEP)
     try:
         table = distance_sweep(scenario, args.min_km * 1000.0, args.max_km * 1000.0, args.steps)
     except OverflowError:
@@ -400,9 +366,6 @@ def cmd_sweep(args) -> int:
 def cmd_track(args) -> int:
     scenario = _load(args)
     _check_seed(args.seed)
-    _check_duration(args.duration)
-    if not (args.fine_after >= 0.0 and math.isfinite(args.fine_after)):
-        raise ValueError("--fine-after must be >= 0 and finite")
     warmup = min(scenario.apt.stats_warmup_s, 0.5 * args.duration)
     _check_window("--duration", warmup, args.duration)
     if args.fine_after > 0.0:
@@ -438,10 +401,12 @@ def cmd_track(args) -> int:
     return EXIT_OK
 
 
-def _run_one_seed(scenario: Scenario, duration: float, seed: int,
-                  out: Path | None, multi: bool) -> dict:
+def _run_one_seed(scenario: Scenario, args, seed: int, multi: bool) -> dict:
     # the RunResult, and with it the seed's series, dies when this returns
-    run = simulate_run(scenario, duration, seed)
+    run = simulate_run(scenario, args.duration, seed)
+    # --out is made only once a run has passed simulate_run's checks, so a
+    # refused --duration leaves no directory behind
+    out = _out_dir(args)
     files = None
     if out is not None:
         files = {"loss_csv": f"loss_{seed}.csv" if multi else "loss.csv",
@@ -460,17 +425,10 @@ def _run_one_seed(scenario: Scenario, duration: float, seed: int,
 
 def cmd_run(args) -> int:
     scenario = _load(args)
-    _check_duration(args.duration)
-    if args.duration <= scenario.apt.stats_warmup_s:
-        raise ValueError(
-            f"--duration must exceed the stats warmup ({scenario.apt.stats_warmup_s} s)"
-        )
-    _check_window("--duration", scenario.apt.stats_warmup_s, args.duration)
     seeds = _parse_seed_range(args.seeds) if args.seeds else [_check_seed(args.seed)]
     seeds = sorted(set(seeds))
-    out = _out_dir(args)
     multi = args.seeds is not None
-    per_seed = [_run_one_seed(scenario, args.duration, s, out, multi) for s in seeds]
+    per_seed = [_run_one_seed(scenario, args, s, multi) for s in seeds]
 
     loss_means = [r["loss_db"]["mean"] for r in per_seed if r["loss_db"]["mean"] is not None]
     payload = {
@@ -493,7 +451,7 @@ def cmd_run(args) -> int:
             ),
         },
     }
-    _emit_json(payload, out, "report.json")
+    _emit_json(payload, _out_dir(args), "report.json")
     return EXIT_OK
 
 
@@ -502,7 +460,6 @@ def cmd_calibrate(args) -> int:
     _check_seed(args.seed)
     if not (args.tolerance_db >= 0.0 and math.isfinite(args.tolerance_db)):
         raise ValueError("--tolerance-db must be >= 0 and finite")
-    _check_fits("--samples", args.samples, "samples", _CALIBRATE_BYTES_PER_SAMPLE)
     if args.anchors is None:
         payload = DEFAULT_ANCHORS
     else:
@@ -545,7 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except (ValueError, OverflowError) as exc:
         # an OverflowError is an input beyond a model's numeric range
-        print(f"fsosim: {exc}", file=sys.stderr)
+        message = re.sub(r"^\w+", lambda name: _FLAG_OF.get(name[0], name[0]), str(exc))
+        print(f"fsosim: {message}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"fsosim: i/o error: {exc}", file=sys.stderr)

@@ -52,14 +52,6 @@ _STATE_NAME_OF = np.array([STATE_NAMES[s] for s in range(len(STATE_NAMES))], dty
 _STATE_FIELD = f"U{max(map(len, NAME_TO_STATE)) + 1}"
 
 
-def format_sig(value: float) -> str:
-    """One CSV number: 6 significant digits ('%.6g'); infinities read 'inf'/'-inf'.
-
-    The writers format whole blocks of rows with the same '%.6g'.
-    """
-    return "%.6g" % value
-
-
 def _csv_blocks(row: str, n: int, cells: _Cells) -> Iterator[str]:
     """Text of rows 0..n-1, one string per block of _BLOCK_ROWS rows.
 

@@ -13,6 +13,8 @@ The total budget is additive in dB:
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -26,6 +28,19 @@ DB_PER_NEPER = 10.0 / math.log(10.0)
 
 # Kim model reference wavelength [nm]
 _KIM_REFERENCE_NM = 550.0
+
+
+def _check_fits(name: str, count: int, what: str, bytes_each: int) -> None:
+    """Refuse up front, by the parameter's name, a count whose arrays cannot
+    fit in physical memory, rather than fail (or be killed) while they are
+    allocated."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        memory = sys.maxsize
+    if count > memory // bytes_each:
+        raise ValueError(f"{name}: {count} {what} at {bytes_each} bytes each need more "
+                         f"than the {memory:.3g} bytes of memory here")
 
 
 @dataclass(frozen=True)
@@ -239,13 +254,19 @@ def distance_sweep(scenario: "Scenario", d_min_m: float, d_max_m: float,
     total_static_db is the budget's static_db, the propagation-path loss.
     Receiver-side fiber-coupling terms and the pointing-jitter excess are
     excluded; they do not depend on distance.  Distances are linearly
-    spaced, endpoints included.  Raises OverflowError if d_max_m is beyond
-    the range of the beam model.
+    spaced, endpoints included.
+
+    Raises ValueError unless 0 < d_min_m <= d_max_m, and, naming `steps`,
+    for fewer than 2 steps or a table that would not fit in memory;
+    OverflowError if d_max_m is beyond the range of the beam model.
     """
     if not (0.0 < d_min_m <= d_max_m):
         raise ValueError("require 0 < d_min_m <= d_max_m")
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    # bytes per row: under tracemalloc, distance_sweep and the CSV writer
+    # peaked 50.4 MB higher on 1e6 rows than on 1e5 rows
+    _check_fits("steps", steps, "rows", 56)
     with np.errstate(over="ignore"):  # an infinite distance raises OverflowError below
         distances = d_min_m + (d_max_m - d_min_m) * np.arange(steps) / (steps - 1)
     budget = link_budget(scenario, distances)

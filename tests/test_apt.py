@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsosim.apt
 from fsosim import (
     AptParams,
     AptState,
@@ -348,7 +349,7 @@ def replay_states(scenario, series, initial_state=AptState.STABILIZE,
                 if fine2 and not held and lock2:
                     state = AptState.FINE_TRACK2
             elif state == AptState.FINE_TRACK2:
-                if math.hypot(fine[0][k], fine[1][k]) < p.link_threshold_rad:
+                if lock2 and math.hypot(fine[0][k], fine[1][k]) < p.link_threshold_rad:
                     dwell += 1
                     if dwell >= p.link_dwell_s * TICK_RATE_HZ:
                         state = AptState.LINKED
@@ -641,6 +642,17 @@ class TestRunApt:
         with pytest.raises(ValueError):
             run_apt(scenario, duration, seed=0)
 
+    def test_duration_beyond_memory_refused_before_any_allocation(self, scenario,
+                                                                  monkeypatch):
+        # 1e15 ticks would need some 76 PB: refused by name before the
+        # disturbance generator is built, not in a numpy MemoryError
+        def no_generator(*args, **kwargs):
+            raise AssertionError("DisturbanceGenerator constructed")
+
+        monkeypatch.setattr(fsosim.apt, "DisturbanceGenerator", no_generator)
+        with pytest.raises(ValueError, match=r"^duration_s: .*bytes of memory"):
+            run_apt(scenario, 1e12, 1)
+
     def test_shortest_run_is_one_tick(self, scenario):
         series = run_apt(scenario, 0.0006, seed=0)
         assert series.t_s.tolist() == [0.0]
@@ -694,6 +706,13 @@ class TestStateReplay:
         series, replay = run_and_replay(sc, 1.0, 0, initial_state=AptState.FINE_TRACK2)
         assert np.array_equal(series.state, replay)
         assert series.lock1.all() and len(runs(~series.lock2)) >= 10
+        # the link dwell counts fine-locked ticks only: every tick of the
+        # dwell that ends in Linked holds the fine lock
+        dwell = math.ceil(sc.apt.link_dwell_s * TICK_RATE_HZ)
+        states = np.r_[int(AptState.FINE_TRACK2), series.state]
+        for k in np.flatnonzero((states[:-1] == int(AptState.FINE_TRACK2))
+                                & (states[1:] == int(AptState.LINKED))):
+            assert k + 1 >= dwell and series.lock2[k + 1 - dwell:k + 1].all(), k
 
     @pytest.mark.parametrize("initial", list(AptState)[1:])
     def test_lossy_runs_equal_replay(self, initial):

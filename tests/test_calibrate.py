@@ -117,6 +117,11 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="samples"):
             calibrate_coupling(scenario, [], samples=999)
 
+    def test_samples_beyond_memory_refused_by_name(self, scenario):
+        # 10**13 samples would need 240 TB: refused before any is drawn
+        with pytest.raises(ValueError, match=r"^samples: .*bytes of memory"):
+            calibrate_coupling(scenario, [], samples=10**13)
+
     def test_static_pair_must_come_together(self, scenario):
         with pytest.raises(ValueError, match="go together"):
             calibrate_coupling(scenario, [], static_total_db=12.7)

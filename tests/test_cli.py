@@ -118,12 +118,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("steps", [10**15, 10**400])
     def test_steps_beyond_memory_rejected_by_name(self, steps, monkeypatch, capsys):
-        # 10**15 rows would need some 56 PB: the count is refused before
-        # distance_sweep builds a single row
-        def no_sweep(*args):
-            raise AssertionError("distance_sweep ran")
+        # 10**15 rows would need some 56 PB: distance_sweep refuses the count
+        # before it builds a single row
+        def no_budget(*args):
+            raise AssertionError("link_budget ran")
 
-        monkeypatch.setattr(fsosim.optics, "distance_sweep", no_sweep)
+        monkeypatch.setattr(fsosim.optics, "link_budget", no_budget)
         assert run_cli("sweep", "--steps", str(steps)) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -321,19 +321,27 @@ class TestRun:
     @pytest.mark.parametrize("duration, reason", [
         (5.0, "stats_warmup_s"), (10.0, "stats_warmup_s"), (10.0005, "stats_warmup_s"),
         (math.nan, "stats_warmup_s"), (math.inf, "finite tick count"),
-        (1e306, "finite tick count"), (1e12, "bytes of memory"),
+        (1e306, "finite tick count"),
     ])
     def test_simulate_run_checks_its_window_before_the_loop(self, duration, reason,
                                                             monkeypatch):
-        # the default scenario's 10 s warmup leaves these runs no window tick,
-        # and 1e15 ticks do not fit in memory: the error names duration_s and
-        # why, and no tick is simulated first
+        # the default scenario's 10 s warmup leaves these runs no window tick:
+        # the error names duration_s and why, and no tick is simulated first
+        # (run_apt refuses a series beyond memory; see test_apt)
         def no_loop(*args, **kwargs):
             raise AssertionError("run_apt ran")
 
         monkeypatch.setattr(fsosim.cli, "run_apt", no_loop)
         with pytest.raises(ValueError, match=f"^duration_s.*{reason}"):
             simulate_run(default_scenario(), duration, 1)
+
+    @pytest.mark.parametrize("duration", ["5", "1e12"])
+    def test_refused_duration_leaves_no_out_dir(self, duration, tmp_path, capsys):
+        # no window tick after the warmup; a series beyond memory
+        out = tmp_path / "out"
+        assert run_cli("run", "--duration", duration, "--out", str(out)) == 1
+        assert "--duration" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["x..y", "5..3", "0..20000", "3..", "..5"])
     def test_bad_seed_ranges(self, bad, capsys):

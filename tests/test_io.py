@@ -14,7 +14,6 @@ from fsosim.apt import TrackingSeries
 from fsosim.cli import _roundtrip
 from fsosim.io import (
     canonical_json,
-    format_sig,
     read_loss_csv,
     read_sweep_csv,
     read_throughput_csv,
@@ -29,23 +28,31 @@ from fsosim.link import LossSeries, ThroughputSeries
 from fsosim.states import STATE_NAMES
 
 
+def throughput_cells(tmp_path, values):
+    """The rate_gbps cells write_throughput_csv writes for `values`."""
+    path = tmp_path / "cells.csv"
+    write_throughput_csv(path, ThroughputSeries(t_s=np.zeros(len(values)),
+                                                rate_gbps=np.array(values, dtype=float)))
+    return [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+
+
 class TestFormatSig:
-    def test_six_significant_digits(self):
-        assert format_sig(12.3456789) == "12.3457"
-        assert format_sig(0.000123456789) == "0.000123457"
-        assert format_sig(1234567.0) == "1.23457e+06"
-        assert format_sig(0.0) == "0"
-        assert format_sig(-3.5) == "-3.5"
+    def test_six_significant_digits(self, tmp_path):
+        assert throughput_cells(tmp_path, [12.3456789, 0.000123456789, 1234567.0, 0.0, -3.5]) == [
+            "12.3457", "0.000123457", "1.23457e+06", "0", "-3.5"]
 
-    def test_infinities(self):
-        assert format_sig(math.inf) == "inf"
-        assert format_sig(-math.inf) == "-inf"
+    def test_infinities(self, tmp_path):
+        assert throughput_cells(tmp_path, [math.inf, -math.inf]) == ["inf", "-inf"]
+        both = np.array([math.inf, -math.inf])
+        assert np.array_equal(fsio._through_csv(both), both)
 
-    def test_round_trip_is_fixed_point(self):
+    def test_round_trip_is_fixed_point(self, tmp_path):
         # formatting an already formatted value must not change the text
-        for v in [13.702344, 1e-7, 9.15876, 26.61234567, math.inf]:
-            once = format_sig(v)
-            assert format_sig(float(once)) == once
+        values = [13.702344, 1e-7, 9.15876, 26.61234567, math.inf]
+        once = throughput_cells(tmp_path, values)
+        assert throughput_cells(tmp_path, [float(c) for c in once]) == once
+        read_back = fsio._through_csv(np.array(values))
+        assert np.array_equal(fsio._through_csv(read_back), read_back)
 
 
 class TestSweepCsv:
@@ -197,7 +204,7 @@ def bits(values):
 
 
 def per_cell_text(header, rows):
-    """The CSV each writer must produce: every cell through format_sig."""
+    """The CSV each writer must produce: every number cell through '%.6g'."""
     return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
@@ -218,12 +225,11 @@ def tracking_from(values, seed=0):
 
 
 def tracking_text(s):
-    f = format_sig
     urad = (s.error_pitch_rad, s.error_azimuth_rad, s.fsm1_pitch_rad,
             s.fsm1_azimuth_rad, s.fsm2_pitch_rad, s.fsm2_azimuth_rad)
     rows = (
-        [f(float(s.t_s[i])), STATE_NAMES[int(s.state[i])],
-         *(f(float(a[i]) * 1e6) for a in urad),
+        ["%.6g" % s.t_s[i], STATE_NAMES[int(s.state[i])],
+         *("%.6g" % (float(a[i]) * 1e6) for a in urad),
          *(str(int(lock[i])) for lock in (s.lock0, s.lock1, s.lock2))]
         for i in range(len(s.t_s))
     )
@@ -236,7 +242,7 @@ def loss_from(values, seed=0):
 
 
 def loss_text(s):
-    rows = ([format_sig(float(t)), format_sig(float(v)), str(int(u))]
+    rows = (["%.6g" % t, "%.6g" % v, str(int(u))]
             for t, v, u in zip(s.t_s, s.loss_db, s.link_up))
     return per_cell_text(fsio.LOSS_HEADER, rows)
 
@@ -246,7 +252,7 @@ def throughput_from(values):
 
 
 def throughput_text(s):
-    rows = ([format_sig(float(t)), format_sig(float(r))]
+    rows = (["%.6g" % t, "%.6g" % r]
             for t, r in zip(s.t_s, s.rate_gbps))
     return per_cell_text(fsio.THROUGHPUT_HEADER, rows)
 
@@ -257,7 +263,7 @@ def sweep_from(values):
 
 def sweep_text(rows):
     return per_cell_text(fsio.SWEEP_HEADER,
-                         ([format_sig(v) for v in row] for row in rows.tolist()))
+                         (["%.6g" % v for v in row] for row in rows.tolist()))
 
 
 def cells(path, column):
@@ -321,7 +327,7 @@ ROUNDTRIP_EDGES = {
 
 
 def check_roundtrip(values):
-    expected = [float(format_sig(v)) for v in values.tolist()]
+    expected = [float("%.6g" % v) for v in values.tolist()]
     assert np.array_equal(bits(_roundtrip(values)), bits(expected))
 
 

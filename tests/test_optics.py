@@ -300,3 +300,9 @@ class TestDistanceSweep:
             distance_sweep(CLEAR_SCENARIO, 2000.0, 1000.0, 10)
         with pytest.raises(ValueError):
             distance_sweep(CLEAR_SCENARIO, 100.0, 1000.0, 1)
+
+    def test_steps_beyond_memory_refused_by_name(self):
+        # 10**15 rows would need some 56 PB: refused before np.arange
+        # allocates them
+        with pytest.raises(ValueError, match=r"^steps: .*bytes of memory"):
+            distance_sweep(CLEAR_SCENARIO, 1.0, 2.0, 10**15)
