@@ -54,18 +54,20 @@ def main() -> int:
     args = ap.parse_args()
     seed, dur = args.seed, args.duration
     failed = []
+    # the table is printed once every run has passed, so a refused argument
+    # leaves stdout empty
+    lines = [f"seed {seed}, {dur:g} s runs"]
 
     def row(key: str, value: float) -> None:
         low, high = REFERENCE[key]
         ok = low <= value <= high
         if not ok:
             failed.append(key)
-        print(f"{key:28s} {value:9.3f}  in [{low:g}, {high:g}]  {'PASS' if ok else 'FAIL'}")
+        lines.append(f"{key:28s} {value:9.3f}  in [{low:g}, {high:g}]  {'PASS' if ok else 'FAIL'}")
 
     one_km = load_scenario(SCENARIOS / "1km_default.json")
     fog = load_scenario(SCENARIOS / "4km_fog.json")
     bench = load_scenario(SCENARIOS / "bench_direct.json")
-    print(f"seed {seed}, {dur:g} s runs")
 
     row("static_10km_db", link_budget(one_km, 10_000.0).static_db)
 
@@ -73,7 +75,7 @@ def main() -> int:
     row("coarse_radial_mean_urad", coarse.radial_mean_rad * UR)
     row("coarse_pitch_std_urad", coarse.pitch_std_rad * UR)
     row("coarse_azimuth_std_urad", coarse.azimuth_std_rad * UR)
-    handover = tracking_stats(run_apt(one_km, 90.0, seed, fine_after_s=30.0), 30.0, 90.0)
+    handover = tracking_stats(run_apt(one_km, 90.0, seed, fine_after_s=30.0).window(30.0, 90.0))
     row("handover_radial_mean_urad", handover.radial_mean_rad * UR)
     row("handover_pitch_std_urad", handover.pitch_std_rad * UR)
     row("handover_azimuth_std_urad", handover.azimuth_std_rad * UR)
@@ -94,8 +96,9 @@ def main() -> int:
     row("fog_loss_std_db", fog_loss.std)
     row("fog_atmosphere_db", link_budget(fog, fog.distance_m).atmosphere_db)
 
-    print(f"{len(REFERENCE) - len(failed)}/{len(REFERENCE)} reference rows PASS"
-          + (f"; FAIL: {', '.join(failed)}" if failed else ""))
+    lines.append(f"{len(REFERENCE) - len(failed)}/{len(REFERENCE)} reference rows PASS"
+                 + (f"; FAIL: {', '.join(failed)}" if failed else ""))
+    print("\n".join(lines))
     return 1 if failed else 0
 
 

@@ -65,7 +65,6 @@ def describe(label, rows):
     print(f"{label:7s} E[r] urad   : " + "  ".join(f"{m:7.2f}" for m in mean))
     print(f"{'':7s} std p/a urad: " + "  ".join(f"{r[1]:.1f}/{r[2]:.1f}" for r in rows))
     print(f"{'':7s} E[r^2] ur^2 : " + "  ".join(f"{r[3]:7.1f}" for r in rows))
-    return rows
 
 
 def main() -> None:
@@ -88,11 +87,15 @@ def main() -> None:
     scenario = build_scenario(args)
     seeds = list(range(1, args.seeds + 1))
 
+    # every run comes before the first line, so a refused argument leaves stdout empty
+    coarse = stage_stats(scenario, False, False, seeds, args.duration)
+    fine1 = stage_stats(scenario, True, False, seeds, args.duration)
+    full = stage_stats(scenario, True, True, seeds, args.duration)
     print(f"# dist rms {args.dist_rms} urad @ {args.dist_bw} Hz | ki {args.ki0}/{args.ki1}/{args.ki2}"
           f" | sensor noise {args.noise0}/{args.noise1}/{args.noise2} urad | theta_c {args.theta_c}")
-    coarse = describe("coarse", stage_stats(scenario, False, False, seeds, args.duration))
-    fine1 = describe("fine1", stage_stats(scenario, True, False, seeds, args.duration))
-    full = describe("full", stage_stats(scenario, True, True, seeds, args.duration))
+    describe("coarse", coarse)
+    describe("fine1", fine1)
+    describe("full", full)
 
     # implied coupling parameters for the 1-km loss targets
     static_1km = link_budget(scenario, 1000.0).static_db

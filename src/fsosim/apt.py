@@ -50,7 +50,7 @@ other streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,6 +96,48 @@ def component_rng(seed: int, component: str) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
+# the tick grid: tick k of a run is at t = k / TICK_RATE_HZ
+
+def tick_count(duration_s: float) -> int:
+    """Number of loop ticks in a run of duration_s seconds (t = k / TICK_RATE_HZ).
+
+    Raises ValueError when duration_s * TICK_RATE_HZ is not finite.
+    """
+    ticks = duration_s * TICK_RATE_HZ
+    if not math.isfinite(ticks):
+        raise ValueError(f"{duration_s} s has no finite tick count at {TICK_RATE_HZ:g} Hz")
+    return int(round(ticks))
+
+
+def tick_window(t0_s: float, t1_s: float, n: int) -> slice:
+    """The ticks k < n with t0_s <= k / TICK_RATE_HZ < t1_s, as a slice.
+
+    The one rule for which ticks a statistics window holds.  Its bounds are
+    found by bisection on the tick times, with no array, so a caller can
+    check a run's window before the run (n = tick_count(duration_s)); on a
+    series' t_s, as run_apt builds it, the slice picks what comparing the
+    times would.  Raises ValueError when the window holds no tick, as with
+    a NaN bound.
+    """
+    def first(t: float) -> int:
+        # the first k <= n with k / TICK_RATE_HZ >= t; the tick times never fall
+        lo, hi = 0, n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid / TICK_RATE_HZ < t:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    if t0_s < t1_s:
+        start, stop = first(t0_s), first(t1_s)
+        if start < stop:
+            return slice(start, stop)
+    raise ValueError(f"window [{t0_s}, {t1_s}) selects no samples")
+
+
+# ---------------------------------------------------------------------------
 # tracking series
 
 @dataclass(frozen=True)
@@ -115,41 +157,17 @@ class TrackingSeries:
     lock0: np.ndarray
     lock1: np.ndarray
     lock2: np.ndarray
-    scenario_name: str
-    scenario_digest: str
     seed: int
 
     def __len__(self) -> int:
         return self.t_s.size
 
-    def _window_mask(self, t0_s: float, t1_s: float) -> np.ndarray:
-        """Boolean selection of t0_s <= t < t1_s.  Raises on an empty selection."""
-        mask = (self.t_s >= t0_s) & (self.t_s < t1_s)
-        if not mask.any():
-            raise ValueError(f"window [{t0_s}, {t1_s}) selects no samples")
-        return mask
-
     def window(self, t0_s: float, t1_s: float) -> "TrackingSeries":
-        """Samples with t0_s <= t < t1_s.  Raises on an empty selection."""
-        mask = self._window_mask(t0_s, t1_s)
-        return TrackingSeries(
-            t_s=self.t_s[mask],
-            state=self.state[mask],
-            error_pitch_rad=self.error_pitch_rad[mask],
-            error_azimuth_rad=self.error_azimuth_rad[mask],
-            gimbal_azimuth_rad=self.gimbal_azimuth_rad[mask],
-            gimbal_pitch_rad=self.gimbal_pitch_rad[mask],
-            fsm1_pitch_rad=self.fsm1_pitch_rad[mask],
-            fsm1_azimuth_rad=self.fsm1_azimuth_rad[mask],
-            fsm2_pitch_rad=self.fsm2_pitch_rad[mask],
-            fsm2_azimuth_rad=self.fsm2_azimuth_rad[mask],
-            lock0=self.lock0[mask],
-            lock1=self.lock1[mask],
-            lock2=self.lock2[mask],
-            scenario_name=self.scenario_name,
-            scenario_digest=self.scenario_digest,
-            seed=self.seed,
-        )
+        """The ticks with t0_s <= t < t1_s, picked by `tick_window`, as views
+        of this series' arrays (no copy).  Raises on an empty selection."""
+        ticks = tick_window(t0_s, t1_s, len(self))
+        return replace(self, **{name: value[ticks] for name, value in vars(self).items()
+                                if isinstance(value, np.ndarray)})
 
 
 @dataclass(frozen=True)
@@ -165,17 +183,10 @@ class TrackingStats:
     count: int
 
 
-def tracking_stats(series: TrackingSeries, t0_s: float | None = None,
-                   t1_s: float | None = None) -> TrackingStats:
-    """Residual statistics, optionally restricted to [t0_s, t1_s)."""
+def tracking_stats(series: TrackingSeries) -> TrackingStats:
+    """Residual statistics of the whole series; those of the window [t0_s,
+    t1_s) are `tracking_stats(series.window(t0_s, t1_s))`."""
     pitch, azimuth = series.error_pitch_rad, series.error_azimuth_rad
-    if t0_s is not None or t1_s is not None:
-        # select the two residual arrays only, not a window copy of all of them
-        mask = series._window_mask(
-            t0_s if t0_s is not None else float(series.t_s[0]),
-            t1_s if t1_s is not None else float(series.t_s[-1]) + 1.0,
-        )
-        pitch, azimuth = pitch[mask], azimuth[mask]
     radial = np.hypot(pitch, azimuth)
     s_r = summarize(radial)
     s_p = summarize(pitch)
@@ -193,17 +204,6 @@ def tracking_stats(series: TrackingSeries, t0_s: float | None = None,
 
 # ---------------------------------------------------------------------------
 # simulation loop
-
-def tick_count(duration_s: float) -> int:
-    """Number of loop ticks in a run of duration_s seconds (t = k / TICK_RATE_HZ).
-
-    Raises ValueError when duration_s * TICK_RATE_HZ is not finite.
-    """
-    ticks = duration_s * TICK_RATE_HZ
-    if not math.isfinite(ticks):
-        raise ValueError(f"{duration_s} s has no finite tick count at {TICK_RATE_HZ:g} Hz")
-    return int(round(ticks))
-
 
 def run_apt(
     scenario: Scenario,
@@ -694,7 +694,5 @@ def run_apt(
         lock0=out_l0,
         lock1=out_l1,
         lock2=out_l2,
-        scenario_name=scenario.name,
-        scenario_digest=scenario.digest,
         seed=seed,
     )

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io as fsio
-from .apt import TICK_RATE_HZ, TrackingSeries, TrackingStats, run_apt, tick_count, tracking_stats
+from .apt import (TICK_RATE_HZ, TrackingSeries, TrackingStats, run_apt, tick_count, tick_window,
+                  tracking_stats)
 from .calibrate import DEFAULT_TOLERANCE_DB, calibrate_coupling, parse_anchor_file
 from .link import (
     LossSeries,
@@ -157,36 +158,23 @@ _FLAG_OF = {"duration_s": "--duration", "fine_after_s": "--fine-after",
             "steps": "--steps", "samples": "--samples"}
 
 
-def _window_has_tick(t0: float, t1: float) -> bool:
-    """Whether a run of t1 seconds has a tick in its window [t0, t1).
-
-    Raises ValueError when t1 has no finite tick count.
-    """
-    # with t0 < t1, t0 * TICK_RATE_HZ is finite as t1's is
-    if not t0 < t1:
-        return False
-    # ticks sit at k / TICK_RATE_HZ (as in TrackingSeries.t_s); up to rounding,
-    # the first one at or after t0 is floor(t0 * TICK_RATE_HZ) or the next
-    k = max(0, math.floor(t0 * TICK_RATE_HZ))
-    if k / TICK_RATE_HZ < t0:
-        k += 1
-    return k < tick_count(t1) and k / TICK_RATE_HZ < t1
-
-
 def _check_window(flag: str, t0: float, t1: float) -> None:
     """Reject flags whose statistics window [t0, t1) would hold no tick.
 
     A t1 with no finite tick count is refused as --duration.
     """
     try:
-        if _window_has_tick(t0, t1):
-            return
+        # a NaN bound, or t1 <= t0, is an empty window whatever t1's tick count
+        n = tick_count(t1) if t0 < t1 else 0
     except ValueError as exc:
         raise ValueError(f"--duration: {exc}") from None
-    raise ValueError(
-        f"{flag}: the statistics window [{t0}, {t1}) s holds no "
-        f"{TICK_RATE_HZ:g} Hz tick"
-    )
+    try:
+        tick_window(t0, t1, n)
+    except ValueError:
+        raise ValueError(
+            f"{flag}: the statistics window [{t0}, {t1}) s holds no "
+            f"{TICK_RATE_HZ:g} Hz tick"
+        ) from None
 
 
 def _check_seed(seed: int) -> int:
@@ -281,15 +269,20 @@ def simulate_run(scenario: Scenario, duration_s: float, seed: int,
     """
     t0 = scenario.apt.stats_warmup_s
     try:
-        has_tick = _window_has_tick(t0, duration_s)
+        # a NaN, or a duration within the warmup, leaves the window empty whatever
+        # its tick count
+        n = tick_count(duration_s) if t0 < duration_s else 0
     except ValueError as exc:
         raise ValueError(f"duration_s: {exc}") from None
-    if not has_tick:
+    try:
+        tick_window(t0, duration_s, n)
+    except ValueError:
         raise ValueError(f"duration_s {duration_s} s leaves no {TICK_RATE_HZ:g} Hz tick "
-                         f"after the scenario's stats_warmup_s ({t0} s)")
+                         f"after the scenario's stats_warmup_s ({t0} s)") from None
     series = run_apt(scenario, duration_s, seed,
                      enable_fine1=enable_fine1, enable_fine2=enable_fine2)
-    loss = loss_timeseries(series.window(t0, duration_s), scenario)
+    window = series.window(t0, duration_s)
+    loss = loss_timeseries(window, scenario)
     # statistics are taken over CSV-precision values, those loss.csv holds
     loss = LossSeries(t_s=loss.t_s, loss_db=_roundtrip(loss.loss_db), link_up=loss.link_up)
     throughput = throughput_timeseries(loss, scenario.transceiver)
@@ -299,7 +292,7 @@ def simulate_run(scenario: Scenario, duration_s: float, seed: int,
         t1_s=duration_s,
         loss=loss,
         throughput=throughput,
-        tracking=tracking_stats(series, t0, duration_s),
+        tracking=tracking_stats(window),
         loss_stats=loss_statistics(loss) if np.isfinite(loss.loss_db).any() else None,
         downtime_fraction=downtime_fraction(loss, scenario.transceiver),
         throughput_stats=summarize(throughput.rate_gbps),
@@ -388,13 +381,15 @@ def cmd_track(args) -> int:
         "duration_s": args.duration,
         "stages": stage_name,
         "fine_after_s": args.fine_after,
-        "stats": _stats_dict(tracking_stats(series, warmup, args.duration), warmup, args.duration),
+        "stats": _stats_dict(tracking_stats(series.window(warmup, args.duration)),
+                             warmup, args.duration),
         "time_in_state_s": _time_in_state(series),
         "files": {"tracking_csv": "tracking.csv"} if out is not None else None,
     }
     if args.fine_after > 0.0:
         payload["stats_after_fine"] = _stats_dict(
-            tracking_stats(series, args.fine_after, args.duration), args.fine_after, args.duration)
+            tracking_stats(series.window(args.fine_after, args.duration)),
+            args.fine_after, args.duration)
     if out is not None:
         fsio.write_tracking_csv(out / "tracking.csv", series)
     _emit_json(payload, out, "tracking_stats.json")

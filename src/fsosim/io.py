@@ -201,8 +201,8 @@ def write_tracking_csv(path: str | Path, series: TrackingSeries) -> None:
 
 
 def read_tracking_csv(path: str | Path) -> TrackingSeries:
-    """Parse a tracking CSV.  Gimbal angles and run metadata are not stored
-    in the CSV; they come back zeroed/empty."""
+    """Parse a tracking CSV.  Gimbal angles and the seed are not stored in
+    the CSV; they come back zeroed."""
     names = TRACKING_HEADER.split(",")
     fields = [(names[0], "f8"), (names[1], _STATE_FIELD)]
     fields += [(name, "f8") for name in names[2:8]] + [(name, "i1") for name in names[8:]]
@@ -230,8 +230,6 @@ def read_tracking_csv(path: str | Path) -> TrackingSeries:
         lock0=rec["lock0"] == 1,
         lock1=rec["lock1"] == 1,
         lock2=rec["lock2"] == 1,
-        scenario_name="",
-        scenario_digest="",
         seed=0,
     )
 

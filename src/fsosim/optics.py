@@ -39,8 +39,11 @@ def _check_fits(name: str, count: int, what: str, bytes_each: int) -> None:
     except (AttributeError, ValueError, OSError):
         memory = sys.maxsize
     if count > memory // bytes_each:
-        raise ValueError(f"{name}: {count} {what} at {bytes_each} bytes each need more "
-                         f"than the {memory:.3g} bytes of memory here")
+        # three digits of the count: Decimal takes any int, where float overflows
+        from decimal import Decimal
+
+        raise ValueError(f"{name}: {Decimal(count):.3g} {what} at {bytes_each} bytes each "
+                         f"need more than the {memory:.3g} bytes of memory here")
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ class TestCalibratedReproduction:
         )
 
     def test_coarse_tracking_residual(self, coarse_series, capsys):
-        s = tracking_stats(coarse_series, 10.0, 120.0)
+        s = tracking_stats(coarse_series.window(10.0, 120.0))
         mean_ok, mean_bounds = in_reference("coarse_radial_mean_urad", s.radial_mean_rad * 1e6)
         pitch_ok, std_bounds = in_reference("coarse_pitch_std_urad", s.pitch_std_rad * 1e6)
         azimuth_ok, _ = in_reference("coarse_azimuth_std_urad", s.azimuth_std_rad * 1e6)
@@ -140,7 +140,7 @@ class TestCalibratedReproduction:
     def test_fine_handover_residual(self, default_1km, timings, capsys):
         series = timed(timings, "handover 90 s", run_apt, default_1km, 90.0, 1,
                        fine_after_s=30.0)
-        s = tracking_stats(series, 30.0, 90.0)
+        s = tracking_stats(series.window(30.0, 90.0))
         mean_ok, mean_bounds = in_reference("handover_radial_mean_urad", s.radial_mean_rad * 1e6)
         pitch_ok, std_bounds = in_reference("handover_pitch_std_urad", s.pitch_std_rad * 1e6)
         azimuth_ok, _ = in_reference("handover_azimuth_std_urad", s.azimuth_std_rad * 1e6)
@@ -339,7 +339,7 @@ class TestModelProperties:
                                     ("full", (True, True))):
                 series = run_apt(default_1km, 60.0, seed,
                                  enable_fine1=f1, enable_fine2=f2)
-                means[label] = tracking_stats(series, 10.0, 60.0).radial_mean_rad
+                means[label] = tracking_stats(series.window(10.0, 60.0)).radial_mean_rad
             worst_c_over_f1 = min(worst_c_over_f1, means["coarse"] / means["fine1"])
             worst_f1_over_full = min(worst_f1_over_full, means["fine1"] / means["full"])
         ok = worst_c_over_f1 >= 2.0 and worst_f1_over_full >= 2.0

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from fsosim import (
     run_apt,
     tracking_stats,
 )
-from fsosim.apt import RNG_STREAM_LABELS, TICK_RATE_HZ, tick_count
+from fsosim.apt import RNG_STREAM_LABELS, TICK_RATE_HZ, tick_count, tick_window
 from fsosim.dynamics import DisturbanceGenerator, lag_alpha
 from fsosim.scenario import DEFAULTS
 
@@ -616,8 +615,8 @@ class TestRunApt:
         sc = make_scenario(**overrides)
         on = run_apt(sc, 8.0, seed=0)
         off = run_apt(sc, 8.0, seed=0, enable_feedforward=False)
-        mean_on = tracking_stats(on, 3.0, 8.0).radial_mean_rad
-        mean_off = tracking_stats(off, 3.0, 8.0).radial_mean_rad
+        mean_on = tracking_stats(on.window(3.0, 8.0)).radial_mean_rad
+        mean_off = tracking_stats(off.window(3.0, 8.0)).radial_mean_rad
         assert mean_off > 2.0 * mean_on
 
     def test_enable_fine2_requires_fine1(self, scenario):
@@ -780,8 +779,6 @@ class TestTrackingSeries:
             lock0=np.ones(n, dtype=bool),
             lock1=np.ones(n, dtype=bool),
             lock2=np.ones(n, dtype=bool),
-            scenario_name="t",
-            scenario_digest="d",
             seed=0,
         )
 
@@ -805,12 +802,28 @@ class TestTrackingSeries:
         assert st_.radial_std_rad == pytest.approx(radial.std(), rel=1e-12)
         assert st_.count == 10
 
-    @pytest.mark.parametrize("t0, t1, w0, w1", [
-        (0.002, 0.007, 0.002, 0.007), (0.004, None, 0.004, 1.0), (None, 0.003, 0.0, 0.003),
-    ])
-    def test_windowed_stats_equal_stats_of_the_window(self, t0, t1, w0, w1):
+    def test_window_arrays_are_views(self):
         s = self._series()
-        s = dataclasses.replace(s, error_azimuth_rad=np.sin(s.t_s) * 1e-6)
-        assert tracking_stats(s, t0, t1) == tracking_stats(s.window(w0, w1))
-        with pytest.raises(ValueError):
-            tracking_stats(s, 1.0, 2.0)
+        w = s.window(0.002, 0.005)
+        for name, value in vars(s).items():
+            if isinstance(value, np.ndarray):
+                assert np.shares_memory(getattr(w, name), value), name
+        assert w.seed == s.seed
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 3000), st.data())
+    def test_tick_window_is_the_comparison_of_the_tick_times(self, n, data):
+        # the slice picks exactly what comparing np.arange(n) / TICK_RATE_HZ
+        # with the bounds picks; an empty selection raises
+        tick = st.integers(-5, n + 5).map(lambda k: k / TICK_RATE_HZ)
+        near = tick.flatmap(lambda t: st.sampled_from(
+            [t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]))
+        bound = near | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]) | st.floats()
+        t0, t1 = data.draw(bound, "t0"), data.draw(bound, "t1")
+        t = np.arange(n) / TICK_RATE_HZ
+        expected = np.flatnonzero((t >= t0) & (t < t1))
+        if expected.size:
+            assert np.array_equal(np.arange(n)[tick_window(t0, t1, n)], expected)
+        else:
+            with pytest.raises(ValueError):
+                tick_window(t0, t1, n)

@@ -364,6 +364,7 @@ class TestScripts:
         assert done.returncode == 1
         assert done.stderr.startswith(f"{script}: duration_s 5.0 s ")
         assert done.stderr.count("\n") == 1 and "stats_warmup_s" in done.stderr
+        assert done.stdout == ""
 
     def test_duration_beyond_memory_exits_1_with_one_line(self):
         # 1e15 ticks: refused by name before the run allocates its series
@@ -371,6 +372,7 @@ class TestScripts:
         assert done.returncode == 1
         assert done.stderr.startswith("reproduce_results.py: duration_s: ")
         assert done.stderr.count("\n") == 1 and "memory" in done.stderr
+        assert done.stdout == ""
 
     def test_no_seeds_exits_1_with_one_line(self):
         done = run_script("tune_defaults.py", "--seeds", "0", "--duration", "12")
@@ -456,6 +458,18 @@ class TestCalibrate:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--duration", "1e300"], "--duration"),
+        (["sweep", "--steps", str(10**400)], "--steps"),
+        (["calibrate", "--samples", str(10**400)], "--samples"),
+    ])
+    def test_count_beyond_memory_refused_in_one_short_line(self, argv, flag, capsys):
+        # the refusal gives the count in three digits, not all of its hundreds
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"fsosim: {flag}: ") and err.count("\n") == 1
+        assert len(err) < 200
+
     def test_missing_scenario_file_exit_3(self):
         assert run_cli("budget", "--scenario", "/nonexistent/sc.json") == 3
 

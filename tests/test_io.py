@@ -103,7 +103,6 @@ class TestTrackingCsv:
         p = tmp_path / "t.csv"
         write_tracking_csv(p, series)
         back = read_tracking_csv(p)
-        assert back.scenario_name == ""
         assert back.seed == 0
         assert np.all(back.gimbal_azimuth_rad == 0.0)
 
@@ -220,7 +219,7 @@ def tracking_from(values, seed=0):
         fsm1_pitch_rad=shifted[2], fsm1_azimuth_rad=shifted[3],
         fsm2_pitch_rad=shifted[4], fsm2_azimuth_rad=shifted[5],
         lock0=locks[0], lock1=locks[1], lock2=locks[2],
-        scenario_name="", scenario_digest="", seed=0,
+        seed=0,
     )
 
 

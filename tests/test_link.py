@@ -42,8 +42,6 @@ def series_with(states, pitch_urad):
         lock0=np.ones(n, dtype=bool),
         lock1=np.ones(n, dtype=bool),
         lock2=np.ones(n, dtype=bool),
-        scenario_name="t",
-        scenario_digest="d",
         seed=0,
     )
 
