@@ -1,11 +1,14 @@
 """CSV and JSON serialization for series and run reports.
 
-All CSVs use 6 significant digits, '.' as the decimal separator and plain
-'\\n' line endings.  A written file re-parses to values that format back to
-the identical text, so emitted artifacts are stable round-trip.  Infinite
-loss samples are written as 'inf'.  Writers format a block of rows with one
-%-format and readers parse a whole file with one np.loadtxt; neither goes
-cell by cell in Python.
+CSVs use '.' as the decimal separator and plain '\\n' line endings.  Tick
+times (t_s = k / 1000 s) are written as their exact decimals; every other
+number keeps 6 significant digits.  A written file re-parses to values that
+format back to the identical text, so emitted artifacts are stable
+round-trip.  Infinite loss samples are written as 'inf'.  Writers format a
+block of rows with one %-format, and a cell that can take only a few texts
+(a lock flag, a state name, a repeated rate) is looked up, not formatted;
+readers parse a whole file with one np.loadtxt.  Neither goes cell by cell
+in Python.
 """
 
 from __future__ import annotations
@@ -30,16 +33,27 @@ TRACKING_HEADER = (
 LOSS_HEADER = "t_s,loss_db,link_up"
 THROUGHPUT_HEADER = "t_s,rate_gbps"
 
-# one row of each CSV: %.6g for numbers, %s for state names, %d for flags
+# one row of a sweep CSV; the series writers build theirs block by block,
+# with %.6g for a number they format and %s for a text they look up
 _SWEEP_ROW = "%.6g,%.6g,%.6g\n"
-_TRACKING_ROW = "%.6g,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%d,%d,%d\n"
-_LOSS_ROW = "%.6g,%.6g,%d\n"
-_THROUGHPUT_ROW = "%.6g,%.6g\n"
 
 # rows formatted together; bounds the text and the cells held at once
 _BLOCK_ROWS = 4096
-# the cells of a block of rows (a slice), column by column
-_Cells = Callable[[slice], Sequence]
+# the row format of a block of rows (a slice) and its cells, column by column
+_Cells = Callable[[slice], tuple[str, Sequence]]
+
+# tick times are whole milliseconds, t = k / 1000 s; a block of them is
+# written as the text of k // 1000 followed by _TICK_FRACTION[k % 1000]:
+# '' for a whole second, else '.001' ... '.999' as '%.6g' spells k / 1000
+_MS_PER_S = 1000
+_TICK_FRACTION = np.array([("%.6g" % (j / _MS_PER_S))[1:] for j in range(_MS_PER_S)],
+                          dtype=object)
+# while k is an exact float, k / 1000 is the float that k's decimal parses to
+_MAX_TICK = 2.0**53
+
+# lock0..2 as one cell, indexed by lock0 << 2 | lock1 << 1 | lock2, and link_up
+_LOCK_TEXT = np.array([f"{i >> 2},{i >> 1 & 1},{i & 1}" for i in range(8)], dtype=object)
+_FLAG_TEXT = np.array(["0", "1"], dtype=object)
 
 # values _through_csv rounds together, and the powers of ten it scales by:
 # float(10**k) is exact up to 10**22 (5**22 < 2**53)
@@ -52,15 +66,71 @@ _STATE_NAME_OF = np.array([STATE_NAMES[s] for s in range(len(STATE_NAMES))], dty
 _STATE_FIELD = f"U{max(map(len, NAME_TO_STATE)) + 1}"
 
 
-def _csv_blocks(row: str, n: int, cells: _Cells) -> Iterator[str]:
+def _csv_blocks(n: int, cells: _Cells) -> Iterator[str]:
     """Text of rows 0..n-1, one string per block of _BLOCK_ROWS rows.
 
-    cells(block) returns the block's cells column by column; each block is
-    formatted with a single `row * k % (cells row by row)`.
+    cells(block) returns the block's row format and its cells column by
+    column; each block is formatted with a single `row * k % (cells row by
+    row)`.
     """
     for lo in range(0, n, _BLOCK_ROWS):
-        columns = [np.asarray(c).tolist() for c in cells(slice(lo, lo + _BLOCK_ROWS))]
+        row, block = cells(slice(lo, lo + _BLOCK_ROWS))
+        columns = [np.asarray(c).tolist() for c in block]
         yield row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _row(*formats: str) -> str:
+    return ",".join(formats) + "\n"
+
+
+def _time_cells(t: np.ndarray) -> tuple[str, list]:
+    """The format and cells of a block's t_s column.
+
+    When every time is a tick, k / 1000 s with 0 <= k < 2**53 and the sign
+    bit clear, each is written as its exact decimal from two looked-up
+    texts: its whole seconds (formatted once per distinct value) and its
+    fraction.  Below 1000 s that is the text '%.6g' writes.  Any other
+    block is written with '%.6g'.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fall back
+        k = np.rint(t * _MS_PER_S)
+        ticks = (t == k / _MS_PER_S).all() and (k < _MAX_TICK).all()
+    if not ticks or np.signbit(t).any():
+        return "%.6g", [t]
+    whole, at = np.divmod(k.astype(np.int64), _MS_PER_S)
+    seconds, inverse = _distinct(whole)
+    whole_text = np.array([str(w) for w in seconds.tolist()], dtype=object)
+    return "%s%s", [whole_text[inverse], _TICK_FRACTION[at]]
+
+
+def _distinct_cells(values: np.ndarray) -> np.ndarray:
+    """'%.6g' of each value, formatted once per distinct bit pattern."""
+    values = np.asarray(values, dtype=np.float64)
+    distinct, inverse = _distinct(values.view(np.int64))
+    text = np.array(["%.6g" % v for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse]
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, and the index of each key among them.
+
+    A search in np.unique's result, not its return_inverse: on numpy 2.4
+    that argsort path read a peak RSS 1-3 MB higher over repeated
+    track --out and run --out.
+    """
+    distinct = np.unique(keys)
+    return distinct, np.searchsorted(distinct, keys)
+
+
+def _flags(series: object, *names: str) -> list[np.ndarray]:
+    """The flag arrays `names` of a series, which index the text tables, so
+    must be bool: ValueError names the first that is not."""
+    arrays = [np.asarray(getattr(series, name)) for name in names]
+    for name, flag in zip(names, arrays):
+        if flag.dtype != np.bool_:
+            raise ValueError(f"{name} must be a bool array, not {flag.dtype}")
+    return arrays
 
 
 def _through_csv(values: np.ndarray) -> np.ndarray:
@@ -98,14 +168,14 @@ def _through_csv(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _write_rows(fh: TextIO, header: str, row: str, n: int, cells: _Cells) -> None:
+def _write_rows(fh: TextIO, header: str, n: int, cells: _Cells) -> None:
     fh.write(header + "\n")
-    fh.writelines(_csv_blocks(row, n, cells))
+    fh.writelines(_csv_blocks(n, cells))
 
 
-def _write_csv(path: str | Path, header: str, row: str, n: int, cells: _Cells) -> None:
+def _write_csv(path: str | Path, header: str, n: int, cells: _Cells) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_rows(fh, header, row, n, cells)
+        _write_rows(fh, header, n, cells)
 
 
 def _loadtxt(lines, dtype: np.dtype) -> np.ndarray:
@@ -171,7 +241,7 @@ def _data_line(path: str | Path, index: int) -> tuple[int, str]:
 # distance sweep
 
 def _write_sweep(fh: TextIO, table: np.ndarray) -> None:
-    _write_rows(fh, SWEEP_HEADER, _SWEEP_ROW, len(table), lambda b: table[b].T)
+    _write_rows(fh, SWEEP_HEADER, len(table), lambda b: (_SWEEP_ROW, table[b].T))
 
 
 def write_sweep_csv(path: str | Path, table: np.ndarray) -> None:
@@ -193,11 +263,16 @@ def write_tracking_csv(path: str | Path, series: TrackingSeries) -> None:
     s = series
     urad = (s.error_pitch_rad, s.error_azimuth_rad, s.fsm1_pitch_rad,
             s.fsm1_azimuth_rad, s.fsm2_pitch_rad, s.fsm2_azimuth_rad)
-    _write_csv(
-        path, TRACKING_HEADER, _TRACKING_ROW, len(s.t_s),
-        lambda b: [s.t_s[b], _STATE_NAME_OF[s.state[b]], *(a[b] * 1e6 for a in urad),
-                   s.lock0[b], s.lock1[b], s.lock2[b]],
-    )
+    lock0, lock1, lock2 = _flags(s, "lock0", "lock1", "lock2")
+
+    def cells(b: slice) -> tuple[str, list]:
+        time, t = _time_cells(s.t_s[b])
+        l0, l1, l2 = (lock[b].view(np.uint8) for lock in (lock0, lock1, lock2))
+        locks = l0 << 2 | l1 << 1 | l2
+        return (_row(time, "%s", *["%.6g"] * len(urad), "%s"),
+                [*t, _STATE_NAME_OF[s.state[b]], *(a[b] * 1e6 for a in urad), _LOCK_TEXT[locks]])
+
+    _write_csv(path, TRACKING_HEADER, len(s.t_s), cells)
 
 
 def read_tracking_csv(path: str | Path) -> TrackingSeries:
@@ -239,8 +314,13 @@ def read_tracking_csv(path: str | Path) -> TrackingSeries:
 
 def write_loss_csv(path: str | Path, series: LossSeries) -> None:
     s = series
-    _write_csv(path, LOSS_HEADER, _LOSS_ROW, len(s.t_s),
-               lambda b: [s.t_s[b], s.loss_db[b], s.link_up[b]])
+    (link_up,) = _flags(s, "link_up")
+
+    def cells(b: slice) -> tuple[str, list]:
+        time, t = _time_cells(s.t_s[b])
+        return _row(time, "%.6g", "%s"), [*t, s.loss_db[b], _FLAG_TEXT[link_up[b].view(np.uint8)]]
+
+    _write_csv(path, LOSS_HEADER, len(s.t_s), cells)
 
 
 def read_loss_csv(path: str | Path) -> LossSeries:
@@ -252,8 +332,12 @@ def read_loss_csv(path: str | Path) -> LossSeries:
 
 def write_throughput_csv(path: str | Path, series: ThroughputSeries) -> None:
     s = series
-    _write_csv(path, THROUGHPUT_HEADER, _THROUGHPUT_ROW, len(s.t_s),
-               lambda b: [s.t_s[b], s.rate_gbps[b]])
+
+    def cells(b: slice) -> tuple[str, list]:
+        time, t = _time_cells(s.t_s[b])
+        return _row(time, "%s"), [*t, _distinct_cells(s.rate_gbps[b])]
+
+    _write_csv(path, THROUGHPUT_HEADER, len(s.t_s), cells)
 
 
 def read_throughput_csv(path: str | Path) -> ThroughputSeries:

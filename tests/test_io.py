@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fsosim.io import (
     write_throughput_csv,
     write_tracking_csv,
 )
-from fsosim.link import LossSeries, ThroughputSeries
+from fsosim.link import LossSeries, ThroughputSeries, loss_timeseries
 from fsosim.states import STATE_NAMES
 
 
@@ -207,6 +208,27 @@ def per_cell_text(header, rows):
     return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
+def tick_text(t):
+    """The exact decimal of a tick time t = k / 1000 s (0 <= k < 2**53), or None."""
+    if not math.isfinite(t * 1000) or math.copysign(1.0, t) < 0.0:
+        return None
+    k = round(t * 1000)
+    if k >= 2**53 or k / 1000 != t:
+        return None
+    return f"{k // 1000}.{k % 1000:03d}".rstrip("0").rstrip(".")
+
+
+def time_texts(t_s):
+    """The t_s cells: a block of tick times as exact decimals, any other
+    block through '%.6g'."""
+    texts = []
+    for lo in range(0, len(t_s), BLOCK):
+        block = t_s[lo:lo + BLOCK].tolist()
+        ticks = [tick_text(t) for t in block]
+        texts += ["%.6g" % t for t in block] if None in ticks else ticks
+    return texts
+
+
 def tracking_from(values, seed=0):
     n = len(values)
     rng = np.random.default_rng(seed)
@@ -226,8 +248,9 @@ def tracking_from(values, seed=0):
 def tracking_text(s):
     urad = (s.error_pitch_rad, s.error_azimuth_rad, s.fsm1_pitch_rad,
             s.fsm1_azimuth_rad, s.fsm2_pitch_rad, s.fsm2_azimuth_rad)
+    t_s = time_texts(s.t_s)
     rows = (
-        ["%.6g" % s.t_s[i], STATE_NAMES[int(s.state[i])],
+        [t_s[i], STATE_NAMES[int(s.state[i])],
          *("%.6g" % (float(a[i]) * 1e6) for a in urad),
          *(str(int(lock[i])) for lock in (s.lock0, s.lock1, s.lock2))]
         for i in range(len(s.t_s))
@@ -241,8 +264,8 @@ def loss_from(values, seed=0):
 
 
 def loss_text(s):
-    rows = (["%.6g" % t, "%.6g" % v, str(int(u))]
-            for t, v, u in zip(s.t_s, s.loss_db, s.link_up))
+    rows = ([t, "%.6g" % v, str(int(u))]
+            for t, v, u in zip(time_texts(s.t_s), s.loss_db, s.link_up))
     return per_cell_text(fsio.LOSS_HEADER, rows)
 
 
@@ -251,8 +274,8 @@ def throughput_from(values):
 
 
 def throughput_text(s):
-    rows = (["%.6g" % t, "%.6g" % r]
-            for t, r in zip(s.t_s, s.rate_gbps))
+    rows = ([t, "%.6g" % r]
+            for t, r in zip(time_texts(s.t_s), s.rate_gbps))
     return per_cell_text(fsio.THROUGHPUT_HEADER, rows)
 
 
@@ -271,9 +294,11 @@ def cells(path, column):
     return np.array([float(line.split(",")[column]) for line in lines], dtype=np.float64)
 
 
-def check_writers_and_readers(values, tmp_path):
-    """Every writer equals its per-cell definition; every reader parses like float()."""
-    series = tracking_from(values)
+def check_writers_and_readers(values, tmp_path, t_s=None):
+    """Every writer equals its per-cell definition; every reader parses like
+    float().  With t_s given, the series carry those times instead."""
+    times = {} if t_s is None else {"t_s": t_s}
+    series = replace(tracking_from(values), **times)
     p = tmp_path / "tracking.csv"
     with np.errstate(over="ignore"):  # values near the float64 limit overflow to inf in urad
         write_tracking_csv(p, series)
@@ -287,15 +312,16 @@ def check_writers_and_readers(values, tmp_path):
     assert np.array_equal(back.state, series.state)
     assert np.array_equal(back.lock2, series.lock2)
 
-    loss = loss_from(values)
+    loss = replace(loss_from(values), **times)
     p = tmp_path / "loss.csv"
     write_loss_csv(p, loss)
     assert p.read_text() == loss_text(loss)
     back = read_loss_csv(p)
+    assert np.array_equal(bits(back.t_s), bits(cells(p, 0)))
     assert np.array_equal(bits(back.loss_db), bits(cells(p, 1)))
     assert np.array_equal(back.link_up, loss.link_up)
 
-    rate = throughput_from(values)
+    rate = replace(throughput_from(values), **times)
     p = tmp_path / "throughput.csv"
     write_throughput_csv(p, rate)
     assert p.read_text() == throughput_text(rate)
@@ -356,6 +382,144 @@ class TestBlockFormatting:
         values = np.concatenate([values, np.nextafter(values, -np.inf),
                                  np.nextafter(values, np.inf)])
         check_roundtrip(np.concatenate([values, -values]))
+
+
+# ---------------------------------------------------------------------------
+# tick times and flags
+
+def write_times(tmp_path, t_s):
+    """The t_s cells write_throughput_csv writes for `t_s`, and the times read back."""
+    p = tmp_path / "times.csv"
+    t_s = np.asarray(t_s, dtype=float)
+    write_throughput_csv(p, ThroughputSeries(t_s=t_s, rate_gbps=np.zeros(len(t_s))))
+    return [line.split(",")[0] for line in p.read_text().splitlines()[1:]], read_throughput_csv(p).t_s
+
+
+def read_times(tmp_path):
+    """t_s as each series reader returns it from the files check_writers_and_readers wrote."""
+    return [read(tmp_path / name).t_s for read, name in
+            [(read_tracking_csv, "tracking.csv"), (read_loss_csv, "loss.csv"),
+             (read_throughput_csv, "throughput.csv")]]
+
+
+tick_arrays = hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(0, 2**53 - 1))
+
+
+class TestTickTimes:
+    def test_below_1000_s_the_text_is_format_sig(self, tmp_path):
+        t_s = np.arange(10**6) / 1000
+        texts, back = write_times(tmp_path, t_s)
+        assert texts == ["%.6g" % t for t in t_s.tolist()]
+        assert np.array_equal(bits(back), bits(t_s))
+
+    @pytest.mark.parametrize("k, text", [
+        (10**6 + 1, "1000.001"),
+        (1234567, "1234.567"),
+        # (2**53 - 1) / 1000 rounds to the float (2**53 - 2) / 1000, written as that tick
+        (2**53 - 1, "9007199254740.99"),
+    ])
+    def test_exact_decimals_from_1000_s(self, k, text, tmp_path):
+        texts, back = write_times(tmp_path, [k / 1000])
+        assert texts == [text]
+        assert np.array_equal(bits(back), bits([k / 1000]))
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_tick_times_through_block_boundaries(self, n, tmp_path):
+        # from 997.952 s, so the times past 1000 s differ from their '%.6g' text
+        ticks = (10**6 - BLOCK // 2 + np.arange(n)) / 1000
+        check_writers_and_readers(sample_values(n, seed=n), tmp_path, t_s=ticks)
+        for back in read_times(tmp_path):
+            assert np.array_equal(bits(back), bits(ticks))
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=tick_arrays)
+    def test_writers_match_per_cell_on_any_ticks(self, k, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("ticks")
+        check_writers_and_readers(sample_values(len(k)), tmp_path, t_s=k / 1000)
+        for back in read_times(tmp_path):
+            assert np.array_equal(bits(back), bits(k / 1000))
+
+    @pytest.mark.parametrize("odd", [-0.0, -0.001, math.nan, math.inf, -math.inf, 1e300,
+                                     1000.0005, 2**53 / 1000])
+    def test_a_block_with_another_time_falls_back(self, odd, tmp_path):
+        # three blocks of ticks from 1000 s, where '%.6g' drops the milliseconds:
+        # only the middle one, which holds `odd`, is written with '%.6g'
+        t_s = (10**6 + np.arange(3 * BLOCK)) / 1000
+        t_s[BLOCK + 7] = odd
+        texts, back = write_times(tmp_path, t_s)
+        assert texts[BLOCK:2 * BLOCK] == ["%.6g" % t for t in t_s[BLOCK:2 * BLOCK].tolist()]
+        assert texts[:BLOCK] + texts[2 * BLOCK:] == [
+            tick_text(t) for t in [*t_s[:BLOCK].tolist(), *t_s[2 * BLOCK:].tolist()]]
+        assert texts[BLOCK + 8] == "1004.1"
+        assert texts[2 * BLOCK + 1] == "1008.193"
+
+    def test_a_block_mixing_milliseconds_and_1e12_s(self, tmp_path):
+        t_s = [0.001, 1e12, 0.002, (10**15 + 1) / 1000, 0.0, 1.5]
+        texts, back = write_times(tmp_path, t_s)
+        assert texts == ["0.001", "1000000000000", "0.002", "1000000000000.001", "0", "1.5"]
+        assert np.array_equal(bits(back), bits(t_s))
+
+    @pytest.mark.parametrize("t", [1e306, -1e306, math.nan, math.inf, 5e-324, 1e12])
+    def test_no_warning_escapes(self, t, tmp_path):
+        # t * 1000 overflows at 1e306; NaN and inf are no ticks
+        t_s = np.array([0.0, 0.001, t])
+        values = np.array([1.0, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_writers_and_readers(values, tmp_path, t_s=t_s)
+
+    def test_times_from_1000_s_read_back_exact(self, tmp_path):
+        ticks = np.arange(999990, 1000010) / 1000
+        p = tmp_path / "loss.csv"
+        write_loss_csv(p, LossSeries(t_s=ticks, loss_db=np.full(20, 13.7),
+                                     link_up=np.ones(20, dtype=bool)))
+        assert np.array_equal(bits(read_loss_csv(p).t_s), bits(ticks))
+        # a whole run to 1000.010 s, as window picks ticks by their index
+        n = 1000010
+        zeros = np.broadcast_to(0.0, n)
+        locks = np.broadcast_to(True, n)
+        series = TrackingSeries(
+            t_s=np.arange(n) / 1000, state=np.broadcast_to(np.int8(0), n),
+            error_pitch_rad=zeros, error_azimuth_rad=zeros,
+            gimbal_azimuth_rad=zeros, gimbal_pitch_rad=zeros,
+            fsm1_pitch_rad=zeros, fsm1_azimuth_rad=zeros,
+            fsm2_pitch_rad=zeros, fsm2_azimuth_rad=zeros,
+            lock0=locks, lock1=locks, lock2=locks, seed=0,
+        )
+        p = tmp_path / "tracking.csv"
+        write_tracking_csv(p, series)
+        back = read_tracking_csv(p)
+        assert np.array_equal(bits(back.t_s[-20:]), bits(ticks))
+        window = back.window(999.995, 1000.005)
+        assert len(window) == 10
+        assert np.array_equal(bits(window.t_s), bits(np.arange(999995, 1000005) / 1000))
+
+
+class TestFlags:
+    def test_every_producer_gives_bool(self, tmp_path, series, scenario):
+        loss = loss_timeseries(series, scenario)
+        write_tracking_csv(tmp_path / "t.csv", series)
+        write_loss_csv(tmp_path / "l.csv", loss)
+        back = read_tracking_csv(tmp_path / "t.csv")
+        flags = [series.lock0, series.lock1, series.lock2, loss.link_up,
+                 back.lock0, back.lock1, back.lock2, read_loss_csv(tmp_path / "l.csv").link_up]
+        assert all(flag.dtype == np.bool_ for flag in flags)
+
+    @pytest.mark.parametrize("name", ["lock0", "lock1", "lock2"])
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.float64])
+    def test_tracking_refuses_other_lock_dtypes(self, name, dtype, tmp_path, series):
+        p = tmp_path / "t.csv"
+        bad = replace(series, **{name: getattr(series, name).astype(dtype)})
+        with pytest.raises(ValueError, match=rf"^{name} must be a bool array"):
+            write_tracking_csv(p, bad)
+        assert not p.exists()
+
+    def test_loss_refuses_other_link_up_dtypes(self, tmp_path):
+        p = tmp_path / "l.csv"
+        bad = LossSeries(t_s=np.zeros(2), loss_db=np.zeros(2), link_up=np.array([0, 1]))
+        with pytest.raises(ValueError, match=r"^link_up must be a bool array"):
+            write_loss_csv(p, bad)
+        assert not p.exists()
 
 
 # ---------------------------------------------------------------------------
