@@ -49,13 +49,7 @@ from .optics import (
     BeamModel,
     CouplingModel,
     LinkBudget,
-    atmospheric_loss_db,
-    beam_radius_m,
-    coupling_loss_db,
-    diffraction_loss_db,
     distance_sweep,
-    jitter_excess_db,
-    kim_size_exponent,
     link_budget,
 )
 from .scenario import (
@@ -103,18 +97,12 @@ __all__ = [
     "TrackingSeries",
     "TrackingStats",
     "TransceiverSpec",
-    "atmospheric_loss_db",
-    "beam_radius_m",
     "calibrate_coupling",
     "component_rng",
-    "coupling_loss_db",
     "default_scenario",
-    "diffraction_loss_db",
     "distance_sweep",
     "downtime_fraction",
     "geodetic_to_ecef",
-    "jitter_excess_db",
-    "kim_size_exponent",
     "link_budget",
     "load_scenario",
     "loss_statistics",

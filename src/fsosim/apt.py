@@ -109,22 +109,17 @@ def tick_count(duration_s: float) -> int:
     return int(round(ticks))
 
 
-def tick_window(t0_s: float, t1_s: float, n: int) -> slice:
-    """The ticks k < n with t0_s <= k / TICK_RATE_HZ < t1_s, as a slice.
-
-    The one rule for which ticks a statistics window holds.  Its bounds are
-    found by bisection on the tick times, with no array, so a caller can
-    check a run's window before the run (n = tick_count(duration_s)); on a
-    series' t_s, as run_apt builds it, the slice picks what comparing the
-    times would.  Raises ValueError when the window holds no tick, as with
-    a NaN bound.
-    """
+def _window(time_of, n: int, t0_s: float, t1_s: float) -> slice:
+    """The indices k < n with t0_s <= time_of(k) < t1_s, as a slice, for
+    times that never fall.  Bisects on plain ints, as n may be a tick count
+    beyond what a range or an array can hold.  Raises ValueError when the
+    window holds no index, as with a NaN bound."""
     def first(t: float) -> int:
-        # the first k <= n with k / TICK_RATE_HZ >= t; the tick times never fall
+        # the first k <= n with time_of(k) >= t
         lo, hi = 0, n
         while lo < hi:
             mid = (lo + hi) // 2
-            if mid / TICK_RATE_HZ < t:
+            if time_of(mid) < t:
                 lo = mid + 1
             else:
                 hi = mid
@@ -135,6 +130,18 @@ def tick_window(t0_s: float, t1_s: float, n: int) -> slice:
         if start < stop:
             return slice(start, stop)
     raise ValueError(f"window [{t0_s}, {t1_s}) selects no samples")
+
+
+def tick_window(t0_s: float, t1_s: float, n: int) -> slice:
+    """The ticks k < n with t0_s <= k / TICK_RATE_HZ < t1_s, as a slice.
+
+    The rule for which ticks a run's statistics window holds, so a caller
+    can check the window before the run (n = tick_count(duration_s)); on a
+    series' t_s, as run_apt builds it, `TrackingSeries.window` picks the
+    same ticks.  Raises ValueError when the window holds no tick, as with a
+    NaN bound.
+    """
+    return _window(lambda k: k / TICK_RATE_HZ, n, t0_s, t1_s)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +170,13 @@ class TrackingSeries:
         return self.t_s.size
 
     def window(self, t0_s: float, t1_s: float) -> "TrackingSeries":
-        """The ticks with t0_s <= t < t1_s, picked by `tick_window`, as views
-        of this series' arrays (no copy).  Raises on an empty selection."""
-        ticks = tick_window(t0_s, t1_s, len(self))
+        """The rows with t0_s <= t_s < t1_s, found by bisection on t_s, as
+        views of this series' arrays (no copy).  Raises ValueError on an
+        empty selection, or when t_s falls or holds NaN."""
+        t = self.t_s
+        if np.isnan(t).any() or (t[1:] < t[:-1]).any():
+            raise ValueError("t_s must not fall or hold NaN to be windowed by time")
+        ticks = _window(t.item, len(self), t0_s, t1_s)
         return replace(self, **{name: value[ticks] for name, value in vars(self).items()
                                 if isinstance(value, np.ndarray)})
 
@@ -253,9 +264,7 @@ def run_apt(
     dt = 1.0 / TICK_RATE_HZ
 
     # component noise streams (fixed labels; see module docstring)
-    dist_gen = DisturbanceGenerator(
-        scenario.disturbance, component_rng(seed, "disturbance"), TICK_RATE_HZ
-    )
+    dist_gen = DisturbanceGenerator(scenario.disturbance, component_rng(seed, "disturbance"))
     base = dist_gen.series(n + 1, t0_s=-dt)
     base_pitch, base_az = base[0], base[1]
     rate_pitch = np.diff(base_pitch) / dt

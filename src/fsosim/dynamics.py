@@ -153,7 +153,7 @@ def _sinusoid_series(axis: AxisDisturbance, t_s: np.ndarray) -> np.ndarray:
 
 
 class DisturbanceGenerator:
-    """Deterministic base-motion source for one run.
+    """Deterministic base-motion source for one run, sampled at TICK_RATE_HZ.
 
     The noise term is white Gaussian shaped by a 4th-order Butterworth
     low-pass at the configured bandwidth and rescaled so its steady-state
@@ -161,33 +161,31 @@ class DisturbanceGenerator:
     so the process is stationary from the first sample.
     """
 
-    def __init__(self, profile: DisturbanceProfile, rng: np.random.Generator,
-                 rate_hz: float = TICK_RATE_HZ):
+    def __init__(self, profile: DisturbanceProfile, rng: np.random.Generator):
         self.profile = profile
-        self.rate_hz = rate_hz
         self._rng = rng
         self._filters = {}
         for name, axis in (("pitch", profile.pitch), ("azimuth", profile.azimuth)):
-            if axis.noise_bandwidth_hz > MAX_NOISE_BANDWIDTH_FRACTION * rate_hz:
+            if axis.noise_bandwidth_hz > MAX_NOISE_BANDWIDTH_FRACTION * TICK_RATE_HZ:
                 raise ValueError(
                     f"{name} noise_bandwidth_hz {axis.noise_bandwidth_hz:g} exceeds "
-                    f"{MAX_NOISE_BANDWIDTH_FRACTION:g} x the {rate_hz:g} Hz sample rate")
+                    f"{MAX_NOISE_BANDWIDTH_FRACTION:g} x the {TICK_RATE_HZ:g} Hz sample rate")
             self._filters[name] = self._make_filter(axis)
 
     def _make_filter(self, axis: AxisDisturbance):
         if axis.noise_rms_rad == 0.0:
             return None
         bw = axis.noise_bandwidth_hz
-        b, a = signal.butter(4, bw, fs=self.rate_hz)
+        b, a = signal.butter(4, bw, fs=TICK_RATE_HZ)
         # white-noise gain of the filter: sqrt(sum h^2) from the impulse response
-        impulse_len = max(64, int(20.0 * self.rate_hz / bw))
+        impulse_len = max(64, int(20.0 * TICK_RATE_HZ / bw))
         impulse = np.zeros(impulse_len)
         impulse[0] = 1.0
         h = signal.lfilter(b, a, impulse)
         gain = math.sqrt(float(np.sum(h * h)))
         scale = axis.noise_rms_rad / gain
         # warm up the filter state on pre-roll noise so t=0 is stationary
-        warmup = min(int(6.0 * self.rate_hz / bw), 60_000)
+        warmup = min(int(6.0 * TICK_RATE_HZ / bw), 60_000)
         zi = signal.lfiltic(b, a, [0.0], [0.0])
         if warmup > 0:
             _, zi = signal.lfilter(b, a, scale * self._rng.standard_normal(warmup), zi=zi)
@@ -204,7 +202,7 @@ class DisturbanceGenerator:
 
     def series(self, n_samples: int, t0_s: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """(pitch, azimuth) base-angle arrays for n_samples consecutive ticks."""
-        t = t0_s + np.arange(n_samples) / self.rate_hz
+        t = t0_s + np.arange(n_samples) / TICK_RATE_HZ
         pitch = _sinusoid_series(self.profile.pitch, t) + self._noise_series("pitch", n_samples)
         az = _sinusoid_series(self.profile.azimuth, t) + self._noise_series("azimuth", n_samples)
         return pitch, az

@@ -75,18 +75,15 @@ class SummaryStats:
 def loss_timeseries(tracking: "TrackingSeries", scenario: "Scenario") -> LossSeries:
     """Total loss per tracking sample of a run of `scenario`.
 
-    Static terms come from the budget at the scenario distance; the jitter
-    excess follows the instantaneous radial pointing error.  When the
-    scenario's fixed_loss_db is set (bench configurations with an inline
-    attenuator) it replaces the modeled loss while in lock.  Out-of-lock
-    ticks get the no-link sentinel.
+    The loss is the budget's total at the scenario distance and each tick's
+    radial pointing error.  When the scenario's fixed_loss_db is set (bench
+    configurations with an inline attenuator) it replaces the modeled loss
+    while in lock.  Out-of-lock ticks get the no-link sentinel.
     """
     in_lock = np.isin(tracking.state, [int(s) for s in LOCK_STATES])
     radial = np.hypot(tracking.error_pitch_rad, tracking.error_azimuth_rad)
     if scenario.fixed_loss_db is None:
-        static = optics.link_budget(scenario, scenario.distance_m).total_db
-        scale = optics.DB_PER_NEPER / scenario.coupling.rolloff_halfwidth_rad**2
-        loss = static + scale * radial * radial
+        loss = optics.link_budget(scenario, scenario.distance_m, radial).total_db
     else:
         loss = np.full(radial.shape, float(scenario.fixed_loss_db))
     loss = np.where(in_lock, loss, NO_LINK_LOSS_DB)

@@ -1,10 +1,11 @@
 """Optical link budget: Gaussian-beam diffraction, visibility attenuation, fiber coupling.
 
 All lengths in meters, angles in radians, losses in positive dB.  The Kim
-visibility model works in km and nm internally; conversion happens at the
-boundary of `atmospheric_loss_db`.
+visibility model works in km and nm internally.
 
-The total budget is additive in dB:
+`link_budget` is the one entry point, and checks its inputs.  Its budget,
+at a distance and a radial pointing error (either may be an array), is
+additive in dB:
 
     total = diffraction + optics insertion + atmosphere
             + fiber-coupling base + pointing-jitter excess
@@ -130,14 +131,16 @@ class CouplingModel:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Additive dB budget at one distance or an array of them; the terms that
-    depend on distance have its shape (a numpy float for one distance)."""
+    """Additive dB budget at one distance or an array of them, and one
+    radial pointing error or an array of them.  The terms that depend on
+    distance have its shape, the jitter term has the errors' shape (numpy
+    floats for scalars), and the sums broadcast the two."""
 
     diffraction_db: float | np.ndarray
     optics_db: float
     atmosphere_db: float | np.ndarray
     coupling_base_db: float
-    jitter_excess_db: float
+    jitter_excess_db: float | np.ndarray
 
     @property
     def static_db(self) -> float | np.ndarray:
@@ -150,14 +153,14 @@ class LinkBudget:
         return self.static_db + self.coupling_base_db + self.jitter_excess_db
 
 
-def beam_radius_m(beam: BeamModel, distance_m: float) -> float:
+# The term helpers below take inputs that link_budget has checked.
+
+def _beam_radius_m(beam: BeamModel, distance_m: float) -> float:
     """1/e^2 intensity radius after propagating distance_m."""
-    if distance_m < 0.0:
-        raise ValueError("distance_m must be >= 0")
     return beam.waist_radius_m * math.sqrt(1.0 + (distance_m / beam.rayleigh_range_m) ** 2)
 
 
-def diffraction_loss_db(beam: BeamModel, antenna: AntennaSpec, distance_m: float) -> float:
+def _diffraction_db(beam: BeamModel, antenna: AntennaSpec, distance_m: float) -> float:
     """Geometric capture loss of the expanded beam at the receive aperture.
 
     Both terminals carry `antenna`.  The captured power fraction of a
@@ -165,23 +168,19 @@ def diffraction_loss_db(beam: BeamModel, antenna: AntennaSpec, distance_m: float
     1 - exp(-2 a^2 / w(z)^2).  At distance 0 all transmitted power is inside
     the (co-located) aperture and the loss is 0 by convention.
     """
-    if beam.waist_radius_m > antenna.aperture_radius_m:
-        raise ValueError("waist_radius_m exceeds transmit aperture radius")
-    if distance_m < 0.0:
-        raise ValueError("distance_m must be >= 0")
     if distance_m == 0.0:
         return 0.0
-    w = beam_radius_m(beam, distance_m)
+    w = _beam_radius_m(beam, distance_m)
     a = antenna.aperture_radius_m
     captured = 1.0 - math.exp(-2.0 * a * a / (w * w))
     if captured == 0.0:
         # so far out that the captured fraction rounds to 0: the loss in dB
-        # overflows, as beam_radius_m does a little further out
+        # overflows, as the beam radius does a little further out
         raise OverflowError(f"distance_m={distance_m} is beyond the range of the beam model")
     return -10.0 * math.log10(captured)
 
 
-def kim_size_exponent(visibility_m: float) -> float:
+def _kim_size_exponent(visibility_m: float) -> float:
     """Particle-size exponent q of the Kim visibility model (piecewise in V)."""
     v_km = visibility_m / 1000.0
     if v_km > 50.0:
@@ -195,58 +194,56 @@ def kim_size_exponent(visibility_m: float) -> float:
     return 0.0
 
 
-def atmospheric_loss_db(atm: AtmosphereModel,
-                        distance_m: float | np.ndarray) -> float | np.ndarray:
-    """Kim-model extinction over the path (one distance or an array), in dB.
+def _atmosphere_db(atm: AtmosphereModel, distance_m: np.ndarray) -> np.ndarray:
+    """Kim-model extinction over the path, in dB.
 
     beta = (3.912 / V_km) (lambda_nm / 550)^-q  [1/km], loss = 4.343 beta d.
     """
-    if np.any(distance_m < 0.0):
-        raise ValueError("distance_m must be >= 0")
     if math.isinf(atm.visibility_m):
         return 0.0 * distance_m
     v_km = atm.visibility_m / 1000.0
     lam_nm = atm.wavelength_m * 1e9
-    q = kim_size_exponent(atm.visibility_m)
+    q = _kim_size_exponent(atm.visibility_m)
     beta_per_km = (3.912 / v_km) * (lam_nm / _KIM_REFERENCE_NM) ** (-q)
     return DB_PER_NEPER * beta_per_km * (distance_m / 1000.0)
 
 
-def coupling_loss_db(cm: CouplingModel, radial_error_rad: float) -> float:
-    """Fiber-coupling loss at a given radial pointing error.
-
-    base + 4.343 (err / theta_c)^2, i.e. a Gaussian overlap expressed in dB.
-    """
-    if radial_error_rad < 0.0:
-        raise ValueError("radial_error_rad must be >= 0")
-    ratio = radial_error_rad / cm.rolloff_halfwidth_rad
-    return cm.base_coupling_loss_db + DB_PER_NEPER * ratio * ratio
-
-
-def jitter_excess_db(cm: CouplingModel, radial_error_rad: float) -> float:
-    """Coupling penalty above the base loss for a radial pointing error."""
-    return coupling_loss_db(cm, radial_error_rad) - cm.base_coupling_loss_db
-
-
 def link_budget(scenario: "Scenario", distance_m: float | np.ndarray,
-                radial_error_rad: float = 0.0) -> LinkBudget:
-    """Full additive budget of `scenario` at a distance, or at each of an
-    array of distances, and one instantaneous pointing error.
+                radial_error_rad: float | np.ndarray = 0.0) -> LinkBudget:
+    """Full additive budget of `scenario` at a distance and a radial pointing
+    error; either may be an array, and total_db broadcasts the two.
 
-    The diffraction term is diffraction_loss_db's, element by element, so
-    it has the bits of libm's exp and log10; the other terms and the sums
-    are + - * / and round as they would on Python floats.  Raises
-    OverflowError if any distance is beyond the range of the beam model.
+    The jitter excess is the coupling penalty above the base loss,
+    (base + 4.343 (err / theta_c)^2) - base: a Gaussian overlap in dB.  The
+    diffraction term is computed element by element on floats, so it has
+    the bits of libm's exp and log10; the other terms and the sums are
+    + - * / and round as they would on Python floats.
+
+    Raises ValueError if the beam waist exceeds the aperture radius or any
+    distance or error is negative; OverflowError if any distance is beyond
+    the range of the beam model.
     """
+    beam, antenna, coupling = scenario.beam, scenario.antenna, scenario.coupling
     distances = np.asarray(distance_m, dtype=float)
-    diffraction = np.fromiter((diffraction_loss_db(scenario.beam, scenario.antenna, d)
+    errors = np.asarray(radial_error_rad, dtype=float)
+    if beam.waist_radius_m > antenna.aperture_radius_m:
+        raise ValueError("waist_radius_m exceeds transmit aperture radius")
+    if (distances < 0.0).any():
+        raise ValueError("distance_m must be >= 0")
+    if (errors < 0.0).any():
+        raise ValueError("radial_error_rad must be >= 0")
+    diffraction = np.fromiter((_diffraction_db(beam, antenna, d)
                                for d in distances.ravel().tolist()), float, distances.size)
+    base = coupling.base_coupling_loss_db
+    with np.errstate(over="ignore"):  # a huge error's excess is inf, as on floats
+        ratio = errors / coupling.rolloff_halfwidth_rad
+        jitter = (base + DB_PER_NEPER * ratio * ratio) - base
     return LinkBudget(
         diffraction_db=diffraction.reshape(distances.shape)[()],  # [()]: 0-d to a numpy float
-        optics_db=2.0 * scenario.antenna.insertion_loss_db,  # both terminals carry `antenna`
-        atmosphere_db=atmospheric_loss_db(scenario.atmosphere, distances),
-        coupling_base_db=scenario.coupling.base_coupling_loss_db,
-        jitter_excess_db=jitter_excess_db(scenario.coupling, radial_error_rad),
+        optics_db=2.0 * antenna.insertion_loss_db,  # both terminals carry `antenna`
+        atmosphere_db=_atmosphere_db(scenario.atmosphere, distances),
+        coupling_base_db=base,
+        jitter_excess_db=jitter,
     )
 
 

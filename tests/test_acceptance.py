@@ -20,12 +20,7 @@ from fsosim import AptState, run_apt, summarize, tracking_stats
 from fsosim.apt import TICK_RATE_HZ
 from fsosim.cli import main, simulate_run
 from fsosim.io import read_loss_csv, read_throughput_csv
-from fsosim.optics import (
-    atmospheric_loss_db,
-    beam_radius_m,
-    diffraction_loss_db,
-    distance_sweep,
-)
+from fsosim.optics import distance_sweep, link_budget
 from fsosim.scenario import load_scenario
 
 from conftest import (
@@ -189,7 +184,7 @@ class TestCalibratedReproduction:
     def test_fog_4km_loss(self, timings, capsys):
         scenario = load_scenario("scenarios/4km_fog.json")
         s = timed(timings, "fog 120 s", simulate_run, scenario, 120.0, 1).loss_stats
-        atm = atmospheric_loss_db(scenario.atmosphere, scenario.distance_m)
+        atm = link_budget(scenario, scenario.distance_m).atmosphere_db
         mean_ok, mean_bounds = in_reference("fog_loss_mean_db", s.mean)
         std_ok, std_bounds = in_reference("fog_loss_std_db", s.std)
         atm_ok, atm_bounds = in_reference("fog_atmosphere_db", atm)
@@ -239,22 +234,24 @@ class TestModelProperties:
                         "atmosphere.visibility_km": v_km,
                         "beam.wavelength_nm": lam_nm,
                     })
-                    got = atmospheric_loss_db(sc.atmosphere, d_km * 1000.0)
+                    got = link_budget(sc, d_km * 1000.0).atmosphere_db
                     worst = max(worst, abs(got - kim_oracle_db(v_km, lam_nm, d_km)))
         check(capsys, "visibility-attenuation-oracle", worst <= 1e-9,
               f"worst grid deviation {worst:.2e} dB <= 1e-9 over 112 points")
 
     def test_diffraction_quadrature_oracle(self, scenario, capsys):
         beam, antenna = scenario.beam, scenario.antenna
+        # the Gaussian-beam radius w0 sqrt(1 + (z / z_R)^2), z_R = pi w0^2 / lambda
+        z_r = math.pi * beam.waist_radius_m**2 / beam.wavelength_m
         worst = 0.0
         for km in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0):
-            w = beam_radius_m(beam, km * 1000.0)
+            w = beam.waist_radius_m * math.sqrt(1.0 + (km * 1000.0 / z_r) ** 2)
             captured, _ = integrate.dblquad(
                 lambda r, phi: (2.0 / (math.pi * w * w))
                 * math.exp(-2.0 * r * r / (w * w)) * r,
                 0.0, 2.0 * math.pi, 0.0, antenna.aperture_radius_m,
             )
-            closed = diffraction_loss_db(beam, antenna, km * 1000.0)
+            closed = link_budget(scenario, km * 1000.0).diffraction_db
             worst = max(worst, abs(closed + 10.0 * math.log10(captured)))
         check(capsys, "diffraction-quadrature-oracle", worst <= 0.3,
               f"worst deviation {worst:.3f} dB <= 0.3 over 0.1-20 km")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -809,6 +810,28 @@ class TestTrackingSeries:
             if isinstance(value, np.ndarray):
                 assert np.shares_memory(getattr(w, name), value), name
         assert w.seed == s.seed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=40), st.data())
+    def test_window_is_the_comparison_of_t_s(self, ks, data):
+        # on any non-decreasing t_s, repeats included, window picks exactly
+        # the rows that comparing t_s with the bounds picks
+        t = np.sort(np.array(ks)) / 100.0
+        s = dataclasses.replace(self._series(t.size), t_s=t)
+        bound = st.integers(-60, 60).map(lambda k: k / 100.0) | st.floats()
+        t0, t1 = data.draw(bound, "t0"), data.draw(bound, "t1")
+        expected = np.flatnonzero((t >= t0) & (t < t1))
+        if expected.size:
+            assert np.array_equal(s.window(t0, t1).t_s, t[expected])
+        else:
+            with pytest.raises(ValueError, match="selects no samples"):
+                s.window(t0, t1)
+
+    @pytest.mark.parametrize("t_s", [[0.0, 0.002, 0.001], [0.0, math.nan, 0.002], [math.nan]])
+    def test_window_refuses_t_s_that_falls_or_holds_nan(self, t_s):
+        s = dataclasses.replace(self._series(len(t_s)), t_s=np.array(t_s))
+        with pytest.raises(ValueError, match="^t_s "):
+            s.window(0.0, 1.0)
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, 3000), st.data())

@@ -15,9 +15,8 @@ from fsosim.calibrate import (
 
 
 def model_static_db(scenario, insertion_db, distance_m):
-    diffraction = optics.diffraction_loss_db(scenario.beam, scenario.antenna, distance_m)
-    return diffraction + 2.0 * insertion_db + optics.atmospheric_loss_db(
-        scenario.atmosphere, distance_m)
+    budget = optics.link_budget(scenario, distance_m)
+    return budget.diffraction_db + 2.0 * insertion_db + budget.atmosphere_db
 
 
 SYNTHETIC_THETA = 12e-6

@@ -397,7 +397,7 @@ class TestDisturbance:
             ),
             azimuth=AxisDisturbance(),
         )
-        gen = DisturbanceGenerator(profile, np.random.default_rng(0), 1000.0)
+        gen = DisturbanceGenerator(profile, np.random.default_rng(0))
         pitch, az = gen.series(5000)
         t = np.arange(5000) / 1000.0
         expected = 100e-6 * np.sin(2 * math.pi * 2.0 * t + math.pi / 3)
@@ -407,7 +407,7 @@ class TestDisturbance:
     def test_noise_rms_matches_spec(self):
         axis = AxisDisturbance(noise_rms_rad=117e-6, noise_bandwidth_hz=6.0)
         profile = DisturbanceProfile(pitch=axis, azimuth=axis)
-        gen = DisturbanceGenerator(profile, np.random.default_rng(5), 1000.0)
+        gen = DisturbanceGenerator(profile, np.random.default_rng(5))
         pitch, az = gen.series(400_000)
         assert np.sqrt(np.mean(pitch**2)) == pytest.approx(117e-6, rel=0.07)
         assert np.sqrt(np.mean(az**2)) == pytest.approx(117e-6, rel=0.07)
@@ -416,7 +416,7 @@ class TestDisturbance:
         # warmed-up filter: the first chunk has the same power as a later one
         axis = AxisDisturbance(noise_rms_rad=100e-6, noise_bandwidth_hz=10.0)
         profile = DisturbanceProfile(pitch=axis, azimuth=AxisDisturbance())
-        gen = DisturbanceGenerator(profile, np.random.default_rng(9), 1000.0)
+        gen = DisturbanceGenerator(profile, np.random.default_rng(9))
         pitch, _ = gen.series(200_000)
         head = np.sqrt(np.mean(pitch[:20_000] ** 2))
         tail = np.sqrt(np.mean(pitch[-20_000:] ** 2))
@@ -425,7 +425,7 @@ class TestDisturbance:
     def test_band_limited_spectrum(self):
         axis = AxisDisturbance(noise_rms_rad=100e-6, noise_bandwidth_hz=6.0)
         profile = DisturbanceProfile(pitch=axis, azimuth=AxisDisturbance())
-        gen = DisturbanceGenerator(profile, np.random.default_rng(2), 1000.0)
+        gen = DisturbanceGenerator(profile, np.random.default_rng(2))
         pitch, _ = gen.series(100_000)
         spectrum = np.abs(np.fft.rfft(pitch)) ** 2
         freqs = np.fft.rfftfreq(pitch.size, 1e-3)
@@ -437,16 +437,16 @@ class TestDisturbance:
         # band raises rather than being capped to it
         wide = AxisDisturbance(noise_rms_rad=100e-6, noise_bandwidth_hz=450.5)
         with pytest.raises(ValueError, match="pitch noise_bandwidth_hz"):
-            DisturbanceGenerator(DisturbanceProfile(pitch=wide), np.random.default_rng(0), 1000.0)
+            DisturbanceGenerator(DisturbanceProfile(pitch=wide), np.random.default_rng(0))
         edge = AxisDisturbance(noise_rms_rad=100e-6, noise_bandwidth_hz=450.0)
-        pitch, _ = DisturbanceGenerator(DisturbanceProfile(pitch=edge), np.random.default_rng(0),
-                                        1000.0).series(1000)
+        pitch, _ = DisturbanceGenerator(DisturbanceProfile(pitch=edge),
+                                        np.random.default_rng(0)).series(1000)
         assert np.isfinite(pitch).all() and pitch.any()
 
     def test_deterministic_given_rng(self):
         axis = AxisDisturbance(noise_rms_rad=50e-6, noise_bandwidth_hz=5.0)
         profile = DisturbanceProfile(pitch=axis, azimuth=axis)
-        a = DisturbanceGenerator(profile, np.random.default_rng(1234), 1000.0).series(10_000)
-        b = DisturbanceGenerator(profile, np.random.default_rng(1234), 1000.0).series(10_000)
+        a = DisturbanceGenerator(profile, np.random.default_rng(1234)).series(10_000)
+        b = DisturbanceGenerator(profile, np.random.default_rng(1234)).series(10_000)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])

@@ -474,25 +474,26 @@ class TestTickTimes:
         write_loss_csv(p, LossSeries(t_s=ticks, loss_db=np.full(20, 13.7),
                                      link_up=np.ones(20, dtype=bool)))
         assert np.array_equal(bits(read_loss_csv(p).t_s), bits(ticks))
-        # a whole run to 1000.010 s, as window picks ticks by their index
-        n = 1000010
-        zeros = np.broadcast_to(0.0, n)
-        locks = np.broadcast_to(True, n)
-        series = TrackingSeries(
-            t_s=np.arange(n) / 1000, state=np.broadcast_to(np.int8(0), n),
-            error_pitch_rad=zeros, error_azimuth_rad=zeros,
-            gimbal_azimuth_rad=zeros, gimbal_pitch_rad=zeros,
-            fsm1_pitch_rad=zeros, fsm1_azimuth_rad=zeros,
-            fsm2_pitch_rad=zeros, fsm2_azimuth_rad=zeros,
-            lock0=locks, lock1=locks, lock2=locks, seed=0,
-        )
+
+    def test_window_of_a_series_read_back_from_1000_s(self, tmp_path):
+        # a 20-row tracking.csv cut from a longer run: window picks rows by t_s
+        ticks = np.arange(999990, 1000010) / 1000
         p = tmp_path / "tracking.csv"
-        write_tracking_csv(p, series)
+        write_tracking_csv(p, replace(tracking_from(np.zeros(20)), t_s=ticks))
         back = read_tracking_csv(p)
-        assert np.array_equal(bits(back.t_s[-20:]), bits(ticks))
+        assert np.array_equal(bits(back.t_s), bits(ticks))
         window = back.window(999.995, 1000.005)
         assert len(window) == 10
         assert np.array_equal(bits(window.t_s), bits(np.arange(999995, 1000005) / 1000))
+
+    def test_window_of_a_series_starting_at_10_s(self):
+        # rows by time, not by their position from t = 0
+        series = replace(tracking_from(np.arange(100.0)), t_s=(10_000 + np.arange(100)) / 1000)
+        window = series.window(10.02, 10.023)
+        assert window.t_s.tolist() == [10.02, 10.021, 10.022]
+        assert np.array_equal(window.fsm1_pitch_rad, series.fsm1_pitch_rad[20:23])
+        with pytest.raises(ValueError, match="selects no samples"):
+            series.window(0.0, 0.05)
 
 
 class TestFlags:

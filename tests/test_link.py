@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fsosim import (
     TrackingSeries,
     TransceiverSpec,
     downtime_fraction,
+    link_budget,
     loss_statistics,
     loss_timeseries,
     summarize,
@@ -65,6 +67,25 @@ class TestLossTimeseries:
         zero = loss_timeseries(series_with([AptState.LINKED], [0.0]), scenario)
         expected_excess = DB_PER_NEPER * (err * 1e-6 / scenario.coupling.rolloff_halfwidth_rad) ** 2
         assert loss.loss_db[0] - zero.loss_db[0] == pytest.approx(expected_excess, rel=1e-12)
+
+    @given(st.lists(st.floats(0.0, 1e-3), min_size=1, max_size=30), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_in_lock_loss_is_the_budget_total(self, scenario, pitch_rad, data):
+        # the loss series is link_budget's total at each in-lock tick's radial
+        # error, bit for bit; azimuth errors make the radial error a hypot
+        n = len(pitch_rad)
+        states = data.draw(st.lists(st.sampled_from(list(AptState)), min_size=n, max_size=n))
+        azimuth = np.array(data.draw(st.lists(st.floats(-1e-3, 1e-3), min_size=n, max_size=n)))
+        tracked = replace(series_with(states, np.zeros(n)),
+                          error_pitch_rad=np.array(pitch_rad), error_azimuth_rad=azimuth)
+        loss = loss_timeseries(tracked, scenario)
+        radial = np.hypot(tracked.error_pitch_rad, azimuth)
+        up = loss.link_up
+        expected = [link_budget(scenario, scenario.distance_m, r).total_db
+                    for r in radial[up].tolist()]
+        assert np.array_equal(loss.loss_db[up].view(np.int64),
+                              np.array(expected, dtype=float).view(np.int64))
+        assert np.all(loss.loss_db[~up] == NO_LINK_LOSS_DB)
 
     def test_fixed_loss_overrides_model_while_in_lock(self):
         tracked = series_with(

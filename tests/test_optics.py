@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,19 +14,13 @@ from fsosim import (
     AtmosphereModel,
     BeamModel,
     CouplingModel,
-    atmospheric_loss_db,
-    beam_radius_m,
-    coupling_loss_db,
     default_scenario,
-    diffraction_loss_db,
     distance_sweep,
-    jitter_excess_db,
-    kim_size_exponent,
     link_budget,
     load_scenario,
 )
 from fsosim.io import read_sweep_csv, write_sweep_csv
-from fsosim.optics import DB_PER_NEPER
+from fsosim.optics import DB_PER_NEPER, _beam_radius_m, _kim_size_exponent
 
 BEAM = BeamModel(wavelength_m=1550e-9, waist_radius_m=0.0405)
 ANTENNA = AntennaSpec(aperture_diameter_m=0.090, magnification=10.0, insertion_loss_db=2.942)
@@ -34,10 +29,28 @@ COUPLING = CouplingModel(base_coupling_loss_db=6.435, rolloff_halfwidth_rad=7e-6
 FOG = AtmosphereModel(visibility_m=5000.0, wavelength_m=1550e-9)
 
 
-def scenario_with(atmosphere=CLEAR):
+def scenario_with(atmosphere=CLEAR, beam=BEAM):
     """The default scenario with the models above."""
-    return dataclasses.replace(default_scenario(), beam=BEAM, antenna=ANTENNA,
+    return dataclasses.replace(default_scenario(), beam=beam, antenna=ANTENNA,
                                atmosphere=atmosphere, coupling=COUPLING)
+
+
+def diffraction_db(distance_m):
+    return link_budget(CLEAR_SCENARIO, distance_m).diffraction_db
+
+
+def atmosphere_db(atm, distance_m):
+    return link_budget(scenario_with(atm), distance_m).atmosphere_db
+
+
+def jitter_db(radial_error_rad):
+    return link_budget(CLEAR_SCENARIO, 1000.0, radial_error_rad).jitter_excess_db
+
+
+def oracle_beam_radius_m(beam, distance_m):
+    # the Gaussian-beam radius w0 sqrt(1 + (z / z_R)^2), z_R = pi w0^2 / lambda
+    z_r = math.pi * beam.waist_radius_m**2 / beam.wavelength_m
+    return beam.waist_radius_m * math.sqrt(1.0 + (distance_m / z_r) ** 2)
 
 
 CLEAR_SCENARIO = scenario_with()
@@ -57,34 +70,34 @@ class TestBeam:
     def test_divergence_formula(self):
         # far from the waist the radius grows at the half-angle lambda / (pi w0)
         z = 1e9  # z / z_R ~ 5e5
-        assert beam_radius_m(BEAM, z) / z == pytest.approx(
+        assert _beam_radius_m(BEAM, z) / z == pytest.approx(
             1550e-9 / (math.pi * 0.0405), rel=1e-9
         )
         narrow = BeamModel(wavelength_m=1550e-9, waist_radius_m=0.03195)
-        assert beam_radius_m(narrow, z) / z == pytest.approx(15.44226365e-6, rel=1e-9)
+        assert _beam_radius_m(narrow, z) / z == pytest.approx(15.44226365e-6, rel=1e-9)
 
     def test_radius_at_waist(self):
-        assert beam_radius_m(BEAM, 0.0) == BEAM.waist_radius_m
+        assert _beam_radius_m(BEAM, 0.0) == BEAM.waist_radius_m
 
     def test_radius_far_field_asymptote(self):
         z = 500_000.0  # z / z_R ~ 150
-        assert beam_radius_m(BEAM, z) == pytest.approx(
+        assert _beam_radius_m(BEAM, z) == pytest.approx(
             BEAM.wavelength_m / (math.pi * BEAM.waist_radius_m) * z, rel=1e-4
         )
 
     @given(st.floats(0.0, 1e5), st.floats(1.0, 1e5))
     @settings(max_examples=100, deadline=None)
     def test_radius_monotone(self, z, dz):
-        assert beam_radius_m(BEAM, z + dz) > beam_radius_m(BEAM, z)
+        assert _beam_radius_m(BEAM, z + dz) > _beam_radius_m(BEAM, z)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             BeamModel(wavelength_m=0.0, waist_radius_m=0.04)
-        with pytest.raises(ValueError):
-            beam_radius_m(BEAM, -1.0)
+        with pytest.raises(ValueError, match="distance_m must be >= 0"):
+            link_budget(CLEAR_SCENARIO, -1.0)
 
     def test_waist_with_no_rayleigh_range_rejected(self):
-        # w^2 underflows, which would divide by zero in beam_radius_m
+        # w^2 underflows, which would divide by zero in the beam radius
         with pytest.raises(ValueError, match="Rayleigh range"):
             BeamModel(wavelength_m=1550e-9, waist_radius_m=1e-163)
 
@@ -97,12 +110,12 @@ class TestBeam:
 
 class TestDiffraction:
     def test_zero_distance_convention(self):
-        assert diffraction_loss_db(BEAM, ANTENNA, 0.0) == 0.0
+        assert diffraction_db(0.0) == 0.0
 
     def test_waist_larger_than_aperture_rejected(self):
         fat = BeamModel(wavelength_m=1550e-9, waist_radius_m=0.050)
-        with pytest.raises(ValueError):
-            diffraction_loss_db(fat, ANTENNA, 1000.0)
+        with pytest.raises(ValueError, match="waist_radius_m exceeds transmit aperture radius"):
+            link_budget(scenario_with(beam=fat), 1000.0)
 
     # frozen closed-form values (50-digit cross-check of the capture formula)
     @pytest.mark.parametrize("km,expected_db", [
@@ -114,29 +127,25 @@ class TestDiffraction:
         (20.0, 11.922324664),
     ])
     def test_reference_values(self, km, expected_db):
-        assert diffraction_loss_db(BEAM, ANTENNA, km * 1000.0) == pytest.approx(
-            expected_db, abs=1e-8
-        )
+        assert diffraction_db(km * 1000.0) == pytest.approx(expected_db, abs=1e-8)
 
     @pytest.mark.parametrize("km", [0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0])
     def test_against_2d_quadrature(self, km):
         # captured fraction integrated numerically over the aperture disc
-        w = beam_radius_m(BEAM, km * 1000.0)
+        w = oracle_beam_radius_m(BEAM, km * 1000.0)
         a = ANTENNA.aperture_radius_m
         captured, _ = integrate.dblquad(
             lambda r, phi: (2.0 / (math.pi * w * w)) * math.exp(-2.0 * r * r / (w * w)) * r,
             0.0, 2.0 * math.pi, 0.0, a,
         )
         oracle_db = -10.0 * math.log10(captured)
-        closed = diffraction_loss_db(BEAM, ANTENNA, km * 1000.0)
+        closed = diffraction_db(km * 1000.0)
         assert closed == pytest.approx(oracle_db, abs=0.3)
 
     @given(st.floats(1.0, 20_000.0), st.floats(1.0, 5000.0))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_distance(self, z, dz):
-        assert diffraction_loss_db(BEAM, ANTENNA, z + dz) >= diffraction_loss_db(
-            BEAM, ANTENNA, z
-        )
+        assert diffraction_db(z + dz) >= diffraction_db(z)
 
 
 def kim_oracle_db(v_km, lam_nm, d_km):
@@ -157,7 +166,7 @@ def kim_oracle_db(v_km, lam_nm, d_km):
 
 class TestAtmosphere:
     def test_unlimited_visibility_is_lossless(self):
-        assert atmospheric_loss_db(CLEAR, 25_000.0) == 0.0
+        assert atmosphere_db(CLEAR, 25_000.0) == 0.0
 
     @pytest.mark.parametrize("v_km,lam_nm,expected_db_per_km", [
         (5.0, 1550.0, 1.042913966),
@@ -170,57 +179,58 @@ class TestAtmosphere:
     ])
     def test_reference_values(self, v_km, lam_nm, expected_db_per_km):
         atm = AtmosphereModel(visibility_m=v_km * 1000.0, wavelength_m=lam_nm * 1e-9)
-        assert atmospheric_loss_db(atm, 1000.0) == pytest.approx(
-            expected_db_per_km, abs=1e-8
-        )
+        assert atmosphere_db(atm, 1000.0) == pytest.approx(expected_db_per_km, abs=1e-8)
 
     @pytest.mark.parametrize("v_km", [0.2, 0.5, 0.7, 1.0, 1.5, 5.0, 6.0, 10.0, 23.0, 50.0, 80.0])
     @pytest.mark.parametrize("lam_nm", [550.0, 850.0, 1310.0, 1550.0])
     @pytest.mark.parametrize("d_km", [0.5, 1.0, 4.0, 10.0])
     def test_oracle_equality_over_grid(self, v_km, lam_nm, d_km):
         atm = AtmosphereModel(visibility_m=v_km * 1000.0, wavelength_m=lam_nm * 1e-9)
-        assert atmospheric_loss_db(atm, d_km * 1000.0) == pytest.approx(
+        assert atmosphere_db(atm, d_km * 1000.0) == pytest.approx(
             kim_oracle_db(v_km, lam_nm, d_km), abs=1e-9
         )
 
     def test_size_exponent_piecewise_boundaries(self):
-        assert kim_size_exponent(60_000.0) == 1.6
-        assert kim_size_exponent(50_000.0) == 1.3
-        assert kim_size_exponent(6_000.0) == pytest.approx(0.16 * 6.0 + 0.34)
-        assert kim_size_exponent(1_000.0) == pytest.approx(0.5)
-        assert kim_size_exponent(500.0) == 0.0
-        assert kim_size_exponent(200.0) == 0.0
+        assert _kim_size_exponent(60_000.0) == 1.6
+        assert _kim_size_exponent(50_000.0) == 1.3
+        assert _kim_size_exponent(6_000.0) == pytest.approx(0.16 * 6.0 + 0.34)
+        assert _kim_size_exponent(1_000.0) == pytest.approx(0.5)
+        assert _kim_size_exponent(500.0) == 0.0
+        assert _kim_size_exponent(200.0) == 0.0
 
     def test_longer_wavelength_attenuates_less(self):
         haze = 5000.0
-        a1550 = atmospheric_loss_db(
-            AtmosphereModel(visibility_m=haze, wavelength_m=1550e-9), 1000.0
-        )
-        a850 = atmospheric_loss_db(
-            AtmosphereModel(visibility_m=haze, wavelength_m=850e-9), 1000.0
-        )
+        a1550 = atmosphere_db(AtmosphereModel(visibility_m=haze, wavelength_m=1550e-9), 1000.0)
+        a850 = atmosphere_db(AtmosphereModel(visibility_m=haze, wavelength_m=850e-9), 1000.0)
         assert a1550 < a850
 
 
 class TestCoupling:
     def test_zero_error_is_base_loss(self):
-        assert coupling_loss_db(COUPLING, 0.0) == COUPLING.base_coupling_loss_db
-        assert jitter_excess_db(COUPLING, 0.0) == 0.0
+        b = link_budget(CLEAR_SCENARIO, 1000.0)
+        assert b.coupling_base_db == COUPLING.base_coupling_loss_db
+        assert b.jitter_excess_db == 0.0
 
     def test_one_halfwidth_adds_one_neper(self):
-        excess = jitter_excess_db(COUPLING, COUPLING.rolloff_halfwidth_rad)
+        excess = jitter_db(COUPLING.rolloff_halfwidth_rad)
         assert excess == pytest.approx(DB_PER_NEPER, rel=1e-12)
         assert excess == pytest.approx(4.342944819, abs=1e-9)
 
     def test_quadratic_in_error(self):
         e = 3.1e-6
-        assert jitter_excess_db(COUPLING, 2.0 * e) == pytest.approx(
-            4.0 * jitter_excess_db(COUPLING, e), rel=1e-12
-        )
+        assert jitter_db(2.0 * e) == pytest.approx(4.0 * jitter_db(e), rel=1e-12)
 
     def test_negative_error_rejected(self):
-        with pytest.raises(ValueError):
-            coupling_loss_db(COUPLING, -1e-6)
+        with pytest.raises(ValueError, match="radial_error_rad must be >= 0"):
+            jitter_db(-1e-6)
+
+    def test_huge_error_is_infinite_without_a_warning(self):
+        # the CLI refuses a non-finite jitter loss by --error-urad; numpy's
+        # overflow warning would print before that message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert jitter_db(1e300) == math.inf
+            assert jitter_db(np.array([1e-6, 1e300]))[1] == math.inf
 
 
 def bits(values):
@@ -245,14 +255,33 @@ class TestLinkBudget:
 
     @given(st.sampled_from(BUDGET_SCENARIOS),
            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=20),
-           st.one_of(st.just(0.0), st.floats(0.0, 1e-4)))
+           st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-3)), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
-    def test_array_equals_float_calls_bit_for_bit(self, scenario, distances, error_rad):
-        b = link_budget(scenario, np.array(distances), error_rad)
-        each = [link_budget(scenario, d, error_rad) for d in distances]
+    def test_array_equals_float_calls_bit_for_bit(self, scenario, distances, errors):
+        # a column of distances and a row of errors broadcast to a table
+        b = link_budget(scenario, np.array(distances)[:, None], np.array(errors))
+        shape = (len(distances), len(errors))
+        each = [[link_budget(scenario, d, e) for e in errors] for d in distances]
         for field in FIELDS:
-            got = np.broadcast_to(getattr(b, field), (len(distances),))
-            assert np.array_equal(bits(got), bits([getattr(e, field) for e in each])), field
+            got = np.broadcast_to(getattr(b, field), shape)
+            want = [[getattr(e, field) for e in row] for row in each]
+            assert np.array_equal(bits(got), bits(want)), field
+        assert np.shape(b.jitter_excess_db) == (len(errors),)
+        assert np.shape(b.total_db) == shape
+
+    @pytest.mark.parametrize("changes, distance_m, error_rad, message", [
+        ({"beam": BeamModel(wavelength_m=1550e-9, waist_radius_m=0.050)}, 1000.0, 0.0,
+         "waist_radius_m exceeds transmit aperture radius"),
+        ({}, -1.0, 0.0, "distance_m must be >= 0"),
+        ({}, np.array([1000.0, -0.5]), 0.0, "distance_m must be >= 0"),
+        ({}, 1000.0, -1e-6, "radial_error_rad must be >= 0"),
+        ({}, 1000.0, np.array([1e-6, -1e-9]), "radial_error_rad must be >= 0"),
+    ])
+    def test_each_refusal_is_raised_by_link_budget(self, changes, distance_m, error_rad,
+                                                   message):
+        scenario = dataclasses.replace(CLEAR_SCENARIO, **changes)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            link_budget(scenario, distance_m, error_rad)
 
     @pytest.mark.parametrize("far_m", [1e12, 1e308])
     def test_one_distance_beyond_the_beam_model_raises(self, far_m):
