@@ -2,8 +2,9 @@
 """Regenerate the headline link-budget, tracking, loss, and throughput numbers.
 
 Each row of REFERENCE prints the simulated value, the bounds the paper's
-figure allows and PASS or FAIL; the script exits 1 if any row fails, and
-tests/test_acceptance.py asserts the same rows.  Loss and throughput come
+figure allows and PASS or FAIL; the script exits 1 if any row fails.  The
+rows come from MEASUREMENTS, one function per simulated run, and
+tests/test_acceptance.py asserts the rows those same functions return.  Loss and throughput come
 from `fsosim.cli.simulate_run`, the chain behind `fsosim run`, so they are
 the numbers its report.json holds.  The README's Performance section gives
 the simulator's speed (about 200x realtime without CSV output, about 140x
@@ -47,55 +48,84 @@ REFERENCE = {
 }
 
 
+def _scenario(name: str):
+    return load_scenario(SCENARIOS / f"{name}.json")
+
+
+# One measurement per simulated run: each takes (seed, duration_s) and returns
+# the REFERENCE rows it yields.
+
+def static(seed: int, duration_s: float) -> dict[str, float]:
+    return {"static_10km_db": link_budget(_scenario("1km_default"), 10_000.0).static_db}
+
+
+def coarse(seed: int, duration_s: float) -> dict[str, float]:
+    s = simulate_run(_scenario("1km_default"), duration_s, seed,
+                     enable_fine1=False, enable_fine2=False).tracking
+    return {"coarse_radial_mean_urad": s.radial_mean_rad * UR,
+            "coarse_pitch_std_urad": s.pitch_std_rad * UR,
+            "coarse_azimuth_std_urad": s.azimuth_std_rad * UR}
+
+
+def handover(seed: int, duration_s: float) -> dict[str, float]:
+    # a fixed 90 s run whose fine stages engage at 30 s, whatever duration_s
+    series = run_apt(_scenario("1km_default"), 90.0, seed, fine_after_s=30.0)
+    s = tracking_stats(series.window(30.0, 90.0))
+    return {"handover_radial_mean_urad": s.radial_mean_rad * UR,
+            "handover_pitch_std_urad": s.pitch_std_rad * UR,
+            "handover_azimuth_std_urad": s.azimuth_std_rad * UR}
+
+
+def full(seed: int, duration_s: float) -> dict[str, float]:
+    run = simulate_run(_scenario("1km_default"), duration_s, seed)
+    return {"full_radial_mean_urad": run.tracking.radial_mean_rad * UR,
+            "full_loss_mean_db": run.loss_stats.mean,
+            "full_loss_std_db": run.loss_stats.std,
+            "throughput_mean_gbps": run.throughput_stats.mean,
+            "throughput_std_gbps": run.throughput_stats.std}
+
+
+def fine1(seed: int, duration_s: float) -> dict[str, float]:
+    run = simulate_run(_scenario("1km_default"), duration_s, seed,
+                       enable_fine1=True, enable_fine2=False)
+    return {"fine1_loss_mean_db": run.loss_stats.mean}
+
+
+def bench(seed: int, duration_s: float) -> dict[str, float]:
+    # a fixed 40 s run, whatever duration_s
+    scenario = _scenario("bench_direct")
+    rate = simulate_run(scenario, 40.0, seed).throughput.rate_gbps
+    return {"bench_full_rate_frac": float((rate == scenario.transceiver.link_rate_gbps).mean())}
+
+
+def fog(seed: int, duration_s: float) -> dict[str, float]:
+    scenario = _scenario("4km_fog")
+    loss = simulate_run(scenario, duration_s, seed).loss_stats
+    return {"fog_loss_mean_db": loss.mean,
+            "fog_loss_std_db": loss.std,
+            "fog_atmosphere_db": link_budget(scenario, scenario.distance_m).atmosphere_db}
+
+
+MEASUREMENTS = {m.__name__: m for m in (static, coarse, handover, full, fine1, bench, fog)}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--duration", type=float, default=120.0)
     args = ap.parse_args()
-    seed, dur = args.seed, args.duration
-    failed = []
+    rows = {}
+    for measure in MEASUREMENTS.values():
+        rows.update(measure(args.seed, args.duration))
     # the table is printed once every run has passed, so a refused argument
     # leaves stdout empty
-    lines = [f"seed {seed}, {dur:g} s runs"]
-
-    def row(key: str, value: float) -> None:
-        low, high = REFERENCE[key]
-        ok = low <= value <= high
+    lines = [f"seed {args.seed}, {args.duration:g} s runs"]
+    failed = []
+    for key, (low, high) in REFERENCE.items():
+        ok = low <= rows[key] <= high
         if not ok:
             failed.append(key)
-        lines.append(f"{key:28s} {value:9.3f}  in [{low:g}, {high:g}]  {'PASS' if ok else 'FAIL'}")
-
-    one_km = load_scenario(SCENARIOS / "1km_default.json")
-    fog = load_scenario(SCENARIOS / "4km_fog.json")
-    bench = load_scenario(SCENARIOS / "bench_direct.json")
-
-    row("static_10km_db", link_budget(one_km, 10_000.0).static_db)
-
-    coarse = simulate_run(one_km, dur, seed, enable_fine1=False, enable_fine2=False).tracking
-    row("coarse_radial_mean_urad", coarse.radial_mean_rad * UR)
-    row("coarse_pitch_std_urad", coarse.pitch_std_rad * UR)
-    row("coarse_azimuth_std_urad", coarse.azimuth_std_rad * UR)
-    handover = tracking_stats(run_apt(one_km, 90.0, seed, fine_after_s=30.0).window(30.0, 90.0))
-    row("handover_radial_mean_urad", handover.radial_mean_rad * UR)
-    row("handover_pitch_std_urad", handover.pitch_std_rad * UR)
-    row("handover_azimuth_std_urad", handover.azimuth_std_rad * UR)
-
-    full = simulate_run(one_km, dur, seed)
-    row("full_radial_mean_urad", full.tracking.radial_mean_rad * UR)
-    row("full_loss_mean_db", full.loss_stats.mean)
-    row("full_loss_std_db", full.loss_stats.std)
-    fine1 = simulate_run(one_km, dur, seed, enable_fine1=True, enable_fine2=False)
-    row("fine1_loss_mean_db", fine1.loss_stats.mean)
-    row("throughput_mean_gbps", full.throughput_stats.mean)
-    row("throughput_std_gbps", full.throughput_stats.std)
-    rate = simulate_run(bench, 40.0, seed).throughput.rate_gbps
-    row("bench_full_rate_frac", float((rate == bench.transceiver.link_rate_gbps).mean()))
-
-    fog_loss = simulate_run(fog, dur, seed).loss_stats
-    row("fog_loss_mean_db", fog_loss.mean)
-    row("fog_loss_std_db", fog_loss.std)
-    row("fog_atmosphere_db", link_budget(fog, fog.distance_m).atmosphere_db)
-
+        lines.append(f"{key:28s} {rows[key]:9.3f}  in [{low:g}, {high:g}]  {'PASS' if ok else 'FAIL'}")
     lines.append(f"{len(REFERENCE) - len(failed)}/{len(REFERENCE)} reference rows PASS"
                  + (f"; FAIL: {', '.join(failed)}" if failed else ""))
     print("\n".join(lines))

@@ -28,6 +28,8 @@ from . import optics
 from .scenario import Scenario
 
 DEFAULT_TOLERANCE_DB = 0.2
+# Monte Carlo draws of the two-axis jitter per mean-loss evaluation
+SAMPLES = 200_000
 _BISECT_LO_RAD = 1e-7
 _BISECT_HI_RAD = 1e-2
 _BISECT_ITERATIONS = 200
@@ -55,7 +57,6 @@ class CalibrationResult:
     base_coupling_loss_db: float
     insertion_loss_db_per_terminal: float
     residuals_db: dict[str, float]
-    samples: int
 
     def as_dict(self) -> dict:
         return {
@@ -64,7 +65,7 @@ class CalibrationResult:
             "base_coupling_loss_db": self.base_coupling_loss_db,
             "insertion_loss_db_per_terminal": self.insertion_loss_db_per_terminal,
             "residuals_db": dict(self.residuals_db),
-            "samples": self.samples,
+            "samples": SAMPLES,
         }
 
 
@@ -84,7 +85,6 @@ def calibrate_coupling(
     anchors: list[MeanLossAnchor],
     static_total_db: float | None = None,
     static_distance_m: float | None = None,
-    samples: int = 200_000,
     seed: int = 0,
     tolerance_db: float = DEFAULT_TOLERANCE_DB,
 ) -> CalibrationResult:
@@ -93,16 +93,14 @@ def calibrate_coupling(
     Parameters without an anchor to determine them keep the scenario values;
     residuals are evaluated for every anchor provided.
 
-    Raises ValueError naming `samples` for fewer than 1000 samples or more
-    than fit in memory, before any is drawn; when only one of
+    Raises ValueError naming `tolerance_db` unless it is >= 0 and finite
+    (a NaN tolerance would pass any residual); when only one of
     static_total_db and static_distance_m is given; and, naming the anchor
     and its anchors-file key, for an anchor whose distance or jitter puts a
     loss beyond the float range.
     """
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
-    # bytes per sample: two float64 draws and their sum are alive at once
-    optics._check_fits("samples", samples, "samples", 3 * 8)
+    if not (tolerance_db >= 0.0 and math.isfinite(tolerance_db)):
+        raise ValueError("tolerance_db must be >= 0 and finite")
     if (static_total_db is None) != (static_distance_m is None):
         raise ValueError("static_total_db and static_distance_m go together")
 
@@ -129,7 +127,7 @@ def calibrate_coupling(
     # fixed Monte Carlo unit draws, shared by every anchor evaluation so the
     # bisection objective is smooth and the result is seed-deterministic
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    unit_r2 = rng.standard_normal(samples) ** 2 + rng.standard_normal(samples) ** 2
+    unit_r2 = rng.standard_normal(SAMPLES) ** 2 + rng.standard_normal(SAMPLES) ** 2
     mean_unit_r2 = float(unit_r2.mean())
 
     def mean_excess_db(sigma_rad: float, halfwidth_rad: float) -> float:
@@ -205,7 +203,6 @@ def calibrate_coupling(
         base_coupling_loss_db=base,
         insertion_loss_db_per_terminal=insertion,
         residuals_db=residuals,
-        samples=samples,
     )
 
 

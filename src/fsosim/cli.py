@@ -22,7 +22,7 @@ import numpy as np
 from . import io as fsio
 from .apt import (TICK_RATE_HZ, TrackingSeries, TrackingStats, run_apt, tick_count, tick_window,
                   tracking_stats)
-from .calibrate import DEFAULT_TOLERANCE_DB, calibrate_coupling, parse_anchor_file
+from .calibrate import DEFAULT_TOLERANCE_DB, SAMPLES, calibrate_coupling, parse_anchor_file
 from .link import (
     LossSeries,
     SummaryStats,
@@ -114,8 +114,6 @@ def _build_parser() -> _Parser:
     add_common(p, seed=True)
     p.add_argument("--anchors", type=str, default=None,
                    help="anchor JSON path (built-in defaults when omitted)")
-    p.add_argument("--samples", type=int, default=200_000,
-                   help="Monte Carlo samples per mean-loss evaluation")
     p.add_argument("--tolerance-db", type=float, default=DEFAULT_TOLERANCE_DB)
     return parser
 
@@ -155,7 +153,7 @@ def _scenario_header(scenario: Scenario) -> dict:
 # the flag that sets each library parameter: a library refusal starts with
 # the parameter's name, and main() names the flag instead
 _FLAG_OF = {"duration_s": "--duration", "fine_after_s": "--fine-after",
-            "steps": "--steps", "samples": "--samples"}
+            "steps": "--steps", "tolerance_db": "--tolerance-db"}
 
 
 def _check_window(flag: str, t0: float, t1: float) -> None:
@@ -453,8 +451,6 @@ def cmd_run(args) -> int:
 def cmd_calibrate(args) -> int:
     scenario = _load(args)
     _check_seed(args.seed)
-    if not (args.tolerance_db >= 0.0 and math.isfinite(args.tolerance_db)):
-        raise ValueError("--tolerance-db must be >= 0 and finite")
     if args.anchors is None:
         payload = DEFAULT_ANCHORS
     else:
@@ -467,12 +463,12 @@ def cmd_calibrate(args) -> int:
     result = calibrate_coupling(
         scenario, anchors,
         static_total_db=static_total, static_distance_m=static_distance,
-        samples=args.samples, seed=args.seed, tolerance_db=args.tolerance_db,
+        seed=args.seed, tolerance_db=args.tolerance_db,
     )
     report = {
         "schema_version": SCHEMA_VERSION,
         "scenario": _scenario_header(scenario),
-        "samples": result.samples,
+        "samples": SAMPLES,
         "seed": args.seed,
         "result": result.as_dict(),
     }

@@ -170,9 +170,12 @@ def _diffraction_db(beam: BeamModel, antenna: AntennaSpec, distance_m: float) ->
     """
     if distance_m == 0.0:
         return 0.0
-    w = _beam_radius_m(beam, distance_m)
     a = antenna.aperture_radius_m
-    captured = 1.0 - math.exp(-2.0 * a * a / (w * w))
+    try:
+        w = _beam_radius_m(beam, distance_m)
+        captured = 1.0 - math.exp(-2.0 * a * a / (w * w))
+    except OverflowError:  # the beam radius overflows
+        captured = 0.0
     if captured == 0.0:
         # so far out that the captured fraction rounds to 0: the loss in dB
         # overflows, as the beam radius does a little further out
@@ -220,17 +223,18 @@ def link_budget(scenario: "Scenario", distance_m: float | np.ndarray,
     + - * / and round as they would on Python floats.
 
     Raises ValueError if the beam waist exceeds the aperture radius or any
-    distance or error is negative; OverflowError if any distance is beyond
-    the range of the beam model.
+    distance or error is negative or NaN; OverflowError, naming distance_m,
+    if any distance is beyond the range of the beam model.
     """
     beam, antenna, coupling = scenario.beam, scenario.antenna, scenario.coupling
     distances = np.asarray(distance_m, dtype=float)
     errors = np.asarray(radial_error_rad, dtype=float)
     if beam.waist_radius_m > antenna.aperture_radius_m:
         raise ValueError("waist_radius_m exceeds transmit aperture radius")
-    if (distances < 0.0).any():
+    # not (x >= 0) also holds for NaN
+    if not (distances >= 0.0).all():
         raise ValueError("distance_m must be >= 0")
-    if (errors < 0.0).any():
+    if not (errors >= 0.0).all():
         raise ValueError("radial_error_rad must be >= 0")
     diffraction = np.fromiter((_diffraction_db(beam, antenna, d)
                                for d in distances.ravel().tolist()), float, distances.size)
@@ -256,18 +260,19 @@ def distance_sweep(scenario: "Scenario", d_min_m: float, d_max_m: float,
     excluded; they do not depend on distance.  Distances are linearly
     spaced, endpoints included.
 
-    Raises ValueError unless 0 < d_min_m <= d_max_m, and, naming `steps`,
+    Raises ValueError unless 0 < d_min_m <= d_max_m < inf, and, naming `steps`,
     for fewer than 2 steps or a table that would not fit in memory;
     OverflowError if d_max_m is beyond the range of the beam model.
     """
-    if not (0.0 < d_min_m <= d_max_m):
-        raise ValueError("require 0 < d_min_m <= d_max_m")
+    # before the distances are built: an infinite bound makes a NaN distance
+    if not (0.0 < d_min_m <= d_max_m < math.inf):
+        raise ValueError("require 0 < d_min_m <= d_max_m < inf")
     if steps < 2:
         raise ValueError("steps must be >= 2")
     # bytes per row: under tracemalloc, distance_sweep and the CSV writer
     # peaked 50.4 MB higher on 1e6 rows than on 1e5 rows
     _check_fits("steps", steps, "rows", 56)
-    with np.errstate(over="ignore"):  # an infinite distance raises OverflowError below
+    with np.errstate(over="ignore"):  # a distance that overflows raises OverflowError below
         distances = d_min_m + (d_max_m - d_min_m) * np.arange(steps) / (steps - 1)
     budget = link_budget(scenario, distances)
     return np.column_stack((distances, budget.diffraction_db, budget.static_db))

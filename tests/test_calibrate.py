@@ -112,14 +112,11 @@ class TestFailureModes:
         result = calibrate_coupling(scenario, anchors, seed=0)
         assert not result.converged
 
-    def test_too_few_samples_rejected(self, scenario):
-        with pytest.raises(ValueError, match="samples"):
-            calibrate_coupling(scenario, [], samples=999)
-
-    def test_samples_beyond_memory_refused_by_name(self, scenario):
-        # 10**13 samples would need 240 TB: refused before any is drawn
-        with pytest.raises(ValueError, match=r"^samples: .*bytes of memory"):
-            calibrate_coupling(scenario, [], samples=10**13)
+    @pytest.mark.parametrize("tolerance_db", [math.nan, math.inf, -math.inf, -0.1])
+    def test_bad_tolerance_refused_by_name(self, scenario, tolerance_db):
+        # every comparison with a NaN tolerance is false: it would pass any residual
+        with pytest.raises(ValueError, match="^tolerance_db must be >= 0 and finite$"):
+            calibrate_coupling(scenario, [], tolerance_db=tolerance_db)
 
     def test_static_pair_must_come_together(self, scenario):
         with pytest.raises(ValueError, match="go together"):
@@ -149,7 +146,7 @@ class TestFailureModes:
         # each overflowed with a bare "(34, 'Numerical result out of range')"
         # or wrote an infinite residual
         with pytest.raises(ValueError) as err:
-            calibrate_coupling(scenario, anchors, seed=0, samples=1000)
+            calibrate_coupling(scenario, anchors, seed=0)
         assert str(err.value) == message
 
     def test_huge_static_distance_named(self, scenario):

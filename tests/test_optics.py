@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -276,6 +277,10 @@ class TestLinkBudget:
         ({}, np.array([1000.0, -0.5]), 0.0, "distance_m must be >= 0"),
         ({}, 1000.0, -1e-6, "radial_error_rad must be >= 0"),
         ({}, 1000.0, np.array([1e-6, -1e-9]), "radial_error_rad must be >= 0"),
+        # NaN fails every comparison, so a check written as x < 0 misses it
+        ({}, math.nan, 0.0, "distance_m must be >= 0"),
+        ({}, np.array([1000.0, math.nan]), 0.0, "distance_m must be >= 0"),
+        ({}, 1000.0, math.nan, "radial_error_rad must be >= 0"),
     ])
     def test_each_refusal_is_raised_by_link_budget(self, changes, distance_m, error_rad,
                                                    message):
@@ -283,12 +288,14 @@ class TestLinkBudget:
         with pytest.raises(ValueError, match=f"^{message}$"):
             link_budget(scenario, distance_m, error_rad)
 
-    @pytest.mark.parametrize("far_m", [1e12, 1e308])
+    @pytest.mark.parametrize("far_m", [1e12, 1e300, 1e308])
     def test_one_distance_beyond_the_beam_model_raises(self, far_m):
-        # 1e12 m: the captured fraction rounds to 0; 1e308 m: the beam radius overflows
-        with pytest.raises(OverflowError):
+        # 1e12 m: the captured fraction rounds to 0; from 1e300 m the beam
+        # radius overflows in a float power, whose error names nothing
+        message = f"^{re.escape(f'distance_m={far_m}')} is beyond the range of the beam model$"
+        with pytest.raises(OverflowError, match=message):
             link_budget(CLEAR_SCENARIO, far_m)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=message):
             link_budget(CLEAR_SCENARIO, np.array([1000.0, far_m, 2000.0]))
 
 
@@ -323,12 +330,15 @@ class TestDistanceSweep:
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_invalid_ranges(self):
-        with pytest.raises(ValueError):
-            distance_sweep(CLEAR_SCENARIO, 0.0, 1000.0, 10)
-        with pytest.raises(ValueError):
-            distance_sweep(CLEAR_SCENARIO, 2000.0, 1000.0, 10)
-        with pytest.raises(ValueError):
-            distance_sweep(CLEAR_SCENARIO, 100.0, 1000.0, 1)
+        # refused before the distances are built: an infinite bound would
+        # make numpy warn of a NaN distance first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d_min_m, d_max_m, steps in [(0.0, 1000.0, 10), (2000.0, 1000.0, 10),
+                                            (100.0, 1000.0, 1), (100.0, math.inf, 3),
+                                            (math.inf, math.inf, 3), (100.0, math.nan, 3)]:
+                with pytest.raises(ValueError):
+                    distance_sweep(CLEAR_SCENARIO, d_min_m, d_max_m, steps)
 
     def test_steps_beyond_memory_refused_by_name(self):
         # 10**15 rows would need some 56 PB: refused before np.arange
