@@ -109,27 +109,34 @@ def tick_count(duration_s: float) -> int:
     return int(round(ticks))
 
 
+def _first(time_of, n: int, t_s: float) -> int:
+    """The first index k < n with time_of(k) >= t_s, or n when there is none,
+    for times that never fall.  Bisects on plain ints, as n may be a tick
+    count beyond what a range or an array can hold."""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if time_of(mid) < t_s:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _window(time_of, n: int, t0_s: float, t1_s: float) -> slice:
     """The indices k < n with t0_s <= time_of(k) < t1_s, as a slice, for
-    times that never fall.  Bisects on plain ints, as n may be a tick count
-    beyond what a range or an array can hold.  Raises ValueError when the
-    window holds no index, as with a NaN bound."""
-    def first(t: float) -> int:
-        # the first k <= n with time_of(k) >= t
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if time_of(mid) < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
+    times that never fall.  Raises ValueError when the window holds no
+    index, as with a NaN bound."""
     if t0_s < t1_s:
-        start, stop = first(t0_s), first(t1_s)
+        start, stop = _first(time_of, n, t0_s), _first(time_of, n, t1_s)
         if start < stop:
             return slice(start, stop)
     raise ValueError(f"window [{t0_s}, {t1_s}) selects no samples")
+
+
+def _tick_time(k: int) -> float:
+    """The time of tick k, in seconds."""
+    return k / TICK_RATE_HZ
 
 
 def tick_window(t0_s: float, t1_s: float, n: int) -> slice:
@@ -141,7 +148,7 @@ def tick_window(t0_s: float, t1_s: float, n: int) -> slice:
     same ticks.  Raises ValueError when the window holds no tick, as with a
     NaN bound.
     """
-    return _window(lambda k: k / TICK_RATE_HZ, n, t0_s, t1_s)
+    return _window(_tick_time, n, t0_s, t1_s)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +223,17 @@ def tracking_stats(series: TrackingSeries) -> TrackingStats:
 # ---------------------------------------------------------------------------
 # simulation loop
 
+def _hold(log: list, columns: tuple) -> None:
+    """Fill per-tick columns from a change log: rows (tick, value, ...) with
+    ticks rising from 0, each row's values written from its tick up to the
+    next row's (a row followed by one of the same tick writes nothing), the
+    last row's to the end."""
+    ends = [row[0] for row in log[1:]] + [None]
+    for (tick, *values), end in zip(log, ends):
+        for column, value in zip(columns, values):
+            column[tick:end] = value
+
+
 def run_apt(
     scenario: Scenario,
     duration_s: float,
@@ -230,8 +248,10 @@ def run_apt(
 
     `enable_fine1` / `enable_fine2` select which fine stages may engage
     (None takes the scenario's apt.fine1_enabled / apt.fine2_enabled);
-    `fine_after_s` keeps both fine stages disabled until that time, which
-    reproduces the delayed-activation tracking experiment.
+    `fine_after_s` keeps both fine stages disabled until that time (they
+    may engage from the first tick at or after it, the first tick of the
+    window `tick_window(fine_after_s, ...)`), which reproduces the
+    delayed-activation tracking experiment.
     `enable_feedforward` switches the IMU rate feedforward into the gimbal
     command (off leaves the vision loops on their own).  Identical
     arguments produce bit-identical series.
@@ -370,13 +390,13 @@ def run_apt(
     lock_loss_frames = p.lock_loss_frames
     stab_ticks = p.stabilize_dwell_s * TICK_RATE_HZ
     link_dwell_ticks = p.link_dwell_s * TICK_RATE_HZ
-    # which fine stages may engage; fine_after_s holds both back until the
-    # handover tick (-1: never held back)
-    fine1_on = enable_fine1 and fine_after_s <= 0.0
-    fine2_on = enable_fine2 and fine_after_s <= 0.0
-    handover = int(fine_after_s * TICK_RATE_HZ) if fine_after_s > 0.0 else -1
+    # fine_after_s holds both fine stages back until the handover tick, the
+    # first at or after it (n: never handed over), by the rule that picks a
+    # statistics window's ticks
+    handover = _first(_tick_time, n, fine_after_s)
 
-    # output buffers; the residual columns are formed after the loop
+    # output buffers; the residual columns are formed after the loop, and
+    # the state and lock columns are filled from their change logs
     out_state = np.empty(n, dtype=np.int8)
     out_gaz = np.empty(n)
     out_gp = np.empty(n)
@@ -408,17 +428,27 @@ def run_apt(
     if state == _LINKED:
         e0_p = e0_a = e1_p = e1_a = e2_p = e2_a = 0.0
 
-    # The loop reads its twelve per-tick inputs by iterating memoryviews of
-    # the float64 arrays (each item a Python float, no copy) and writes
-    # through memoryviews of the preallocated outputs, so every operation in
-    # the loop is native float math.
+    # The loop reads its ten per-tick inputs by iterating memoryviews of the
+    # float64 arrays (each item a Python float, no copy) and writes the six
+    # actuator angles through memoryviews of the preallocated outputs, so
+    # every operation in the loop is native float math.  The measured IMU
+    # rate, which only Stabilize reads, is indexed there.  The state and the
+    # lock flags, which hold for many ticks (a default 70 s run changes its
+    # locks once and its state five times), are logged only in the ticks
+    # that change them, and their columns are filled by slices after the
+    # loop.
     inputs = zip(*map(memoryview, (
         noise["cmos0"][0], noise["cmos0"][1], noise["cmos1"][0], noise["cmos1"][1],
-        noise["cmos2"][0], noise["cmos2"][1], rate_pitch, rate_az, ff_pitch, ff_az,
-        base_pitch, base_az)))
-    (o_state, o_gaz, o_gp, o_f1p, o_f1a, o_f2p, o_f2a, o_l0, o_l1, o_l2) = map(
-        memoryview, (out_state, out_gaz, out_gp, out_f1p, out_f1a, out_f2p, out_f2a,
-                     out_l0, out_l1, out_l2))
+        noise["cmos2"][0], noise["cmos2"][1], ff_pitch, ff_az, base_pitch, base_az)))
+    imu_rate_p, imu_rate_a = memoryview(rate_pitch), memoryview(rate_az)
+    (o_gaz, o_gp, o_f1p, o_f1a, o_f2p, o_f2a) = map(
+        memoryview, (out_gaz, out_gp, out_f1p, out_f1a, out_f2p, out_f2a))
+    # (tick, state) from tick 0, then a row in each tick that changes the state
+    state_log = [(0, state)]
+    # (tick, lock0, lock1, lock2) in each tick whose flags are not the
+    # previous tick's, the first tick included
+    lock_log = []
+    lock0 = lock1 = lock2 = None
 
     # The tick decides nothing that is fixed for the run or changes only with
     # the state: each loop's PID form (`*_pd`) and the feedforward (`ff_*`,
@@ -439,12 +469,17 @@ def run_apt(
     neg_g_max_delta = -g_max_delta
     neg_g_range_p, neg_g_range_az = -g_range_p, -g_range_az
     neg_f1_range, neg_f2_range = -f1_range, -f2_range
+    # negated pixel pitches for the readings of negative errors.  A reading
+    # rounds |x| / pitch half away from zero and takes the sign of x; with
+    # y = x / pitch, |x| / pitch + 0.5 is 0.5 - y when x < 0, as IEEE
+    # division is sign-symmetric, so floor(0.5 - y) * -pitch is that reading
+    # bit for bit, a zero one as -0.0.
+    neg_c0_pp, neg_c0_pa = -c0_pp, -c0_pa
+    neg_c1_pp, neg_c1_pa = -c1_pp, -c1_pa
+    neg_c2_pp, neg_c2_pa = -c2_pp, -c2_pa
 
-    for i, (n0_p, n0_a, n1_p, n1_a, n2_p, n2_a, imu_rate_p, imu_rate_a, ff_p, ff_a,
+    for i, (n0_p, n0_a, n1_p, n1_a, n2_p, n2_a, ff_p, ff_a,
             base_i_p, base_i_a) in enumerate(inputs):
-        if i == handover:
-            fine1_on, fine2_on = enable_fine1, enable_fine2
-
         # --- sensing (previous-tick errors; one-frame latency) ---
         # a camera sees the spot when its beacon is in view and the error is
         # inside its FOV; it reports the noisy centroid rounded to its pixel
@@ -456,10 +491,10 @@ def run_apt(
         if valid0:
             x_p = e0_p + n0_p
             x_a = e0_a + n0_a
-            m0_p = floor(abs(x_p) / c0_pp + 0.5) * c0_pp
-            m0_p = m0_p if x_p >= 0.0 else -m0_p
-            m0_a = floor(abs(x_a) / c0_pa + 0.5) * c0_pa
-            m0_a = m0_a if x_a >= 0.0 else -m0_a
+            y = x_p / c0_pp
+            m0_p = floor(y + 0.5) * c0_pp if x_p >= 0.0 else floor(0.5 - y) * neg_c0_pp
+            y = x_a / c0_pa
+            m0_a = floor(y + 0.5) * c0_pa if x_a >= 0.0 else floor(0.5 - y) * neg_c0_pa
             if m0_p > c0_half_p: m0_p = c0_half_p
             elif m0_p < neg_c0_half_p: m0_p = neg_c0_half_p
             if m0_a > c0_half_a: m0_a = c0_half_a
@@ -472,15 +507,19 @@ def run_apt(
 
         valid2 = (coarse_radial <= bl2_half and neg_c2_half_p <= e2_p <= c2_half_p
                   and neg_c2_half_a <= e2_a <= c2_half_a)
+        # each flag is one of the two bool objects
+        if valid0 is not lock0 or valid1 is not lock1 or valid2 is not lock2:
+            lock0, lock1, lock2 = valid0, valid1, valid2
+            lock_log.append((i, valid0, valid1, valid2))
         # FSM2's reading serves the FSM2 loop and the link dwell test, which
         # run only in ticks that start in a state running FSM1
         if valid2 and f1_active:
             x_p = e2_p + n2_p
             x_a = e2_a + n2_a
-            m2_p = floor(abs(x_p) / c2_pp + 0.5) * c2_pp
-            m2_p = m2_p if x_p >= 0.0 else -m2_p
-            m2_a = floor(abs(x_a) / c2_pa + 0.5) * c2_pa
-            m2_a = m2_a if x_a >= 0.0 else -m2_a
+            y = x_p / c2_pp
+            m2_p = floor(y + 0.5) * c2_pp if x_p >= 0.0 else floor(0.5 - y) * neg_c2_pp
+            y = x_a / c2_pa
+            m2_a = floor(y + 0.5) * c2_pa if x_a >= 0.0 else floor(0.5 - y) * neg_c2_pa
             if m2_p > c2_half_p: m2_p = c2_half_p
             elif m2_p < neg_c2_half_p: m2_p = neg_c2_half_p
             if m2_a > c2_half_a: m2_a = c2_half_a
@@ -501,8 +540,8 @@ def run_apt(
                     loss_count = dwell_count = 0
         elif state == _STABILIZE:
             # the gimbal's rate over the last tick against the measured IMU rate
-            if (abs((g_p - g_last_p) / dt - imu_rate_p) < stab_thresh
-                    and abs((g_az - g_last_a) / dt - imu_rate_a) < stab_thresh):
+            if (abs((g_p - g_last_p) / dt - imu_rate_p[i]) < stab_thresh
+                    and abs((g_az - g_last_a) / dt - imu_rate_a[i]) < stab_thresh):
                 stab_count += 1
             else:
                 stab_count = 0
@@ -527,10 +566,11 @@ def run_apt(
                 state = _REACQUIRE
                 loss_count = dwell_count = 0
             elif state == _COARSE_TRACK:
-                if fine1_on and valid1 and hypot(m0_p, m0_a) < capture_thresh:
+                if (enable_fine1 and i >= handover and valid1
+                        and hypot(m0_p, m0_a) < capture_thresh):
                     state = _FINE_TRACK1
             elif state == _FINE_TRACK1:
-                if fine2_on and valid2:
+                if enable_fine2 and i >= handover and valid2:
                     state = _FINE_TRACK2
             elif state == _FINE_TRACK2:
                 if valid2 and hypot(m2_p, m2_a) < link_thresh:
@@ -541,6 +581,7 @@ def run_apt(
                     dwell_count = 0
         if state != flags_state:
             flags_state = state
+            state_log.append((i, state))
             reset, coarse_active, f1_active, f2_active = loop_flags[state]
             # the resetting states run no loop: a reset on entry leaves the
             # integrators a reset in every tick would
@@ -580,10 +621,10 @@ def run_apt(
             if valid1:
                 x_p = e1_p + n1_p
                 x_a = e1_a + n1_a
-                m1_p = floor(abs(x_p) / c1_pp + 0.5) * c1_pp
-                m1_p = m1_p if x_p >= 0.0 else -m1_p
-                m1_a = floor(abs(x_a) / c1_pa + 0.5) * c1_pa
-                m1_a = m1_a if x_a >= 0.0 else -m1_a
+                y = x_p / c1_pp
+                m1_p = floor(y + 0.5) * c1_pp if x_p >= 0.0 else floor(0.5 - y) * neg_c1_pp
+                y = x_a / c1_pa
+                m1_a = floor(y + 0.5) * c1_pa if x_a >= 0.0 else floor(0.5 - y) * neg_c1_pa
                 if m1_p > c1_half_p: m1_p = c1_half_p
                 elif m1_p < neg_c1_half_p: m1_p = neg_c1_half_p
                 if m1_a > c1_half_a: m1_a = c1_half_a
@@ -669,17 +710,15 @@ def run_apt(
         e2_p = e1_p - f2_p
         e2_a = e1_a - f2_a
 
-        o_state[i] = state
         o_gaz[i] = g_az
         o_gp[i] = g_p
         o_f1p[i] = f1_p
         o_f1a[i] = f1_a
         o_f2p[i] = f2_p
         o_f2a[i] = f2_a
-        o_l0[i] = valid0
-        o_l1[i] = valid1
-        o_l2[i] = valid2
 
+    _hold(state_log, (out_state,))
+    _hold(lock_log, (out_l0, out_l1, out_l2))
     # the residual the loop formed each tick, ((base - g) - f1) - f2: the
     # same IEEE operations in the same order, elementwise
     out_e2p = base_pitch - out_gp

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -313,15 +314,12 @@ def replay_states(scenario, series, initial_state=AptState.STABILIZE,
         previous = np.r_[0.0, g[:-1]]
         rates.append((previous - np.r_[0.0, previous[:-1]]) / DT)
 
-    # fine_after_s holds both fine stages back until its tick
-    held = fine_after_s > 0.0
-    handover = int(fine_after_s * TICK_RATE_HZ) if held else -1
+    # fine_after_s holds both fine stages back until the first tick at or after it
     state = initial_state
     stabilized = lost = dwell = 0
     out = []
     for k in range(n):
-        if k == handover:
-            held = False
+        held = k / TICK_RATE_HZ < fine_after_s
         lock0, lock1, lock2 = series.lock0[k], series.lock1[k], series.lock2[k]
         if state == AptState.STABILIZE:
             steady = all(abs(rates[a][k] - imu[a][k]) < p.stabilize_rate_threshold_rad_s
@@ -363,6 +361,59 @@ def run_and_replay(scenario, duration_s, seed, **kwargs):
     """(series, replayed states) of one run_apt call."""
     series = run_apt(scenario, duration_s, seed, **kwargs)
     return series, replay_states(scenario, series, **kwargs)
+
+
+def replay_locks(scenario, series, initial_state=AptState.STABILIZE):
+    """The run's three lock flags replayed from its recorded angles.
+
+    Each camera gates the error it sees one tick late: e0 = (base + bias) -
+    gimbal for the coarse camera, e1 = e0 - FSM1 for the mid one and the
+    recorded residual for the fine one, from the acquisition bias (0 from
+    Linked) before the first tick.  It has lock when the coarse radial error
+    is inside its beacon's half-cone and both axes of its error are inside
+    its half-FOVs.  The base motion is drawn again from the run's seed.
+    """
+    n = len(series)
+    bias = scenario.apt.acquisition_bias_rad / math.sqrt(2.0)
+    start = 0.0 if initial_state == AptState.LINKED else bias
+    base = DisturbanceGenerator(scenario.disturbance,
+                                component_rng(series.seed, "disturbance")).series(n + 1, -DT)
+    e0 = [(b[1:] + bias) - g
+          for b, g in zip(base, (series.gimbal_pitch_rad, series.gimbal_azimuth_rad))]
+    e1 = [e - f for e, f in zip(e0, (series.fsm1_pitch_rad, series.fsm1_azimuth_rad))]
+    e2 = [series.error_pitch_rad, series.error_azimuth_rad]
+    seen = [[np.r_[start, e[:-1]] for e in errors] for errors in (e0, e1, e2)]
+    radial = np.array([math.hypot(p, a) for p, a in zip(*seen[0])])
+    locks = []
+    for stage in range(3):
+        cam = getattr(scenario, f"cmos{stage}")
+        cone = 0.5 * getattr(scenario, f"beacon_bl{stage}").divergence_full_angle_rad
+        lock = radial <= cone
+        for axis, error in zip(("pitch", "azimuth"), seen[stage]):
+            half = 0.5 * getattr(cam, f"fov_{axis}_rad")
+            lock &= (-half <= error) & (error <= half)
+        locks.append(lock)
+    return locks
+
+
+def assert_locks_equal_replay(scenario, series, initial_state=AptState.STABILIZE):
+    for stage, lock in enumerate(replay_locks(scenario, series, initial_state)):
+        assert np.array_equal(getattr(series, f"lock{stage}"), lock), f"lock{stage}"
+
+
+def lock_changes(series):
+    """How many ticks after the first have lock flags that are not the previous tick's."""
+    flags = np.stack([series.lock0, series.lock1, series.lock2])
+    return int((flags[:, 1:] != flags[:, :-1]).any(axis=0).sum())
+
+
+def lossy_swing_scenario():
+    """An 8 Hz, 20 mrad pitch swing that outruns the gimbal's slew limit, so
+    the spot leaves the bl0 cone and comes back: locks come and go.  (It also
+    keeps the gimbal from ever stabilizing.)"""
+    return make_scenario(**{"cmos0.centroid_noise_urad": 300.0,
+                            "disturbance.pitch.sinusoids": sinusoid(20_000.0, 8.0),
+                            "apt.lock_loss_frames": 5})
 
 
 def edges(series, initial_state=AptState.STABILIZE):
@@ -597,6 +648,20 @@ class TestRunApt:
         late = series.window(8.0, 12.0)
         assert np.isin(late.state, fine_states).all()
 
+    @pytest.mark.parametrize("fine_after", [1.001, 1.003, 7.0])
+    def test_fine_after_hands_over_at_the_first_tick_at_or_after_it(self, fine_after):
+        # 1.001 * 1000 is 1000.9999999999999: the handover is tick 1001, the
+        # first at or after 1.001 s, as in a statistics window from then on.
+        # This run captures as soon as it may, so the handover tick is its
+        # first fine tick.
+        sc = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "1km_default.json")
+        series, replay = run_and_replay(sc, 8.0, 1, fine_after_s=fine_after)
+        handover = next(k for k in range(len(series)) if k / TICK_RATE_HZ >= fine_after)
+        assert handover == tick_window(fine_after, math.inf, len(series)).start
+        assert not np.isin(series.state[:handover], FINE_STATES).any()
+        assert series.state[handover] == int(AptState.FINE_TRACK1)
+        assert np.array_equal(series.state, replay)
+
     @pytest.mark.parametrize("fine_after", [math.nan, math.inf, -math.inf, -1.0, -1e-9])
     def test_fine_after_must_be_nonnegative_and_finite(self, scenario, fine_after):
         # NaN would hold both fine stages off for the whole run, a negative
@@ -680,6 +745,7 @@ class TestStateReplay:
         series, replay = run_and_replay(sc, 12.0, 1)
         assert np.array_equal(series.state, replay)
         assert edges(series) <= LEGAL_EDGES
+        assert_locks_equal_replay(sc, series)
 
     def test_handover_state_equals_replay(self, scenario):
         series, replay = run_and_replay(scenario, 8.0, 2, fine_after_s=3.0)
@@ -706,6 +772,7 @@ class TestStateReplay:
         series, replay = run_and_replay(sc, 1.0, 0, initial_state=AptState.FINE_TRACK2)
         assert np.array_equal(series.state, replay)
         assert series.lock1.all() and len(runs(~series.lock2)) >= 10
+        assert_locks_equal_replay(sc, series, AptState.FINE_TRACK2)
         # the link dwell counts fine-locked ticks only: every tick of the
         # dwell that ends in Linked holds the fine lock
         dwell = math.ceil(sc.apt.link_dwell_s * TICK_RATE_HZ)
@@ -716,15 +783,66 @@ class TestStateReplay:
 
     @pytest.mark.parametrize("initial", list(AptState)[1:])
     def test_lossy_runs_equal_replay(self, initial):
-        # an 8 Hz, 20 mrad pitch swing outruns the gimbal's slew limit, so the
-        # spot leaves the bl0 cone and comes back: locks come and go.  (It
-        # also keeps the gimbal from ever stabilizing, so no run starts there.)
-        sc = make_scenario(**{"cmos0.centroid_noise_urad": 300.0,
-                              "disturbance.pitch.sinusoids": sinusoid(20_000.0, 8.0),
-                              "apt.lock_loss_frames": 5})
+        # locks come and go, and no run starts in Stabilize, which the
+        # swinging gimbal never leaves
+        sc = lossy_swing_scenario()
         series, replay = run_and_replay(sc, 3.0, 5, initial_state=initial)
         assert np.array_equal(series.state, replay)
         assert int(AptState.REACQUIRE) in series.state
+        assert lock_changes(series) >= 30
+        assert_locks_equal_replay(sc, series, initial)
+
+
+# SHA-256 over the bytes of all 13 arrays of a run_apt series, in field
+# order, for the lossy swing scenario (seed 5, 3 s) from every initial state,
+# with the full cascade and with the coarse stage alone: runs whose locks and
+# states change tens of times
+LOSSY_SWING_DIGESTS = {
+    ("full", AptState.STABILIZE):
+        "801210c2426005507850678ae2885a9388d6a7028e27d60293f042d750dd0afa",
+    ("full", AptState.ACQUIRE):
+        "1bbf581c4b3ee4b61e79763ba4792b43641f6b08d58fc39aea2a7b137df5cf35",
+    ("full", AptState.COARSE_TRACK):
+        "1bbf581c4b3ee4b61e79763ba4792b43641f6b08d58fc39aea2a7b137df5cf35",
+    ("full", AptState.FINE_TRACK1):
+        "989ff0e3ec04503e8b606b46faad0c649e9852563edea55b3044cf525374911e",
+    ("full", AptState.FINE_TRACK2):
+        "e12eaf8c613a414c14edc93f2c9c838b623893c315ab5c920342ef74f45efd42",
+    ("full", AptState.LINKED):
+        "061e051d164bb89f623833a8d51f19731396768ed9451aee4faa97a585bb9b12",
+    ("full", AptState.REACQUIRE):
+        "104d72b51e865c53552d3664569e94d771d24ffd03eeeb8b1412d3c3b660fc37",
+    ("coarse", AptState.STABILIZE):
+        "801210c2426005507850678ae2885a9388d6a7028e27d60293f042d750dd0afa",
+    ("coarse", AptState.ACQUIRE):
+        "76b22f341ceecb1342b45dc56a54608ea98833e965e874291cb4b2c4419beb1c",
+    ("coarse", AptState.COARSE_TRACK):
+        "76b22f341ceecb1342b45dc56a54608ea98833e965e874291cb4b2c4419beb1c",
+    ("coarse", AptState.FINE_TRACK1):
+        "f0f673ad21f0eef7ddd039ff2d87b5b528ec0e827f7adc821e9db8e4741851d7",
+    ("coarse", AptState.FINE_TRACK2):
+        "3b2fcef190a41f2f3a33bfd5ba186ddd7edd3bdd2e83a0e313d55d231c42ec4e",
+    ("coarse", AptState.LINKED):
+        "20c2122bbc4288500859054415e41fd3ffc5d5cc1d0eec8c493da22cac9dab06",
+    ("coarse", AptState.REACQUIRE):
+        "2d2c52b02c66834fed0cd22bd36670bf6cb04b76b6f31c562a1cfbea96e0cb85",
+}
+
+
+def series_digest(series):
+    digest = hashlib.sha256()
+    for field in dataclasses.fields(series):
+        value = getattr(series, field.name)
+        if isinstance(value, np.ndarray):
+            digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("stages, initial", list(LOSSY_SWING_DIGESTS))
+def test_lossy_swing_series_are_pinned(stages, initial):
+    series = run_apt(lossy_swing_scenario(), 3.0, 5, initial_state=initial,
+                     **(COARSE_ONLY if stages == "coarse" else {}))
+    assert series_digest(series) == LOSSY_SWING_DIGESTS[stages, initial]
 
 
 class TestFuzzedScenarios:
