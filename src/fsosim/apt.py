@@ -40,7 +40,7 @@ stays in its state.
 
 Determinism
 -----------
-A run is seeded by a single 64-bit integer.  Independent component streams
+A run is seeded by one integer in [0, 2**64).  Independent component streams
 are derived with fixed labels (disturbance=1, cmos0=2, cmos1=3, cmos2=4,
 imu=5) via numpy SeedSequence spawn keys, so the same scenario and seed
 reproduce bit-identical output and adding a consumer never perturbs the
@@ -87,6 +87,12 @@ RNG_STREAM_LABELS = {
     "cmos2": 4,
     "imu": 5,
 }
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a run seed that is not an integer in [0, 2**64), naming `seed`."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def component_rng(seed: int, component: str) -> np.random.Generator:
@@ -234,6 +240,41 @@ def _hold(log: list, columns: tuple) -> None:
             column[tick:end] = value
 
 
+def _camera_constants(cam) -> tuple[float, ...]:
+    """A camera's half-FOVs and pixel pitches with their negations, as the
+    1 kHz loop gates, clips and rounds with them: (half_p, half_a, -half_p,
+    -half_a, pp, pa, -pp, -pa).  A reading rounds |x| / pitch half away
+    from zero and takes the sign of x; with y = x / pitch, |x| / pitch + 0.5
+    is 0.5 - y when x < 0 (IEEE division is sign-symmetric), so
+    floor(0.5 - y) * -pitch is that reading bit for bit, a zero one as -0.0.
+    """
+    half_p, half_a = 0.5 * cam.fov_pitch_rad, 0.5 * cam.fov_azimuth_rad
+    pp, pa = cam.pixel_pitch_pitch_rad, cam.pixel_pitch_azimuth_rad
+    return half_p, half_a, -half_p, -half_a, pp, pa, -pp, -pa
+
+
+def _pid_constants(gains, *limits: float) -> tuple:
+    """A loop's (kp, ki, kd, integral, pd), then (limit / ki, -limit / ki)
+    for each actuator limit.
+
+    With integral action (ki > 0) the loop clamps its integrator to
+    +-limit / ki, so the integral term alone cannot exceed the limit
+    (anti-windup); without it the loop steers relative to the actuator's
+    position and never reads those bounds (inf here).  A loop with P or D
+    action (`pd`) forms kp * m + ki * integ + kd * (m - prev) / dt and keeps
+    its previous reading; an integral-only one forms ki * integ alone.  The
+    dropped terms are +-0.0, so the command can differ only in the sign of
+    a zero, and it reaches its actuator through a sum with the feedforward
+    or the position, which are never -0.0 (they start at +0.0, and an IEEE
+    sum is -0.0 only when both its terms are): every output bit is kept.
+    """
+    kp, ki, kd = gains.kp, gains.ki, gains.kd
+    integral = ki > 0.0
+    bounds = [limit / ki if integral else math.inf for limit in limits]
+    return (kp, ki, kd, integral, not (kp == 0.0 and kd == 0.0 and integral),
+            *((bound, -bound) for bound in bounds))
+
+
 def run_apt(
     scenario: Scenario,
     duration_s: float,
@@ -253,15 +294,18 @@ def run_apt(
     window `tick_window(fine_after_s, ...)`), which reproduces the
     delayed-activation tracking experiment.
     `enable_feedforward` switches the IMU rate feedforward into the gimbal
-    command (off leaves the vision loops on their own).  Identical
-    arguments produce bit-identical series.
+    command (off leaves the vision loops on their own).  `seed` is an
+    integer in [0, 2**64).  Identical arguments produce bit-identical
+    series.
 
-    Raises ValueError, before any array is allocated, naming `duration_s`
-    when it is not positive, has no finite tick count, rounds to zero ticks
-    or gives a series that would not fit in memory; naming `fine_after_s`
-    when it is negative or not finite; and when enable_fine2 is set
-    without enable_fine1.
+    Raises ValueError, before any array is allocated, naming `seed` when it
+    is not an integer in [0, 2**64); naming `duration_s` when it is not
+    positive, has no finite tick count, rounds to zero ticks or gives a
+    series that would not fit in memory; naming `fine_after_s` when it is
+    negative or not finite; and when enable_fine2 is set without
+    enable_fine1.
     """
+    _check_seed(seed)
     if not (duration_s > 0.0 and math.isfinite(duration_s)):
         raise ValueError("duration_s must be positive and finite")
     try:
@@ -324,55 +368,23 @@ def run_apt(
     f1_range = scenario.fsm1.range_rad
     f2_range = scenario.fsm2.range_rad
 
-    cams = []
-    for cam_name in ("cmos0", "cmos1", "cmos2"):
-        cam = getattr(scenario, cam_name)
-        cams.append((
-            0.5 * cam.fov_pitch_rad,
-            0.5 * cam.fov_azimuth_rad,
-            cam.pixel_pitch_pitch_rad,
-            cam.pixel_pitch_azimuth_rad,
-        ))
-    (c0_half_p, c0_half_a, c0_pp, c0_pa) = cams[0]
-    (c1_half_p, c1_half_a, c1_pp, c1_pa) = cams[1]
-    (c2_half_p, c2_half_a, c2_pp, c2_pa) = cams[2]
+    (c0_half_p, c0_half_a, neg_c0_half_p, neg_c0_half_a,
+     c0_pp, c0_pa, neg_c0_pp, neg_c0_pa) = _camera_constants(scenario.cmos0)
+    (c1_half_p, c1_half_a, neg_c1_half_p, neg_c1_half_a,
+     c1_pp, c1_pa, neg_c1_pp, neg_c1_pa) = _camera_constants(scenario.cmos1)
+    (c2_half_p, c2_half_a, neg_c2_half_p, neg_c2_half_a,
+     c2_pp, c2_pa, neg_c2_pp, neg_c2_pa) = _camera_constants(scenario.cmos2)
 
     bl0_half = 0.5 * scenario.beacon_bl0.divergence_full_angle_rad
     bl1_half = 0.5 * scenario.beacon_bl1.divergence_full_angle_rad
     bl2_half = 0.5 * scenario.beacon_bl2.divergence_full_angle_rad
 
-    # PID gains.  With integral action (ki > 0) a loop's integrator is
-    # clamped to +-limit / ki, so the integral term alone cannot exceed the
-    # actuator limit (anti-windup); without it (ki == 0) the loop steers
-    # relative to the actuator's current position.  A loop with P or D
-    # action (`*_pd`) forms kp * m + ki * integ + kd * (m - prev) / dt and
-    # keeps its previous reading; an integral-only one (kp == kd == 0 < ki)
-    # forms ki * integ alone.  The dropped terms are +-0.0, so the command
-    # can differ only in the sign of a zero, and it reaches its actuator
-    # through a sum with the feedforward or the position, which are never
-    # -0.0 (they start at +0.0, and an IEEE sum is -0.0 only when both its
-    # terms are): every output bit is kept.
-    gc = scenario.gains_coarse
-    c_kp, c_ki, c_kd = gc.kp, gc.ki, gc.kd
-    c_integral = c_ki > 0.0
-    c_pd = not (c_kp == 0.0 and c_kd == 0.0 and c_integral)
-    if c_integral:
-        c_bound_p, c_bound_a = g_range_p / c_ki, g_range_az / c_ki
-        neg_c_bound_p, neg_c_bound_a = -c_bound_p, -c_bound_a
-    g1 = scenario.gains_fsm1
-    f1_kp, f1_ki, f1_kd = g1.kp, g1.ki, g1.kd
-    f1_integral = f1_ki > 0.0
-    f1_pd = not (f1_kp == 0.0 and f1_kd == 0.0 and f1_integral)
-    if f1_integral:
-        f1_bound = f1_range / f1_ki
-        neg_f1_bound = -f1_bound
-    g2 = scenario.gains_fsm2
-    f2_kp, f2_ki, f2_kd = g2.kp, g2.ki, g2.kd
-    f2_integral = f2_ki > 0.0
-    f2_pd = not (f2_kp == 0.0 and f2_kd == 0.0 and f2_integral)
-    if f2_integral:
-        f2_bound = f2_range / f2_ki
-        neg_f2_bound = -f2_bound
+    (c_kp, c_ki, c_kd, c_integral, c_pd, (c_bound_p, neg_c_bound_p),
+     (c_bound_a, neg_c_bound_a)) = _pid_constants(scenario.gains_coarse, g_range_p, g_range_az)
+    (f1_kp, f1_ki, f1_kd, f1_integral, f1_pd,
+     (f1_bound, neg_f1_bound)) = _pid_constants(scenario.gains_fsm1, f1_range)
+    (f2_kp, f2_ki, f2_kd, f2_integral, f2_pd,
+     (f2_bound, neg_f2_bound)) = _pid_constants(scenario.gains_fsm2, f2_range)
     p = scenario.apt
     stab_thresh = p.stabilize_rate_threshold_rad_s
 
@@ -463,20 +475,9 @@ def run_apt(
     flags_state = state
     _, coarse_active, f1_active, f2_active = loop_flags[state]
     # negated bounds, so the loop compares and clamps without negating
-    neg_c0_half_p, neg_c0_half_a = -c0_half_p, -c0_half_a
-    neg_c1_half_p, neg_c1_half_a = -c1_half_p, -c1_half_a
-    neg_c2_half_p, neg_c2_half_a = -c2_half_p, -c2_half_a
     neg_g_max_delta = -g_max_delta
     neg_g_range_p, neg_g_range_az = -g_range_p, -g_range_az
     neg_f1_range, neg_f2_range = -f1_range, -f2_range
-    # negated pixel pitches for the readings of negative errors.  A reading
-    # rounds |x| / pitch half away from zero and takes the sign of x; with
-    # y = x / pitch, |x| / pitch + 0.5 is 0.5 - y when x < 0, as IEEE
-    # division is sign-symmetric, so floor(0.5 - y) * -pitch is that reading
-    # bit for bit, a zero one as -0.0.
-    neg_c0_pp, neg_c0_pa = -c0_pp, -c0_pa
-    neg_c1_pp, neg_c1_pa = -c1_pp, -c1_pa
-    neg_c2_pp, neg_c2_pa = -c2_pp, -c2_pa
 
     for i, (n0_p, n0_a, n1_p, n1_a, n2_p, n2_a, ff_p, ff_a,
             base_i_p, base_i_a) in enumerate(inputs):

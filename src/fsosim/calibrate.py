@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optics
+from .apt import _check_seed
 from .scenario import Scenario
 
 DEFAULT_TOLERANCE_DB = 0.2
@@ -91,14 +92,17 @@ def calibrate_coupling(
     """Solve (rolloff halfwidth, base loss, insertion loss) against anchors.
 
     Parameters without an anchor to determine them keep the scenario values;
-    residuals are evaluated for every anchor provided.
+    residuals are evaluated for every anchor provided.  `seed`, an integer
+    in [0, 2**64), seeds the Monte Carlo draws.
 
-    Raises ValueError naming `tolerance_db` unless it is >= 0 and finite
-    (a NaN tolerance would pass any residual); when only one of
-    static_total_db and static_distance_m is given; and, naming the anchor
-    and its anchors-file key, for an anchor whose distance or jitter puts a
-    loss beyond the float range.
+    Raises ValueError naming `seed` when it is not an integer in [0, 2**64);
+    naming `tolerance_db` unless it is >= 0 and finite (a NaN tolerance
+    would pass any residual); when only one of static_total_db and
+    static_distance_m is given; and, naming the anchor and its anchors-file
+    key, for an anchor whose distance or jitter puts a loss beyond the
+    float range.
     """
+    _check_seed(seed)
     if not (tolerance_db >= 0.0 and math.isfinite(tolerance_db)):
         raise ValueError("tolerance_db must be >= 0 and finite")
     if (static_total_db is None) != (static_distance_m is None):

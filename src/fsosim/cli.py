@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io as fsio
-from .apt import (TICK_RATE_HZ, TrackingSeries, TrackingStats, run_apt, tick_count, tick_window,
-                  tracking_stats)
+from .apt import (TICK_RATE_HZ, TrackingSeries, TrackingStats, _check_seed, run_apt, tick_count,
+                  tick_window, tracking_stats)
 from .calibrate import DEFAULT_TOLERANCE_DB, SAMPLES, calibrate_coupling, parse_anchor_file
 from .link import (
     LossSeries,
@@ -152,33 +152,24 @@ def _scenario_header(scenario: Scenario) -> dict:
 
 # the flag that sets each library parameter: a library refusal starts with
 # the parameter's name, and main() names the flag instead
-_FLAG_OF = {"duration_s": "--duration", "fine_after_s": "--fine-after",
+_FLAG_OF = {"duration_s": "--duration", "fine_after_s": "--fine-after", "seed": "--seed",
             "steps": "--steps", "tolerance_db": "--tolerance-db"}
 
 
-def _check_window(flag: str, t0: float, t1: float) -> None:
-    """Reject flags whose statistics window [t0, t1) would hold no tick.
-
-    A t1 with no finite tick count is refused as --duration.
+def _check_window(t0: float, t1: float, refusal: str) -> None:
+    """Raise ValueError(refusal) when the statistics window [t0, t1) of a
+    run of t1 seconds holds no tick, before the run; a t1 with no finite
+    tick count is refused as duration_s.
     """
     try:
         # a NaN bound, or t1 <= t0, is an empty window whatever t1's tick count
         n = tick_count(t1) if t0 < t1 else 0
     except ValueError as exc:
-        raise ValueError(f"--duration: {exc}") from None
+        raise ValueError(f"duration_s: {exc}") from None
     try:
         tick_window(t0, t1, n)
     except ValueError:
-        raise ValueError(
-            f"{flag}: the statistics window [{t0}, {t1}) s holds no "
-            f"{TICK_RATE_HZ:g} Hz tick"
-        ) from None
-
-
-def _check_seed(seed: int) -> int:
-    if not (0 <= seed < 2**64):
-        raise ValueError("seed must fit in 64 bits")
-    return seed
+        raise ValueError(refusal) from None
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -190,7 +181,12 @@ def _parse_seed_range(text: str) -> list[int]:
         raise ValueError("--seeds range must have a <= b")
     if b - a + 1 > 10_000:
         raise ValueError("--seeds range too large")
-    return [_check_seed(s) for s in range(a, b + 1)]
+    try:
+        # up front: the runs of the seeds below b would write --out first
+        _check_seed(b)
+    except ValueError as exc:
+        raise ValueError(f"--seeds {a}..{b}: {exc}") from None
+    return list(range(a, b + 1))
 
 
 def _stats_dict(s: TrackingStats, t0: float, t1: float) -> dict:
@@ -260,23 +256,16 @@ def simulate_run(scenario: Scenario, duration_s: float, seed: int,
                  enable_fine1: bool | None = None,
                  enable_fine2: bool | None = None) -> RunResult:
     """The chain behind `fsosim run` for one seed: `run_apt`, then the loss,
-    throughput and statistics over [stats_warmup_s, duration_s).
+    throughput and statistics over [stats_warmup_s, duration_s).  `seed` is
+    an integer in [0, 2**64).
 
     Raises ValueError naming `duration_s`, before any tick runs, when that
-    window holds no tick; `run_apt` refuses the rest.
+    window holds no tick; `run_apt` refuses the rest, `seed` included,
+    before it allocates anything.
     """
     t0 = scenario.apt.stats_warmup_s
-    try:
-        # a NaN, or a duration within the warmup, leaves the window empty whatever
-        # its tick count
-        n = tick_count(duration_s) if t0 < duration_s else 0
-    except ValueError as exc:
-        raise ValueError(f"duration_s: {exc}") from None
-    try:
-        tick_window(t0, duration_s, n)
-    except ValueError:
-        raise ValueError(f"duration_s {duration_s} s leaves no {TICK_RATE_HZ:g} Hz tick "
-                         f"after the scenario's stats_warmup_s ({t0} s)") from None
+    _check_window(t0, duration_s, f"duration_s {duration_s} s leaves no {TICK_RATE_HZ:g} Hz "
+                                  f"tick after the scenario's stats_warmup_s ({t0} s)")
     series = run_apt(scenario, duration_s, seed,
                      enable_fine1=enable_fine1, enable_fine2=enable_fine2)
     window = series.window(t0, duration_s)
@@ -356,11 +345,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_track(args) -> int:
     scenario = _load(args)
-    _check_seed(args.seed)
     warmup = min(scenario.apt.stats_warmup_s, 0.5 * args.duration)
-    _check_window("--duration", warmup, args.duration)
+    # the start of each statistics window the report holds, by the parameter
+    # that sets it
+    windows = {"duration_s": warmup}
     if args.fine_after > 0.0:
-        _check_window("--fine-after", args.fine_after, args.duration)
+        windows["fine_after_s"] = args.fine_after
+    for name, t0 in windows.items():
+        _check_window(t0, args.duration, f"{name}: the statistics window [{t0}, "
+                                         f"{args.duration}) s holds no {TICK_RATE_HZ:g} Hz tick")
     if args.stages is None:
         fine1, fine2 = scenario.apt.fine1_enabled, scenario.apt.fine2_enabled
     else:
@@ -418,8 +411,7 @@ def _run_one_seed(scenario: Scenario, args, seed: int, multi: bool) -> dict:
 
 def cmd_run(args) -> int:
     scenario = _load(args)
-    seeds = _parse_seed_range(args.seeds) if args.seeds else [_check_seed(args.seed)]
-    seeds = sorted(set(seeds))
+    seeds = _parse_seed_range(args.seeds) if args.seeds else [args.seed]
     multi = args.seeds is not None
     per_seed = [_run_one_seed(scenario, args, s, multi) for s in seeds]
 
@@ -450,7 +442,6 @@ def cmd_run(args) -> int:
 
 def cmd_calibrate(args) -> int:
     scenario = _load(args)
-    _check_seed(args.seed)
     if args.anchors is None:
         payload = DEFAULT_ANCHORS
     else:

@@ -718,6 +718,22 @@ class TestRunApt:
         with pytest.raises(ValueError, match=r"^duration_s: .*bytes of memory"):
             run_apt(scenario, 1e12, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_seed_outside_64_bits_refused_before_any_allocation(self, scenario, seed,
+                                                               monkeypatch):
+        # refused by name: numpy would answer -1 with an unnamed "expected
+        # non-negative integer" and run 2**64
+        def no_generator(*args, **kwargs):
+            raise AssertionError("DisturbanceGenerator constructed")
+
+        monkeypatch.setattr(fsosim.apt, "DisturbanceGenerator", no_generator)
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            run_apt(scenario, 1.0, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_seed_range_ends_are_accepted(self, scenario, seed):
+        assert run_apt(scenario, 0.002, seed).seed == seed
+
     def test_shortest_run_is_one_tick(self, scenario):
         series = run_apt(scenario, 0.0006, seed=0)
         assert series.t_s.tolist() == [0.0]
@@ -730,6 +746,55 @@ class TestRunApt:
         assert not np.isin(series.state, fine_states).any()
         forced = run_apt(sc, 4.0, seed=1, enable_fine1=True, enable_fine2=True)
         assert np.isin(forced.state, fine_states).any()
+
+
+def first_reading_run(edge, axis, sign, overrides):
+    """A still run whose error at t = 0, which tick 1's cameras read, is
+    sign * edge on `axis` alone: a +-90 deg sinusoid starts at exactly
+    +-its amplitude, as sin(+-pi / 2) is exactly +-1.0."""
+    amplitude = threshold_equal_to(edge)
+    series = run_apt(still_scenario(**overrides, **{
+        f"disturbance.{axis}.sinusoids": sinusoid(amplitude, 1.0, sign * 90.0)}), 0.002, seed=1)
+    assert getattr(series, f"error_{axis}_rad")[0] == sign * edge
+    return series
+
+
+# each camera's lock flag and the beacon whose cone gates it
+CAMERA_GATES = {"cmos0": ("lock0", "bl0"), "cmos1": ("lock1", "bl1"), "cmos2": ("lock2", "bl2")}
+
+
+class TestLockGates:
+    """A camera's gates are closed: it locks on a spot exactly on its half-FOV
+    or its beacon cone's edge, and not one ulp beyond."""
+
+    def assert_gate_edge(self, cam, edge, axis, sign, overrides):
+        lock = CAMERA_GATES[cam][0]
+        beyond = math.nextafter(edge, math.inf)
+        assert getattr(first_reading_run(edge, axis, sign, overrides), lock)[1]
+        assert not getattr(first_reading_run(beyond, axis, sign, overrides), lock)[1]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("axis", ["pitch", "azimuth"])
+    @pytest.mark.parametrize("cam", sorted(CAMERA_GATES))
+    def test_half_fov_edge(self, cam, axis, sign):
+        # bl0 widened: its 17.5 mrad half-cone lies inside cmos0's 20 mrad half-FOV
+        overrides = {"beacons.bl0.divergence_mrad": 100.0}
+        sc = still_scenario(**overrides)
+        half = 0.5 * getattr(getattr(sc, cam), f"fov_{axis}_rad")
+        assert half < 0.5 * getattr(sc, f"beacon_{CAMERA_GATES[cam][1]}").divergence_full_angle_rad
+        self.assert_gate_edge(cam, half, axis, sign, overrides)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("cam", sorted(CAMERA_GATES))
+    def test_beacon_cone_edge(self, cam, sign):
+        # bl1's and bl2's 3 mrad half-cones are wider than cmos1's and
+        # cmos2's half-FOVs: narrowed to 0.4 mrad, inside them
+        beacon = CAMERA_GATES[cam][1]
+        overrides = {f"beacons.{beacon}.divergence_mrad": 0.8} if cam != "cmos0" else {}
+        sc = still_scenario(**overrides)
+        half = 0.5 * getattr(sc, f"beacon_{beacon}").divergence_full_angle_rad
+        assert half < 0.5 * getattr(sc, cam).fov_pitch_rad
+        self.assert_gate_edge(cam, half, "pitch", sign, overrides)
 
 
 SHIPPED = sorted(p.stem for p in Path(__file__).resolve().parents[1].glob("scenarios/*.json"))

@@ -118,6 +118,13 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="^tolerance_db must be >= 0 and finite$"):
             calibrate_coupling(scenario, [], tolerance_db=tolerance_db)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused_first(self, scenario, seed):
+        # refused on entry, before the tolerance and any Monte Carlo draw
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            calibrate_coupling(scenario, [MeanLossAnchor(3e-6, 1000.0, 13.7)], seed=seed,
+                               tolerance_db=math.nan)
+
     def test_static_pair_must_come_together(self, scenario):
         with pytest.raises(ValueError, match="go together"):
             calibrate_coupling(scenario, [], static_total_db=12.7)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fsosim.apt
 import fsosim.cli
 import fsosim.optics
 from fsosim import default_scenario, downtime_fraction, loss_statistics, summarize
@@ -347,6 +348,25 @@ class TestRun:
     def test_bad_seed_ranges(self, bad, capsys):
         assert run_cli("run", "--duration", "11", "--seeds", bad) == 1
 
+    def test_seed_range_beyond_64_bits_refused_before_any_run(self, tmp_path, capsys):
+        # the range's first seed is usable: refused up front, it writes nothing
+        out = tmp_path / "out"
+        assert run_cli("run", "--duration", "11", "--out", str(out),
+                       "--seeds", "18446744073709551615..18446744073709551616") == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith("fsosim: --seeds 18446744073709551615..18446744073709551616: seed ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_simulate_run_refuses_a_seed_outside_64_bits(self, seed, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("DisturbanceGenerator constructed")
+
+        monkeypatch.setattr(fsosim.apt, "DisturbanceGenerator", no_generator)
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            simulate_run(default_scenario(), 11.0, seed)
+
 
 def run_script(script, *flags):
     root = Path(__file__).resolve().parents[1]
@@ -372,6 +392,14 @@ class TestScripts:
         assert done.returncode == 1
         assert done.stderr.startswith("reproduce_results.py: duration_s: ")
         assert done.stderr.count("\n") == 1 and "memory" in done.stderr
+        assert done.stdout == ""
+
+    def test_seed_outside_64_bits_exits_1_with_one_line(self):
+        # refused by name, not with numpy's unnamed "expected non-negative integer"
+        done = run_script("reproduce_results.py", "--seed", "-1", "--duration", "11")
+        assert done.returncode == 1
+        assert done.stderr.startswith("reproduce_results.py: seed ")
+        assert done.stderr.count("\n") == 1
         assert done.stdout == ""
 
     def test_no_seeds_exits_1_with_one_line(self):
@@ -505,9 +533,16 @@ class TestExitCodes:
             run_cli()
         assert err.value.code == 1
 
-    def test_seed_must_fit_64_bits(self, capsys):
-        assert run_cli("track", "--duration", "1", "--seed", str(2**64)) == 1
-        assert run_cli("track", "--duration", "1", "--seed", "-1") == 1
+    def test_seed_must_fit_64_bits(self, tmp_path, capsys):
+        # the library refuses the seed in one line; main names the flag, and
+        # --out is not made
+        out = tmp_path / "out"
+        for verb in (("track", "--duration", "1"), ("run", "--duration", "11"), ("calibrate",)):
+            for seed in ("-1", str(2**64)):
+                assert run_cli(*verb, "--seed", seed, "--out", str(out)) == 1, verb
+                stdout, err = capsys.readouterr()
+                assert stdout == "" and not out.exists()
+                assert err == f"fsosim: --seed must be an integer in [0, 2**64), got {seed}\n"
 
 
 # ---------------------------------------------------------------------------
