@@ -2,45 +2,33 @@
 """Evaluate candidate default parameters against the tracking/loss targets.
 
 The shipped defaults couple several free knobs: the disturbance noise level,
-the three loop gains, the fine-sensor noise and the coupling rolloff.  This
-script runs the three stage configurations (coarse-only, first-fine-only,
-full cascade) for a few seeds and prints the statistics the targets pin
-down, plus the coupling base loss implied by the mean-loss target.
+the three loop gains, the sensor noise and the coupling rolloff.  This
+script runs one scenario's three stage configurations (coarse-only,
+first-fine-only, full cascade) for a few seeds and prints the statistics
+the targets pin down, plus the coupling base loss implied by the mean-loss
+target.  A candidate is a scenario file: it may set any key, per axis.
+Without --scenario the built-in defaults run, as in every fsosim verb.
 
 Usage examples:
     python3 scripts/tune_defaults.py
-    python3 scripts/tune_defaults.py --dist-rms 80 --ki1 60 --ki2 300
+    python3 scripts/tune_defaults.py --scenario candidate.json
     python3 scripts/tune_defaults.py --seeds 5 --duration 80
+
+Exit codes follow fsosim's: 1 for an unusable argument or an invalid
+scenario, 3 for a scenario file that cannot be read.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import math
+import sys
 
 import numpy as np
 
-from fsosim import link_budget
-from fsosim.cli import simulate_run
+from fsosim import ScenarioError, default_scenario, link_budget, load_scenario
+from fsosim.cli import EXIT_IO, simulate_run
 from fsosim.optics import DB_PER_NEPER
-from fsosim.scenario import DEFAULTS, resolve_scenario
-
-
-def build_scenario(args):
-    raw = copy.deepcopy(DEFAULTS)
-    raw["name"] = "tuning"
-    for axis in ("pitch", "azimuth"):
-        raw["disturbance"][axis]["noise_rms_urad"] = args.dist_rms
-        raw["disturbance"][axis]["noise_bandwidth_hz"] = args.dist_bw
-    raw["control"]["coarse"]["ki"] = args.ki0
-    raw["control"]["fsm1"]["ki"] = args.ki1
-    raw["control"]["fsm2"]["ki"] = args.ki2
-    raw["cmos0"]["centroid_noise_urad"] = args.noise0
-    raw["cmos1"]["centroid_noise_urad"] = args.noise1
-    raw["cmos2"]["centroid_noise_urad"] = args.noise2
-    raw["coupling"]["rolloff_halfwidth_urad"] = args.theta_c
-    return resolve_scenario(raw)
 
 
 def stage_stats(scenario, fine1, fine2, seeds, duration):
@@ -69,37 +57,29 @@ def describe(label, rows):
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--dist-rms", type=float, default=DEFAULTS["disturbance"]["pitch"]["noise_rms_urad"])
-    ap.add_argument("--dist-bw", type=float, default=DEFAULTS["disturbance"]["pitch"]["noise_bandwidth_hz"])
-    ap.add_argument("--ki0", type=float, default=DEFAULTS["control"]["coarse"]["ki"])
-    ap.add_argument("--ki1", type=float, default=DEFAULTS["control"]["fsm1"]["ki"])
-    ap.add_argument("--ki2", type=float, default=DEFAULTS["control"]["fsm2"]["ki"])
-    ap.add_argument("--noise0", type=float, default=DEFAULTS["cmos0"]["centroid_noise_urad"])
-    ap.add_argument("--noise1", type=float, default=DEFAULTS["cmos1"]["centroid_noise_urad"])
-    ap.add_argument("--noise2", type=float, default=DEFAULTS["cmos2"]["centroid_noise_urad"])
-    ap.add_argument("--theta-c", type=float, default=DEFAULTS["coupling"]["rolloff_halfwidth_urad"])
+    ap.add_argument("--scenario", type=str, default=None,
+                    help="candidate scenario JSON path (built-in defaults when omitted)")
     ap.add_argument("--seeds", type=int, default=3)
     ap.add_argument("--duration", type=float, default=70.0)
     args = ap.parse_args()
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
 
-    scenario = build_scenario(args)
+    scenario = default_scenario() if args.scenario is None else load_scenario(args.scenario)
     seeds = list(range(1, args.seeds + 1))
 
     # every run comes before the first line, so a refused argument leaves stdout empty
     coarse = stage_stats(scenario, False, False, seeds, args.duration)
     fine1 = stage_stats(scenario, True, False, seeds, args.duration)
     full = stage_stats(scenario, True, True, seeds, args.duration)
-    print(f"# dist rms {args.dist_rms} urad @ {args.dist_bw} Hz | ki {args.ki0}/{args.ki1}/{args.ki2}"
-          f" | sensor noise {args.noise0}/{args.noise1}/{args.noise2} urad | theta_c {args.theta_c}")
+    print(f"# scenario {scenario.name} | digest {scenario.digest}")
     describe("coarse", coarse)
     describe("fine1", fine1)
     describe("full", full)
 
     # implied coupling parameters for the 1-km loss targets
     static_1km = link_budget(scenario, 1000.0).static_db
-    theta2 = args.theta_c**2
+    theta2 = (scenario.coupling.rolloff_halfwidth_rad * 1e6) ** 2
     e_r2_full = float(np.mean([r[3] for r in full]))
     e_r2_f1 = float(np.mean([r[3] for r in fine1]))
     sd_r2_full = float(np.mean([r[4] for r in full]))
@@ -124,5 +104,10 @@ def main() -> None:
 if __name__ == "__main__":
     try:
         main()
+    except ScenarioError as exc:  # the message names the file or the dotted field
+        raise SystemExit(f"tune_defaults.py: scenario error: {exc}") from None
     except ValueError as exc:  # an argument the runs cannot use; the message names it
         raise SystemExit(f"tune_defaults.py: {exc}") from None
+    except OSError as exc:
+        print(f"tune_defaults.py: i/o error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_IO)

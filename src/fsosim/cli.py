@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", type=str, default=None,
                        help="output directory (stdout-only when omitted)")
         if seed:
-            p.add_argument("--seed", type=int, default=1, help="64-bit run seed")
+            p.add_argument("--seed", type=_seed_arg, default=1, help="64-bit run seed")
         if duration is not None:
             p.add_argument("--duration", type=float, default=duration,
                            help="simulated seconds")
@@ -172,8 +172,16 @@ def _check_window(t0: float, t1: float, refusal: str) -> None:
         raise ValueError(refusal) from None
 
 
+def _seed_arg(text: str) -> int:
+    # ASCII digits only: int() also takes other scripts' digits, "_" and
+    # a "+"; a "-" passes, so that run_apt refuses a negative seed by name
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_seed_range(text: str) -> list[int]:
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", text.strip())
+    m = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", text.strip())
     if not m:
         raise ValueError("--seeds expects an inclusive range a..b")
     a, b = int(m.group(1)), int(m.group(2))
@@ -411,7 +419,7 @@ def _run_one_seed(scenario: Scenario, args, seed: int, multi: bool) -> dict:
 
 def cmd_run(args) -> int:
     scenario = _load(args)
-    seeds = _parse_seed_range(args.seeds) if args.seeds else [args.seed]
+    seeds = [args.seed] if args.seeds is None else _parse_seed_range(args.seeds)
     multi = args.seeds is not None
     per_seed = [_run_one_seed(scenario, args, s, multi) for s in seeds]
 

@@ -16,7 +16,7 @@ the command after 1/(2 pi bandwidth) seconds regardless of dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
@@ -35,10 +35,10 @@ MAX_NOISE_BANDWIDTH_FRACTION = 0.45
 class GimbalSpec:
     """Two-axis coarse gimbal."""
 
-    azimuth_range_rad: float = math.pi / 2  # +/- about boresight
-    pitch_range_rad: float = math.pi / 3
-    bandwidth_hz: float = 20.0
-    max_rate_rad_s: float = 0.5
+    azimuth_range_rad: float  # +/- about boresight
+    pitch_range_rad: float
+    bandwidth_hz: float
+    max_rate_rad_s: float
 
     def __post_init__(self) -> None:
         if min(self.azimuth_range_rad, self.pitch_range_rad) <= 0.0:
@@ -51,8 +51,8 @@ class GimbalSpec:
 class FsmSpec:
     """Fast steering mirror stage; deflection is the line-of-sight correction."""
 
-    range_rad: float = 212e-6
-    bandwidth_hz: float = 300.0
+    range_rad: float
+    bandwidth_hz: float
 
     def __post_init__(self) -> None:
         if self.range_rad <= 0.0 or self.bandwidth_hz <= 0.0:
@@ -73,8 +73,8 @@ class CmosSpec:
 
     fov_pitch_rad: float
     fov_azimuth_rad: float
-    pixels: int = 288
-    centroid_noise_rad: float = 0.0
+    pixels: int
+    centroid_noise_rad: float
 
     def __post_init__(self) -> None:
         if min(self.fov_pitch_rad, self.fov_azimuth_rad) <= 0.0:
@@ -97,7 +97,7 @@ class CmosSpec:
 class ImuSpec:
     """Angular-rate sensor used for platform stabilization feedforward."""
 
-    rate_noise_rad_s: float = 0.0
+    rate_noise_rad_s: float
 
     def __post_init__(self) -> None:
         if self.rate_noise_rad_s < 0.0:
@@ -123,14 +123,14 @@ class BeaconSpec:
 class SinusoidComponent:
     amplitude_rad: float
     frequency_hz: float
-    phase_rad: float = 0.0
+    phase_rad: float
 
 
 @dataclass(frozen=True)
 class AxisDisturbance:
-    sinusoids: tuple[SinusoidComponent, ...] = ()
-    noise_rms_rad: float = 0.0
-    noise_bandwidth_hz: float = 1.0
+    sinusoids: tuple[SinusoidComponent, ...]
+    noise_rms_rad: float
+    noise_bandwidth_hz: float
 
     def __post_init__(self) -> None:
         if self.noise_rms_rad < 0.0:
@@ -141,8 +141,8 @@ class AxisDisturbance:
 
 @dataclass(frozen=True)
 class DisturbanceProfile:
-    pitch: AxisDisturbance = field(default_factory=AxisDisturbance)
-    azimuth: AxisDisturbance = field(default_factory=AxisDisturbance)
+    pitch: AxisDisturbance
+    azimuth: AxisDisturbance
 
 
 def _sinusoid_series(axis: AxisDisturbance, t_s: np.ndarray) -> np.ndarray:

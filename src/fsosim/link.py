@@ -27,10 +27,10 @@ NO_LINK_LOSS_DB = math.inf
 class TransceiverSpec:
     """Fixed-rate transceiver with a hard sensitivity threshold."""
 
-    rated_gbps: float = 10.0
-    effective_tcp_gbps: float = 9.27
-    tcp_efficiency: float = 0.988
-    max_tolerable_loss_db: float = 24.1
+    rated_gbps: float
+    effective_tcp_gbps: float
+    tcp_efficiency: float
+    max_tolerable_loss_db: float
 
     def __post_init__(self) -> None:
         if self.rated_gbps <= 0.0 or self.effective_tcp_gbps <= 0.0:

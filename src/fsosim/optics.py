@@ -51,9 +51,9 @@ def _check_fits(name: str, count: int, what: str, bytes_each: int) -> None:
 class AntennaSpec:
     """Transmit/receive telescope: Cassegrain aperture plus internal losses."""
 
-    aperture_diameter_m: float = 0.090
-    magnification: float = 10.0
-    insertion_loss_db: float = 0.0
+    aperture_diameter_m: float
+    magnification: float
+    insertion_loss_db: float
 
     def __post_init__(self) -> None:
         if self.aperture_diameter_m <= 0.0:

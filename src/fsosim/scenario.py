@@ -12,6 +12,9 @@ cannot silently change an experiment; so is a non-object where `DEFAULTS`
 holds an object, and a `sinusoids` entry whose keys differ from those of
 the default entry.  Values, bounds and cross-field rules are checked as
 each group is resolved.
+
+`DEFAULTS` is the one place a default is written: the spec types it
+resolves into (here and in dynamics, optics and link) take every field.
 """
 
 from __future__ import annotations
@@ -65,25 +68,25 @@ class ScenarioError(ValueError):
 class ControllerGains:
     """PID gains for one tracking loop (error rad -> command rad)."""
 
-    kp: float = 0.0
-    ki: float = 0.0
-    kd: float = 0.0
+    kp: float
+    ki: float
+    kd: float
 
 
 @dataclass(frozen=True)
 class AptParams:
     """State-machine thresholds and timing for the acquisition chain."""
 
-    acquisition_bias_rad: float = 2000e-6
-    fine_capture_threshold_rad: float = 5000e-6
-    link_threshold_rad: float = 50e-6
-    link_dwell_s: float = 0.5
-    lock_loss_frames: int = 50
-    stats_warmup_s: float = 10.0
-    stabilize_rate_threshold_rad_s: float = 5000e-6
-    stabilize_dwell_s: float = 0.1
-    fine1_enabled: bool = True
-    fine2_enabled: bool = True
+    acquisition_bias_rad: float
+    fine_capture_threshold_rad: float
+    link_threshold_rad: float
+    link_dwell_s: float
+    lock_loss_frames: int
+    stats_warmup_s: float
+    stabilize_rate_threshold_rad_s: float
+    stabilize_dwell_s: float
+    fine1_enabled: bool
+    fine2_enabled: bool
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import fsosim.apt
 from fsosim import (
-    AptParams,
     AptState,
     ScenarioError,
     TrackingSeries,
@@ -45,8 +44,6 @@ LEGAL_EDGES = frozenset({
     (AptState.LINKED, AptState.REACQUIRE),
     (AptState.REACQUIRE, AptState.ACQUIRE),
 })
-
-PARAMS = AptParams()
 
 
 DT = 1.0 / TICK_RATE_HZ
@@ -503,8 +500,9 @@ class TestStateMachine:
         assert not np.isin(series.state, FINE_STATES).any()
 
     def test_lock_loss_debounce_is_exact(self):
-        frames = PARAMS.lock_loss_frames
-        series = run_apt(lossy_scenario(), 0.2, seed=0,
+        sc = lossy_scenario()
+        frames = sc.apt.lock_loss_frames
+        series = run_apt(sc, 0.2, seed=0,
                          initial_state=AptState.COARSE_TRACK, **COARSE_ONLY)
         assert not series.lock0.any()
         assert (series.state[:frames - 1] == int(AptState.COARSE_TRACK)).all()
@@ -516,10 +514,10 @@ class TestStateMachine:
         # about 40 of every 50 ticks: many losses, none of them lock_loss_frames long
         swing = {"beacons.bl0.divergence_mrad": 2.0,
                  "disturbance.pitch.sinusoids": sinusoid(3300.0, 10.0)}
-        series = run_apt(still_scenario(**swing), 1.0, seed=0, initial_state=AptState.COARSE_TRACK,
-                         **COARSE_ONLY)
+        sc = still_scenario(**swing)
+        series = run_apt(sc, 1.0, seed=0, initial_state=AptState.COARSE_TRACK, **COARSE_ONLY)
         gaps = runs(~series.lock0)
-        assert len(gaps) >= 10 and max(gaps) < PARAMS.lock_loss_frames
+        assert len(gaps) >= 10 and max(gaps) < sc.apt.lock_loss_frames
         assert (series.state == int(AptState.COARSE_TRACK)).all()
         # the same swing with a debounce as long as the first gap
         short = still_scenario(**swing, **{"apt.lock_loss_frames": gaps[0]})
@@ -530,8 +528,9 @@ class TestStateMachine:
         assert series.state[first_loss + gaps[0] - 1] == int(AptState.REACQUIRE)
 
     def test_linked_requires_dwell(self):
-        need = int(PARAMS.link_dwell_s * TICK_RATE_HZ)
-        series = run_apt(still_scenario(), 1.0, seed=0, initial_state=AptState.FINE_TRACK2)
+        sc = still_scenario()
+        need = int(sc.apt.link_dwell_s * TICK_RATE_HZ)
+        series = run_apt(sc, 1.0, seed=0, initial_state=AptState.FINE_TRACK2)
         assert series.lock2.all() and not series.error_pitch_rad.any()
         assert (series.state[:need - 1] == int(AptState.FINE_TRACK2)).all()
         assert (series.state[need - 1:] == int(AptState.LINKED)).all()
@@ -550,7 +549,7 @@ class TestStateMachine:
             seen = np.r_[0.0, series.error_pitch_rad[:-1]]
             below = np.array([abs(camera_reading(e, 0.0, cam.pixel_pitch_pitch_rad,
                                                  0.5 * cam.fov_pitch_rad))
-                              < PARAMS.link_threshold_rad for e in seen])
+                              < sc.apt.link_threshold_rad for e in seen])
             need = int(dwell_s * TICK_RATE_HZ)
             stretches = runs(below)
             assert len(stretches) >= 4 and below.sum() >= 2 * need
@@ -565,7 +564,7 @@ class TestStateMachine:
                 assert not linked[:first].any() and linked[first:].all()
 
     def test_stabilize_dwell(self, zero_noise_scenario):
-        need = int(PARAMS.stabilize_dwell_s * TICK_RATE_HZ)
+        need = int(zero_noise_scenario.apt.stabilize_dwell_s * TICK_RATE_HZ)
         series = run_apt(zero_noise_scenario, 0.2, seed=0)
         assert (series.state[:need - 1] == int(AptState.STABILIZE)).all()
         assert series.state[need - 1] == int(AptState.ACQUIRE)
@@ -825,7 +824,7 @@ class TestStateReplay:
         series, replay = run_and_replay(sc, 3.0, 3)
         assert np.array_equal(series.state, replay)
         stabilizing = runs(series.state == int(AptState.STABILIZE))
-        assert stabilizing[0] > 3 * PARAMS.stabilize_dwell_s * TICK_RATE_HZ
+        assert stabilizing[0] > 3 * sc.apt.stabilize_dwell_s * TICK_RATE_HZ
         assert series.state[-1] == int(AptState.LINKED)
 
     def test_fine_lock_gaps_equal_replay(self):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import fsosim.apt
 import fsosim.cli
 import fsosim.optics
-from fsosim import default_scenario, downtime_fraction, loss_statistics, summarize
+from fsosim import (default_scenario, downtime_fraction, load_scenario, loss_statistics,
+                    summarize)
 from fsosim.cli import main, simulate_run
 from fsosim.io import read_loss_csv, read_sweep_csv, read_throughput_csv
 from fsosim.scenario import DEFAULTS
@@ -248,8 +249,7 @@ class TestRun:
         assert entry["throughput_gbps"]["mean"] == t.mean
         assert entry["throughput_gbps"]["std"] == t.std
 
-        from fsosim import TransceiverSpec
-        trx = TransceiverSpec()
+        trx = default_scenario().transceiver
         assert entry["loss_db"]["downtime_fraction"] == downtime_fraction(loss, trx)
 
     def test_simulate_run_is_the_reported_run(self, run_dir):
@@ -348,6 +348,18 @@ class TestRun:
     def test_bad_seed_ranges(self, bad, capsys):
         assert run_cli("run", "--duration", "11", "--seeds", bad) == 1
 
+    @pytest.mark.parametrize("seeds", ["", "\u0661..\u0662", "\uff11..\uff12"])
+    def test_empty_or_non_ascii_seed_range_refused_before_any_out_dir(self, seeds, tmp_path,
+                                                                      capsys):
+        # an empty range is no range, and int() would read Arabic-Indic or
+        # fullwidth digits as seeds 1..2
+        out = tmp_path / "out"
+        assert run_cli("run", "--duration", "12", "--seed", "4", "--out", str(out),
+                       "--seeds", seeds) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err == "fsosim: --seeds expects an inclusive range a..b\n"
+        assert not out.exists()
+
     def test_seed_range_beyond_64_bits_refused_before_any_run(self, tmp_path, capsys):
         # the range's first seed is usable: refused up front, it writes nothing
         out = tmp_path / "out"
@@ -406,6 +418,38 @@ class TestScripts:
         done = run_script("tune_defaults.py", "--seeds", "0", "--duration", "12")
         assert done.returncode == 1
         assert done.stderr == "tune_defaults.py: --seeds must be >= 1\n"
+        assert done.stdout == ""
+
+
+    def test_scenario_file_runs_as_its_document_says(self):
+        # 1km_default.json is the defaults under another name: only the
+        # header, which echoes the scenario, differs
+        default = run_script("tune_defaults.py", "--seeds", "1", "--duration", "10.5")
+        named = run_script("tune_defaults.py", "--scenario", "scenarios/1km_default.json",
+                           "--seeds", "1", "--duration", "10.5")
+        assert default.returncode == named.returncode == 0
+        scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios/1km_default.json")
+        assert named.stdout.splitlines()[0] == (f"# scenario 1km_default | digest "
+                                                f"{scenario.digest}")
+        assert default.stdout.splitlines()[0].startswith("# scenario default | digest ")
+        assert named.stdout.splitlines()[1:] == default.stdout.splitlines()[1:]
+
+    @pytest.mark.parametrize("document, code, refusal", [
+        (None, 3, "i/o error: [Errno 2] No such file or directory: '{path}'"),
+        ("{broken", 1, "scenario error: {path}: invalid JSON at line 1, column 2: "),
+        ('{"schema_version": 1, "cmos0": {"pixels": 0}}', 1, "scenario error: cmos0.pixels: "),
+    ])
+    def test_unusable_scenario_exits_with_one_line(self, tmp_path, document, code, refusal):
+        # a missing file, or one that is not a valid scenario, is refused by
+        # the file's name or the dotted field before any run, with fsosim's
+        # exit codes
+        path = tmp_path / "candidate.json"
+        if document is not None:
+            path.write_text(document)
+        done = run_script("tune_defaults.py", "--scenario", str(path), "--duration", "12")
+        assert done.returncode == code
+        assert done.stderr.startswith("tune_defaults.py: " + refusal.format(path=path))
+        assert done.stderr.count("\n") == 1
         assert done.stdout == ""
 
 
@@ -533,6 +577,19 @@ class TestExitCodes:
             run_cli()
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("seed", ["\u0663", "\uff13", "+3", "1_0", " 3"])
+    @pytest.mark.parametrize("verb", [("track", "--duration", "1"), ("run", "--duration", "11"),
+                                      ("calibrate",)])
+    def test_seed_takes_only_ascii_digits(self, verb, seed, tmp_path, capsys):
+        # int() would take these as 3 or 10; argparse refuses them as a usage error
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*verb, "--seed", seed, "--out", str(out))
+        assert exc.value.code == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err.endswith(f"error: argument --seed: expected an integer, got {seed!r}\n")
+
     def test_seed_must_fit_64_bits(self, tmp_path, capsys):
         # the library refuses the seed in one line; main names the flag, and
         # --out is not made
@@ -565,7 +622,7 @@ SEED_RANGES = st.sampled_from([
     "", "..", "1..", "..2", "3..1", "1...2", "1..2..3", "a..b", "-1..2", "1.5..2",
     "0..0", " 1..3 ", "1..20000", "18446744073709551615..18446744073709551615",
     "18446744073709551615..18446744073709551616",
-]) | TEXT.filter(lambda t: not re.fullmatch(r"\s*\d+\.\.\d+\s*", t))
+]) | TEXT.filter(lambda t: not re.fullmatch(r"\s*[0-9]+\.\.[0-9]+\s*", t))
 VERB_FLAGS = {
     "budget": {"--distance-m": FLOATS, "--error-urad": FLOATS},
     "sweep": {"--min-km": FLOATS, "--max-km": FLOATS, "--steps": COUNTS},

@@ -266,9 +266,11 @@ class TestQuantization:
     def test_nonpositive_pitch_rejected(self):
         # the pixel pitch is FOV / pixels; neither may be non-positive
         with pytest.raises(ValueError):
-            CmosSpec(fov_pitch_rad=40e-3, fov_azimuth_rad=40e-3, pixels=0)
+            CmosSpec(fov_pitch_rad=40e-3, fov_azimuth_rad=40e-3, pixels=0,
+                     centroid_noise_rad=0.0)
         with pytest.raises(ValueError):
-            CmosSpec(fov_pitch_rad=0.0, fov_azimuth_rad=40e-3)
+            CmosSpec(fov_pitch_rad=0.0, fov_azimuth_rad=40e-3, pixels=288,
+                     centroid_noise_rad=0.0)
         with pytest.raises(ScenarioError):
             make_scenario(**{"cmos0.pixels": 0})
         with pytest.raises(ScenarioError):
@@ -389,13 +391,21 @@ class TestImuAndBeacon:
         assert inside.any() and not inside.all()
 
 
+def noise_axis(rms_rad, bandwidth_hz):
+    """An axis of band-limited noise alone, no sinusoid."""
+    return AxisDisturbance(sinusoids=(), noise_rms_rad=rms_rad, noise_bandwidth_hz=bandwidth_hz)
+
+
+# an axis that does not move
+STILL = noise_axis(0.0, 1.0)
+
+
 class TestDisturbance:
     def test_pure_sinusoid_matches_formula(self):
         profile = DisturbanceProfile(
-            pitch=AxisDisturbance(
-                sinusoids=(SinusoidComponent(100e-6, 2.0, math.pi / 3),),
-            ),
-            azimuth=AxisDisturbance(),
+            pitch=AxisDisturbance(sinusoids=(SinusoidComponent(100e-6, 2.0, math.pi / 3),),
+                                  noise_rms_rad=0.0, noise_bandwidth_hz=1.0),
+            azimuth=STILL,
         )
         gen = DisturbanceGenerator(profile, np.random.default_rng(0))
         pitch, az = gen.series(5000)
@@ -405,7 +415,7 @@ class TestDisturbance:
         assert np.all(az == 0.0)
 
     def test_noise_rms_matches_spec(self):
-        axis = AxisDisturbance(noise_rms_rad=117e-6, noise_bandwidth_hz=6.0)
+        axis = noise_axis(117e-6, 6.0)
         profile = DisturbanceProfile(pitch=axis, azimuth=axis)
         gen = DisturbanceGenerator(profile, np.random.default_rng(5))
         pitch, az = gen.series(400_000)
@@ -414,8 +424,7 @@ class TestDisturbance:
 
     def test_stationary_from_first_sample(self):
         # warmed-up filter: the first chunk has the same power as a later one
-        axis = AxisDisturbance(noise_rms_rad=100e-6, noise_bandwidth_hz=10.0)
-        profile = DisturbanceProfile(pitch=axis, azimuth=AxisDisturbance())
+        profile = DisturbanceProfile(pitch=noise_axis(100e-6, 10.0), azimuth=STILL)
         gen = DisturbanceGenerator(profile, np.random.default_rng(9))
         pitch, _ = gen.series(200_000)
         head = np.sqrt(np.mean(pitch[:20_000] ** 2))
@@ -423,8 +432,7 @@ class TestDisturbance:
         assert head == pytest.approx(tail, rel=0.25)
 
     def test_band_limited_spectrum(self):
-        axis = AxisDisturbance(noise_rms_rad=100e-6, noise_bandwidth_hz=6.0)
-        profile = DisturbanceProfile(pitch=axis, azimuth=AxisDisturbance())
+        profile = DisturbanceProfile(pitch=noise_axis(100e-6, 6.0), azimuth=STILL)
         gen = DisturbanceGenerator(profile, np.random.default_rng(2))
         pitch, _ = gen.series(100_000)
         spectrum = np.abs(np.fft.rfft(pitch)) ** 2
@@ -435,16 +443,15 @@ class TestDisturbance:
     def test_bandwidth_above_ceiling_rejected(self):
         # the Butterworth corner must sit below 0.45 x the sample rate; a wider
         # band raises rather than being capped to it
-        wide = AxisDisturbance(noise_rms_rad=100e-6, noise_bandwidth_hz=450.5)
+        wide = DisturbanceProfile(pitch=noise_axis(100e-6, 450.5), azimuth=STILL)
         with pytest.raises(ValueError, match="pitch noise_bandwidth_hz"):
-            DisturbanceGenerator(DisturbanceProfile(pitch=wide), np.random.default_rng(0))
-        edge = AxisDisturbance(noise_rms_rad=100e-6, noise_bandwidth_hz=450.0)
-        pitch, _ = DisturbanceGenerator(DisturbanceProfile(pitch=edge),
-                                        np.random.default_rng(0)).series(1000)
+            DisturbanceGenerator(wide, np.random.default_rng(0))
+        edge = DisturbanceProfile(pitch=noise_axis(100e-6, 450.0), azimuth=STILL)
+        pitch, _ = DisturbanceGenerator(edge, np.random.default_rng(0)).series(1000)
         assert np.isfinite(pitch).all() and pitch.any()
 
     def test_deterministic_given_rng(self):
-        axis = AxisDisturbance(noise_rms_rad=50e-6, noise_bandwidth_hz=5.0)
+        axis = noise_axis(50e-6, 5.0)
         profile = DisturbanceProfile(pitch=axis, azimuth=axis)
         a = DisturbanceGenerator(profile, np.random.default_rng(1234)).series(10_000)
         b = DisturbanceGenerator(profile, np.random.default_rng(1234)).series(10_000)

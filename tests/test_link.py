@@ -130,11 +130,11 @@ class TestThroughput:
 
     def test_transceiver_validation(self):
         with pytest.raises(ValueError):
-            TransceiverSpec(tcp_efficiency=1.5)
+            replace(TRX, tcp_efficiency=1.5)
         with pytest.raises(ValueError):
-            TransceiverSpec(rated_gbps=5.0, effective_tcp_gbps=9.0)
+            replace(TRX, rated_gbps=5.0, effective_tcp_gbps=9.0)
         with pytest.raises(ValueError):
-            TransceiverSpec(max_tolerable_loss_db=0.0)
+            replace(TRX, max_tolerable_loss_db=0.0)
 
 
 class TestSummarize:

@@ -1,14 +1,19 @@
 import copy
+import dataclasses
 import json
 import math
+import typing
 
 import pytest
 from conftest import mutate_json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsosim.dynamics import AxisDisturbance, SinusoidComponent
 from fsosim.scenario import (
     DEFAULTS,
+    AptParams,
+    Scenario,
     ScenarioError,
     default_scenario,
     load_scenario,
@@ -40,6 +45,32 @@ class TestDefaultsAndMerge:
     def test_default_scenario_helper(self):
         sc = default_scenario("bench")
         assert sc.name == "bench"
+
+
+def _dataclasses_in(hint):
+    """The dataclass types a field's type hint names, through unions and tuples."""
+    if dataclasses.is_dataclass(hint):
+        yield hint
+    for arg in typing.get_args(hint):
+        yield from _dataclasses_in(arg)
+
+
+def test_no_spec_type_declares_a_default():
+    # DEFAULTS is the one place a default is written: a field default in any
+    # type a Scenario holds would be a second copy, free to drift from it
+    seen, todo, defaulted = set(), [Scenario], []
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        defaulted += [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
+                      if f.default is not dataclasses.MISSING
+                      or f.default_factory is not dataclasses.MISSING]
+        for hint in typing.get_type_hints(cls).values():
+            todo.extend(_dataclasses_in(hint))
+    assert {AptParams, AxisDisturbance, SinusoidComponent} <= seen
+    assert defaulted == []
 
 
 class TestUnitConversions:
