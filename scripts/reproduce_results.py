@@ -21,7 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fsosim import link_budget, load_scenario, run_apt, tracking_stats
-from fsosim.cli import simulate_run
+from fsosim.cli import _Parser, _seed_arg, simulate_run
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 UR = 1e6
@@ -115,16 +115,22 @@ MEASUREMENTS = {m.__name__: m for m in (static, coarse, handover, full, fine1, b
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=1)
+    # a usage error exits 1, as in fsosim; exit 2 is its nonconvergence code
+    ap = _Parser(prog="reproduce_results.py", description=__doc__)
+    # the seed is parsed after argparse, so that a refused one is one stderr line
+    ap.add_argument("--seed", default="1", help="64-bit run seed, in ASCII digits")
     ap.add_argument("--duration", type=float, default=120.0)
     args = ap.parse_args()
+    try:
+        seed = _seed_arg(args.seed)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"--seed {exc}") from None
     rows = {}
     for measure in MEASUREMENTS.values():
-        rows.update(measure(args.seed, args.duration))
+        rows.update(measure(seed, args.duration))
     # the table is printed once every run has passed, so a refused argument
     # leaves stdout empty
-    lines = [f"seed {args.seed}, {args.duration:g} s runs"]
+    lines = [f"seed {seed}, {args.duration:g} s runs"]
     failed = []
     for key, (low, high) in REFERENCE.items():
         ok = low <= rows[key] <= high

@@ -20,14 +20,13 @@ scenario, 3 for a scenario file that cannot be read.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 
 import numpy as np
 
 from fsosim import ScenarioError, default_scenario, link_budget, load_scenario
-from fsosim.cli import EXIT_IO, simulate_run
+from fsosim.cli import EXIT_IO, _Parser, simulate_run
 from fsosim.optics import DB_PER_NEPER
 
 
@@ -56,17 +55,22 @@ def describe(label, rows):
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # a usage error exits 1, as in fsosim; exit 2 is its nonconvergence code
+    ap = _Parser(prog="tune_defaults.py", description=__doc__.splitlines()[0])
     ap.add_argument("--scenario", type=str, default=None,
                     help="candidate scenario JSON path (built-in defaults when omitted)")
-    ap.add_argument("--seeds", type=int, default=3)
+    # the count is parsed after argparse, so that a refused one is one stderr line
+    ap.add_argument("--seeds", default="3", help="number of seeds, 1..N, in ASCII digits")
     ap.add_argument("--duration", type=float, default=70.0)
     args = ap.parse_args()
-    if args.seeds < 1:
+    # ASCII digits only: int() also takes other scripts' digits, "_" and a sign
+    if not (args.seeds.isascii() and args.seeds.isdigit()):
+        raise ValueError(f"--seeds expected a count in ASCII digits, got {args.seeds!r}")
+    if int(args.seeds) < 1:
         raise ValueError("--seeds must be >= 1")
 
     scenario = default_scenario() if args.scenario is None else load_scenario(args.scenario)
-    seeds = list(range(1, args.seeds + 1))
+    seeds = list(range(1, int(args.seeds) + 1))
 
     # every run comes before the first line, so a refused argument leaves stdout empty
     coarse = stage_stats(scenario, False, False, seeds, args.duration)

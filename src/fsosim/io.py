@@ -6,9 +6,11 @@ number keeps 6 significant digits.  A written file re-parses to values that
 format back to the identical text, so emitted artifacts are stable
 round-trip.  Infinite loss samples are written as 'inf'.  Writers format a
 block of rows with one %-format, and a cell that can take only a few texts
-(a lock flag, a state name, a repeated rate) is looked up, not formatted;
-readers parse a whole file with one np.loadtxt.  Neither goes cell by cell
-in Python.
+(a lock flag, a state name, a repeated rate) is looked up, not formatted.
+Readers parse a block of rows with one np.loadtxt and copy it into one
+array per field, sized from the file's newline count, so a read holds
+little more than the arrays it returns.  Neither goes cell by cell in
+Python.
 """
 
 from __future__ import annotations
@@ -62,8 +64,17 @@ _MAX_EXACT_POW10 = 22
 _POW10 = np.array([float(10**k) for k in range(_MAX_EXACT_POW10 + 1)])
 
 _STATE_NAME_OF = np.array([STATE_NAMES[s] for s in range(len(STATE_NAMES))], dtype=object)
-# one character wider than any name, so that a longer cell is never cut to a valid name
-_STATE_FIELD = f"U{max(map(len, NAME_TO_STATE)) + 1}"
+# a state cell is read as bytes (np.loadtxt encodes it as Latin-1 and refuses
+# any other text), one wider than any name, so that a longer cell is never cut
+# to a valid name
+_STATE_FIELD = f"S{max(map(len, NAME_TO_STATE)) + 1}"
+_STATE_CODE_OF = {name.encode("ascii"): code for name, code in NAME_TO_STATE.items()}
+
+# rows np.loadtxt parses at a time: the records of one block are all a
+# reader holds beside the columns it returns
+_READ_ROWS = 16384
+# bytes read at a time to count a file's newlines
+_COUNT_BYTES = 1 << 20
 
 
 def _csv_blocks(n: int, cells: _Cells) -> Iterator[str]:
@@ -178,11 +189,14 @@ def _write_csv(path: str | Path, header: str, n: int, cells: _Cells) -> None:
         _write_rows(fh, header, n, cells)
 
 
-def _loadtxt(lines, dtype: np.dtype) -> np.ndarray:
+def _loadtxt(lines, dtype: np.dtype, max_rows: int | None = None) -> np.ndarray:
     with warnings.catch_warnings():
-        # a header-only file is an empty series, not a fault
+        # a header-only file is an empty series, not a fault; nor is a block
+        # that begins at the end of the file or holds a blank line
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                          max_rows=max_rows)
 
 
 def _row_fault(line: str, dtype: np.dtype) -> str | None:
@@ -200,33 +214,102 @@ def _row_fault(line: str, dtype: np.dtype) -> str | None:
     return None
 
 
-def _read_csv(path: str | Path, header: str, fields: list[tuple[str, str]]) -> np.ndarray:
-    """Records of a CSV, one per non-blank line after the header.
+def _state_codes(cells: np.ndarray) -> np.ndarray:
+    """The state code of each name in cells, -1 where no state has the name."""
+    codes = np.full(len(cells), -1, dtype=np.int8)
+    for name, code in _STATE_CODE_OF.items():
+        codes[cells == name] = code
+    return codes
 
-    Raises ValueError naming the file and the line of the first malformed row.
+
+# the column a field fills, by the kind of dtype its cells parse as: the
+# column's dtype and the map from a block of cells to the column's values
+# (every integer field is a 0/1 flag and every text field a state name)
+_COLUMNS: dict[str, tuple[type, Callable[[np.ndarray], np.ndarray]]] = {
+    "f": (np.float64, lambda cells: cells),
+    "i": (np.bool_, lambda cells: cells == 1),
+    "S": (np.int8, _state_codes),
+}
+
+
+def _newlines(path: str | Path) -> int:
+    """The number of newlines in a file, read _COUNT_BYTES at a time."""
+    count = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(_COUNT_BYTES):
+            # a third of the time bytes.count takes
+            count += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
+    return count
+
+
+def _columns(dtype: np.dtype, rows: int) -> dict[str, np.ndarray]:
+    return {name: np.empty(rows, dtype=_COLUMNS[dtype[name].kind][0]) for name in dtype.names}
+
+
+def _put(columns: dict[str, np.ndarray], records: np.ndarray, at: int) -> None:
+    """Write records into rows at, at + 1, ... of the columns."""
+    for name, column in columns.items():
+        column[at:at + len(records)] = _COLUMNS[records.dtype[name].kind][1](records[name])
+
+
+def _put_blocks(fh: TextIO, dtype: np.dtype, columns: dict[str, np.ndarray]) -> int | None:
+    """Parse the rest of fh into the columns, _READ_ROWS rows at a time.
+
+    Returns the number of rows, or None where np.loadtxt refuses a line
+    or the rows outnumber the columns' length.
+    """
+    rows = 0
+    while True:
+        try:
+            block = _loadtxt(fh, dtype, _READ_ROWS)  # carries on where the last block ended
+        except ValueError:
+            return None
+        if rows + len(block) > len(columns[dtype.names[0]]):
+            return None
+        _put(columns, block, rows)
+        rows += len(block)
+        if len(block) < _READ_ROWS:
+            return rows
+        del block  # one block's records at a time
+
+
+def _read_csv(path: str | Path, header: str,
+              fields: list[tuple[str, str]]) -> dict[str, np.ndarray]:
+    """The columns of a CSV by field name, one row per non-blank line after
+    the header.
+
+    The columns are sized by the file's newline count, which bounds its
+    rows, and filled block by block, so that only one block's records are
+    held beside them.  Raises ValueError naming the file and the line of the
+    first malformed row.
     """
     dtype = np.dtype(fields)
     with open(path, "r", encoding="utf-8") as fh:
         found = fh.readline().rstrip("\n")
         if found != header:
             raise ValueError(f"unexpected CSV header {found!r}")
-        try:
-            return _loadtxt(fh, dtype)
-        except ValueError:
-            pass
+        columns = _columns(dtype, _newlines(path))
+        rows = _put_blocks(fh, dtype, columns)
+        if rows is not None:
+            return {name: column[:rows] for name, column in columns.items()}
+        del columns
         # np.loadtxt stops at whitespace-only lines, which count as blank,
-        # and at malformed rows: read the lines again, numbered
+        # and at malformed rows; a line ending other than '\n' (a bare '\r')
+        # leaves more rows than newlines: read the lines again, numbered
         fh.seek(0)
         fh.readline()
         lines = [(number, line) for number, line in enumerate(fh, 2) if line.strip()]
     try:
-        return _loadtxt([line for _, line in lines], dtype)
+        records = _loadtxt([line for _, line in lines], dtype)
     except ValueError as exc:
         for number, line in lines:
             fault = _row_fault(line, dtype)
             if fault is not None:
                 raise ValueError(f"{path}, line {number}: {fault}") from None
         raise ValueError(f"{path}: {exc}") from None
+    columns = _columns(dtype, len(records))
+    _put(columns, records, 0)
+    return columns
 
 
 def _data_line(path: str | Path, index: int) -> tuple[int, str]:
@@ -252,8 +335,9 @@ def write_sweep_csv(path: str | Path, table: np.ndarray) -> None:
 
 def read_sweep_csv(path: str | Path) -> np.ndarray:
     """The (rows, 3) array of a sweep CSV."""
-    fields = [(name, "f8") for name in SWEEP_HEADER.split(",")]
-    return _read_csv(path, SWEEP_HEADER, fields).view(np.float64).reshape(-1, 3)
+    names = SWEEP_HEADER.split(",")
+    columns = _read_csv(path, SWEEP_HEADER, [(name, "f8") for name in names])
+    return np.column_stack([columns[name] for name in names])
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +365,18 @@ def read_tracking_csv(path: str | Path) -> TrackingSeries:
     names = TRACKING_HEADER.split(",")
     fields = [(names[0], "f8"), (names[1], _STATE_FIELD)]
     fields += [(name, "f8") for name in names[2:8]] + [(name, "i1") for name in names[8:]]
-    rec = _read_csv(path, TRACKING_HEADER, fields)
-    n = len(rec)
-    state = np.full(n, -1, dtype=np.int8)
-    for name, code in NAME_TO_STATE.items():
-        state[rec["state"] == name] = code
+    columns = _read_csv(path, TRACKING_HEADER, fields)
+    state = columns["state"]
     unknown = np.flatnonzero(state < 0)
     if unknown.size:
         number, line = _data_line(path, unknown[0])
         raise ValueError(f"{path}, line {number}: unknown state {line.split(',')[1]!r}")
-    urad = [rec[name] * 1e-6 for name in names[2:8]]
+    urad = [columns[name] for name in names[2:8]]
+    for column in urad:
+        column *= 1e-6
+    n = len(state)
     return TrackingSeries(
-        t_s=rec["t_s"].copy(),
+        t_s=columns["t_s"],
         state=state,
         error_pitch_rad=urad[0],
         error_azimuth_rad=urad[1],
@@ -302,9 +386,9 @@ def read_tracking_csv(path: str | Path) -> TrackingSeries:
         fsm1_azimuth_rad=urad[3],
         fsm2_pitch_rad=urad[4],
         fsm2_azimuth_rad=urad[5],
-        lock0=rec["lock0"] == 1,
-        lock1=rec["lock1"] == 1,
-        lock2=rec["lock2"] == 1,
+        lock0=columns["lock0"],
+        lock1=columns["lock1"],
+        lock2=columns["lock2"],
         seed=0,
     )
 
@@ -324,10 +408,8 @@ def write_loss_csv(path: str | Path, series: LossSeries) -> None:
 
 
 def read_loss_csv(path: str | Path) -> LossSeries:
-    rec = _read_csv(path, LOSS_HEADER, [("t_s", "f8"), ("loss_db", "f8"), ("link_up", "i1")])
-    return LossSeries(
-        t_s=rec["t_s"].copy(), loss_db=rec["loss_db"].copy(), link_up=rec["link_up"] == 1
-    )
+    return LossSeries(**_read_csv(path, LOSS_HEADER,
+                                  [("t_s", "f8"), ("loss_db", "f8"), ("link_up", "i1")]))
 
 
 def write_throughput_csv(path: str | Path, series: ThroughputSeries) -> None:
@@ -341,8 +423,8 @@ def write_throughput_csv(path: str | Path, series: ThroughputSeries) -> None:
 
 
 def read_throughput_csv(path: str | Path) -> ThroughputSeries:
-    rec = _read_csv(path, THROUGHPUT_HEADER, [("t_s", "f8"), ("rate_gbps", "f8")])
-    return ThroughputSeries(t_s=rec["t_s"].copy(), rate_gbps=rec["rate_gbps"].copy())
+    return ThroughputSeries(**_read_csv(path, THROUGHPUT_HEADER,
+                                        [("t_s", "f8"), ("rate_gbps", "f8")]))
 
 
 # ---------------------------------------------------------------------------

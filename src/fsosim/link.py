@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -107,6 +108,9 @@ _SUM_BLOCK = 8192
 _MIN_EXP = -1073
 _EXP_BINS = 1024 - _MIN_EXP + 1
 _LOW_MASK = (1 << 26) - 1
+# _fsum hands math.fsum a list of this many Python floats at a time; a list
+# of 8192 read a peak RSS about 0.3 MB higher for the same speed
+_FSUM_BLOCK = 1024
 
 
 def _exact_sum(values: np.ndarray) -> float:
@@ -126,7 +130,7 @@ def _exact_sum(values: np.ndarray) -> float:
     for start in range(0, values.size, _SUM_BLOCK):
         block = values[start:start + _SUM_BLOCK]
         if not np.isfinite(block).all():
-            return math.fsum(values)
+            return _fsum(values)
         mantissa, exponent = np.frexp(block)
         ints = (mantissa * 2.0**53).astype(np.int64)
         top = max(top, int(exponent.max()))
@@ -139,15 +143,22 @@ def _exact_sum(values: np.ndarray) -> float:
     # 2**(top + bit_length(n)); fsum's partials stay within a few times that
     used = np.flatnonzero(low_sums | high_sums)
     if used.size == 0 or top + values.size.bit_length() > 1020:
-        return math.fsum(values)
+        return _fsum(values)
     first = int(used[0])
     total = 0
     for k, low, high in zip(used.tolist(), low_sums[used].tolist(), high_sums[used].tolist()):
         total += ((high << 26) + low) << (k - first)
     if total == 0:
-        return math.fsum(values)
+        return _fsum(values)
     scale = first + _MIN_EXP - 53
     return float(total << scale) if scale >= 0 else total / (1 << -scale)
+
+
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum(values), given the same floats as Python floats, one block's
+    list at a time: faster than over numpy scalars, without a list of them all."""
+    blocks = (values[i:i + _FSUM_BLOCK].tolist() for i in range(0, values.size, _FSUM_BLOCK))
+    return math.fsum(chain.from_iterable(blocks))
 
 
 def summarize(values: Iterable[float]) -> SummaryStats:

@@ -155,32 +155,40 @@ class LinkBudget:
 
 # The term helpers below take inputs that link_budget has checked.
 
-def _beam_radius_m(beam: BeamModel, distance_m: float) -> float:
+def _beam_radius_m(waist_radius_m: float, rayleigh_range_m: float, distance_m: float) -> float:
     """1/e^2 intensity radius after propagating distance_m."""
-    return beam.waist_radius_m * math.sqrt(1.0 + (distance_m / beam.rayleigh_range_m) ** 2)
+    return waist_radius_m * math.sqrt(1.0 + (distance_m / rayleigh_range_m) ** 2)
 
 
-def _diffraction_db(beam: BeamModel, antenna: AntennaSpec, distance_m: float) -> float:
-    """Geometric capture loss of the expanded beam at the receive aperture.
+def _diffraction_db(beam: BeamModel, antenna: AntennaSpec,
+                    distances_m: list[float]) -> list[float]:
+    """Geometric capture loss of the expanded beam at the receive aperture,
+    at each distance.
 
     Both terminals carry `antenna`.  The captured power fraction of a
     Gaussian of radius w(z) over a circular aperture of radius a is
     1 - exp(-2 a^2 / w(z)^2).  At distance 0 all transmitted power is inside
     the (co-located) aperture and the loss is 0 by convention.
     """
-    if distance_m == 0.0:
-        return 0.0
+    # the beam's constants, computed once for every distance
+    waist, rayleigh = beam.waist_radius_m, beam.rayleigh_range_m
     a = antenna.aperture_radius_m
-    try:
-        w = _beam_radius_m(beam, distance_m)
-        captured = 1.0 - math.exp(-2.0 * a * a / (w * w))
-    except OverflowError:  # the beam radius overflows
-        captured = 0.0
-    if captured == 0.0:
-        # so far out that the captured fraction rounds to 0: the loss in dB
-        # overflows, as the beam radius does a little further out
-        raise OverflowError(f"distance_m={distance_m} is beyond the range of the beam model")
-    return -10.0 * math.log10(captured)
+    losses = []
+    for distance_m in distances_m:
+        if distance_m == 0.0:
+            losses.append(0.0)
+            continue
+        try:
+            w = _beam_radius_m(waist, rayleigh, distance_m)
+            captured = 1.0 - math.exp(-2.0 * a * a / (w * w))
+        except OverflowError:  # the beam radius overflows
+            captured = 0.0
+        if captured == 0.0:
+            # so far out that the captured fraction rounds to 0: the loss in
+            # dB overflows, as the beam radius does a little further out
+            raise OverflowError(f"distance_m={distance_m} is beyond the range of the beam model")
+        losses.append(-10.0 * math.log10(captured))
+    return losses
 
 
 def _kim_size_exponent(visibility_m: float) -> float:
@@ -236,8 +244,7 @@ def link_budget(scenario: "Scenario", distance_m: float | np.ndarray,
         raise ValueError("distance_m must be >= 0")
     if not (errors >= 0.0).all():
         raise ValueError("radial_error_rad must be >= 0")
-    diffraction = np.fromiter((_diffraction_db(beam, antenna, d)
-                               for d in distances.ravel().tolist()), float, distances.size)
+    diffraction = np.array(_diffraction_db(beam, antenna, distances.ravel().tolist()))
     base = coupling.base_coupling_loss_db
     with np.errstate(over="ignore"):  # a huge error's excess is inf, as on floats
         ratio = errors / coupling.rolloff_halfwidth_rad

@@ -420,6 +420,28 @@ class TestScripts:
         assert done.stderr == "tune_defaults.py: --seeds must be >= 1\n"
         assert done.stdout == ""
 
+    @pytest.mark.parametrize("script, flag, text, refusal", [
+        ("reproduce_results.py", "--seed", "\u0663", "expected an integer"),  # Arabic-Indic 3
+        ("reproduce_results.py", "--seed", "1_0", "expected an integer"),
+        ("tune_defaults.py", "--seeds", "\u0661", "expected a count in ASCII digits"),
+        ("tune_defaults.py", "--seeds", "+1", "expected a count in ASCII digits"),
+    ])
+    def test_seed_not_in_ascii_digits_exits_1_with_one_line(self, script, flag, text, refusal):
+        # int() would take each of these; fsosim's seeds are ASCII digits
+        done = run_script(script, flag, text, "--duration", "12")
+        assert done.returncode == 1
+        assert done.stderr == f"{script}: {flag} {refusal}, got {text!r}\n"
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize("script", ["reproduce_results.py", "tune_defaults.py"])
+    def test_usage_error_exits_1_not_the_nonconvergence_code(self, script):
+        done = run_script(script, "--bogus")
+        assert done.returncode == 1
+        assert done.stderr.startswith("usage: ")
+        assert done.stderr.endswith(f"{script}: error: unrecognized arguments: --bogus\n")
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
 
     def test_scenario_file_runs_as_its_document_says(self):
         # 1km_default.json is the defaults under another name: only the

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -595,3 +596,106 @@ class TestReaderFaults:
                        ["0,Linked,1,2,3,4,5,6,1,0,1", "  ", row])
         with pytest.raises(ValueError, match=rf"in\.csv, line 4: unknown state '{name}'"):
             read_tracking_csv(p)
+
+
+# ---------------------------------------------------------------------------
+# readers parse _READ_ROWS rows at a time into preallocated columns
+
+READ_ROWS = fsio._READ_ROWS
+
+
+def numbered_rows(row, n):
+    """n copies of a row whose first cell is its index: row i reads back as i."""
+    rest = row[row.index(","):]
+    return [f"{i}{rest}" for i in range(n)]
+
+
+def first_column(result):
+    return result[:, 0] if isinstance(result, np.ndarray) else result.t_s
+
+
+def read_quietly(read, path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return read(path)
+
+
+class TestBlockReads:
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("n", [READ_ROWS - 1, READ_ROWS, READ_ROWS + 1, 2 * READ_ROWS + 1])
+    def test_row_counts_around_block_edges(self, kind, n, tmp_path):
+        read, header, row = READERS[kind]
+        result = read_quietly(read, write_text(tmp_path, header, numbered_rows(row, n)))
+        assert series_len(result) == n
+        assert np.array_equal(first_column(result), np.arange(n))
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_last_row_without_newline_at_a_block_edge(self, kind, tmp_path):
+        # the newline count bounds the rows only with the header's newline
+        read, header, row = READERS[kind]
+        p = tmp_path / "in.csv"
+        p.write_text(header + "\n" + "\n".join(numbered_rows(row, READ_ROWS)))
+        assert np.array_equal(first_column(read_quietly(read, p)), np.arange(READ_ROWS))
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("blank", ["", " ", "\t"])
+    def test_blank_lines_across_a_block_edge(self, kind, blank, tmp_path):
+        # empty lines stay on the block path; whitespace-only lines fall back
+        read, header, row = READERS[kind]
+        rows = numbered_rows(row, READ_ROWS + 3)
+        lines = rows[:READ_ROWS - 1] + [blank, blank] + rows[READ_ROWS - 1:READ_ROWS + 1]
+        lines += [blank] + rows[READ_ROWS + 1:] + [blank]
+        result = read_quietly(read, write_text(tmp_path, header, lines))
+        assert np.array_equal(first_column(result), np.arange(READ_ROWS + 3))
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_bare_cr_line_endings_fall_back(self, kind, tmp_path):
+        # no '\n' at all: the rows outnumber the newlines, and must not overflow
+        read, header, row = READERS[kind]
+        p = tmp_path / "in.csv"
+        p.write_bytes("\r".join([header, *numbered_rows(row, 5)]).encode() + b"\r")
+        assert np.array_equal(first_column(read_quietly(read, p)), np.arange(5))
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_malformed_row_in_a_later_block(self, kind, tmp_path):
+        read, header, row = READERS[kind]
+        rows = numbered_rows(row, 2 * READ_ROWS)
+        rows[READ_ROWS + 7] += ",7"
+        p = write_text(tmp_path, header, rows)
+        with pytest.raises(ValueError, match=rf"in\.csv, line {READ_ROWS + 9}: "
+                                             rf"{len(row.split(',')) + 1} cells"):
+            read(p)
+
+    def test_unknown_state_in_a_later_block(self, tmp_path):
+        rows = numbered_rows(READERS["tracking"][2], 2 * READ_ROWS)
+        rows[READ_ROWS + 7] = rows[READ_ROWS + 7].replace("Linked", "Bogus")
+        p = write_text(tmp_path, fsio.TRACKING_HEADER, rows)
+        with pytest.raises(ValueError,
+                           match=rf"in\.csv, line {READ_ROWS + 9}: unknown state 'Bogus'"):
+            read_tracking_csv(p)
+
+    @pytest.mark.parametrize("name, fault", [
+        ("Linkéd", "unknown state 'Linkéd'"),  # Latin-1: parsed, but no state's name
+        ("L€nked", "state cell 'L€nked' is not"),  # not Latin-1: np.loadtxt refuses it
+    ])
+    def test_non_ascii_state_names_file_and_line(self, name, fault, tmp_path):
+        p = write_text(tmp_path, fsio.TRACKING_HEADER,
+                       ["0,Linked,1,2,3,4,5,6,1,0,1", f"0.001,{name},1,2,3,4,5,6,1,0,1"])
+        with pytest.raises(ValueError, match=rf"in\.csv, line 3: {fault}"):
+            read_tracking_csv(p)
+
+    def test_peak_is_the_returned_arrays_and_one_block(self, tmp_path):
+        p = write_text(tmp_path, fsio.TRACKING_HEADER,
+                       numbered_rows(READERS["tracking"][2], 3 * READ_ROWS))
+        names = fsio.TRACKING_HEADER.split(",")
+        record = np.dtype([(names[0], "f8"), (names[1], fsio._STATE_FIELD)]
+                          + [(name, "f8") for name in names[2:8]]
+                          + [(name, "i1") for name in names[8:]])
+        tracemalloc.start()
+        try:
+            series = read_tracking_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in vars(series).values() if isinstance(a, np.ndarray))
+        assert peak < returned + READ_ROWS * record.itemsize

@@ -48,6 +48,10 @@ def jitter_db(radial_error_rad):
     return link_budget(CLEAR_SCENARIO, 1000.0, radial_error_rad).jitter_excess_db
 
 
+def beam_radius_m(beam, distance_m):
+    return _beam_radius_m(beam.waist_radius_m, beam.rayleigh_range_m, distance_m)
+
+
 def oracle_beam_radius_m(beam, distance_m):
     # the Gaussian-beam radius w0 sqrt(1 + (z / z_R)^2), z_R = pi w0^2 / lambda
     z_r = math.pi * beam.waist_radius_m**2 / beam.wavelength_m
@@ -71,25 +75,25 @@ class TestBeam:
     def test_divergence_formula(self):
         # far from the waist the radius grows at the half-angle lambda / (pi w0)
         z = 1e9  # z / z_R ~ 5e5
-        assert _beam_radius_m(BEAM, z) / z == pytest.approx(
+        assert beam_radius_m(BEAM, z) / z == pytest.approx(
             1550e-9 / (math.pi * 0.0405), rel=1e-9
         )
         narrow = BeamModel(wavelength_m=1550e-9, waist_radius_m=0.03195)
-        assert _beam_radius_m(narrow, z) / z == pytest.approx(15.44226365e-6, rel=1e-9)
+        assert beam_radius_m(narrow, z) / z == pytest.approx(15.44226365e-6, rel=1e-9)
 
     def test_radius_at_waist(self):
-        assert _beam_radius_m(BEAM, 0.0) == BEAM.waist_radius_m
+        assert beam_radius_m(BEAM, 0.0) == BEAM.waist_radius_m
 
     def test_radius_far_field_asymptote(self):
         z = 500_000.0  # z / z_R ~ 150
-        assert _beam_radius_m(BEAM, z) == pytest.approx(
+        assert beam_radius_m(BEAM, z) == pytest.approx(
             BEAM.wavelength_m / (math.pi * BEAM.waist_radius_m) * z, rel=1e-4
         )
 
     @given(st.floats(0.0, 1e5), st.floats(1.0, 1e5))
     @settings(max_examples=100, deadline=None)
     def test_radius_monotone(self, z, dz):
-        assert _beam_radius_m(BEAM, z + dz) > _beam_radius_m(BEAM, z)
+        assert beam_radius_m(BEAM, z + dz) > beam_radius_m(BEAM, z)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
