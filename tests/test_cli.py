@@ -380,13 +380,46 @@ class TestRun:
             simulate_run(default_scenario(), 11.0, seed)
 
 
-def run_script(script, *flags):
-    root = Path(__file__).resolve().parents[1]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*argv):
+    """A fresh interpreter with the package's source on its path."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(root / "scripts" / script), *flags],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def run_script(script, *flags):
+    return run_python(str(ROOT / "scripts" / script), *flags)
+
+
+# budget, sweep and calibrate synthesise no disturbance, so they must not pay
+# the import of scipy.signal (over 1 s); track loads it with its first
+# DisturbanceGenerator
+SCIPY_SIGNAL_ON_FIRST_USE = """
+import contextlib, io, sys
+from fsosim.cli import main
+
+def run(command, *flags):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--scenario", sys.argv[1], *flags]) == 0, command
+
+assert "scipy.signal" not in sys.modules, "import fsosim.cli"
+for command, *flags in (["budget"], ["sweep", "--steps", "5"], ["calibrate"]):
+    run(command, *flags)
+    assert "scipy.signal" not in sys.modules, command
+run("track", "--duration", "12")
+assert "scipy.signal" in sys.modules, "track"
+"""
+
+
+def test_scipy_signal_loads_only_where_a_disturbance_is_synthesised():
+    scenario = ROOT / "scenarios" / "1km_default.json"
+    done = run_python("-c", SCIPY_SIGNAL_ON_FIRST_USE, str(scenario))
+    assert done.returncode == 0, done.stderr
 
 
 class TestScripts:
@@ -450,7 +483,7 @@ class TestScripts:
         named = run_script("tune_defaults.py", "--scenario", "scenarios/1km_default.json",
                            "--seeds", "1", "--duration", "10.5")
         assert default.returncode == named.returncode == 0
-        scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios/1km_default.json")
+        scenario = load_scenario(ROOT / "scenarios/1km_default.json")
         assert named.stdout.splitlines()[0] == (f"# scenario 1km_default | digest "
                                                 f"{scenario.digest}")
         assert default.stdout.splitlines()[0].startswith("# scenario default | digest ")
