@@ -52,7 +52,8 @@ _URAD = 1e-6
 # within this many standard deviations (far beyond any normal draw)
 _NOISE_REACH = 40.0
 # DisturbanceGenerator weighs the noise filter's impulse response over
-# 20 / bandwidth seconds: 2e6 samples at this floor, without bound below it
+# 20 / bandwidth seconds, once per bandwidth: 2e6 samples (about 0.6 s) at
+# this floor, without bound below it
 _MIN_NOISE_BANDWIDTH_HZ = 0.01
 
 

@@ -2,12 +2,14 @@
 
 `perfbench/tracing.py` times each layer by replacing the module attributes
 listed in its BINDINGS, and `perfbench/run.py::_scipy_import_s` reads the
-scipy import time off an `-X importtime` log of `import fsosim.cli`.  A
-refactor that renames a bound function, calls around a binding or stops
-importing scipy passes every other tier-1 test and breaks only the traced
-benchmark run; these checks fail first.  The import-log check goes when a
-benchmark change retires the `import.scipy_signal_s` metric (ROADMAP item 1,
-dropping scipy).
+scipy import time off an `-X importtime` log of `import fsosim.cli`.  The
+package no longer calls scipy: the bare `import scipy` in `dynamics.py`
+stays only so that this log shows scipy.  A refactor that renames a bound
+function, calls around a binding or drops that import passes every other
+tier-1 test and breaks only the traced benchmark run; these checks fail
+first.  The import-log check and the bare import go together when a
+benchmark change retires the `import.scipy_signal_s` metric (ROADMAP
+items 1 and 14).
 """
 
 import importlib

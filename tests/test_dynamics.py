@@ -12,6 +12,9 @@ the `TrackingSeries` arrays:
   is the coarse error e0, which the cameras see one tick later.
 - Outside the tracking states, with ki > 0, the gimbal command is the
   integrated IMU rate ff, so ff = g_prev + move / alpha.
+
+The disturbance's Butterworth design and filter are checked bit for bit
+against scipy.signal, which only these tests import.
 """
 
 import math
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from fsosim import (
     AptState,
@@ -32,6 +36,7 @@ from fsosim import (
     component_rng,
     run_apt,
 )
+from fsosim import dynamics
 from fsosim.apt import TICK_RATE_HZ
 from fsosim.dynamics import lag_alpha
 
@@ -457,3 +462,82 @@ class TestDisturbance:
         b = DisturbanceGenerator(profile, np.random.default_rng(1234)).series(10_000)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def scipy_impulse_gain(b, a, bandwidth_hz):
+    impulse = np.zeros(max(64, int(20.0 * TICK_RATE_HZ / bandwidth_hz)))
+    impulse[0] = 1.0
+    h = signal.lfilter(b, a, impulse)
+    return math.sqrt(float(np.sum(h * h)))
+
+
+def scipy_warmed_filter(axis, rng):
+    """(b, a, scale, state) of an axis's noise filter, warmed up by scipy.signal."""
+    b, a = signal.butter(4, axis.noise_bandwidth_hz, fs=TICK_RATE_HZ)
+    scale = axis.noise_rms_rad / scipy_impulse_gain(b, a, axis.noise_bandwidth_hz)
+    warmup = min(int(6.0 * TICK_RATE_HZ / axis.noise_bandwidth_hz), 60_000)
+    _, zi = signal.lfilter(b, a, scale * rng.standard_normal(warmup),
+                           zi=signal.lfiltic(b, a, [0.0], [0.0]))
+    return b, a, scale, zi
+
+
+class TestNoiseFilterAgainstScipy:
+    """fsosim's Butterworth design and filter carry scipy.signal's bits.
+
+    scipy is the independent oracle here only; the package never imports
+    scipy.signal.
+    """
+
+    @pytest.mark.parametrize("bandwidth_hz", [0.01, 0.5, 1.0, 6.0, 17.3, 100.0, 449.0, 450.0])
+    def test_design(self, bandwidth_hz):
+        b, a = dynamics._butterworth_lowpass(bandwidth_hz)
+        want_b, want_a = signal.butter(4, bandwidth_hz, fs=TICK_RATE_HZ)
+        assert bits(b) == bits(want_b) and bits(a) == bits(want_a)
+        # the filter computes x * b[3] and x * b[4] as x * b[1] and x * b[0]
+        assert b[3] == b[1] and b[4] == b[0]
+
+    @pytest.mark.parametrize("bandwidth_hz", [0.01, 6.0, 450.0])
+    def test_output_and_final_state(self, bandwidth_hz):
+        b, a = dynamics._butterworth_lowpass(bandwidth_hz)
+        zi = signal.lfiltic(b, a, [0.0], [0.0])
+        assert bits(dynamics._ZERO_STATE) == bits(zi)
+        x = 1e-4 * np.random.default_rng(7).standard_normal(70_001)
+        want, want_state = signal.lfilter(b, a, x, zi=zi)
+        y, state = dynamics._lfilter(b, a, x, dynamics._ZERO_STATE)
+        assert bits(y) == bits(want) and bits(state) == bits(want_state)
+        # the same series over two calls, the state carried between them
+        head, mid = dynamics._lfilter(b, a, x[:30_001], dynamics._ZERO_STATE)
+        _, want_mid = signal.lfilter(b, a, x[:30_001], zi=zi)
+        tail, end = dynamics._lfilter(b, a, x[30_001:], mid)
+        assert bits(mid) == bits(want_mid)
+        assert bits(np.concatenate([head, tail])) == bits(want) and bits(end) == bits(want_state)
+
+    @pytest.mark.parametrize("bandwidth_hz", [0.01, 6.0, 450.0])
+    def test_impulse_gain(self, bandwidth_hz):
+        b, a = signal.butter(4, bandwidth_hz, fs=TICK_RATE_HZ)
+        assert dynamics._noise_filter(bandwidth_hz)[2] == scipy_impulse_gain(b, a, bandwidth_hz)
+
+    def test_each_bandwidth_has_its_own_cached_filter(self):
+        slow, fast = dynamics._noise_filter(6.0), dynamics._noise_filter(17.3)
+        assert slow[:2] == dynamics._butterworth_lowpass(6.0)
+        assert fast[:2] == dynamics._butterworth_lowpass(17.3)
+        assert slow != fast
+        assert dynamics._noise_filter(6.0) is slow and dynamics._noise_filter(17.3) is fast
+
+    def test_generator_series_match_scipy_over_two_calls(self):
+        profile = DisturbanceProfile(pitch=noise_axis(117e-6, 6.0),
+                                     azimuth=noise_axis(40e-6, 17.3))
+        gen = DisturbanceGenerator(profile, np.random.default_rng(11))
+        got = [gen.series(n) for n in (25_000, 45_001)]
+        rng = np.random.default_rng(11)
+        filters = [scipy_warmed_filter(axis, rng) for axis in (profile.pitch, profile.azimuth)]
+        for n, (pitch, azimuth) in zip((25_000, 45_001), got):
+            for k, out in enumerate((pitch, azimuth)):
+                b, a, scale, zi = filters[k]
+                want, zi = signal.lfilter(b, a, scale * rng.standard_normal(n), zi=zi)
+                filters[k] = (b, a, scale, zi)
+                assert bits(out) == bits(want)
