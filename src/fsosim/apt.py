@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -229,6 +230,55 @@ def tracking_stats(series: TrackingSeries) -> TrackingStats:
 # ---------------------------------------------------------------------------
 # simulation loop
 
+# ticks of camera noise and feedforward made at a time: the 1 kHz loop holds
+# one block of these inputs, not the run's
+_INPUT_BLOCK = 8192
+
+
+def _input_blocks(scenario: Scenario, seed: int, n: int, rate: tuple, base: tuple,
+                  enable_feedforward: bool):
+    """The 1 kHz loop's ten per-tick inputs, _INPUT_BLOCK ticks at a time:
+    for each block, a zip of memoryviews (each item a Python float, no copy)
+    of the three cameras' centroid noise (pitch, azimuth), the feedforward
+    (pitch, azimuth) and the biased base angles (pitch, azimuth).
+
+    The values are those of whole-run arrays.  A camera's stream holds its
+    n pitch draws, then its n azimuth draws, and standard_normal draws the
+    same values in blocks as in one call, so pitch comes from the camera's
+    generator and azimuth from a second one on the same stream, first
+    advanced by n discarded draws (in blocks too).  The feedforward is the
+    running sum of the measured rate * dt, the tick's `ff += rate * dt` from
+    ff = +0.0: each block adds the previous block's last sum to its first
+    term and cumsum sums in index order, so the floats are the tick's; the
+    first block's +0.0 turns a -0.0 first term into the +0.0 that the
+    tick's first sum gives.
+    """
+    dt = 1.0 / TICK_RATE_HZ
+    rate_pitch, rate_az = rate
+    base_pitch, base_az = base
+    cams = []
+    for cam in ("cmos0", "cmos1", "cmos2"):
+        pitch_rng, az_rng = component_rng(seed, cam), component_rng(seed, cam)
+        for lo in range(0, n, _INPUT_BLOCK):
+            az_rng.standard_normal(min(_INPUT_BLOCK, n - lo))
+        cams.append((getattr(scenario, cam).centroid_noise_rad, pitch_rng, az_rng))
+    carry_p = carry_a = 0.0
+    for lo in range(0, n, _INPUT_BLOCK):
+        hi = min(lo + _INPUT_BLOCK, n)
+        noise = [sigma * rng.standard_normal(hi - lo)
+                 for sigma, pitch_rng, az_rng in cams for rng in (pitch_rng, az_rng)]
+        if enable_feedforward:
+            ff_p, ff_a = rate_pitch[lo:hi] * dt, rate_az[lo:hi] * dt
+            ff_p[0] += carry_p
+            ff_a[0] += carry_a
+            np.cumsum(ff_p, out=ff_p)
+            np.cumsum(ff_a, out=ff_a)
+            carry_p, carry_a = ff_p[-1], ff_a[-1]
+        else:
+            ff_p = ff_a = np.zeros(hi - lo)
+        yield zip(*map(memoryview, (*noise, ff_p, ff_a, base_pitch[lo:hi], base_az[lo:hi])))
+
+
 def _hold(log: list, columns: tuple) -> None:
     """Fill per-tick columns from a change log: rows (tick, value, ...) with
     ticks rising from 0, each row's values written from its tick up to the
@@ -298,11 +348,15 @@ def run_apt(
     integer in [0, 2**64).  Identical arguments produce bit-identical
     series.
 
+    The run holds whole the series it returns (76 bytes per tick), the
+    biased base angles and the measured IMU rate (32 bytes per tick); it
+    makes the camera noise and the feedforward a block of ticks at a time.
+
     Raises ValueError, before any array is allocated, naming `seed` when it
     is not an integer in [0, 2**64); naming `duration_s` when it is not
-    positive, has no finite tick count, rounds to zero ticks or gives a
-    series that would not fit in memory; naming `fine_after_s` when it is
-    negative or not finite; and when enable_fine2 is set without
+    positive, has no finite tick count, rounds to zero ticks or would not
+    let what the run holds whole fit in memory; naming `fine_after_s` when
+    it is negative or not finite; and when enable_fine2 is set without
     enable_fine1.
     """
     _check_seed(seed)
@@ -314,9 +368,11 @@ def run_apt(
         raise ValueError(f"duration_s: {exc}") from None
     if n < 1:
         raise ValueError(f"duration_s {duration_s} s rounds to zero ticks at {TICK_RATE_HZ:g} Hz")
-    # bytes per tick of the returned series: nine float64 arrays (t_s and
-    # the angles) and four one-byte arrays (state and the lock flags)
-    _check_fits("duration_s", n, f"{TICK_RATE_HZ:g} Hz ticks", 9 * 8 + 4)
+    # bytes per tick that the run holds whole: the returned series' nine
+    # float64 arrays (t_s and the angles) and four one-byte arrays (state and
+    # the lock flags), and the biased base angles and the measured IMU rate
+    # (four float64 arrays)
+    _check_fits("duration_s", n, f"{TICK_RATE_HZ:g} Hz ticks", 9 * 8 + 4 + 4 * 8)
     if enable_fine1 is None:
         enable_fine1 = scenario.apt.fine1_enabled
     if enable_fine2 is None:
@@ -336,27 +392,11 @@ def run_apt(
     base_pitch = base_pitch[1:]
     base_az = base_az[1:]
 
-    noise = {}
-    for cam in ("cmos0", "cmos1", "cmos2"):
-        rng = component_rng(seed, cam)
-        sigma = getattr(scenario, cam).centroid_noise_rad
-        noise[cam] = (sigma * rng.standard_normal(n), sigma * rng.standard_normal(n))
     imu_rng = component_rng(seed, "imu")
     imu_sigma = scenario.imu.rate_noise_rad_s
     # measured IMU rate = true rate + noise, summed in place once for all ticks
     rate_pitch += imu_sigma * imu_rng.standard_normal(n)
     rate_az += imu_sigma * imu_rng.standard_normal(n)
-    # the feedforward command: the running sum of the measured rate * dt, the
-    # tick's `ff += rate * dt` from ff = +0.0.  add.accumulate sums in index
-    # order, so the floats are the tick's; adding +0.0 to the first term
-    # turns a -0.0 into the +0.0 that the tick's first sum gives.
-    if enable_feedforward:
-        ff_pitch, ff_az = rate_pitch * dt, rate_az * dt
-        for ff in (ff_pitch, ff_az):
-            ff[0] += 0.0
-            np.cumsum(ff, out=ff)
-    else:
-        ff_pitch, ff_az = np.zeros(n), np.zeros(n)
 
     # hoisted plant constants
     alpha_g = lag_alpha(scenario.gimbal.bandwidth_hz, dt)
@@ -440,18 +480,18 @@ def run_apt(
     if state == _LINKED:
         e0_p = e0_a = e1_p = e1_a = e2_p = e2_a = 0.0
 
-    # The loop reads its ten per-tick inputs by iterating memoryviews of the
-    # float64 arrays (each item a Python float, no copy) and writes the six
-    # actuator angles through memoryviews of the preallocated outputs, so
-    # every operation in the loop is native float math.  The measured IMU
-    # rate, which only Stabilize reads, is indexed there.  The state and the
-    # lock flags, which hold for many ticks (a default 70 s run changes its
-    # locks once and its state five times), are logged only in the ticks
-    # that change them, and their columns are filled by slices after the
-    # loop.
-    inputs = zip(*map(memoryview, (
-        noise["cmos0"][0], noise["cmos0"][1], noise["cmos1"][0], noise["cmos1"][1],
-        noise["cmos2"][0], noise["cmos2"][1], ff_pitch, ff_az, base_pitch, base_az)))
+    # The loop reads its ten per-tick inputs from _input_blocks, which makes
+    # the camera noise and the feedforward one block of ticks at a time and
+    # hands each block over as memoryviews (each item a Python float, no
+    # copy), and writes the six actuator angles through memoryviews of the
+    # preallocated outputs, so every operation in the loop is native float
+    # math.  The measured IMU rate, which only Stabilize reads, is indexed
+    # there.  The state and the lock flags, which hold for many ticks (a
+    # default 70 s run changes its locks once and its state five times), are
+    # logged only in the ticks that change them, and their columns are
+    # filled by slices after the loop.
+    inputs = chain.from_iterable(_input_blocks(
+        scenario, seed, n, (rate_pitch, rate_az), (base_pitch, base_az), enable_feedforward))
     imu_rate_p, imu_rate_a = memoryview(rate_pitch), memoryview(rate_az)
     (o_gaz, o_gp, o_f1p, o_f1a, o_f2p, o_f2a) = map(
         memoryview, (out_gaz, out_gp, out_f1p, out_f1a, out_f2p, out_f2a))
@@ -464,7 +504,7 @@ def run_apt(
 
     # The tick decides nothing that is fixed for the run or changes only with
     # the state: each loop's PID form (`*_pd`) and the feedforward (`ff_*`,
-    # summed above) are hoisted, and the loop flags are looked up when the
+    # summed in _input_blocks) are hoisted, and the loop flags are looked up when the
     # state changes.  Each keeps the tick's IEEE operations and their order,
     # so the series are bit-identical to deciding every tick.
     floor = math.floor
@@ -728,9 +768,13 @@ def run_apt(
     out_e2a = base_az - out_gaz
     out_e2a -= out_f1a
     out_e2a -= out_f2a
+    # the tick times k / TICK_RATE_HZ, divided in place: dividing an integer
+    # arange would hold it beside its quotient
+    t_s = np.arange(n, dtype=float)
+    t_s /= TICK_RATE_HZ
 
     return TrackingSeries(
-        t_s=np.arange(n) / TICK_RATE_HZ,
+        t_s=t_s,
         state=out_state,
         error_pitch_rad=out_e2p,
         error_azimuth_rad=out_e2a,

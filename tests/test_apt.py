@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -708,7 +709,7 @@ class TestRunApt:
 
     def test_duration_beyond_memory_refused_before_any_allocation(self, scenario,
                                                                   monkeypatch):
-        # 1e15 ticks would need some 76 PB: refused by name before the
+        # 1e15 ticks would need some 108 PB: refused by name before the
         # disturbance generator is built, not in a numpy MemoryError
         def no_generator(*args, **kwargs):
             raise AssertionError("DisturbanceGenerator constructed")
@@ -745,6 +746,48 @@ class TestRunApt:
         assert not np.isin(series.state, fine_states).any()
         forced = run_apt(sc, 4.0, seed=1, enable_fine1=True, enable_fine2=True)
         assert np.isin(forced.state, fine_states).any()
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 10**6])
+    @pytest.mark.parametrize("stages", [COARSE_ONLY, {"enable_fine1": True, "enable_fine2": False},
+                                        {"enable_fine1": True, "enable_fine2": True}],
+                             ids=["coarse", "fine1", "full"])
+    @pytest.mark.parametrize("feedforward", [True, False], ids=["ff", "no_ff"])
+    def test_series_do_not_depend_on_the_input_block(self, scenario, block, stages, feedforward,
+                                                     monkeypatch):
+        # 3001 ticks, one block at the default size: blocks of one tick, of 7
+        # and of 1000 (each with a short last block) and one block longer
+        # than the run give the same bits.  3 s reach each stage set's
+        # deepest state, so every camera's noise and the feedforward are read.
+        kwargs = dict(stages, enable_feedforward=feedforward)
+        default = run_apt(scenario, 3.001, 7, **kwargs)
+        monkeypatch.setattr(fsosim.apt, "_INPUT_BLOCK", block)
+        blocked = run_apt(scenario, 3.001, 7, **kwargs)
+        arrays = [field.name for field in dataclasses.fields(default)
+                  if isinstance(getattr(default, field.name), np.ndarray)]
+        assert len(arrays) == 13
+        for name in arrays:
+            assert getattr(blocked, name).tobytes() == getattr(default, name).tobytes(), name
+
+    def test_peak_is_the_series_the_whole_inputs_and_a_few_blocks(self, scenario, monkeypatch):
+        # The run holds whole what it returns, the biased base angles (two
+        # float64 arrays of n + 1 ticks) and the measured IMU rate (two of
+        # n); it makes the camera noise and the feedforward (eight float64
+        # arrays) a block of ticks at a time, and about two blocks are alive
+        # while the next is made.  Four blocks of slack are 13 bytes a tick
+        # here; those eight inputs held whole would add 64.
+        block = 1024
+        monkeypatch.setattr(fsosim.apt, "_INPUT_BLOCK", block)
+        run_apt(scenario, 0.01, 1)  # the disturbance filter's design, cached per process
+        n = tick_count(20.0)
+        tracemalloc.start()
+        try:
+            series = run_apt(scenario, 20.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in vars(series).values() if isinstance(a, np.ndarray))
+        assert returned == 76 * n
+        assert peak < returned + 4 * 8 * (n + 1) + 4 * 8 * 8 * block
 
 
 def first_reading_run(edge, axis, sign, overrides):
