@@ -51,11 +51,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
-from .dynamics import TICK_RATE_HZ, DisturbanceGenerator, lag_alpha
+from .dynamics import TICK_RATE_HZ, DisturbanceGenerator, _skip_normals, lag_alpha
 from .link import summarize
 from .optics import _check_fits
 from .scenario import Scenario
@@ -230,45 +229,64 @@ def tracking_stats(series: TrackingSeries) -> TrackingStats:
 # ---------------------------------------------------------------------------
 # simulation loop
 
-# ticks of camera noise and feedforward made at a time: the 1 kHz loop holds
-# one block of these inputs, not the run's
+# ticks of base motion, IMU rate, camera noise and feedforward made at a
+# time: the 1 kHz loop holds one block of these inputs, not the run's
 _INPUT_BLOCK = 8192
 
 
-def _input_blocks(scenario: Scenario, seed: int, n: int, rate: tuple, base: tuple,
-                  enable_feedforward: bool):
-    """The 1 kHz loop's ten per-tick inputs, _INPUT_BLOCK ticks at a time:
-    for each block, a zip of memoryviews (each item a Python float, no copy)
-    of the three cameras' centroid noise (pitch, azimuth), the feedforward
-    (pitch, azimuth) and the biased base angles (pitch, azimuth).
+def _axis_rngs(seed: int, component: str, n: int) -> tuple:
+    """The named component's (pitch, azimuth) generators for a run of n
+    ticks: its stream holds n pitch draws, then n azimuth draws, so pitch
+    draws from the component's generator and azimuth from a second one on
+    the same stream, stepped past the pitch draws."""
+    return component_rng(seed, component), _skip_normals(component_rng(seed, component), n)
 
-    The values are those of whole-run arrays.  A camera's stream holds its
-    n pitch draws, then its n azimuth draws, and standard_normal draws the
-    same values in blocks as in one call, so pitch comes from the camera's
-    generator and azimuth from a second one on the same stream, first
-    advanced by n discarded draws (in blocks too).  The feedforward is the
-    running sum of the measured rate * dt, the tick's `ff += rate * dt` from
-    ff = +0.0: each block adds the previous block's last sum to its first
-    term and cumsum sums in index order, so the floats are the tick's; the
-    first block's +0.0 turns a -0.0 first term into the +0.0 that the
-    tick's first sum gives.
+
+def _input_blocks(scenario: Scenario, seed: int, n: int, disturbance: DisturbanceGenerator,
+                  bias: float, enable_feedforward: bool):
+    """The 1 kHz loop's per-tick inputs, _INPUT_BLOCK ticks at a time.
+
+    For each block, from tick lo: (lo, the biased base angles (pitch,
+    azimuth) as arrays, the measured IMU rate (pitch, azimuth) as
+    memoryviews, and a zip of memoryviews (each item a Python float, no
+    copy) of the three cameras' centroid noise (pitch, azimuth), the
+    feedforward (pitch, azimuth) and the biased base angles (pitch,
+    azimuth)).
+
+    The values are those of whole-run arrays.  The base angle of tick k is
+    sample k + 1 of the disturbance series from t = -dt (`disturbance` is
+    built for n + 1 samples) plus `bias`, and its rate is the difference to
+    sample k over dt: each block's first difference takes the previous
+    block's last sample.  The measured IMU rate adds the IMU noise to that
+    rate.  The cameras' and the IMU's noise come from `_axis_rngs`, and
+    standard_normal draws the same values in blocks as in one call.  The
+    feedforward is the running sum of the measured rate * dt, the tick's
+    `ff += rate * dt` from ff = +0.0: each block adds the previous block's
+    last sum to its first term and cumsum sums in index order, so the
+    floats are the tick's; the first block's +0.0 turns a -0.0 first term
+    into the +0.0 that the tick's first sum gives.
     """
     dt = 1.0 / TICK_RATE_HZ
-    rate_pitch, rate_az = rate
-    base_pitch, base_az = base
-    cams = []
-    for cam in ("cmos0", "cmos1", "cmos2"):
-        pitch_rng, az_rng = component_rng(seed, cam), component_rng(seed, cam)
-        for lo in range(0, n, _INPUT_BLOCK):
-            az_rng.standard_normal(min(_INPUT_BLOCK, n - lo))
-        cams.append((getattr(scenario, cam).centroid_noise_rad, pitch_rng, az_rng))
+    imu_sigma = scenario.imu.rate_noise_rad_s
+    imu_pitch_rng, imu_az_rng = _axis_rngs(seed, "imu", n)
+    cams = [(getattr(scenario, cam).centroid_noise_rad, *_axis_rngs(seed, cam, n))
+            for cam in ("cmos0", "cmos1", "cmos2")]
+    (last_p,), (last_a,) = disturbance.series(1, t0_s=-dt)
     carry_p = carry_a = 0.0
     for lo in range(0, n, _INPUT_BLOCK):
         hi = min(lo + _INPUT_BLOCK, n)
+        base_p, base_a = disturbance.series(hi - lo, t0_s=-dt, start=lo + 1)
+        rate_p = np.diff(base_p, prepend=last_p) / dt
+        rate_a = np.diff(base_a, prepend=last_a) / dt
+        last_p, last_a = base_p[-1], base_a[-1]
+        rate_p += imu_sigma * imu_pitch_rng.standard_normal(hi - lo)
+        rate_a += imu_sigma * imu_az_rng.standard_normal(hi - lo)
+        base_p += bias
+        base_a += bias
         noise = [sigma * rng.standard_normal(hi - lo)
                  for sigma, pitch_rng, az_rng in cams for rng in (pitch_rng, az_rng)]
         if enable_feedforward:
-            ff_p, ff_a = rate_pitch[lo:hi] * dt, rate_az[lo:hi] * dt
+            ff_p, ff_a = rate_p * dt, rate_a * dt
             ff_p[0] += carry_p
             ff_a[0] += carry_a
             np.cumsum(ff_p, out=ff_p)
@@ -276,7 +294,8 @@ def _input_blocks(scenario: Scenario, seed: int, n: int, rate: tuple, base: tupl
             carry_p, carry_a = ff_p[-1], ff_a[-1]
         else:
             ff_p = ff_a = np.zeros(hi - lo)
-        yield zip(*map(memoryview, (*noise, ff_p, ff_a, base_pitch[lo:hi], base_az[lo:hi])))
+        yield (lo, (base_p, base_a), (memoryview(rate_p), memoryview(rate_a)),
+               zip(*map(memoryview, (*noise, ff_p, ff_a, base_p, base_a))))
 
 
 def _hold(log: list, columns: tuple) -> None:
@@ -348,9 +367,9 @@ def run_apt(
     integer in [0, 2**64).  Identical arguments produce bit-identical
     series.
 
-    The run holds whole the series it returns (76 bytes per tick), the
-    biased base angles and the measured IMU rate (32 bytes per tick); it
-    makes the camera noise and the feedforward a block of ticks at a time.
+    The run holds whole only the series it returns (76 bytes per tick); it
+    makes the base motion, the measured IMU rate, the camera noise and the
+    feedforward a block of ticks at a time.
 
     Raises ValueError, before any array is allocated, naming `seed` when it
     is not an integer in [0, 2**64); naming `duration_s` when it is not
@@ -370,9 +389,8 @@ def run_apt(
         raise ValueError(f"duration_s {duration_s} s rounds to zero ticks at {TICK_RATE_HZ:g} Hz")
     # bytes per tick that the run holds whole: the returned series' nine
     # float64 arrays (t_s and the angles) and four one-byte arrays (state and
-    # the lock flags), and the biased base angles and the measured IMU rate
-    # (four float64 arrays)
-    _check_fits("duration_s", n, f"{TICK_RATE_HZ:g} Hz ticks", 9 * 8 + 4 + 4 * 8)
+    # the lock flags)
+    _check_fits("duration_s", n, f"{TICK_RATE_HZ:g} Hz ticks", 9 * 8 + 4)
     if enable_fine1 is None:
         enable_fine1 = scenario.apt.fine1_enabled
     if enable_fine2 is None:
@@ -383,20 +401,10 @@ def run_apt(
         raise ValueError(f"fine_after_s must be >= 0 and finite, got {fine_after_s}")
     dt = 1.0 / TICK_RATE_HZ
 
-    # component noise streams (fixed labels; see module docstring)
-    dist_gen = DisturbanceGenerator(scenario.disturbance, component_rng(seed, "disturbance"))
-    base = dist_gen.series(n + 1, t0_s=-dt)
-    base_pitch, base_az = base[0], base[1]
-    rate_pitch = np.diff(base_pitch) / dt
-    rate_az = np.diff(base_az) / dt
-    base_pitch = base_pitch[1:]
-    base_az = base_az[1:]
-
-    imu_rng = component_rng(seed, "imu")
-    imu_sigma = scenario.imu.rate_noise_rad_s
-    # measured IMU rate = true rate + noise, summed in place once for all ticks
-    rate_pitch += imu_sigma * imu_rng.standard_normal(n)
-    rate_az += imu_sigma * imu_rng.standard_normal(n)
+    # component noise streams (fixed labels; see module docstring); the base
+    # motion is sampled from one tick before the first, for its first rate
+    disturbance = DisturbanceGenerator(scenario.disturbance, component_rng(seed, "disturbance"),
+                                       n + 1)
 
     # hoisted plant constants
     alpha_g = lag_alpha(scenario.gimbal.bandwidth_hz, dt)
@@ -429,11 +437,8 @@ def run_apt(
     stab_thresh = p.stabilize_rate_threshold_rad_s
 
     # acquisition bias split evenly across axes (radial magnitude preserved);
-    # the loop's coarse error is (bias + base) - gimbal, so add bias + base
-    # in place once for all ticks
+    # the loop's coarse error is (bias + base) - gimbal
     bias = p.acquisition_bias_rad / math.sqrt(2.0)
-    base_pitch += bias
-    base_az += bias
 
     # the state machine's thresholds, and its dwell times in ticks (float
     # products, compared with the integer tick counts)
@@ -447,9 +452,11 @@ def run_apt(
     # statistics window's ticks
     handover = _first(_tick_time, n, fine_after_s)
 
-    # output buffers; the residual columns are formed after the loop, and
-    # the state and lock columns are filled from their change logs
+    # output buffers; the residual columns are formed after each block's
+    # ticks, and the state and lock columns are filled from their change logs
     out_state = np.empty(n, dtype=np.int8)
+    out_e2p = np.empty(n)
+    out_e2a = np.empty(n)
     out_gaz = np.empty(n)
     out_gp = np.empty(n)
     out_f1p = np.empty(n)
@@ -481,18 +488,16 @@ def run_apt(
         e0_p = e0_a = e1_p = e1_a = e2_p = e2_a = 0.0
 
     # The loop reads its ten per-tick inputs from _input_blocks, which makes
-    # the camera noise and the feedforward one block of ticks at a time and
-    # hands each block over as memoryviews (each item a Python float, no
-    # copy), and writes the six actuator angles through memoryviews of the
-    # preallocated outputs, so every operation in the loop is native float
-    # math.  The measured IMU rate, which only Stabilize reads, is indexed
-    # there.  The state and the lock flags, which hold for many ticks (a
-    # default 70 s run changes its locks once and its state five times), are
-    # logged only in the ticks that change them, and their columns are
-    # filled by slices after the loop.
-    inputs = chain.from_iterable(_input_blocks(
-        scenario, seed, n, (rate_pitch, rate_az), (base_pitch, base_az), enable_feedforward))
-    imu_rate_p, imu_rate_a = memoryview(rate_pitch), memoryview(rate_az)
+    # them one block of ticks at a time and hands each block over as
+    # memoryviews (each item a Python float, no copy), and writes the six
+    # actuator angles through memoryviews of the preallocated outputs, so
+    # every operation in the loop is native float math.  The block's
+    # measured IMU rate, which only Stabilize reads, is indexed there.  The
+    # state and the lock flags, which hold for many ticks (a default 70 s
+    # run changes its locks once and its state five times), are logged only
+    # in the ticks that change them, and their columns are filled by slices
+    # after the loop.
+    blocks = _input_blocks(scenario, seed, n, disturbance, bias, enable_feedforward)
     (o_gaz, o_gp, o_f1p, o_f1a, o_f2p, o_f2a) = map(
         memoryview, (out_gaz, out_gp, out_f1p, out_f1a, out_f2p, out_f2a))
     # (tick, state) from tick 0, then a row in each tick that changes the state
@@ -519,255 +524,259 @@ def run_apt(
     neg_g_range_p, neg_g_range_az = -g_range_p, -g_range_az
     neg_f1_range, neg_f2_range = -f1_range, -f2_range
 
-    for i, (n0_p, n0_a, n1_p, n1_a, n2_p, n2_a, ff_p, ff_a,
-            base_i_p, base_i_a) in enumerate(inputs):
-        # --- sensing (previous-tick errors; one-frame latency) ---
-        # a camera sees the spot when its beacon is in view and the error is
-        # inside its FOV; it reports the noisy centroid rounded to its pixel
-        # pitch and clipped to the FOV
-        coarse_radial = hypot(e0_p, e0_a)
+    for lo, (base_p, base_a), (imu_rate_p, imu_rate_a), ticks in blocks:
+        for i, (n0_p, n0_a, n1_p, n1_a, n2_p, n2_a, ff_p, ff_a,
+                base_i_p, base_i_a) in enumerate(ticks, lo):
+            # --- sensing (previous-tick errors; one-frame latency) ---
+            # a camera sees the spot when its beacon is in view and the error is
+            # inside its FOV; it reports the noisy centroid rounded to its pixel
+            # pitch and clipped to the FOV
+            coarse_radial = hypot(e0_p, e0_a)
 
-        valid0 = (coarse_radial <= bl0_half and neg_c0_half_p <= e0_p <= c0_half_p
-                  and neg_c0_half_a <= e0_a <= c0_half_a)
-        if valid0:
-            x_p = e0_p + n0_p
-            x_a = e0_a + n0_a
-            y = x_p / c0_pp
-            m0_p = floor(y + 0.5) * c0_pp if x_p >= 0.0 else floor(0.5 - y) * neg_c0_pp
-            y = x_a / c0_pa
-            m0_a = floor(y + 0.5) * c0_pa if x_a >= 0.0 else floor(0.5 - y) * neg_c0_pa
-            if m0_p > c0_half_p: m0_p = c0_half_p
-            elif m0_p < neg_c0_half_p: m0_p = neg_c0_half_p
-            if m0_a > c0_half_a: m0_a = c0_half_a
-            elif m0_a < neg_c0_half_a: m0_a = neg_c0_half_a
-        else:
-            m0_p = m0_a = 0.0
-
-        valid1 = (coarse_radial <= bl1_half and neg_c1_half_p <= e1_p <= c1_half_p
-                  and neg_c1_half_a <= e1_a <= c1_half_a)
-
-        valid2 = (coarse_radial <= bl2_half and neg_c2_half_p <= e2_p <= c2_half_p
-                  and neg_c2_half_a <= e2_a <= c2_half_a)
-        # each flag is one of the two bool objects
-        if valid0 is not lock0 or valid1 is not lock1 or valid2 is not lock2:
-            lock0, lock1, lock2 = valid0, valid1, valid2
-            lock_log.append((i, valid0, valid1, valid2))
-        # FSM2's reading serves the FSM2 loop and the link dwell test, which
-        # run only in ticks that start in a state running FSM1
-        if valid2 and f1_active:
-            x_p = e2_p + n2_p
-            x_a = e2_a + n2_a
-            y = x_p / c2_pp
-            m2_p = floor(y + 0.5) * c2_pp if x_p >= 0.0 else floor(0.5 - y) * neg_c2_pp
-            y = x_a / c2_pa
-            m2_a = floor(y + 0.5) * c2_pa if x_a >= 0.0 else floor(0.5 - y) * neg_c2_pa
-            if m2_p > c2_half_p: m2_p = c2_half_p
-            elif m2_p < neg_c2_half_p: m2_p = neg_c2_half_p
-            if m2_a > c2_half_a: m2_a = c2_half_a
-            elif m2_a < neg_c2_half_a: m2_a = neg_c2_half_a
-        else:
-            m2_p = m2_a = 0.0
-
-        # --- state machine (edges in the module docstring) ---
-        # Linked first: most ticks are there, and only lock supervision acts
-        # (lock_loss_frames >= 1, so a tick with every lock never leaves)
-        if state == _LINKED:
-            if valid0 and valid1 and valid2:
-                loss_count = 0
+            valid0 = (coarse_radial <= bl0_half and neg_c0_half_p <= e0_p <= c0_half_p
+                      and neg_c0_half_a <= e0_a <= c0_half_a)
+            if valid0:
+                x_p = e0_p + n0_p
+                x_a = e0_a + n0_a
+                y = x_p / c0_pp
+                m0_p = floor(y + 0.5) * c0_pp if x_p >= 0.0 else floor(0.5 - y) * neg_c0_pp
+                y = x_a / c0_pa
+                m0_a = floor(y + 0.5) * c0_pa if x_a >= 0.0 else floor(0.5 - y) * neg_c0_pa
+                if m0_p > c0_half_p: m0_p = c0_half_p
+                elif m0_p < neg_c0_half_p: m0_p = neg_c0_half_p
+                if m0_a > c0_half_a: m0_a = c0_half_a
+                elif m0_a < neg_c0_half_a: m0_a = neg_c0_half_a
             else:
-                loss_count += 1
+                m0_p = m0_a = 0.0
+
+            valid1 = (coarse_radial <= bl1_half and neg_c1_half_p <= e1_p <= c1_half_p
+                      and neg_c1_half_a <= e1_a <= c1_half_a)
+
+            valid2 = (coarse_radial <= bl2_half and neg_c2_half_p <= e2_p <= c2_half_p
+                      and neg_c2_half_a <= e2_a <= c2_half_a)
+            # each flag is one of the two bool objects
+            if valid0 is not lock0 or valid1 is not lock1 or valid2 is not lock2:
+                lock0, lock1, lock2 = valid0, valid1, valid2
+                lock_log.append((i, valid0, valid1, valid2))
+            # FSM2's reading serves the FSM2 loop and the link dwell test, which
+            # run only in ticks that start in a state running FSM1
+            if valid2 and f1_active:
+                x_p = e2_p + n2_p
+                x_a = e2_a + n2_a
+                y = x_p / c2_pp
+                m2_p = floor(y + 0.5) * c2_pp if x_p >= 0.0 else floor(0.5 - y) * neg_c2_pp
+                y = x_a / c2_pa
+                m2_a = floor(y + 0.5) * c2_pa if x_a >= 0.0 else floor(0.5 - y) * neg_c2_pa
+                if m2_p > c2_half_p: m2_p = c2_half_p
+                elif m2_p < neg_c2_half_p: m2_p = neg_c2_half_p
+                if m2_a > c2_half_a: m2_a = c2_half_a
+                elif m2_a < neg_c2_half_a: m2_a = neg_c2_half_a
+            else:
+                m2_p = m2_a = 0.0
+
+            # --- state machine (edges in the module docstring) ---
+            # Linked first: most ticks are there, and only lock supervision acts
+            # (lock_loss_frames >= 1, so a tick with every lock never leaves)
+            if state == _LINKED:
+                if valid0 and valid1 and valid2:
+                    loss_count = 0
+                else:
+                    loss_count += 1
+                    if loss_count >= lock_loss_frames:
+                        state = _REACQUIRE
+                        loss_count = dwell_count = 0
+            elif state == _STABILIZE:
+                # the gimbal's rate over the last tick against the measured IMU rate
+                if (abs((g_p - g_last_p) / dt - imu_rate_p[i - lo]) < stab_thresh
+                        and abs((g_az - g_last_a) / dt - imu_rate_a[i - lo]) < stab_thresh):
+                    stab_count += 1
+                else:
+                    stab_count = 0
+                if stab_count >= stab_ticks:
+                    state = _ACQUIRE
+            elif state == _ACQUIRE:
+                if valid0:
+                    state = _COARSE_TRACK
+                    loss_count = 0
+            elif state == _REACQUIRE:
+                state = _ACQUIRE
+            else:
+                # the other tracking states: debounced lock supervision first
+                if state == _COARSE_TRACK:
+                    locks_ok = valid0
+                elif state == _FINE_TRACK1:
+                    locks_ok = valid0 and valid1
+                else:  # FINE_TRACK2
+                    locks_ok = valid0 and valid1 and valid2
+                loss_count = 0 if locks_ok else loss_count + 1
                 if loss_count >= lock_loss_frames:
                     state = _REACQUIRE
                     loss_count = dwell_count = 0
-        elif state == _STABILIZE:
-            # the gimbal's rate over the last tick against the measured IMU rate
-            if (abs((g_p - g_last_p) / dt - imu_rate_p[i]) < stab_thresh
-                    and abs((g_az - g_last_a) / dt - imu_rate_a[i]) < stab_thresh):
-                stab_count += 1
-            else:
-                stab_count = 0
-            if stab_count >= stab_ticks:
-                state = _ACQUIRE
-        elif state == _ACQUIRE:
-            if valid0:
-                state = _COARSE_TRACK
-                loss_count = 0
-        elif state == _REACQUIRE:
-            state = _ACQUIRE
-        else:
-            # the other tracking states: debounced lock supervision first
-            if state == _COARSE_TRACK:
-                locks_ok = valid0
-            elif state == _FINE_TRACK1:
-                locks_ok = valid0 and valid1
-            else:  # FINE_TRACK2
-                locks_ok = valid0 and valid1 and valid2
-            loss_count = 0 if locks_ok else loss_count + 1
-            if loss_count >= lock_loss_frames:
-                state = _REACQUIRE
-                loss_count = dwell_count = 0
-            elif state == _COARSE_TRACK:
-                if (enable_fine1 and i >= handover and valid1
-                        and hypot(m0_p, m0_a) < capture_thresh):
-                    state = _FINE_TRACK1
-            elif state == _FINE_TRACK1:
-                if enable_fine2 and i >= handover and valid2:
-                    state = _FINE_TRACK2
-            elif state == _FINE_TRACK2:
-                if valid2 and hypot(m2_p, m2_a) < link_thresh:
-                    dwell_count += 1
-                    if dwell_count >= link_dwell_ticks:
-                        state = _LINKED
-                else:
-                    dwell_count = 0
-        if state != flags_state:
-            flags_state = state
-            state_log.append((i, state))
-            reset, coarse_active, f1_active, f2_active = loop_flags[state]
-            # the resetting states run no loop: a reset on entry leaves the
-            # integrators a reset in every tick would
-            if reset:
-                vis_p = vis_a = 0.0
-                i1_p = i1_a = i2_p = i2_a = 0.0
+                elif state == _COARSE_TRACK:
+                    if (enable_fine1 and i >= handover and valid1
+                            and hypot(m0_p, m0_a) < capture_thresh):
+                        state = _FINE_TRACK1
+                elif state == _FINE_TRACK1:
+                    if enable_fine2 and i >= handover and valid2:
+                        state = _FINE_TRACK2
+                elif state == _FINE_TRACK2:
+                    if valid2 and hypot(m2_p, m2_a) < link_thresh:
+                        dwell_count += 1
+                        if dwell_count >= link_dwell_ticks:
+                            state = _LINKED
+                    else:
+                        dwell_count = 0
+            if state != flags_state:
+                flags_state = state
+                state_log.append((i, state))
+                reset, coarse_active, f1_active, f2_active = loop_flags[state]
+                # the resetting states run no loop: a reset on entry leaves the
+                # integrators a reset in every tick would
+                if reset:
+                    vis_p = vis_a = 0.0
+                    i1_p = i1_a = i2_p = i2_a = 0.0
 
-        # --- control: one PID per loop and axis on the measured error ---
-        if coarse_active:
-            vis_p += m0_p * dt
-            vis_a += m0_a * dt
+            # --- control: one PID per loop and axis on the measured error ---
+            if coarse_active:
+                vis_p += m0_p * dt
+                vis_a += m0_a * dt
+                if c_integral:
+                    if vis_p > c_bound_p: vis_p = c_bound_p
+                    elif vis_p < neg_c_bound_p: vis_p = neg_c_bound_p
+                    if vis_a > c_bound_a: vis_a = c_bound_a
+                    elif vis_a < neg_c_bound_a: vis_a = neg_c_bound_a
+                cmd_p = c_ki * vis_p
+                cmd_a = c_ki * vis_a
+                if c_pd:
+                    cmd_p = c_kp * m0_p + cmd_p + c_kd * (m0_p - pe0_p) / dt
+                    cmd_a = c_kp * m0_a + cmd_a + c_kd * (m0_a - pe0_a) / dt
+                    pe0_p, pe0_a = m0_p, m0_a
+            else:
+                cmd_p = cmd_a = 0.0
+                pe0_p = pe0_a = 0.0
+            # integral control carries the absolute vision command; proportional-only
+            # configurations steer relative to the current position instead
             if c_integral:
-                if vis_p > c_bound_p: vis_p = c_bound_p
-                elif vis_p < neg_c_bound_p: vis_p = neg_c_bound_p
-                if vis_a > c_bound_a: vis_a = c_bound_a
-                elif vis_a < neg_c_bound_a: vis_a = neg_c_bound_a
-            cmd_p = c_ki * vis_p
-            cmd_a = c_ki * vis_a
-            if c_pd:
-                cmd_p = c_kp * m0_p + cmd_p + c_kd * (m0_p - pe0_p) / dt
-                cmd_a = c_kp * m0_a + cmd_a + c_kd * (m0_a - pe0_a) / dt
-                pe0_p, pe0_a = m0_p, m0_a
-        else:
-            cmd_p = cmd_a = 0.0
-            pe0_p = pe0_a = 0.0
-        # integral control carries the absolute vision command; proportional-only
-        # configurations steer relative to the current position instead
-        if c_integral:
-            g_cmd_p = ff_p + cmd_p
-            g_cmd_a = ff_a + cmd_a
-        else:
-            g_cmd_p = g_p + cmd_p
-            g_cmd_a = g_az + cmd_a
-
-        if f1_active:
-            # FSM1's reading serves only its loop
-            if valid1:
-                x_p = e1_p + n1_p
-                x_a = e1_a + n1_a
-                y = x_p / c1_pp
-                m1_p = floor(y + 0.5) * c1_pp if x_p >= 0.0 else floor(0.5 - y) * neg_c1_pp
-                y = x_a / c1_pa
-                m1_a = floor(y + 0.5) * c1_pa if x_a >= 0.0 else floor(0.5 - y) * neg_c1_pa
-                if m1_p > c1_half_p: m1_p = c1_half_p
-                elif m1_p < neg_c1_half_p: m1_p = neg_c1_half_p
-                if m1_a > c1_half_a: m1_a = c1_half_a
-                elif m1_a < neg_c1_half_a: m1_a = neg_c1_half_a
+                g_cmd_p = ff_p + cmd_p
+                g_cmd_a = ff_a + cmd_a
             else:
-                m1_p = m1_a = 0.0
-            i1_p += m1_p * dt
-            i1_a += m1_a * dt
-            if f1_integral:
-                if i1_p > f1_bound: i1_p = f1_bound
-                elif i1_p < neg_f1_bound: i1_p = neg_f1_bound
-                if i1_a > f1_bound: i1_a = f1_bound
-                elif i1_a < neg_f1_bound: i1_a = neg_f1_bound
-            f1_cmd_p = f1_ki * i1_p
-            f1_cmd_a = f1_ki * i1_a
-            if f1_pd:
-                f1_cmd_p = f1_kp * m1_p + f1_cmd_p + f1_kd * (m1_p - pe1_p) / dt
-                f1_cmd_a = f1_kp * m1_a + f1_cmd_a + f1_kd * (m1_a - pe1_a) / dt
-                if not f1_integral:
-                    f1_cmd_p += f1_p
-                    f1_cmd_a += f1_a
-                pe1_p, pe1_a = m1_p, m1_a
-        else:
-            f1_cmd_p = f1_cmd_a = 0.0
-            pe1_p = pe1_a = 0.0
-        if f2_active:
-            i2_p += m2_p * dt
-            i2_a += m2_a * dt
-            if f2_integral:
-                if i2_p > f2_bound: i2_p = f2_bound
-                elif i2_p < neg_f2_bound: i2_p = neg_f2_bound
-                if i2_a > f2_bound: i2_a = f2_bound
-                elif i2_a < neg_f2_bound: i2_a = neg_f2_bound
-            f2_cmd_p = f2_ki * i2_p
-            f2_cmd_a = f2_ki * i2_a
-            if f2_pd:
-                f2_cmd_p = f2_kp * m2_p + f2_cmd_p + f2_kd * (m2_p - pe2_p) / dt
-                f2_cmd_a = f2_kp * m2_a + f2_cmd_a + f2_kd * (m2_a - pe2_a) / dt
-                if not f2_integral:
-                    f2_cmd_p += f2_p
-                    f2_cmd_a += f2_a
-                pe2_p, pe2_a = m2_p, m2_a
-        else:
-            f2_cmd_p = f2_cmd_a = 0.0
-            pe2_p = pe2_a = 0.0
+                g_cmd_p = g_p + cmd_p
+                g_cmd_a = g_az + cmd_a
 
-        # --- actuators ---
-        g_last_p = g_p
-        g_p = g_last_p + alpha_g * (g_cmd_p - g_last_p)
-        dlt = g_p - g_last_p
-        if dlt > g_max_delta: g_p = g_last_p + g_max_delta
-        elif dlt < neg_g_max_delta: g_p = g_last_p - g_max_delta
-        if g_p > g_range_p: g_p = g_range_p
-        elif g_p < neg_g_range_p: g_p = neg_g_range_p
+            if f1_active:
+                # FSM1's reading serves only its loop
+                if valid1:
+                    x_p = e1_p + n1_p
+                    x_a = e1_a + n1_a
+                    y = x_p / c1_pp
+                    m1_p = floor(y + 0.5) * c1_pp if x_p >= 0.0 else floor(0.5 - y) * neg_c1_pp
+                    y = x_a / c1_pa
+                    m1_a = floor(y + 0.5) * c1_pa if x_a >= 0.0 else floor(0.5 - y) * neg_c1_pa
+                    if m1_p > c1_half_p: m1_p = c1_half_p
+                    elif m1_p < neg_c1_half_p: m1_p = neg_c1_half_p
+                    if m1_a > c1_half_a: m1_a = c1_half_a
+                    elif m1_a < neg_c1_half_a: m1_a = neg_c1_half_a
+                else:
+                    m1_p = m1_a = 0.0
+                i1_p += m1_p * dt
+                i1_a += m1_a * dt
+                if f1_integral:
+                    if i1_p > f1_bound: i1_p = f1_bound
+                    elif i1_p < neg_f1_bound: i1_p = neg_f1_bound
+                    if i1_a > f1_bound: i1_a = f1_bound
+                    elif i1_a < neg_f1_bound: i1_a = neg_f1_bound
+                f1_cmd_p = f1_ki * i1_p
+                f1_cmd_a = f1_ki * i1_a
+                if f1_pd:
+                    f1_cmd_p = f1_kp * m1_p + f1_cmd_p + f1_kd * (m1_p - pe1_p) / dt
+                    f1_cmd_a = f1_kp * m1_a + f1_cmd_a + f1_kd * (m1_a - pe1_a) / dt
+                    if not f1_integral:
+                        f1_cmd_p += f1_p
+                        f1_cmd_a += f1_a
+                    pe1_p, pe1_a = m1_p, m1_a
+            else:
+                f1_cmd_p = f1_cmd_a = 0.0
+                pe1_p = pe1_a = 0.0
+            if f2_active:
+                i2_p += m2_p * dt
+                i2_a += m2_a * dt
+                if f2_integral:
+                    if i2_p > f2_bound: i2_p = f2_bound
+                    elif i2_p < neg_f2_bound: i2_p = neg_f2_bound
+                    if i2_a > f2_bound: i2_a = f2_bound
+                    elif i2_a < neg_f2_bound: i2_a = neg_f2_bound
+                f2_cmd_p = f2_ki * i2_p
+                f2_cmd_a = f2_ki * i2_a
+                if f2_pd:
+                    f2_cmd_p = f2_kp * m2_p + f2_cmd_p + f2_kd * (m2_p - pe2_p) / dt
+                    f2_cmd_a = f2_kp * m2_a + f2_cmd_a + f2_kd * (m2_a - pe2_a) / dt
+                    if not f2_integral:
+                        f2_cmd_p += f2_p
+                        f2_cmd_a += f2_a
+                    pe2_p, pe2_a = m2_p, m2_a
+            else:
+                f2_cmd_p = f2_cmd_a = 0.0
+                pe2_p = pe2_a = 0.0
 
-        g_last_a = g_az
-        g_az = g_last_a + alpha_g * (g_cmd_a - g_last_a)
-        dlt = g_az - g_last_a
-        if dlt > g_max_delta: g_az = g_last_a + g_max_delta
-        elif dlt < neg_g_max_delta: g_az = g_last_a - g_max_delta
-        if g_az > g_range_az: g_az = g_range_az
-        elif g_az < neg_g_range_az: g_az = neg_g_range_az
+            # --- actuators ---
+            g_last_p = g_p
+            g_p = g_last_p + alpha_g * (g_cmd_p - g_last_p)
+            dlt = g_p - g_last_p
+            if dlt > g_max_delta: g_p = g_last_p + g_max_delta
+            elif dlt < neg_g_max_delta: g_p = g_last_p - g_max_delta
+            if g_p > g_range_p: g_p = g_range_p
+            elif g_p < neg_g_range_p: g_p = neg_g_range_p
 
-        f1_p += alpha_f1 * (f1_cmd_p - f1_p)
-        if f1_p > f1_range: f1_p = f1_range
-        elif f1_p < neg_f1_range: f1_p = neg_f1_range
-        f1_a += alpha_f1 * (f1_cmd_a - f1_a)
-        if f1_a > f1_range: f1_a = f1_range
-        elif f1_a < neg_f1_range: f1_a = neg_f1_range
+            g_last_a = g_az
+            g_az = g_last_a + alpha_g * (g_cmd_a - g_last_a)
+            dlt = g_az - g_last_a
+            if dlt > g_max_delta: g_az = g_last_a + g_max_delta
+            elif dlt < neg_g_max_delta: g_az = g_last_a - g_max_delta
+            if g_az > g_range_az: g_az = g_range_az
+            elif g_az < neg_g_range_az: g_az = neg_g_range_az
 
-        f2_p += alpha_f2 * (f2_cmd_p - f2_p)
-        if f2_p > f2_range: f2_p = f2_range
-        elif f2_p < neg_f2_range: f2_p = neg_f2_range
-        f2_a += alpha_f2 * (f2_cmd_a - f2_a)
-        if f2_a > f2_range: f2_a = f2_range
-        elif f2_a < neg_f2_range: f2_a = neg_f2_range
+            f1_p += alpha_f1 * (f1_cmd_p - f1_p)
+            if f1_p > f1_range: f1_p = f1_range
+            elif f1_p < neg_f1_range: f1_p = neg_f1_range
+            f1_a += alpha_f1 * (f1_cmd_a - f1_a)
+            if f1_a > f1_range: f1_a = f1_range
+            elif f1_a < neg_f1_range: f1_a = neg_f1_range
 
-        # --- new errors ---
-        e0_p = base_i_p - g_p
-        e0_a = base_i_a - g_az
-        e1_p = e0_p - f1_p
-        e1_a = e0_a - f1_a
-        e2_p = e1_p - f2_p
-        e2_a = e1_a - f2_a
+            f2_p += alpha_f2 * (f2_cmd_p - f2_p)
+            if f2_p > f2_range: f2_p = f2_range
+            elif f2_p < neg_f2_range: f2_p = neg_f2_range
+            f2_a += alpha_f2 * (f2_cmd_a - f2_a)
+            if f2_a > f2_range: f2_a = f2_range
+            elif f2_a < neg_f2_range: f2_a = neg_f2_range
 
-        o_gaz[i] = g_az
-        o_gp[i] = g_p
-        o_f1p[i] = f1_p
-        o_f1a[i] = f1_a
-        o_f2p[i] = f2_p
-        o_f2a[i] = f2_a
+            # --- new errors ---
+            e0_p = base_i_p - g_p
+            e0_a = base_i_a - g_az
+            e1_p = e0_p - f1_p
+            e1_a = e0_a - f1_a
+            e2_p = e1_p - f2_p
+            e2_a = e1_a - f2_a
+
+            o_gaz[i] = g_az
+            o_gp[i] = g_p
+            o_f1p[i] = f1_p
+            o_f1a[i] = f1_a
+            o_f2p[i] = f2_p
+            o_f2a[i] = f2_a
+
+        # the residual the block's ticks formed, ((base - g) - f1) - f2: the
+        # same IEEE operations in the same order, elementwise
+        hi = lo + len(base_p)
+        res_p, res_a = out_e2p[lo:hi], out_e2a[lo:hi]
+        np.subtract(base_p, out_gp[lo:hi], out=res_p)
+        res_p -= out_f1p[lo:hi]
+        res_p -= out_f2p[lo:hi]
+        np.subtract(base_a, out_gaz[lo:hi], out=res_a)
+        res_a -= out_f1a[lo:hi]
+        res_a -= out_f2a[lo:hi]
 
     _hold(state_log, (out_state,))
     _hold(lock_log, (out_l0, out_l1, out_l2))
-    # the residual the loop formed each tick, ((base - g) - f1) - f2: the
-    # same IEEE operations in the same order, elementwise
-    out_e2p = base_pitch - out_gp
-    out_e2p -= out_f1p
-    out_e2p -= out_f2p
-    out_e2a = base_az - out_gaz
-    out_e2a -= out_f1a
-    out_e2a -= out_f2a
     # the tick times k / TICK_RATE_HZ, divided in place: dividing an integer
     # arange would hold it beside its quotient
     t_s = np.arange(n, dtype=float)

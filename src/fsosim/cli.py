@@ -233,9 +233,9 @@ def _summary_dict(stats: SummaryStats | None) -> dict:
 
 
 def _roundtrip(values: np.ndarray) -> np.ndarray:
-    # pass values through the CSV number format so reported statistics equal
-    # statistics of the emitted file exactly
-    return fsio._through_csv(values)
+    # pass values through the CSV number format, in place, so reported
+    # statistics equal statistics of the emitted file exactly
+    return fsio._through_csv(values, out=values)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +277,12 @@ def simulate_run(scenario: Scenario, duration_s: float, seed: int,
     series = run_apt(scenario, duration_s, seed,
                      enable_fine1=enable_fine1, enable_fine2=enable_fine2)
     window = series.window(t0, duration_s)
+    # the residual statistics come first: they make a window-long radial
+    # error, and the run holds only its series yet
+    tracking = tracking_stats(window)
     loss = loss_timeseries(window, scenario)
     # statistics are taken over CSV-precision values, those loss.csv holds
-    loss = LossSeries(t_s=loss.t_s, loss_db=_roundtrip(loss.loss_db), link_up=loss.link_up)
+    _roundtrip(loss.loss_db)
     throughput = throughput_timeseries(loss, scenario.transceiver)
     return RunResult(
         series=series,
@@ -287,7 +290,7 @@ def simulate_run(scenario: Scenario, duration_s: float, seed: int,
         t1_s=duration_s,
         loss=loss,
         throughput=throughput,
-        tracking=tracking_stats(window),
+        tracking=tracking,
         loss_stats=loss_statistics(loss) if np.isfinite(loss.loss_db).any() else None,
         downtime_fraction=downtime_fraction(loss, scenario.transceiver),
         throughput_stats=summarize(throughput.rate_gbps),

@@ -22,6 +22,7 @@ computed once per bandwidth.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -31,6 +32,8 @@ import scipy  # unused here: only perfbench's traced import metric reads it off 
 
 # common rate of every loop, camera frame and disturbance sample
 TICK_RATE_HZ = 1000.0
+# standard normal draws made at a time to step a generator past draws it drops
+_SKIP_BLOCK = 8192
 # the largest disturbance noise bandwidth, as a fraction of the sample rate:
 # the Butterworth design needs a corner below Nyquist
 MAX_NOISE_BANDWIDTH_FRACTION = 0.45
@@ -230,6 +233,15 @@ def _noise_filter(bandwidth_hz: float) -> tuple[tuple[float, ...], tuple[float, 
     return b, a, math.sqrt(float(np.sum(h * h)))
 
 
+def _skip_normals(rng: np.random.Generator, n: int) -> np.random.Generator:
+    """rng, stepped past n standard_normal draws, made and dropped
+    _SKIP_BLOCK at a time.  standard_normal draws the same values in blocks
+    as in one call, so rng's next draws follow one standard_normal(n)."""
+    for lo in range(0, n, _SKIP_BLOCK):
+        rng.standard_normal(min(_SKIP_BLOCK, n - lo))
+    return rng
+
+
 class DisturbanceGenerator:
     """Deterministic base-motion source for one run, sampled at TICK_RATE_HZ.
 
@@ -238,20 +250,32 @@ class DisturbanceGenerator:
     rms matches the configured value.  The filter is warmed up before t=0
     so the process is stationary from the first sample, and its state
     carries from one `series` call to the next.
+
+    Without `n`, each `series` call draws its pitch noise, then its azimuth
+    noise, from `rng`.  With `n`, the number of samples all calls make
+    together, azimuth draws from a copy of `rng` stepped past pitch's n
+    draws: calls of k1, k2, ... samples (k1 + k2 + ... = n), each starting
+    where the last ended, give the bits of one series(n) call a block at a
+    time.
     """
 
-    def __init__(self, profile: DisturbanceProfile, rng: np.random.Generator):
+    def __init__(self, profile: DisturbanceProfile, rng: np.random.Generator,
+                 n: int | None = None):
         self.profile = profile
-        self._rng = rng
         self._filters = {}
         for name, axis in (("pitch", profile.pitch), ("azimuth", profile.azimuth)):
             if axis.noise_bandwidth_hz > MAX_NOISE_BANDWIDTH_FRACTION * TICK_RATE_HZ:
                 raise ValueError(
                     f"{name} noise_bandwidth_hz {axis.noise_bandwidth_hz:g} exceeds "
                     f"{MAX_NOISE_BANDWIDTH_FRACTION:g} x the {TICK_RATE_HZ:g} Hz sample rate")
-            self._filters[name] = self._make_filter(axis)
+            self._filters[name] = self._make_filter(axis, rng)
+        # the generator each axis draws its noise from (a still axis draws none)
+        self._rngs = {"pitch": rng, "azimuth": rng}
+        if n is not None and self._filters["pitch"] is not None:
+            self._rngs["azimuth"] = _skip_normals(copy.deepcopy(rng), n)
 
-    def _make_filter(self, axis: AxisDisturbance):
+    @staticmethod
+    def _make_filter(axis: AxisDisturbance, rng: np.random.Generator):
         if axis.noise_rms_rad == 0.0:
             return None
         bw = axis.noise_bandwidth_hz
@@ -259,7 +283,7 @@ class DisturbanceGenerator:
         scale = axis.noise_rms_rad / gain
         # warm up the filter state on pre-roll noise so t=0 is stationary
         warmup = min(int(6.0 * TICK_RATE_HZ / bw), 60_000)
-        _, state = _lfilter(b, a, scale * self._rng.standard_normal(warmup), _ZERO_STATE)
+        _, state = _lfilter(b, a, scale * rng.standard_normal(warmup), _ZERO_STATE)
         return (b, a, scale, state)
 
     def _noise_series(self, name: str, n: int) -> np.ndarray:
@@ -267,14 +291,15 @@ class DisturbanceGenerator:
         if filt is None:
             return np.zeros(n)
         b, a, scale, state = filt
-        out, state = _lfilter(b, a, scale * self._rng.standard_normal(n), state)
+        out, state = _lfilter(b, a, scale * self._rngs[name].standard_normal(n), state)
         self._filters[name] = (b, a, scale, state)
         return out
 
-    def series(self, n_samples: int, t0_s: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """(pitch, azimuth) base-angle arrays for n_samples consecutive ticks."""
-        t = t0_s + np.arange(n_samples) / TICK_RATE_HZ
+    def series(self, n_samples: int, t0_s: float = 0.0,
+               start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(pitch, azimuth) base-angle arrays for the n_samples consecutive
+        samples from sample `start`, sample k at t0_s + k / TICK_RATE_HZ."""
+        t = t0_s + np.arange(start, start + n_samples) / TICK_RATE_HZ
         pitch = _sinusoid_series(self.profile.pitch, t) + self._noise_series("pitch", n_samples)
         az = _sinusoid_series(self.profile.azimuth, t) + self._noise_series("azimuth", n_samples)
         return pitch, az
-

@@ -144,8 +144,9 @@ def _flags(series: object, *names: str) -> list[np.ndarray]:
     return arrays
 
 
-def _through_csv(values: np.ndarray) -> np.ndarray:
-    """Each value as it reads back from a CSV number cell: float('%.6g' % v).
+def _through_csv(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each value as it reads back from a CSV number cell: float('%.6g' % v),
+    into `out` (a new array by default; `values` itself rounds in place).
 
     Rounds in numpy, _ROUND_BLOCK values at a time.  With e = floor(log10|v|)
     and k = 5 - e, '%.6g' prints the six-digit integer r = round(|v| * 10**k)
@@ -157,7 +158,8 @@ def _through_csv(values: np.ndarray) -> np.ndarray:
     misjudged exponent), NaN and |k| > 22 go through '%.6g' one by one;
     zeros and infinities read back as themselves.
     """
-    out = np.empty(len(values))
+    if out is None:
+        out = np.empty(len(values))
     with np.errstate(divide="ignore", invalid="ignore"):  # log10(0); inf - inf
         for lo in range(0, len(values), _ROUND_BLOCK):
             v = values[lo:lo + _ROUND_BLOCK]

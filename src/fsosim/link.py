@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -51,7 +51,8 @@ class TransceiverSpec:
 
 @dataclass(frozen=True)
 class LossSeries:
-    """Per-tick total link loss; same length and timestamps as its source."""
+    """Per-tick total link loss; same length and timestamps as its source,
+    whose t_s array it holds (not a copy)."""
 
     t_s: np.ndarray
     loss_db: np.ndarray
@@ -60,6 +61,8 @@ class LossSeries:
 
 @dataclass(frozen=True)
 class ThroughputSeries:
+    """Per-tick achievable rate; t_s is its loss series' array (not a copy)."""
+
     t_s: np.ndarray
     rate_gbps: np.ndarray
 
@@ -79,16 +82,22 @@ def loss_timeseries(tracking: "TrackingSeries", scenario: "Scenario") -> LossSer
     The loss is the budget's total at the scenario distance and each tick's
     radial pointing error.  When the scenario's fixed_loss_db is set (bench
     configurations with an inline attenuator) it replaces the modeled loss
-    while in lock.  Out-of-lock ticks get the no-link sentinel.
+    while in lock.  Out-of-lock ticks get the no-link sentinel.  The modeled
+    loss is formed _SUM_BLOCK ticks at a time, so that the radial error and
+    the budget's terms are never whole-series arrays.
     """
     in_lock = np.isin(tracking.state, [int(s) for s in LOCK_STATES])
-    radial = np.hypot(tracking.error_pitch_rad, tracking.error_azimuth_rad)
     if scenario.fixed_loss_db is None:
-        loss = optics.link_budget(scenario, scenario.distance_m, radial).total_db
+        pitch, azimuth = tracking.error_pitch_rad, tracking.error_azimuth_rad
+        loss = np.empty(in_lock.shape)
+        for lo in range(0, loss.size, _SUM_BLOCK):
+            radial = np.hypot(pitch[lo:lo + _SUM_BLOCK], azimuth[lo:lo + _SUM_BLOCK])
+            loss[lo:lo + _SUM_BLOCK] = optics.link_budget(scenario, scenario.distance_m,
+                                                          radial).total_db
     else:
-        loss = np.full(radial.shape, float(scenario.fixed_loss_db))
-    loss = np.where(in_lock, loss, NO_LINK_LOSS_DB)
-    return LossSeries(t_s=tracking.t_s.copy(), loss_db=loss, link_up=in_lock.copy())
+        loss = np.full(in_lock.shape, float(scenario.fixed_loss_db))
+    loss[~in_lock] = NO_LINK_LOSS_DB
+    return LossSeries(t_s=tracking.t_s, loss_db=loss, link_up=in_lock)
 
 
 def throughput_timeseries(loss: LossSeries, transceiver: TransceiverSpec) -> ThroughputSeries:
@@ -98,10 +107,11 @@ def throughput_timeseries(loss: LossSeries, transceiver: TransceiverSpec) -> Thr
         transceiver.link_rate_gbps,
         0.0,
     )
-    return ThroughputSeries(t_s=loss.t_s.copy(), rate_gbps=rate)
+    return ThroughputSeries(t_s=loss.t_s, rate_gbps=rate)
 
 
-# _exact_sum works through its input in blocks of this many values
+# loss_timeseries and _exact_sum work through their input in blocks of this
+# many values
 _SUM_BLOCK = 8192
 # np.frexp writes a finite x as m * 2**e with 0.5 <= |m| < 1 and e from
 # -1073 (the smallest subnormal) to 1024; m * 2**53 is then an integer
@@ -113,8 +123,18 @@ _LOW_MASK = (1 << 26) - 1
 _FSUM_BLOCK = 1024
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values) for a float64 array, the same float bit for bit.
+def _blocks(values: np.ndarray, centre: float | None, size: int) -> Iterator[np.ndarray]:
+    """values, size values at a time, each block's (values - centre) ** 2
+    when a centre is given."""
+    for start in range(0, values.size, size):
+        block = values[start:start + size]
+        yield block if centre is None else (block - centre) ** 2
+
+
+def _exact_sum(values: np.ndarray, centre: float | None = None) -> float:
+    """math.fsum(values) for a float64 array, the same float bit for bit;
+    with a centre, math.fsum((values - centre) ** 2), the squares formed
+    one block at a time.
 
     Each value is an integer below 2**53 times 2**(e - 53).  The integers
     of one exponent are summed in 26-bit halves, one block at a time, so
@@ -122,15 +142,15 @@ def _exact_sum(values: np.ndarray) -> float:
     int then takes the exact total, and one int division rounds it
     correctly, as fsum does.  Non-finite values, totals whose magnitude
     could overflow inside fsum, and zero totals (fsum picks the sign of
-    zero) are left to math.fsum.
+    zero) are left to math.fsum, except a zero total of squares: squares
+    are never -0.0, so theirs is +0.0.
     """
     low_sums = np.zeros(_EXP_BINS, dtype=np.int64)
     high_sums = np.zeros(_EXP_BINS, dtype=np.int64)
     top = _MIN_EXP
-    for start in range(0, values.size, _SUM_BLOCK):
-        block = values[start:start + _SUM_BLOCK]
+    for block in _blocks(values, centre, _SUM_BLOCK):
         if not np.isfinite(block).all():
-            return _fsum(values)
+            return _fsum(values, centre)
         mantissa, exponent = np.frexp(block)
         ints = (mantissa * 2.0**53).astype(np.int64)
         top = max(top, int(exponent.max()))
@@ -142,22 +162,25 @@ def _exact_sum(values: np.ndarray) -> float:
     # every |value| is below 2**top, so the sum of magnitudes is below
     # 2**(top + bit_length(n)); fsum's partials stay within a few times that
     used = np.flatnonzero(low_sums | high_sums)
+    if used.size == 0 and centre is not None:
+        return 0.0
     if used.size == 0 or top + values.size.bit_length() > 1020:
-        return _fsum(values)
+        return _fsum(values, centre)
     first = int(used[0])
     total = 0
     for k, low, high in zip(used.tolist(), low_sums[used].tolist(), high_sums[used].tolist()):
         total += ((high << 26) + low) << (k - first)
     if total == 0:
-        return _fsum(values)
+        return _fsum(values, centre)
     scale = first + _MIN_EXP - 53
     return float(total << scale) if scale >= 0 else total / (1 << -scale)
 
 
-def _fsum(values: np.ndarray) -> float:
-    """math.fsum(values), given the same floats as Python floats, one block's
-    list at a time: faster than over numpy scalars, without a list of them all."""
-    blocks = (values[i:i + _FSUM_BLOCK].tolist() for i in range(0, values.size, _FSUM_BLOCK))
+def _fsum(values: np.ndarray, centre: float | None = None) -> float:
+    """math.fsum of what _exact_sum sums, given the same floats as Python
+    floats, one block's list at a time: faster than over numpy scalars,
+    without a list of them all."""
+    blocks = (block.tolist() for block in _blocks(values, centre, _FSUM_BLOCK))
     return math.fsum(chain.from_iterable(blocks))
 
 
@@ -173,7 +196,7 @@ def summarize(values: Iterable[float]) -> SummaryStats:
         raise ValueError("summarize requires at least one value")
     n = data.size
     mean = _exact_sum(data) / n
-    var = _exact_sum((data - mean) ** 2) / n
+    var = _exact_sum(data, mean) / n
     return SummaryStats(
         mean=mean,
         std=math.sqrt(var),
@@ -185,8 +208,10 @@ def summarize(values: Iterable[float]) -> SummaryStats:
 
 def loss_statistics(loss: LossSeries) -> SummaryStats:
     """Summary of the finite (in-lock) loss samples."""
-    finite = loss.loss_db[np.isfinite(loss.loss_db)]
-    return summarize(finite)
+    values = loss.loss_db
+    if not np.isfinite(values).all():
+        values = values[np.isfinite(values)]
+    return summarize(values)
 
 
 def downtime_fraction(loss: LossSeries, transceiver: TransceiverSpec) -> float:

@@ -252,6 +252,20 @@ class TestComponentRng:
 NOT_FINE = (AptState.STABILIZE, AptState.ACQUIRE, AptState.COARSE_TRACK,
             AptState.REACQUIRE)
 COARSE_ONLY = {"enable_fine1": False, "enable_fine2": False}
+# runs whose series must not depend on the input block: (scenario
+# overrides, run_apt keyword arguments)
+BLOCK_CASES = {
+    "coarse": ({}, COARSE_ONLY),
+    "fine1": ({}, {"enable_fine1": True, "enable_fine2": False}),
+    "full": ({}, {"enable_fine1": True, "enable_fine2": True}),
+    # a still pitch draws no noise, so azimuth draws from where pitch's would
+    "still_pitch": ({"disturbance.pitch.noise_rms_urad": 0.0}, {}),
+    "no_imu_noise": ({"imu.rate_noise_urad_s": 0.0}, {}),
+    # Stabilize, the one state that reads the measured IMU rate, ends at tick
+    # 2152 at this threshold (seed 7): its dwell count resets on the rate of
+    # ticks in every block
+    "long_stabilize": ({"apt.stabilize_rate_threshold_urad_s": 600.0}, {}),
+}
 FINE_STATES = (int(AptState.FINE_TRACK1), int(AptState.FINE_TRACK2), int(AptState.LINKED))
 
 
@@ -709,7 +723,7 @@ class TestRunApt:
 
     def test_duration_beyond_memory_refused_before_any_allocation(self, scenario,
                                                                   monkeypatch):
-        # 1e15 ticks would need some 108 PB: refused by name before the
+        # 1e15 ticks would need some 76 PB: refused by name before the
         # disturbance generator is built, not in a numpy MemoryError
         def no_generator(*args, **kwargs):
             raise AssertionError("DisturbanceGenerator constructed")
@@ -748,33 +762,33 @@ class TestRunApt:
         assert np.isin(forced.state, fine_states).any()
 
     @pytest.mark.parametrize("block", [1, 7, 1000, 10**6])
-    @pytest.mark.parametrize("stages", [COARSE_ONLY, {"enable_fine1": True, "enable_fine2": False},
-                                        {"enable_fine1": True, "enable_fine2": True}],
-                             ids=["coarse", "fine1", "full"])
+    @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
     @pytest.mark.parametrize("feedforward", [True, False], ids=["ff", "no_ff"])
-    def test_series_do_not_depend_on_the_input_block(self, scenario, block, stages, feedforward,
+    def test_series_do_not_depend_on_the_input_block(self, block, case, feedforward,
                                                      monkeypatch):
         # 3001 ticks, one block at the default size: blocks of one tick, of 7
         # and of 1000 (each with a short last block) and one block longer
         # than the run give the same bits.  3 s reach each stage set's
         # deepest state, so every camera's noise and the feedforward are read.
+        overrides, stages = case
+        sc = make_scenario(**overrides)
         kwargs = dict(stages, enable_feedforward=feedforward)
-        default = run_apt(scenario, 3.001, 7, **kwargs)
+        default = run_apt(sc, 3.001, 7, **kwargs)
         monkeypatch.setattr(fsosim.apt, "_INPUT_BLOCK", block)
-        blocked = run_apt(scenario, 3.001, 7, **kwargs)
+        blocked = run_apt(sc, 3.001, 7, **kwargs)
         arrays = [field.name for field in dataclasses.fields(default)
                   if isinstance(getattr(default, field.name), np.ndarray)]
         assert len(arrays) == 13
         for name in arrays:
             assert getattr(blocked, name).tobytes() == getattr(default, name).tobytes(), name
 
-    def test_peak_is_the_series_the_whole_inputs_and_a_few_blocks(self, scenario, monkeypatch):
-        # The run holds whole what it returns, the biased base angles (two
-        # float64 arrays of n + 1 ticks) and the measured IMU rate (two of
-        # n); it makes the camera noise and the feedforward (eight float64
-        # arrays) a block of ticks at a time, and about two blocks are alive
-        # while the next is made.  Four blocks of slack are 13 bytes a tick
-        # here; those eight inputs held whole would add 64.
+    def test_peak_is_the_series_and_a_few_blocks(self, scenario, monkeypatch):
+        # The run holds whole only what it returns; it makes the base angles,
+        # the measured IMU rate, the camera noise and the feedforward (twelve
+        # float64 arrays) a block of ticks at a time, and about two blocks
+        # are alive while the next is made.  Two blocks of slack are 10
+        # bytes a tick here; the base angles and the IMU rate held whole
+        # would add 32.
         block = 1024
         monkeypatch.setattr(fsosim.apt, "_INPUT_BLOCK", block)
         run_apt(scenario, 0.01, 1)  # the disturbance filter's design, cached per process
@@ -787,7 +801,7 @@ class TestRunApt:
             tracemalloc.stop()
         returned = sum(a.nbytes for a in vars(series).values() if isinstance(a, np.ndarray))
         assert returned == 76 * n
-        assert peak < returned + 4 * 8 * (n + 1) + 4 * 8 * 8 * block
+        assert peak < returned + 2 * 12 * 8 * block
 
 
 def first_reading_run(edge, axis, sign, overrides):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 import fsosim.apt
 import fsosim.cli
+import fsosim.io
+import fsosim.link
 import fsosim.optics
 from fsosim import (default_scenario, downtime_fraction, load_scenario, loss_statistics,
                     summarize)
@@ -267,6 +270,35 @@ class TestRun:
         }
         emitted = read_loss_csv(run_dir / "loss.csv")
         assert run.loss.loss_db.tobytes() == emitted.loss_db.tobytes()
+
+    def test_peak_is_the_result_and_a_few_blocks(self, monkeypatch):
+        # simulate_run holds whole only what it returns: the run's series and
+        # its window's loss, link flags and throughput, which share the
+        # run's t_s.  The loop's inputs, the loss map, the rounding and the
+        # sums work a block at a time; two blocks of the loop's twelve inputs
+        # are 10 bytes a tick here.  The base angles and the IMU rate held
+        # whole (32 bytes a tick), or whole-window copies of t_s, of the
+        # unrounded loss, of the radial error and of the squared deviations
+        # (about 40 bytes a window tick), would each break the bound.
+        block = 1024
+        for module, name in ((fsosim.apt, "_INPUT_BLOCK"), (fsosim.link, "_SUM_BLOCK"),
+                             (fsosim.io, "_ROUND_BLOCK")):
+            monkeypatch.setattr(module, name, block)
+        scenario = default_scenario()
+        simulate_run(scenario, 10.01, 1)  # the disturbance filter's design, cached per process
+        tracemalloc.start()
+        try:
+            run = simulate_run(scenario, 20.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = [a for a in vars(run.series).values() if isinstance(a, np.ndarray)]
+        held += [run.loss.loss_db, run.loss.link_up, run.throughput.rate_gbps]
+        returned = sum(a.nbytes for a in held)
+        assert returned == 76 * 20_000 + 17 * 10_000
+        assert peak < returned + 2 * 12 * 8 * block
+        assert np.shares_memory(run.loss.t_s, run.series.t_s)
+        assert run.throughput.t_s is run.loss.t_s
 
     def test_window_bounds(self, run_dir):
         report = read_json(run_dir / "report.json")

@@ -455,6 +455,28 @@ class TestDisturbance:
         pitch, _ = DisturbanceGenerator(edge, np.random.default_rng(0)).series(1000)
         assert np.isfinite(pitch).all() and pitch.any()
 
+    @pytest.mark.parametrize("still", [(), ("pitch",), ("azimuth",), ("pitch", "azimuth")],
+                             ids=["noisy", "still_pitch", "still_azimuth", "still"])
+    def test_blocks_of_a_generator_told_n_are_one_call(self, still):
+        # told its n samples, a generator draws azimuth's noise from past
+        # pitch's n draws (from where pitch's would be, when pitch is still),
+        # so blocks that each start where the last ended give the bits of
+        # one series(n) call of a generator not told n
+        def axis(name, phase_rad):
+            return AxisDisturbance(sinusoids=(SinusoidComponent(50e-6, 0.5, phase_rad),),
+                                   noise_rms_rad=0.0 if name in still else 117e-6,
+                                   noise_bandwidth_hz=6.0)
+
+        profile = DisturbanceProfile(pitch=axis("pitch", 0.0),
+                                     azimuth=axis("azimuth", math.pi / 2))
+        n = 10_001
+        whole = DisturbanceGenerator(profile, np.random.default_rng(3)).series(n, -1e-3)
+        gen = DisturbanceGenerator(profile, np.random.default_rng(3), n)
+        bounds = [0, 1, 8, 4096, n]
+        blocks = [gen.series(hi - lo, -1e-3, start=lo) for lo, hi in zip(bounds, bounds[1:])]
+        for k, axis_name in enumerate(("pitch", "azimuth")):
+            assert bits(np.concatenate([b[k] for b in blocks])) == bits(whole[k]), axis_name
+
     def test_deterministic_given_rng(self):
         axis = noise_axis(50e-6, 5.0)
         profile = DisturbanceProfile(pitch=axis, azimuth=axis)

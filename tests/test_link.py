@@ -224,6 +224,30 @@ class TestExactSum:
     def test_edge_cases(self, values):
         assert_sums_like_fsum(np.array(values, dtype=float))
 
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(8).normal(13.7, 1.4, 2 * _SUM_BLOCK + 3),
+        np.full(2 * _SUM_BLOCK + 3, 6.25), np.full(5, -0.0),
+        np.array([1.0, math.inf, 2.0]), np.array([-math.inf, 1.0]),
+        np.array([math.inf, -math.inf]), np.array([math.nan, 1.0]),
+        np.array([1e153, -1e153, 3.0]), np.array([1.3e154, -1.3e154, 1.0]),
+        np.array([1e200, -1e200]),
+    ], ids=["random", "constant", "negative_zeros", "inf", "minus_inf", "both_infs", "nan",
+            "near_overflow", "overflowing_total", "overflowing_squares"])
+    def test_centred_pass_is_the_sum_of_squared_deviations(self, values):
+        # summarize's variance pass squares each block as it sums it: the
+        # same float as summing the whole array of squares, or the same error
+        with np.errstate(over="ignore", invalid="ignore"):
+            centre = float(np.mean(values))
+            squares = (values - centre) ** 2
+            try:
+                expected = _exact_sum(squares)
+            except (OverflowError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    _exact_sum(values, centre)
+                return
+            got = _exact_sum(values, centre)
+        assert struct.pack("<d", got) == struct.pack("<d", expected), (got, expected)
+
     def test_summarize_sums_exactly(self):
         # the default tolerance of np.mean would hide a wrong last bit
         data = np.random.default_rng(5).normal(13.7, 1.4, 3 * _SUM_BLOCK + 7)
