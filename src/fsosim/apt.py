@@ -44,7 +44,10 @@ A run is seeded by one integer in [0, 2**64).  Independent component streams
 are derived with fixed labels (disturbance=1, cmos0=2, cmos1=3, cmos2=4,
 imu=5) via numpy SeedSequence spawn keys, so the same scenario and seed
 reproduce bit-identical output and adding a consumer never perturbs the
-other streams.
+other streams.  Each component's stream holds its warm-up draws, then n
+pitch draws, then n azimuth draws, for its n samples.  Only the disturbance
+warms up (its noise filters), its n is the ticks plus one, and a still axis
+of it draws nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import TICK_RATE_HZ, DisturbanceGenerator, _skip_normals, lag_alpha
+from .dynamics import TICK_RATE_HZ, DisturbanceGenerator, _past_normals, lag_alpha
 from .link import summarize
 from .optics import _check_fits
 from .scenario import Scenario
@@ -160,7 +163,7 @@ def tick_window(t0_s: float, t1_s: float, n: int) -> slice:
 # ---------------------------------------------------------------------------
 # tracking series
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackingSeries:
     """Per-tick tracking record of one run (fixed 1 kHz timestamps)."""
 
@@ -236,10 +239,9 @@ _INPUT_BLOCK = 8192
 
 def _axis_rngs(seed: int, component: str, n: int) -> tuple:
     """The named component's (pitch, azimuth) generators for a run of n
-    ticks: its stream holds n pitch draws, then n azimuth draws, so pitch
-    draws from the component's generator and azimuth from a second one on
-    the same stream, stepped past the pitch draws."""
-    return component_rng(seed, component), _skip_normals(component_rng(seed, component), n)
+    ticks: its generator, and a copy stepped past pitch's n draws."""
+    rng = component_rng(seed, component)
+    return rng, _past_normals(rng, n)
 
 
 def _input_blocks(scenario: Scenario, seed: int, n: int, disturbance: DisturbanceGenerator,

@@ -241,7 +241,7 @@ def _roundtrip(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one simulated run, as `fsosim run` reports it
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """One seed of `fsosim run`: the whole run's series, and the loss,
     throughput and statistics over the window [t0_s, t1_s) that its

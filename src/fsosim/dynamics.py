@@ -233,10 +233,10 @@ def _noise_filter(bandwidth_hz: float) -> tuple[tuple[float, ...], tuple[float, 
     return b, a, math.sqrt(float(np.sum(h * h)))
 
 
-def _skip_normals(rng: np.random.Generator, n: int) -> np.random.Generator:
-    """rng, stepped past n standard_normal draws, made and dropped
-    _SKIP_BLOCK at a time.  standard_normal draws the same values in blocks
-    as in one call, so rng's next draws follow one standard_normal(n)."""
+def _past_normals(rng: np.random.Generator, n: int) -> np.random.Generator:
+    """A copy of rng whose next draws follow rng.standard_normal(n): it draws
+    and drops them _SKIP_BLOCK at a time, the same values as in one call."""
+    rng = copy.deepcopy(rng)
     for lo in range(0, n, _SKIP_BLOCK):
         rng.standard_normal(min(_SKIP_BLOCK, n - lo))
     return rng
@@ -251,16 +251,13 @@ class DisturbanceGenerator:
     so the process is stationary from the first sample, and its state
     carries from one `series` call to the next.
 
-    Without `n`, each `series` call draws its pitch noise, then its azimuth
-    noise, from `rng`.  With `n`, the number of samples all calls make
-    together, azimuth draws from a copy of `rng` stepped past pitch's n
-    draws: calls of k1, k2, ... samples (k1 + k2 + ... = n), each starting
-    where the last ended, give the bits of one series(n) call a block at a
-    time.
+    `n` is the number of samples all `series` calls make together, and
+    `rng` holds them in the layout of the `apt` module's Determinism
+    section: calls of k1, k2, ... samples (k1 + k2 + ... = n), each starting
+    where the last ended, give the bits of one series(n) call.
     """
 
-    def __init__(self, profile: DisturbanceProfile, rng: np.random.Generator,
-                 n: int | None = None):
+    def __init__(self, profile: DisturbanceProfile, rng: np.random.Generator, n: int):
         self.profile = profile
         self._filters = {}
         for name, axis in (("pitch", profile.pitch), ("azimuth", profile.azimuth)):
@@ -270,9 +267,9 @@ class DisturbanceGenerator:
                     f"{MAX_NOISE_BANDWIDTH_FRACTION:g} x the {TICK_RATE_HZ:g} Hz sample rate")
             self._filters[name] = self._make_filter(axis, rng)
         # the generator each axis draws its noise from (a still axis draws none)
-        self._rngs = {"pitch": rng, "azimuth": rng}
-        if n is not None and self._filters["pitch"] is not None:
-            self._rngs["azimuth"] = _skip_normals(copy.deepcopy(rng), n)
+        self._rngs = {"pitch": rng, "azimuth": (
+            rng if self._filters["pitch"] is None else _past_normals(rng, n))}
+        self._left = n  # samples the calls to come may still make
 
     @staticmethod
     def _make_filter(axis: AxisDisturbance, rng: np.random.Generator):
@@ -298,7 +295,13 @@ class DisturbanceGenerator:
     def series(self, n_samples: int, t0_s: float = 0.0,
                start: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """(pitch, azimuth) base-angle arrays for the n_samples consecutive
-        samples from sample `start`, sample k at t0_s + k / TICK_RATE_HZ."""
+        samples from sample `start`, sample k at t0_s + k / TICK_RATE_HZ.
+        Raises ValueError when this call would take the samples made in all
+        past n: pitch would draw its noise on into azimuth's."""
+        if n_samples > self._left:
+            raise ValueError(f"series of {n_samples} samples goes past the generator's n: "
+                             f"{self._left} samples left")
+        self._left -= n_samples
         t = t0_s + np.arange(start, start + n_samples) / TICK_RATE_HZ
         pitch = _sinusoid_series(self.profile.pitch, t) + self._noise_series("pitch", n_samples)
         az = _sinusoid_series(self.profile.azimuth, t) + self._noise_series("azimuth", n_samples)

@@ -335,13 +335,6 @@ def write_sweep_csv(path: str | Path, table: np.ndarray) -> None:
         _write_sweep(fh, table)
 
 
-def read_sweep_csv(path: str | Path) -> np.ndarray:
-    """The (rows, 3) array of a sweep CSV."""
-    names = SWEEP_HEADER.split(",")
-    columns = _read_csv(path, SWEEP_HEADER, [(name, "f8") for name in names])
-    return np.column_stack([columns[name] for name in names])
-
-
 # ---------------------------------------------------------------------------
 # tracking
 

@@ -49,7 +49,7 @@ class TransceiverSpec:
         return self.effective_tcp_gbps * self.tcp_efficiency
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossSeries:
     """Per-tick total link loss; same length and timestamps as its source,
     whose t_s array it holds (not a copy)."""
@@ -59,7 +59,7 @@ class LossSeries:
     link_up: np.ndarray  # bool; False where loss is the no-link sentinel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThroughputSeries:
     """Per-tick achievable rate; t_s is its loss series' array (not a copy)."""
 

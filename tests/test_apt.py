@@ -20,7 +20,7 @@ from fsosim import (
     run_apt,
     tracking_stats,
 )
-from fsosim.apt import RNG_STREAM_LABELS, TICK_RATE_HZ, tick_count, tick_window
+from fsosim.apt import RNG_STREAM_LABELS, TICK_RATE_HZ, _axis_rngs, tick_count, tick_window
 from fsosim.dynamics import DisturbanceGenerator, lag_alpha
 from fsosim.scenario import DEFAULTS
 
@@ -248,6 +248,16 @@ class TestComponentRng:
         with pytest.raises(KeyError):
             component_rng(42, "lidar")
 
+    @pytest.mark.parametrize("component", ["cmos0", "cmos1", "cmos2", "imu"])
+    def test_axis_streams_are_n_pitch_then_n_azimuth_draws(self, component):
+        # n spans more than one block of the draws the azimuth copy skips
+        n = 20_001
+        stream = component_rng(42, component).standard_normal(2 * n + 3)
+        pitch, azimuth = _axis_rngs(42, component, n)
+        # azimuth first: its copy must not move pitch's generator
+        assert azimuth.standard_normal(n + 3).tobytes() == stream[n:].tobytes()
+        assert pitch.standard_normal(n).tobytes() == stream[:n].tobytes()
+
 
 NOT_FINE = (AptState.STABILIZE, AptState.ACQUIRE, AptState.COARSE_TRACK,
             AptState.REACQUIRE)
@@ -295,8 +305,8 @@ def replay_states(scenario, series, initial_state=AptState.STABILIZE,
     fine2 = p.fine2_enabled if enable_fine2 is None else enable_fine2
     bias = p.acquisition_bias_rad / math.sqrt(2.0)
     start = 0.0 if initial_state == AptState.LINKED else bias
-    base = DisturbanceGenerator(scenario.disturbance,
-                                component_rng(series.seed, "disturbance")).series(n + 1, -DT)
+    base = DisturbanceGenerator(scenario.disturbance, component_rng(series.seed, "disturbance"),
+                                n + 1).series(n + 1, -DT)
     imu_rng = component_rng(series.seed, "imu")
     imu = [np.diff(b) / DT + scenario.imu.rate_noise_rad_s * imu_rng.standard_normal(n)
            for b in base]
@@ -388,8 +398,8 @@ def replay_locks(scenario, series, initial_state=AptState.STABILIZE):
     n = len(series)
     bias = scenario.apt.acquisition_bias_rad / math.sqrt(2.0)
     start = 0.0 if initial_state == AptState.LINKED else bias
-    base = DisturbanceGenerator(scenario.disturbance,
-                                component_rng(series.seed, "disturbance")).series(n + 1, -DT)
+    base = DisturbanceGenerator(scenario.disturbance, component_rng(series.seed, "disturbance"),
+                                n + 1).series(n + 1, -DT)
     e0 = [(b[1:] + bias) - g
           for b, g in zip(base, (series.gimbal_pitch_rad, series.gimbal_azimuth_rad))]
     e1 = [e - f for e, f in zip(e0, (series.fsm1_pitch_rad, series.fsm1_azimuth_rad))]

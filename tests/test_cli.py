@@ -22,7 +22,7 @@ import fsosim.optics
 from fsosim import (default_scenario, downtime_fraction, load_scenario, loss_statistics,
                     summarize)
 from fsosim.cli import main, simulate_run
-from fsosim.io import read_loss_csv, read_sweep_csv, read_throughput_csv
+from fsosim.io import read_loss_csv, read_throughput_csv
 from fsosim.scenario import DEFAULTS
 
 
@@ -109,7 +109,7 @@ class TestSweep:
     def test_csv_artifact(self, tmp_path):
         assert run_cli("sweep", "--steps", "12", "--min-km", "0.5",
                        "--max-km", "4.0", "--out", str(tmp_path)) == 0
-        rows = read_sweep_csv(tmp_path / "sweep.csv")
+        rows = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1, ndmin=2)
         assert len(rows) == 12
         assert rows[0][0] == pytest.approx(500.0)
         assert rows[-1][0] == pytest.approx(4000.0)
@@ -270,6 +270,15 @@ class TestRun:
         }
         emitted = read_loss_csv(run_dir / "loss.csv")
         assert run.loss.loss_db.tobytes() == emitted.loss_db.tobytes()
+
+    def test_results_are_hashed_and_compared_by_identity(self):
+        # a result and its series hold arrays: hashing works, and comparing
+        # two runs neither raises nor compares their arrays
+        run = simulate_run(default_scenario(), 10.01, 1)
+        for value in (run, run.series, run.loss, run.throughput):
+            assert hash(value) == hash(value) and value == value
+        other = simulate_run(default_scenario(), 10.01, 1)
+        assert (other == run) is False and (other.series == run.series) is False
 
     def test_peak_is_the_result_and_a_few_blocks(self, monkeypatch):
         # simulate_run holds whole only what it returns: the run's series and

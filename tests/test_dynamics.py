@@ -131,7 +131,7 @@ def imu_rates(scenario, series):
     """
     alpha = lag_alpha(scenario.gimbal.bandwidth_hz, DT)
     gen = DisturbanceGenerator(scenario.disturbance,
-                               component_rng(series.seed, "disturbance"))
+                               component_rng(series.seed, "disturbance"), len(series) + 1)
     base = gen.series(len(series) + 1, t0_s=-DT)
     out = []
     for gimbal, truth in zip((series.gimbal_pitch_rad, series.gimbal_azimuth_rad), base):
@@ -412,7 +412,7 @@ class TestDisturbance:
                                   noise_rms_rad=0.0, noise_bandwidth_hz=1.0),
             azimuth=STILL,
         )
-        gen = DisturbanceGenerator(profile, np.random.default_rng(0))
+        gen = DisturbanceGenerator(profile, np.random.default_rng(0), 5000)
         pitch, az = gen.series(5000)
         t = np.arange(5000) / 1000.0
         expected = 100e-6 * np.sin(2 * math.pi * 2.0 * t + math.pi / 3)
@@ -422,7 +422,7 @@ class TestDisturbance:
     def test_noise_rms_matches_spec(self):
         axis = noise_axis(117e-6, 6.0)
         profile = DisturbanceProfile(pitch=axis, azimuth=axis)
-        gen = DisturbanceGenerator(profile, np.random.default_rng(5))
+        gen = DisturbanceGenerator(profile, np.random.default_rng(5), 400_000)
         pitch, az = gen.series(400_000)
         assert np.sqrt(np.mean(pitch**2)) == pytest.approx(117e-6, rel=0.07)
         assert np.sqrt(np.mean(az**2)) == pytest.approx(117e-6, rel=0.07)
@@ -430,7 +430,7 @@ class TestDisturbance:
     def test_stationary_from_first_sample(self):
         # warmed-up filter: the first chunk has the same power as a later one
         profile = DisturbanceProfile(pitch=noise_axis(100e-6, 10.0), azimuth=STILL)
-        gen = DisturbanceGenerator(profile, np.random.default_rng(9))
+        gen = DisturbanceGenerator(profile, np.random.default_rng(9), 200_000)
         pitch, _ = gen.series(200_000)
         head = np.sqrt(np.mean(pitch[:20_000] ** 2))
         tail = np.sqrt(np.mean(pitch[-20_000:] ** 2))
@@ -438,7 +438,7 @@ class TestDisturbance:
 
     def test_band_limited_spectrum(self):
         profile = DisturbanceProfile(pitch=noise_axis(100e-6, 6.0), azimuth=STILL)
-        gen = DisturbanceGenerator(profile, np.random.default_rng(2))
+        gen = DisturbanceGenerator(profile, np.random.default_rng(2), 100_000)
         pitch, _ = gen.series(100_000)
         spectrum = np.abs(np.fft.rfft(pitch)) ** 2
         freqs = np.fft.rfftfreq(pitch.size, 1e-3)
@@ -450,18 +450,17 @@ class TestDisturbance:
         # band raises rather than being capped to it
         wide = DisturbanceProfile(pitch=noise_axis(100e-6, 450.5), azimuth=STILL)
         with pytest.raises(ValueError, match="pitch noise_bandwidth_hz"):
-            DisturbanceGenerator(wide, np.random.default_rng(0))
+            DisturbanceGenerator(wide, np.random.default_rng(0), 1000)
         edge = DisturbanceProfile(pitch=noise_axis(100e-6, 450.0), azimuth=STILL)
-        pitch, _ = DisturbanceGenerator(edge, np.random.default_rng(0)).series(1000)
+        pitch, _ = DisturbanceGenerator(edge, np.random.default_rng(0), 1000).series(1000)
         assert np.isfinite(pitch).all() and pitch.any()
 
     @pytest.mark.parametrize("still", [(), ("pitch",), ("azimuth",), ("pitch", "azimuth")],
                              ids=["noisy", "still_pitch", "still_azimuth", "still"])
     def test_blocks_of_a_generator_told_n_are_one_call(self, still):
-        # told its n samples, a generator draws azimuth's noise from past
-        # pitch's n draws (from where pitch's would be, when pitch is still),
-        # so blocks that each start where the last ended give the bits of
-        # one series(n) call of a generator not told n
+        # a generator draws azimuth's noise from past pitch's n draws (from
+        # where pitch's would be, when pitch is still), so blocks that each
+        # start where the last ended give the bits of one series(n) call
         def axis(name, phase_rad):
             return AxisDisturbance(sinusoids=(SinusoidComponent(50e-6, 0.5, phase_rad),),
                                    noise_rms_rad=0.0 if name in still else 117e-6,
@@ -470,7 +469,7 @@ class TestDisturbance:
         profile = DisturbanceProfile(pitch=axis("pitch", 0.0),
                                      azimuth=axis("azimuth", math.pi / 2))
         n = 10_001
-        whole = DisturbanceGenerator(profile, np.random.default_rng(3)).series(n, -1e-3)
+        whole = DisturbanceGenerator(profile, np.random.default_rng(3), n).series(n, -1e-3)
         gen = DisturbanceGenerator(profile, np.random.default_rng(3), n)
         bounds = [0, 1, 8, 4096, n]
         blocks = [gen.series(hi - lo, -1e-3, start=lo) for lo, hi in zip(bounds, bounds[1:])]
@@ -480,10 +479,43 @@ class TestDisturbance:
     def test_deterministic_given_rng(self):
         axis = noise_axis(50e-6, 5.0)
         profile = DisturbanceProfile(pitch=axis, azimuth=axis)
-        a = DisturbanceGenerator(profile, np.random.default_rng(1234)).series(10_000)
-        b = DisturbanceGenerator(profile, np.random.default_rng(1234)).series(10_000)
+        a = DisturbanceGenerator(profile, np.random.default_rng(1234), 10_000).series(10_000)
+        b = DisturbanceGenerator(profile, np.random.default_rng(1234), 10_000).series(10_000)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
+
+    def test_sample_count_is_required(self):
+        profile = DisturbanceProfile(pitch=noise_axis(50e-6, 5.0), azimuth=STILL)
+        with pytest.raises(TypeError):
+            DisturbanceGenerator(profile, np.random.default_rng(0))
+
+    def test_series_past_n_rejected(self):
+        # an 11th sample would draw pitch's noise on into azimuth's
+        axis = noise_axis(50e-6, 5.0)
+        gen = DisturbanceGenerator(DisturbanceProfile(pitch=axis, azimuth=axis),
+                                   np.random.default_rng(0), 10)
+        assert len(gen.series(4)[0]) == 4
+        assert len(gen.series(6, start=4)[0]) == 6
+        with pytest.raises(ValueError, match=r"generator's n: 0 samples left"):
+            gen.series(1, start=10)
+
+    @pytest.mark.parametrize("still_pitch", [False, True], ids=["noisy", "still_pitch"])
+    def test_azimuth_noise_follows_both_warmups_and_n_pitch_draws(self, still_pitch):
+        # the stream holds pitch's warm-up, azimuth's warm-up, n pitch draws
+        # and n azimuth draws; a still pitch makes none of its draws
+        profile = DisturbanceProfile(pitch=noise_axis(0.0 if still_pitch else 117e-6, 6.0),
+                                     azimuth=noise_axis(40e-6, 17.3))
+        n = 20_001
+        _, azimuth = DisturbanceGenerator(profile, component_rng(7, "disturbance"),
+                                          n).series(n)
+        rng = component_rng(7, "disturbance")
+        if not still_pitch:
+            scipy_warmed_filter(profile.pitch, rng)
+        b, a, scale, zi = scipy_warmed_filter(profile.azimuth, rng)
+        if not still_pitch:
+            rng.standard_normal(n)
+        want, _ = signal.lfilter(b, a, scale * rng.standard_normal(n), zi=zi)
+        assert bits(azimuth) == bits(want)
 
 
 def bits(values):
@@ -553,13 +585,15 @@ class TestNoiseFilterAgainstScipy:
     def test_generator_series_match_scipy_over_two_calls(self):
         profile = DisturbanceProfile(pitch=noise_axis(117e-6, 6.0),
                                      azimuth=noise_axis(40e-6, 17.3))
-        gen = DisturbanceGenerator(profile, np.random.default_rng(11))
-        got = [gen.series(n) for n in (25_000, 45_001)]
+        n = 70_001
+        gen = DisturbanceGenerator(profile, np.random.default_rng(11), n)
+        got = [gen.series(25_000), gen.series(n - 25_000, start=25_000)]
         rng = np.random.default_rng(11)
         filters = [scipy_warmed_filter(axis, rng) for axis in (profile.pitch, profile.azimuth)]
-        for n, (pitch, azimuth) in zip((25_000, 45_001), got):
-            for k, out in enumerate((pitch, azimuth)):
-                b, a, scale, zi = filters[k]
-                want, zi = signal.lfilter(b, a, scale * rng.standard_normal(n), zi=zi)
-                filters[k] = (b, a, scale, zi)
-                assert bits(out) == bits(want)
+        # after the warm-ups: n pitch draws, then n azimuth draws
+        white = rng.standard_normal(2 * n)
+        for k, (b, a, scale, zi) in enumerate(filters):
+            x = scale * white[k * n:(k + 1) * n]
+            for (lo, hi), block in zip(((0, 25_000), (25_000, n)), got):
+                want, zi = signal.lfilter(b, a, x[lo:hi], zi=zi)
+                assert bits(block[k]) == bits(want)

@@ -17,7 +17,6 @@ from fsosim.cli import _roundtrip
 from fsosim.io import (
     canonical_json,
     read_loss_csv,
-    read_sweep_csv,
     read_throughput_csv,
     read_tracking_csv,
     write_json,
@@ -28,6 +27,14 @@ from fsosim.io import (
 )
 from fsosim.link import LossSeries, ThroughputSeries, loss_timeseries
 from fsosim.states import STATE_NAMES
+
+
+def read_sweep(path):
+    """The (rows, 3) array of a sweep CSV, read by the parser the series
+    readers share: the cases below run it on a file of three float columns."""
+    names = fsio.SWEEP_HEADER.split(",")
+    columns = fsio._read_csv(path, fsio.SWEEP_HEADER, [(name, "f8") for name in names])
+    return np.column_stack([columns[name] for name in names])
 
 
 def throughput_cells(tmp_path, values):
@@ -63,7 +70,7 @@ class TestSweepCsv:
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         write_sweep_csv(a, rows)
-        write_sweep_csv(b, read_sweep_csv(a))
+        write_sweep_csv(b, np.loadtxt(a, delimiter=",", skiprows=1, ndmin=2))
         assert a.read_bytes() == b.read_bytes()
 
     def test_header_and_line_endings(self, tmp_path):
@@ -77,7 +84,7 @@ class TestSweepCsv:
         p = tmp_path / "s.csv"
         p.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="unexpected CSV header"):
-            read_sweep_csv(p)
+            read_sweep(p)
 
 
 @pytest.fixture(scope="module")
@@ -335,7 +342,7 @@ def check_writers_and_readers(values, tmp_path, t_s=None):
     write_sweep_csv(p, rows)
     assert p.read_text() == sweep_text(rows)
     parsed = [float(c) for line in sweep_text(rows).splitlines()[1:] for c in line.split(",")]
-    assert np.array_equal(bits(read_sweep_csv(p)).ravel(), bits(parsed))
+    assert np.array_equal(bits(read_sweep(p)).ravel(), bits(parsed))
 
 
 # values at the edges of the numpy rounding in fsio._through_csv
@@ -531,7 +538,7 @@ READERS = {
     "tracking": (read_tracking_csv, fsio.TRACKING_HEADER, "0,Linked,1,2,3,4,5,6,1,0,1"),
     "loss": (read_loss_csv, fsio.LOSS_HEADER, "0,13.7,1"),
     "throughput": (read_throughput_csv, fsio.THROUGHPUT_HEADER, "0,9.15876"),
-    "sweep": (read_sweep_csv, fsio.SWEEP_HEADER, "100,0.385064,12.1235"),
+    "sweep": (read_sweep, fsio.SWEEP_HEADER, "100,0.385064,12.1235"),
 }
 
 
