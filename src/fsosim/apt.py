@@ -277,7 +277,7 @@ def _input_blocks(scenario: Scenario, seed: int, n: int, disturbance: Disturbanc
     carry_p = carry_a = 0.0
     for lo in range(0, n, _INPUT_BLOCK):
         hi = min(lo + _INPUT_BLOCK, n)
-        base_p, base_a = disturbance.series(hi - lo, t0_s=-dt, start=lo + 1)
+        base_p, base_a = disturbance.series(hi - lo, t0_s=-dt)
         rate_p = np.diff(base_p, prepend=last_p) / dt
         rate_a = np.diff(base_a, prepend=last_a) / dt
         last_p, last_a = base_p[-1], base_a[-1]

@@ -1,7 +1,8 @@
 """Command-line interface: budget, sweep, track, run, calibrate.
 
 Exit codes are a stable contract:
-  0 success, 1 validation/parse error, 2 nonconvergence, 3 I/O error.
+  0 success, 1 validation/parse error, 2 nonconvergence, 3 I/O error,
+  4 a worker process of `run --seeds` died.
 
 All emitted artifacts are deterministic functions of (scenario, seed,
 flags); rerunning a command reproduces byte-identical files.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_IO = 3
+EXIT_WORKER = 4
 
 SCHEMA_VERSION = 1
 
@@ -420,11 +423,53 @@ def _run_one_seed(scenario: Scenario, args, seed: int, multi: bool) -> dict:
     }
 
 
+class _WorkerDied(RuntimeError):
+    """A worker process running seeds of `run --seeds` died (killed, or out
+    of memory) before its seed finished."""
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_seeds(scenario: Scenario, args, seeds: list[int], multi: bool) -> list[dict]:
+    """_run_one_seed over the seeds, its results in seed order.
+
+    The seeds run in min(len(seeds), usable CPUs) worker processes forked
+    from this one, or in this process when that is one or the platform
+    cannot fork.  Each worker writes its seed's CSVs and returns only the
+    seed's report entry.  Raises the error of the first failing seed in
+    seed order, or _WorkerDied; no worker outlives the call.
+    """
+    workers = min(len(seeds), _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork"):
+        return [_run_one_seed(scenario, args, s, multi) for s in seeds]
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker would import numpy and fsosim
+    # again, which takes about as long as one 70 s seed's run
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    seed = seeds[0]
+    try:
+        futures = [pool.submit(_run_one_seed, scenario, args, s, multi) for s in seeds]
+        per_seed = []
+        for seed, future in zip(seeds, futures):
+            per_seed.append(future.result())
+        return per_seed
+    except BrokenProcessPool:
+        raise _WorkerDied(f"a worker process died; seed {seed} did not finish") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_run(args) -> int:
     scenario = _load(args)
     seeds = [args.seed] if args.seeds is None else _parse_seed_range(args.seeds)
     multi = args.seeds is not None
-    per_seed = [_run_one_seed(scenario, args, s, multi) for s in seeds]
+    per_seed = _map_seeds(scenario, args, seeds, multi)
 
     loss_means = [r["loss_db"]["mean"] for r in per_seed if r["loss_db"]["mean"] is not None]
     payload = {
@@ -501,6 +546,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"fsosim: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except _WorkerDied as exc:
+        print(f"fsosim: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

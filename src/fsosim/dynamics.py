@@ -253,8 +253,8 @@ class DisturbanceGenerator:
 
     `n` is the number of samples all `series` calls make together, and
     `rng` holds them in the layout of the `apt` module's Determinism
-    section: calls of k1, k2, ... samples (k1 + k2 + ... = n), each starting
-    where the last ended, give the bits of one series(n) call.
+    section: calls of k1, k2, ... samples (k1 + k2 + ... = n) give the bits
+    of one series(n) call, each call starting where the last ended.
     """
 
     def __init__(self, profile: DisturbanceProfile, rng: np.random.Generator, n: int):
@@ -269,6 +269,7 @@ class DisturbanceGenerator:
         # the generator each axis draws its noise from (a still axis draws none)
         self._rngs = {"pitch": rng, "azimuth": (
             rng if self._filters["pitch"] is None else _past_normals(rng, n))}
+        self._n = n
         self._left = n  # samples the calls to come may still make
 
     @staticmethod
@@ -292,15 +293,15 @@ class DisturbanceGenerator:
         self._filters[name] = (b, a, scale, state)
         return out
 
-    def series(self, n_samples: int, t0_s: float = 0.0,
-               start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """(pitch, azimuth) base-angle arrays for the n_samples consecutive
-        samples from sample `start`, sample k at t0_s + k / TICK_RATE_HZ.
+    def series(self, n_samples: int, t0_s: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """(pitch, azimuth) base-angle arrays for the n_samples samples after
+        those the past calls made, sample k at t0_s + k / TICK_RATE_HZ.
         Raises ValueError when this call would take the samples made in all
         past n: pitch would draw its noise on into azimuth's."""
         if n_samples > self._left:
             raise ValueError(f"series of {n_samples} samples goes past the generator's n: "
                              f"{self._left} samples left")
+        start = self._n - self._left
         self._left -= n_samples
         t = t0_s + np.arange(start, start + n_samples) / TICK_RATE_HZ
         pitch = _sinusoid_series(self.profile.pitch, t) + self._noise_series("pitch", n_samples)

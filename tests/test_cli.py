@@ -1,11 +1,15 @@
+import concurrent.futures.process
 import copy
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -460,6 +464,147 @@ def test_no_verb_loads_scipy_signal():
     scenario = ROOT / "scenarios" / "1km_default.json"
     done = run_python("-c", NO_SCIPY_SIGNAL, str(scenario))
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# run --seeds in worker processes
+
+# neither the import nor a one-seed run loads the worker machinery, whose
+# import would add to every verb's start-up
+NO_WORKER_MODULES = """
+import contextlib, io, sys
+import fsosim.cli
+
+def loaded():
+    return [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+
+assert not loaded(), loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fsosim.cli.main(["run", "--duration", "11"]) == 0
+assert not loaded(), loaded()
+"""
+
+
+def test_import_and_one_seed_load_no_worker_modules():
+    done = run_python("-c", NO_WORKER_MODULES)
+    assert done.returncode == 0, done.stderr
+
+
+def _set_usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(fsosim.cli, "_usable_cpus", lambda: n)
+
+
+def _wrap_simulate_run(monkeypatch, before):
+    """Make simulate_run call before(seed) first, in whichever process runs it."""
+    real = fsosim.cli.simulate_run
+
+    def wrapped(scenario, duration_s, seed, *args, **kwargs):
+        before(seed)
+        return real(scenario, duration_s, seed, *args, **kwargs)
+
+    monkeypatch.setattr(fsosim.cli, "simulate_run", wrapped)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="seeds run in-process without fork")
+class TestSeedWorkers:
+    """`run --seeds` runs its seeds in min(seeds, usable CPUs) forked worker
+    processes, and in this process when that is one; the bytes are the same."""
+
+    ARGV = ("run", "--seeds", "1..3", "--duration", "12")
+
+    def test_workers_write_the_bytes_of_one_process(self, tmp_path, monkeypatch, capsys):
+        pid_file = tmp_path / "pids"
+
+        def record_pid(seed):
+            with open(pid_file, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+
+        _wrap_simulate_run(monkeypatch, record_pid)
+        emitted, pids = {}, {}
+        for cpus in (3, 1):
+            _set_usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"out-{cpus}"
+            assert run_cli(*self.ARGV, "--out", str(out)) == 0
+            assert capsys.readouterr().out == ""
+            assert run_cli(*self.ARGV) == 0
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            emitted[cpus] = (files, capsys.readouterr().out)
+            pids[cpus] = set(pid_file.read_text(encoding="ascii").split())
+            pid_file.unlink()
+            assert multiprocessing.active_children() == []
+        assert emitted[3] == emitted[1]
+        assert len(emitted[1][0]) == 7  # report.json and two CSVs per seed
+        assert str(os.getpid()) not in pids[3]
+        assert pids[1] == {str(os.getpid())}
+
+    def test_refused_duration_is_one_line_and_no_out_dir_on_both_sides(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        errors = {}
+        for cpus in (3, 1):
+            _set_usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"out-{cpus}"
+            assert run_cli("run", "--seeds", "1..3", "--duration", "5", "--out", str(out)) == 1
+            stdout, errors[cpus] = capsys.readouterr()
+            assert stdout == "" and errors[cpus].count("\n") == 1
+            assert errors[cpus].startswith("fsosim: --duration 5.0 s ")
+            assert not out.exists()
+            assert multiprocessing.active_children() == []
+        assert errors[3] == errors[1]
+
+    @pytest.mark.parametrize("cpus, seeds, workers", [
+        (1, "1..3", None), (8, "1..1", None), (8, "1..2", 2), (2, "1..3", 2), (3, "1..3", 3)])
+    def test_workers_are_the_fewer_of_seeds_and_cpus(self, cpus, seeds, workers,
+                                                     monkeypatch, capsys):
+        made = []
+
+        class Pool(concurrent.futures.process.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                made.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Pool)
+        _set_usable_cpus(monkeypatch, cpus)
+        assert run_cli("run", "--seeds", seeds, "--duration", "10.01") == 0
+        assert made == ([] if workers is None else [workers])
+
+    def test_first_failing_seed_in_seed_order_sets_the_error(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # seed 3 fails first in time, seed 2 first in seed order
+        def refuse(seed):
+            if seed == 2:
+                time.sleep(0.5)
+            if seed >= 2:
+                raise ValueError(f"duration_s refused at seed {seed}")
+
+        _wrap_simulate_run(monkeypatch, refuse)
+        _set_usable_cpus(monkeypatch, 3)
+        assert run_cli(*self.ARGV) == 1
+        assert capsys.readouterr() == ("", "fsosim: --duration refused at seed 2\n")
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_worker_exits_4_with_one_line(self, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def die(seed):
+            if seed == 2 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        _wrap_simulate_run(monkeypatch, die)
+        _set_usable_cpus(monkeypatch, 2)
+        assert run_cli(*self.ARGV) == fsosim.cli.EXIT_WORKER == 4
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith("fsosim: a worker process died; seed ")
+        assert multiprocessing.active_children() == []
+
+    def test_usable_cpus_are_the_affinity_mask_else_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        assert fsosim.cli._usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert fsosim.cli._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert fsosim.cli._usable_cpus() == 1
 
 
 class TestScripts:

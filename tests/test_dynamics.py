@@ -459,8 +459,8 @@ class TestDisturbance:
                              ids=["noisy", "still_pitch", "still_azimuth", "still"])
     def test_blocks_of_a_generator_told_n_are_one_call(self, still):
         # a generator draws azimuth's noise from past pitch's n draws (from
-        # where pitch's would be, when pitch is still), so blocks that each
-        # start where the last ended give the bits of one series(n) call
+        # where pitch's would be, when pitch is still), so blocks, each
+        # starting where the last ended, give the bits of one series(n) call
         def axis(name, phase_rad):
             return AxisDisturbance(sinusoids=(SinusoidComponent(50e-6, 0.5, phase_rad),),
                                    noise_rms_rad=0.0 if name in still else 117e-6,
@@ -472,7 +472,7 @@ class TestDisturbance:
         whole = DisturbanceGenerator(profile, np.random.default_rng(3), n).series(n, -1e-3)
         gen = DisturbanceGenerator(profile, np.random.default_rng(3), n)
         bounds = [0, 1, 8, 4096, n]
-        blocks = [gen.series(hi - lo, -1e-3, start=lo) for lo, hi in zip(bounds, bounds[1:])]
+        blocks = [gen.series(hi - lo, -1e-3) for lo, hi in zip(bounds, bounds[1:])]
         for k, axis_name in enumerate(("pitch", "azimuth")):
             assert bits(np.concatenate([b[k] for b in blocks])) == bits(whole[k]), axis_name
 
@@ -489,15 +489,27 @@ class TestDisturbance:
         with pytest.raises(TypeError):
             DisturbanceGenerator(profile, np.random.default_rng(0))
 
+    def test_calls_continue_the_sinusoids_clock(self):
+        # the second call's first sample is sample 4, whatever the caller
+        # knows of the first call
+        axis = AxisDisturbance(sinusoids=(SinusoidComponent(50e-6, 0.5, 0.0),),
+                               noise_rms_rad=0.0, noise_bandwidth_hz=6.0)
+        profile = DisturbanceProfile(pitch=axis, azimuth=axis)
+        whole = DisturbanceGenerator(profile, np.random.default_rng(0), 10).series(10)
+        gen = DisturbanceGenerator(profile, np.random.default_rng(0), 10)
+        parts = [gen.series(4), gen.series(6)]
+        for k in (0, 1):
+            assert bits(np.concatenate([p[k] for p in parts])) == bits(whole[k])
+
     def test_series_past_n_rejected(self):
         # an 11th sample would draw pitch's noise on into azimuth's
         axis = noise_axis(50e-6, 5.0)
         gen = DisturbanceGenerator(DisturbanceProfile(pitch=axis, azimuth=axis),
                                    np.random.default_rng(0), 10)
         assert len(gen.series(4)[0]) == 4
-        assert len(gen.series(6, start=4)[0]) == 6
+        assert len(gen.series(6)[0]) == 6
         with pytest.raises(ValueError, match=r"generator's n: 0 samples left"):
-            gen.series(1, start=10)
+            gen.series(1)
 
     @pytest.mark.parametrize("still_pitch", [False, True], ids=["noisy", "still_pitch"])
     def test_azimuth_noise_follows_both_warmups_and_n_pitch_draws(self, still_pitch):
@@ -587,7 +599,7 @@ class TestNoiseFilterAgainstScipy:
                                      azimuth=noise_axis(40e-6, 17.3))
         n = 70_001
         gen = DisturbanceGenerator(profile, np.random.default_rng(11), n)
-        got = [gen.series(25_000), gen.series(n - 25_000, start=25_000)]
+        got = [gen.series(25_000), gen.series(n - 25_000)]
         rng = np.random.default_rng(11)
         filters = [scipy_warmed_filter(axis, rng) for axis in (profile.pitch, profile.azimuth)]
         # after the warm-ups: n pitch draws, then n azimuth draws
