@@ -437,27 +437,32 @@ def _usable_cpus() -> int:
 def _map_seeds(scenario: Scenario, args, seeds: list[int], multi: bool) -> list[dict]:
     """_run_one_seed over the seeds, its results in seed order.
 
-    The seeds run in min(len(seeds), usable CPUs) worker processes forked
-    from this one, or in this process when that is one or the platform
-    cannot fork.  Each worker writes its seed's CSVs and returns only the
-    seed's report entry.  Raises the error of the first failing seed in
-    seed order, or _WorkerDied; no worker outlives the call.
+    The seeds run in n = min(len(seeds), usable CPUs) processes: this one
+    and n - 1 workers forked from it, or this one alone when n is one or
+    the platform cannot fork.  This process runs seeds 0, n, 2n, ... of
+    the list itself, as it reaches them in seed order, so it does not sit
+    idle on a core while the workers run; the workers run the rest.  A
+    worker writes its seed's CSVs and returns only the seed's report
+    entry.  Raises the error of the first failing seed in seed order, or
+    _WorkerDied; no worker outlives the call.
     """
-    workers = min(len(seeds), _usable_cpus())
-    if workers < 2 or not hasattr(os, "fork"):
+    procs = min(len(seeds), _usable_cpus())
+    if procs < 2 or not hasattr(os, "fork"):
         return [_run_one_seed(scenario, args, s, multi) for s in seeds]
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     # fork, not spawn: a spawned worker would import numpy and fsosim
     # again, which takes about as long as one 70 s seed's run
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(procs - 1, mp_context=multiprocessing.get_context("fork"))
     seed = seeds[0]
     try:
-        futures = [pool.submit(_run_one_seed, scenario, args, s, multi) for s in seeds]
+        futures = {i: pool.submit(_run_one_seed, scenario, args, s, multi)
+                   for i, s in enumerate(seeds) if i % procs}
         per_seed = []
-        for seed, future in zip(seeds, futures):
-            per_seed.append(future.result())
+        for i, seed in enumerate(seeds):
+            per_seed.append(futures[i].result() if i in futures
+                            else _run_one_seed(scenario, args, seed, multi))
         return per_seed
     except BrokenProcessPool:
         raise _WorkerDied(f"a worker process died; seed {seed} did not finish") from None

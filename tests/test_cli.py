@@ -507,8 +507,9 @@ def _wrap_simulate_run(monkeypatch, before):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="seeds run in-process without fork")
 class TestSeedWorkers:
-    """`run --seeds` runs its seeds in min(seeds, usable CPUs) forked worker
-    processes, and in this process when that is one; the bytes are the same."""
+    """`run --seeds` runs its seeds in n = min(seeds, usable CPUs) processes:
+    this one, which takes seeds 0, n, 2n, ... of the list, and n - 1 forked
+    workers; the bytes are the same as those of this process alone."""
 
     ARGV = ("run", "--seeds", "1..3", "--duration", "12")
 
@@ -517,7 +518,7 @@ class TestSeedWorkers:
 
         def record_pid(seed):
             with open(pid_file, "a", encoding="ascii") as fh:
-                fh.write(f"{os.getpid()}\n")
+                fh.write(f"{seed} {os.getpid()}\n")
 
         _wrap_simulate_run(monkeypatch, record_pid)
         emitted, pids = {}, {}
@@ -529,13 +530,16 @@ class TestSeedWorkers:
             assert run_cli(*self.ARGV) == 0
             files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
             emitted[cpus] = (files, capsys.readouterr().out)
-            pids[cpus] = set(pid_file.read_text(encoding="ascii").split())
+            pids[cpus] = dict(line.split() for line in pid_file.read_text(encoding="ascii")
+                              .splitlines())
             pid_file.unlink()
             assert multiprocessing.active_children() == []
         assert emitted[3] == emitted[1]
         assert len(emitted[1][0]) == 7  # report.json and two CSVs per seed
-        assert str(os.getpid()) not in pids[3]
-        assert pids[1] == {str(os.getpid())}
+        here = str(os.getpid())
+        assert pids[3]["1"] == here
+        assert here not in (pids[3]["2"], pids[3]["3"])
+        assert set(pids[1].values()) == {here}
 
     def test_refused_duration_is_one_line_and_no_out_dir_on_both_sides(self, tmp_path,
                                                                       monkeypatch, capsys):
@@ -551,9 +555,10 @@ class TestSeedWorkers:
             assert multiprocessing.active_children() == []
         assert errors[3] == errors[1]
 
-    @pytest.mark.parametrize("cpus, seeds, workers", [
+    # procs: the processes that run seeds, this one and its workers
+    @pytest.mark.parametrize("cpus, seeds, procs", [
         (1, "1..3", None), (8, "1..1", None), (8, "1..2", 2), (2, "1..3", 2), (3, "1..3", 3)])
-    def test_workers_are_the_fewer_of_seeds_and_cpus(self, cpus, seeds, workers,
+    def test_workers_are_the_fewer_of_seeds_and_cpus(self, cpus, seeds, procs,
                                                      monkeypatch, capsys):
         made = []
 
@@ -565,7 +570,7 @@ class TestSeedWorkers:
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Pool)
         _set_usable_cpus(monkeypatch, cpus)
         assert run_cli("run", "--seeds", seeds, "--duration", "10.01") == 0
-        assert made == ([] if workers is None else [workers])
+        assert made == ([] if procs is None else [procs - 1])
 
     def test_first_failing_seed_in_seed_order_sets_the_error(self, tmp_path, monkeypatch,
                                                              capsys):
