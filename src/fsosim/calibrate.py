@@ -44,12 +44,6 @@ class MeanLossAnchor:
     distance_m: float
     mean_loss_db: float
 
-    def __post_init__(self) -> None:
-        if self.sigma_rad < 0.0:
-            raise ValueError("sigma_rad must be >= 0")
-        if self.distance_m <= 0.0:
-            raise ValueError("distance_m must be positive")
-
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -230,8 +224,10 @@ def parse_anchor_file(payload: dict) -> tuple[list[MeanLossAnchor], float | None
              "static_total_db": number | null | absent,
              "static_distance_m": number | null | absent}
 
-    Every number must be finite; any other document raises ValueError
-    naming the entry and key at fault.
+    Every number must be finite, `sigma_urad` and `static_distance_m` >= 0
+    and `distance_m` positive; any other document raises ValueError naming
+    the entry and key at fault.  This is where an anchor's values are
+    checked: a `MeanLossAnchor` built by hand is not.
     """
     if not isinstance(payload, dict):
         raise ValueError("anchors file: expected a JSON object")
@@ -254,17 +250,19 @@ def parse_anchor_file(payload: dict) -> tuple[list[MeanLossAnchor], float | None
             if key not in entry:
                 raise ValueError(f"anchor {i}: missing key {key!r}")
             values[key] = _finite_number(entry[key], f"anchor {i}: {key}")
-        try:
-            anchor = MeanLossAnchor(
-                sigma_rad=values["sigma_urad"] * 1e-6,
-                distance_m=values["distance_m"],
-                mean_loss_db=values["mean_loss_db"],
-            )
-        except ValueError as exc:
-            raise ValueError(f"anchor {i}: {exc}") from None
-        anchors.append(anchor)
+        if values["sigma_urad"] < 0.0:
+            raise ValueError(f"anchor {i}: sigma_urad must be >= 0")
+        if values["distance_m"] <= 0.0:
+            raise ValueError(f"anchor {i}: distance_m must be positive")
+        anchors.append(MeanLossAnchor(
+            sigma_rad=values["sigma_urad"] * 1e-6,
+            distance_m=values["distance_m"],
+            mean_loss_db=values["mean_loss_db"],
+        ))
     static_total, static_distance = (
         None if payload.get(key) is None else _finite_number(payload[key], key)
         for key in ("static_total_db", "static_distance_m")
     )
+    if static_distance is not None and static_distance < 0.0:
+        raise ValueError("static_distance_m must be >= 0")
     return anchors, static_total, static_distance

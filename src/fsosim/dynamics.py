@@ -51,12 +51,6 @@ class GimbalSpec:
     bandwidth_hz: float
     max_rate_rad_s: float
 
-    def __post_init__(self) -> None:
-        if min(self.azimuth_range_rad, self.pitch_range_rad) <= 0.0:
-            raise ValueError("gimbal ranges must be positive")
-        if self.bandwidth_hz <= 0.0 or self.max_rate_rad_s <= 0.0:
-            raise ValueError("bandwidth_hz and max_rate_rad_s must be positive")
-
 
 @dataclass(frozen=True)
 class FsmSpec:
@@ -64,10 +58,6 @@ class FsmSpec:
 
     range_rad: float
     bandwidth_hz: float
-
-    def __post_init__(self) -> None:
-        if self.range_rad <= 0.0 or self.bandwidth_hz <= 0.0:
-            raise ValueError("range_rad and bandwidth_hz must be positive")
 
 
 def lag_alpha(bandwidth_hz: float, dt_s: float) -> float:
@@ -87,14 +77,6 @@ class CmosSpec:
     pixels: int
     centroid_noise_rad: float
 
-    def __post_init__(self) -> None:
-        if min(self.fov_pitch_rad, self.fov_azimuth_rad) <= 0.0:
-            raise ValueError("fields of view must be positive")
-        if self.pixels <= 0:
-            raise ValueError("pixels must be positive")
-        if self.centroid_noise_rad < 0.0:
-            raise ValueError("centroid_noise_rad must be >= 0")
-
     @property
     def pixel_pitch_pitch_rad(self) -> float:
         return self.fov_pitch_rad / self.pixels
@@ -110,10 +92,6 @@ class ImuSpec:
 
     rate_noise_rad_s: float
 
-    def __post_init__(self) -> None:
-        if self.rate_noise_rad_s < 0.0:
-            raise ValueError("rate_noise_rad_s must be >= 0")
-
 
 @dataclass(frozen=True)
 class BeaconSpec:
@@ -121,10 +99,6 @@ class BeaconSpec:
 
     wavelength_m: float
     divergence_full_angle_rad: float
-
-    def __post_init__(self) -> None:
-        if self.wavelength_m <= 0.0 or self.divergence_full_angle_rad <= 0.0:
-            raise ValueError("beacon parameters must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +116,6 @@ class AxisDisturbance:
     sinusoids: tuple[SinusoidComponent, ...]
     noise_rms_rad: float
     noise_bandwidth_hz: float
-
-    def __post_init__(self) -> None:
-        if self.noise_rms_rad < 0.0:
-            raise ValueError("noise_rms_rad must be >= 0")
-        if self.noise_bandwidth_hz <= 0.0:
-            raise ValueError("noise_bandwidth_hz must be positive")
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,6 @@ class GeodeticPosition:
     longitude_rad: float
     altitude_m: float
 
-    def __post_init__(self) -> None:
-        if not -math.pi / 2 <= self.latitude_rad <= math.pi / 2:
-            raise ValueError(f"latitude_rad {self.latitude_rad} outside [-pi/2, pi/2]")
-        if not -math.pi <= self.longitude_rad <= math.pi:
-            raise ValueError(f"longitude_rad {self.longitude_rad} outside [-pi, pi]")
-
 
 @dataclass(frozen=True)
 class EcefVector:

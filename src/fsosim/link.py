@@ -33,16 +33,6 @@ class TransceiverSpec:
     tcp_efficiency: float
     max_tolerable_loss_db: float
 
-    def __post_init__(self) -> None:
-        if self.rated_gbps <= 0.0 or self.effective_tcp_gbps <= 0.0:
-            raise ValueError("rates must be positive")
-        if not 0.0 < self.tcp_efficiency <= 1.0:
-            raise ValueError("tcp_efficiency must be in (0, 1]")
-        if self.effective_tcp_gbps > self.rated_gbps:
-            raise ValueError("effective_tcp_gbps exceeds rated_gbps")
-        if self.max_tolerable_loss_db <= 0.0:
-            raise ValueError("max_tolerable_loss_db must be positive")
-
     @property
     def link_rate_gbps(self) -> float:
         """Delivered TCP rate while the loss is within tolerance."""

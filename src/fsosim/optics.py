@@ -3,9 +3,10 @@
 All lengths in meters, angles in radians, losses in positive dB.  The Kim
 visibility model works in km and nm internally.
 
-`link_budget` is the one entry point, and checks its inputs.  Its budget,
-at a distance and a radial pointing error (either may be an array), is
-additive in dB:
+`link_budget` is the one entry point, and checks its distance and error
+arguments; `scenario.resolve_scenario` checks the models it reads.  Its
+budget, at a distance and a radial pointing error (either may be an
+array), is additive in dB:
 
     total = diffraction + optics insertion + atmosphere
             + fiber-coupling base + pointing-jitter excess
@@ -55,14 +56,6 @@ class AntennaSpec:
     magnification: float
     insertion_loss_db: float
 
-    def __post_init__(self) -> None:
-        if self.aperture_diameter_m <= 0.0:
-            raise ValueError("aperture_diameter_m must be positive")
-        if self.magnification <= 0.0:
-            raise ValueError("magnification must be positive")
-        if self.insertion_loss_db < 0.0:
-            raise ValueError("insertion_loss_db must be >= 0")
-
     @property
     def aperture_radius_m(self) -> float:
         return 0.5 * self.aperture_diameter_m
@@ -76,10 +69,8 @@ class BeamModel:
     waist_radius_m: float
 
     def __post_init__(self) -> None:
-        if self.wavelength_m <= 0.0:
-            raise ValueError("wavelength_m must be positive")
-        if self.waist_radius_m <= 0.0:
-            raise ValueError("waist_radius_m must be positive")
+        # resolve_scenario states no copy of this rule: it names the error
+        # as beam.waist_radius_mm
         try:
             rayleigh_range_m = self.rayleigh_range_m
         except OverflowError:  # the float power raises where a product would give inf
@@ -104,12 +95,6 @@ class AtmosphereModel:
     visibility_m: float
     wavelength_m: float
 
-    def __post_init__(self) -> None:
-        if not (self.visibility_m > 0.0):
-            raise ValueError("visibility_m must be positive (math.inf allowed)")
-        if self.wavelength_m <= 0.0:
-            raise ValueError("wavelength_m must be positive")
-
 
 @dataclass(frozen=True)
 class CouplingModel:
@@ -121,12 +106,6 @@ class CouplingModel:
 
     base_coupling_loss_db: float
     rolloff_halfwidth_rad: float
-
-    def __post_init__(self) -> None:
-        if self.base_coupling_loss_db <= 0.0:
-            raise ValueError("base_coupling_loss_db must be positive")
-        if self.rolloff_halfwidth_rad <= 0.0:
-            raise ValueError("rolloff_halfwidth_rad must be positive")
 
 
 @dataclass(frozen=True)
@@ -230,15 +209,13 @@ def link_budget(scenario: "Scenario", distance_m: float | np.ndarray,
     the bits of libm's exp and log10; the other terms and the sums are
     + - * / and round as they would on Python floats.
 
-    Raises ValueError if the beam waist exceeds the aperture radius or any
-    distance or error is negative or NaN; OverflowError, naming distance_m,
-    if any distance is beyond the range of the beam model.
+    Raises ValueError if any distance or error is negative or NaN;
+    OverflowError, naming distance_m, if any distance is beyond the range
+    of the beam model.
     """
     beam, antenna, coupling = scenario.beam, scenario.antenna, scenario.coupling
     distances = np.asarray(distance_m, dtype=float)
     errors = np.asarray(radial_error_rad, dtype=float)
-    if beam.waist_radius_m > antenna.aperture_radius_m:
-        raise ValueError("waist_radius_m exceeds transmit aperture radius")
     # not (x >= 0) also holds for NaN
     if not (distances >= 0.0).all():
         raise ValueError("distance_m must be >= 0")

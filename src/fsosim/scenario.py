@@ -11,10 +11,12 @@ key is optional and, when omitted, takes its default.  A key that
 cannot silently change an experiment; so is a non-object where `DEFAULTS`
 holds an object, and a `sinusoids` entry whose keys differ from those of
 the default entry.  Values, bounds and cross-field rules are checked as
-each group is resolved.
+each group is resolved, each with its dotted path.
 
-`DEFAULTS` is the one place a default is written: the spec types it
-resolves into (here and in dynamics, optics and link) take every field.
+`DEFAULTS` is the one place a default is written, and `resolve_scenario`
+the one place a value is checked: the spec types it resolves into (here
+and in dynamics, geometry, optics and link) are plain data that take every
+field, so one built by hand is not checked.
 """
 
 from __future__ import annotations

@@ -162,12 +162,6 @@ class TestFailureModes:
         assert str(err.value) == (
             "static_distance_m: 1e+300 m is beyond the range of the beam model")
 
-    def test_anchor_validation(self):
-        with pytest.raises(ValueError):
-            MeanLossAnchor(-1e-6, 1000.0, 10.0)
-        with pytest.raises(ValueError):
-            MeanLossAnchor(1e-6, 0.0, 10.0)
-
 
 class TestDeterminism:
     def test_same_seed_same_result(self, scenario):
@@ -250,6 +244,20 @@ class TestParseAnchorFile:
         entry = dict(self.DOC["mean_loss_anchors"][0], distance_m=0.0)
         with pytest.raises(ValueError, match="anchor 0: distance_m must be positive"):
             parse_anchor_file({"mean_loss_anchors": [entry]})
+
+    def test_negative_sigma_named_by_its_key(self):
+        entry = dict(self.DOC["mean_loss_anchors"][0], sigma_urad=-1e-300)
+        with pytest.raises(ValueError) as err:
+            parse_anchor_file({"mean_loss_anchors": [self.DOC["mean_loss_anchors"][0], entry]})
+        assert str(err.value) == "anchor 1: sigma_urad must be >= 0"
+        anchors, _, _ = parse_anchor_file({"mean_loss_anchors": [dict(entry, sigma_urad=0.0)]})
+        assert anchors[0].sigma_rad == 0.0
+
+    def test_negative_static_distance_named_by_its_key(self):
+        with pytest.raises(ValueError) as err:
+            parse_anchor_file(dict(self.DOC, static_distance_m=-1e-300))
+        assert str(err.value) == "static_distance_m must be >= 0"
+        assert parse_anchor_file(dict(self.DOC, static_distance_m=0.0))[2] == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -744,6 +744,10 @@ class TestCalibrate:
         ('{"mean_loss_anchors": [{"sigma_urad": 3.0, "distance_m": 1000.0,'
          ' "mean_loss_db": 13.7}, {"sigma_urad": 1e300, "distance_m": 1000.0,'
          ' "mean_loss_db": 29.3}]}', "anchor 1: sigma_urad"),
+        ('{"mean_loss_anchors": [{"sigma_urad": -3.0, "distance_m": 1000.0,'
+         ' "mean_loss_db": 13.7}]}', "anchor 0: sigma_urad must be >= 0"),
+        ('{"static_total_db": 12.7, "static_distance_m": -1.0}',
+         "static_distance_m must be >= 0"),
     ])
     def test_malformed_anchor_file_exit_1_naming_the_field(self, tmp_path, capsys, text, field):
         anchors = tmp_path / "anchors.json"

@@ -28,7 +28,6 @@ from scipy import signal
 from fsosim import (
     AptState,
     AxisDisturbance,
-    CmosSpec,
     DisturbanceGenerator,
     DisturbanceProfile,
     ScenarioError,
@@ -270,12 +269,6 @@ class TestQuantization:
 
     def test_nonpositive_pitch_rejected(self):
         # the pixel pitch is FOV / pixels; neither may be non-positive
-        with pytest.raises(ValueError):
-            CmosSpec(fov_pitch_rad=40e-3, fov_azimuth_rad=40e-3, pixels=0,
-                     centroid_noise_rad=0.0)
-        with pytest.raises(ValueError):
-            CmosSpec(fov_pitch_rad=0.0, fov_azimuth_rad=40e-3, pixels=288,
-                     centroid_noise_rad=0.0)
         with pytest.raises(ScenarioError):
             make_scenario(**{"cmos0.pixels": 0})
         with pytest.raises(ScenarioError):

@@ -128,14 +128,6 @@ class TestThroughput:
         thr = throughput_timeseries(loss, TRX)
         assert set(np.unique(thr.rate_gbps)) <= {0.0, TRX.link_rate_gbps}
 
-    def test_transceiver_validation(self):
-        with pytest.raises(ValueError):
-            replace(TRX, tcp_efficiency=1.5)
-        with pytest.raises(ValueError):
-            replace(TRX, rated_gbps=5.0, effective_tcp_gbps=9.0)
-        with pytest.raises(ValueError):
-            replace(TRX, max_tolerable_loss_db=0.0)
-
 
 class TestSummarize:
     def test_matches_naive_oracle(self):

@@ -335,6 +335,103 @@ class TestValidation:
         assert math.isfinite(sc.distance_m)
 
 
+def _bounds():
+    """(dotted path, bound, closed, side) for every bound resolve_scenario
+    states on a leaf; side is -1 for a low bound and +1 for a high one."""
+    low_open = [
+        "beam.wavelength_nm", "beam.waist_radius_mm",
+        "antenna.aperture_diameter_mm", "antenna.magnification",
+        "atmosphere.visibility_km",
+        "coupling.base_loss_db", "coupling.rolloff_halfwidth_urad",
+        "transceiver.rated_gbps", "transceiver.effective_tcp_gbps",
+        "transceiver.tcp_efficiency", "transceiver.max_tolerable_loss_db",
+        "gimbal.azimuth_range_deg", "gimbal.pitch_range_deg", "gimbal.bandwidth_hz",
+        "gimbal.max_rate_deg_s",
+        "apt.fine_capture_threshold_urad", "apt.link_threshold_urad", "apt.link_dwell_s",
+        "apt.stabilize_rate_threshold_urad_s", "apt.stabilize_dwell_s",
+    ]
+    low_open += [f"{fsm}.{key}" for fsm in ("fsm1", "fsm2")
+                 for key in ("range_urad", "bandwidth_hz")]
+    low_open += [f"{cam}.{key}" for cam in ("cmos0", "cmos1", "cmos2")
+                 for key in ("fov_pitch_mrad", "fov_azimuth_mrad")]
+    low_open += [f"beacons.{bl}.{key}" for bl in ("bl0", "bl1", "bl2")
+                 for key in ("wavelength_nm", "divergence_mrad")]
+    low_closed = ["antenna.insertion_loss_db", "link.fixed_loss_db", "imu.rate_noise_urad_s",
+                  "apt.acquisition_bias_urad", "apt.stats_warmup_s"]
+    low_closed += [f"cmos{i}.centroid_noise_urad" for i in range(3)]
+    low_closed += [f"control.{loop}.{gain}" for loop in ("coarse", "fsm1", "fsm2")
+                   for gain in ("kp", "ki", "kd")]
+    bounds = [(field, 0.0, False, -1) for field in low_open]
+    bounds += [(field, 0.0, True, -1) for field in low_closed]
+    bounds += [(f"cmos{i}.pixels", 1, True, -1) for i in range(3)]
+    bounds += [("apt.lock_loss_frames", 1, True, -1), ("transceiver.tcp_efficiency", 1.0, True, 1)]
+    for i in range(3):  # the tick rate is the only frame rate
+        bounds += [(f"cmos{i}.frame_rate_hz", 1000.0, True, side) for side in (-1, 1)]
+    for node in ("a", "b"):
+        bounds += [(f"nodes.{node}.{key}", side * limit, True, side)
+                   for key, limit in (("latitude_deg", 90.0), ("longitude_deg", 180.0))
+                   for side in (-1, 1)]
+    for axis in ("pitch", "azimuth"):
+        path = f"disturbance.{axis}"
+        bounds += [(f"{path}.noise_rms_urad", 0.0, True, -1),
+                   (f"{path}.noise_bandwidth_hz", 0.01, True, -1),
+                   (f"{path}.noise_bandwidth_hz", 450.0, True, 1),
+                   (f"{path}.sinusoids[0].amplitude_urad", 0.0, True, -1),
+                   (f"{path}.sinusoids[0].frequency_hz", 0.0, False, -1),
+                   (f"{path}.sinusoids[0].frequency_hz", 500.0, True, 1)]
+    return bounds
+
+
+BOUNDS = _bounds()
+# leaves with no bound, where any finite value of the right type resolves
+# (schema_version, which must be the integer 1, has tests of its own)
+UNBOUNDED = {"schema_version", "name", "nodes.a.altitude_m", "nodes.b.altitude_m",
+             "disturbance.pitch.sinusoids[0].phase_deg",
+             "disturbance.azimuth.sinusoids[0].phase_deg",
+             "apt.fine1_enabled", "apt.fine2_enabled"}
+
+
+def _leaves(node, path=""):
+    for key, value in node.items():
+        field = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _leaves(value, field)
+        elif isinstance(value, list):
+            yield from _leaves(value[0], f"{field}[0]")
+        else:
+            yield field
+
+
+def _with_leaf(field, value):
+    """DEFAULTS with the leaf at the dotted path field set to value."""
+    raw = copy.deepcopy(DEFAULTS)
+    *parents, leaf = field.replace("[0]", ".0").split(".")
+    node = raw
+    for key in parents:
+        node = node[int(key) if key.isdigit() else key]
+    node[leaf] = value
+    return raw
+
+
+def test_every_leaf_is_bounded_or_named_unbounded():
+    assert {field for field, *_ in BOUNDS} == set(_leaves(DEFAULTS)) - UNBOUNDED
+
+
+@pytest.mark.parametrize("field, bound, closed, side", BOUNDS,
+                         ids=[f"{f}{'>' if s < 0 else '<'}{'=' if c else ''}{b}"
+                              for f, b, c, s in BOUNDS])
+def test_every_bound_at_its_edge(field, bound, closed, side):
+    # at the bound a closed bound resolves and an open one refuses; one ulp
+    # past it (one for an integer), every bound refuses by the dotted path
+    past = bound + side if isinstance(bound, int) else math.nextafter(bound, side * math.inf)
+    if closed:
+        resolve_scenario(_with_leaf(field, bound))
+    for value in [past] if closed else [bound, past]:
+        with pytest.raises(ScenarioError) as err:
+            resolve_scenario(_with_leaf(field, value))
+        assert err.value.field == field, value
+
+
 class TestFuzzedDocuments:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
