@@ -313,9 +313,8 @@ def cmd_budget(args) -> int:
     error_rad = args.error_urad * 1e-6
     try:
         budget = link_budget(scenario, distance, error_rad)
-    except OverflowError:
-        source = "--distance-m" if args.distance_m is not None else "the scenario's node distance"
-        raise ValueError(f"{source} {distance} is too large for the beam model") from None
+    except OverflowError:  # resolve_scenario refuses a node distance beyond the beam model
+        raise ValueError(f"--distance-m {distance} is too large for the beam model") from None
     if not math.isfinite(budget.jitter_excess_db):
         raise ValueError(f"--error-urad {args.error_urad} gives a non-finite jitter loss")
     payload = {

@@ -8,9 +8,10 @@ round-trip.  Infinite loss samples are written as 'inf'.  Writers format a
 block of rows with one %-format, and a cell that can take only a few texts
 (a lock flag, a state name, a repeated rate) is looked up, not formatted.
 Readers parse a block of rows with one np.loadtxt and copy it into one
-array per field, sized from the file's newline count, so a read holds
-little more than the arrays it returns.  Neither goes cell by cell in
-Python.
+array per field, sized from the file's count of line-end bytes, so a read
+holds little more than the arrays it returns; a malformed row is named by
+its line, found by searching only the block that holds it.  Neither goes
+cell by cell in Python.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ TRACKING_HEADER = (
     "t_s,state,err_pitch_urad,err_az_urad,"
     "fsm1_p_urad,fsm1_a_urad,fsm2_p_urad,fsm2_a_urad,lock0,lock1,lock2"
 )
+# the series fields of the tracking CSV's six angle columns (urad), in order
+_URAD_FIELDS = ("error_pitch_rad", "error_azimuth_rad", "fsm1_pitch_rad",
+                "fsm1_azimuth_rad", "fsm2_pitch_rad", "fsm2_azimuth_rad")
 LOSS_HEADER = "t_s,loss_db,link_up"
 THROUGHPUT_HEADER = "t_s,rate_gbps"
 
@@ -73,7 +77,7 @@ _STATE_CODE_OF = {name.encode("ascii"): code for name, code in NAME_TO_STATE.ite
 # rows np.loadtxt parses at a time: the records of one block are all a
 # reader holds beside the columns it returns
 _READ_ROWS = 16384
-# bytes read at a time to count a file's newlines
+# bytes read at a time to count a file's line ends
 _COUNT_BYTES = 1 << 20
 
 
@@ -202,7 +206,7 @@ def _loadtxt(lines, dtype: np.dtype, max_rows: int | None = None) -> np.ndarray:
 
 
 def _row_fault(line: str, dtype: np.dtype) -> str | None:
-    """Why one data line does not parse as a record of dtype, or None."""
+    """Why one data line is not a row of dtype, or None."""
     cells = line.rstrip("\n").split(",")
     if len(cells) != len(dtype.names):
         return f"{len(cells)} cells, expected {len(dtype.names)}"
@@ -210,37 +214,45 @@ def _row_fault(line: str, dtype: np.dtype) -> str | None:
         if not cell.strip():
             return f"{name} cell is empty"
         try:
-            _loadtxt([cell], dtype[name])
+            value = _loadtxt([cell], dtype[name])
         except ValueError:
             return f"{name} cell {cell!r} is not a {dtype[name]} value"
+        _, values, fault = _COLUMNS[dtype[name].kind]
+        if values(value)[1].any():
+            return fault.format(name=name, cell=cell)
     return None
 
 
-def _state_codes(cells: np.ndarray) -> np.ndarray:
-    """The state code of each name in cells, -1 where no state has the name."""
+def _state_codes(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The state code of each name in cells, and where no state has the name."""
     codes = np.full(len(cells), -1, dtype=np.int8)
     for name, code in _STATE_CODE_OF.items():
         codes[cells == name] = code
-    return codes
+    return codes, codes < 0
 
 
-# the column a field fills, by the kind of dtype its cells parse as: the
-# column's dtype and the map from a block of cells to the column's values
-# (every integer field is a 0/1 flag and every text field a state name)
-_COLUMNS: dict[str, tuple[type, Callable[[np.ndarray], np.ndarray]]] = {
-    "f": (np.float64, lambda cells: cells),
-    "i": (np.bool_, lambda cells: cells == 1),
-    "S": (np.int8, _state_codes),
+# the column a field fills, by the kind of dtype its cells parse as: its
+# dtype, the map from a block of cells to its values and to the cells with
+# none (an integer other than 0 or 1, a negative one above 1 as a byte; a
+# name no state has), and the fault of such a cell
+_COLUMNS: dict[str, tuple[type, Callable[[np.ndarray], tuple], str]] = {
+    "f": (np.float64, lambda cells: (cells, np.False_), ""),
+    "i": (np.bool_, lambda cells: (cells == 1, cells.view(np.uint8) > 1),
+          "{name} cell {cell!r} is not 0 or 1"),
+    "S": (np.int8, _state_codes, "unknown state {cell!r}"),
 }
 
 
-def _newlines(path: str | Path) -> int:
-    """The number of newlines in a file, read _COUNT_BYTES at a time."""
+def _line_ends(path: str | Path) -> int:
+    """The number of '\\n' and '\\r' bytes in a file, read _COUNT_BYTES at a
+    time: at least its number of line ends, whichever ending it uses."""
     count = 0
     with open(path, "rb") as fh:
         while block := fh.read(_COUNT_BYTES):
-            # a third of the time bytes.count takes
-            count += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
+            codes = np.frombuffer(block, np.uint8)  # a third of the time bytes.count takes
+            count += int(np.count_nonzero(codes == ord("\n")))
+            if b"\r" in block:  # a tenth of the time of counting: most files hold none
+                count += int(np.count_nonzero(codes == ord("\r")))
     return count
 
 
@@ -248,78 +260,67 @@ def _columns(dtype: np.dtype, rows: int) -> dict[str, np.ndarray]:
     return {name: np.empty(rows, dtype=_COLUMNS[dtype[name].kind][0]) for name in dtype.names}
 
 
-def _put(columns: dict[str, np.ndarray], records: np.ndarray, at: int) -> None:
-    """Write records into rows at, at + 1, ... of the columns."""
+def _put(columns: dict[str, np.ndarray], lines, dtype: np.dtype, at: int,
+         max_rows: int | None = None) -> int | None:
+    """Parse lines (a list, or max_rows rows of an open file) into rows at,
+    at + 1, ... of the columns.  The number of rows, or None if a line is
+    not a row of dtype or a cell has no value in its column."""
+    try:
+        records = _loadtxt(lines, dtype, max_rows)
+    except ValueError:
+        return None
     for name, column in columns.items():
-        column[at:at + len(records)] = _COLUMNS[records.dtype[name].kind][1](records[name])
-
-
-def _put_blocks(fh: TextIO, dtype: np.dtype, columns: dict[str, np.ndarray]) -> int | None:
-    """Parse the rest of fh into the columns, _READ_ROWS rows at a time.
-
-    Returns the number of rows, or None where np.loadtxt refuses a line
-    or the rows outnumber the columns' length.
-    """
-    rows = 0
-    while True:
-        try:
-            block = _loadtxt(fh, dtype, _READ_ROWS)  # carries on where the last block ended
-        except ValueError:
+        values, bad = _COLUMNS[dtype[name].kind][1](records[name])
+        if bad.any():
             return None
-        if rows + len(block) > len(columns[dtype.names[0]]):
-            return None
-        _put(columns, block, rows)
-        rows += len(block)
-        if len(block) < _READ_ROWS:
-            return rows
-        del block  # one block's records at a time
+        column[at:at + len(records)] = values
+    return len(records)
+
+
+def _fault(fh: TextIO, path: str | Path, dtype: np.dtype, start: int) -> ValueError:
+    """The error naming the first bad line in the block of data rows from
+    row `start` on: the block's lines are read again, numbered and without
+    the empty lines np.loadtxt skips, and the span holding a bad line is
+    halved until one line is left, about one block's parse in all."""
+    fh.seek(0)
+    fh.readline()
+    numbered = ((number, line) for number, line in enumerate(fh, 2) if line != "\n")
+    block = list(islice(numbered, start, start + _READ_ROWS))
+    lo, hi = 0, len(block)  # block[lo:hi] holds a bad line, and none is before lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _put(_columns(dtype, mid - lo), [line for _, line in block[lo:mid]], dtype, 0) is None:
+            hi = mid
+        else:
+            lo = mid
+    number, line = block[lo]
+    return ValueError(f"{path}, line {number}: {_row_fault(line, dtype)}")
 
 
 def _read_csv(path: str | Path, header: str,
               fields: list[tuple[str, str]]) -> dict[str, np.ndarray]:
-    """The columns of a CSV by field name, one row per non-blank line after
+    """The columns of a CSV by field name, one row per non-empty line after
     the header.
 
-    The columns are sized by the file's newline count, which bounds its
-    rows, and filled block by block, so that only one block's records are
-    held beside them.  Raises ValueError naming the file and the line of the
-    first malformed row.
+    The columns are sized by the file's count of line-end bytes, which
+    bounds its rows, and filled _READ_ROWS rows at a time, so that only one
+    block's records are held beside them.  Raises ValueError naming the
+    file and the line of the first malformed row.
     """
     dtype = np.dtype(fields)
     with open(path, "r", encoding="utf-8") as fh:
         found = fh.readline().rstrip("\n")
         if found != header:
             raise ValueError(f"unexpected CSV header {found!r}")
-        columns = _columns(dtype, _newlines(path))
-        rows = _put_blocks(fh, dtype, columns)
-        if rows is not None:
-            return {name: column[:rows] for name, column in columns.items()}
-        del columns
-        # np.loadtxt stops at whitespace-only lines, which count as blank,
-        # and at malformed rows; a line ending other than '\n' (a bare '\r')
-        # leaves more rows than newlines: read the lines again, numbered
-        fh.seek(0)
-        fh.readline()
-        lines = [(number, line) for number, line in enumerate(fh, 2) if line.strip()]
-    try:
-        records = _loadtxt([line for _, line in lines], dtype)
-    except ValueError as exc:
-        for number, line in lines:
-            fault = _row_fault(line, dtype)
-            if fault is not None:
-                raise ValueError(f"{path}, line {number}: {fault}") from None
-        raise ValueError(f"{path}: {exc}") from None
-    columns = _columns(dtype, len(records))
-    _put(columns, records, 0)
-    return columns
-
-
-def _data_line(path: str | Path, index: int) -> tuple[int, str]:
-    """Line number and text of data row `index` (blank lines skipped)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        lines = ((number, line) for number, line in enumerate(fh, 2) if line.strip())
-        return next(islice(lines, index, None))
+        columns = _columns(dtype, _line_ends(path))
+        rows = 0
+        # each block carries on where the last one ended
+        while (block := _put(columns, fh, dtype, rows, _READ_ROWS)) == _READ_ROWS:
+            rows += block
+        if block is None:
+            del columns  # the search for the bad line holds a block's lines instead
+            raise _fault(fh, path, dtype, rows)
+    return {name: column[:rows + block] for name, column in columns.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +341,7 @@ def write_sweep_csv(path: str | Path, table: np.ndarray) -> None:
 
 def write_tracking_csv(path: str | Path, series: TrackingSeries) -> None:
     s = series
-    urad = (s.error_pitch_rad, s.error_azimuth_rad, s.fsm1_pitch_rad,
-            s.fsm1_azimuth_rad, s.fsm2_pitch_rad, s.fsm2_azimuth_rad)
+    urad = [getattr(s, field) for field in _URAD_FIELDS]
     lock0, lock1, lock2 = _flags(s, "lock0", "lock1", "lock2")
 
     def cells(b: slice) -> tuple[str, list]:
@@ -361,31 +361,14 @@ def read_tracking_csv(path: str | Path) -> TrackingSeries:
     fields = [(names[0], "f8"), (names[1], _STATE_FIELD)]
     fields += [(name, "f8") for name in names[2:8]] + [(name, "i1") for name in names[8:]]
     columns = _read_csv(path, TRACKING_HEADER, fields)
-    state = columns["state"]
-    unknown = np.flatnonzero(state < 0)
-    if unknown.size:
-        number, line = _data_line(path, unknown[0])
-        raise ValueError(f"{path}, line {number}: unknown state {line.split(',')[1]!r}")
-    urad = [columns[name] for name in names[2:8]]
-    for column in urad:
+    urad = {field: columns[name] for field, name in zip(_URAD_FIELDS, names[2:8])}
+    for column in urad.values():
         column *= 1e-6
-    n = len(state)
-    return TrackingSeries(
-        t_s=columns["t_s"],
-        state=state,
-        error_pitch_rad=urad[0],
-        error_azimuth_rad=urad[1],
-        gimbal_azimuth_rad=np.zeros(n),
-        gimbal_pitch_rad=np.zeros(n),
-        fsm1_pitch_rad=urad[2],
-        fsm1_azimuth_rad=urad[3],
-        fsm2_pitch_rad=urad[4],
-        fsm2_azimuth_rad=urad[5],
-        lock0=columns["lock0"],
-        lock1=columns["lock1"],
-        lock2=columns["lock2"],
-        seed=0,
-    )
+    n = len(columns["t_s"])
+    return TrackingSeries(t_s=columns["t_s"], state=columns["state"], **urad,
+                          gimbal_azimuth_rad=np.zeros(n), gimbal_pitch_rad=np.zeros(n),
+                          lock0=columns["lock0"], lock1=columns["lock1"],
+                          lock2=columns["lock2"], seed=0)
 
 
 # ---------------------------------------------------------------------------

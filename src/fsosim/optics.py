@@ -68,18 +68,6 @@ class BeamModel:
     wavelength_m: float
     waist_radius_m: float
 
-    def __post_init__(self) -> None:
-        # resolve_scenario states no copy of this rule: it names the error
-        # as beam.waist_radius_mm
-        try:
-            rayleigh_range_m = self.rayleigh_range_m
-        except OverflowError:  # the float power raises where a product would give inf
-            rayleigh_range_m = math.inf
-        if rayleigh_range_m == 0.0:
-            raise ValueError("waist_radius_m is too small: the Rayleigh range rounds to zero")
-        if not math.isfinite(rayleigh_range_m):
-            raise ValueError("waist_radius_m is too large: the Rayleigh range overflows")
-
     @property
     def rayleigh_range_m(self) -> float:
         return math.pi * self.waist_radius_m**2 / self.wavelength_m

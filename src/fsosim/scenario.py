@@ -25,7 +25,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .dynamics import (
@@ -42,7 +42,7 @@ from .dynamics import (
 )
 from .geometry import GeodeticPosition, geodetic_to_ecef
 from .link import TransceiverSpec
-from .optics import AntennaSpec, AtmosphereModel, BeamModel, CouplingModel
+from .optics import AntennaSpec, AtmosphereModel, BeamModel, CouplingModel, _diffraction_db
 
 SCHEMA_VERSION = 1
 
@@ -414,22 +414,30 @@ def resolve_scenario(raw: dict) -> Scenario:
     nodes = cfg["nodes"]
     node_a = _node(nodes["a"], "nodes.a")
     node_b = _node(nodes["b"], "nodes.b")
+    # latitudes and longitudes are bounded, so a node distance beyond the
+    # float range is the larger altitude's fault
+    far = f"nodes.{'a' if abs(node_a.altitude_m) > abs(node_b.altitude_m) else 'b'}.altitude_m"
     try:
         distance_m = _distance_m(node_a, node_b)
     except OverflowError:
         distance_m = math.inf
     if not math.isfinite(distance_m):
-        # latitudes and longitudes are bounded, so the larger altitude is at fault
-        far = "a" if abs(node_a.altitude_m) > abs(node_b.altitude_m) else "b"
-        raise ScenarioError(f"nodes.{far}.altitude_m", "puts the node distance beyond the float range")
+        raise ScenarioError(far, "puts the node distance beyond the float range")
 
     beam_obj = cfg["beam"]
     wavelength_m = _positive(beam_obj, "wavelength_nm", "beam", 1e-9)
-    waist_radius_m = _positive(beam_obj, "waist_radius_mm", "beam", 1e-3)
+    beam = BeamModel(wavelength_m=wavelength_m,
+                     waist_radius_m=_positive(beam_obj, "waist_radius_mm", "beam", 1e-3))
     try:
-        beam = BeamModel(wavelength_m=wavelength_m, waist_radius_m=waist_radius_m)
-    except ValueError as exc:  # a waist whose pi w^2 / wavelength is 0 or overflows
-        raise ScenarioError("beam.waist_radius_mm", str(exc)) from None
+        rayleigh_range_m = beam.rayleigh_range_m
+    except OverflowError:  # the float power raises where a product would give inf
+        rayleigh_range_m = math.inf
+    if rayleigh_range_m == 0.0:
+        raise ScenarioError("beam.waist_radius_mm",
+                            "waist_radius_m is too small: the Rayleigh range rounds to zero")
+    if not math.isfinite(rayleigh_range_m):
+        raise ScenarioError("beam.waist_radius_mm",
+                            "waist_radius_m is too large: the Rayleigh range overflows")
 
     ant_obj = cfg["antenna"]
     antenna = AntennaSpec(
@@ -439,6 +447,20 @@ def resolve_scenario(raw: dict) -> Scenario:
     )
     if beam.waist_radius_m > antenna.aperture_radius_m:
         raise ScenarioError("beam.waist_radius_mm", "exceeds the antenna aperture radius")
+
+    def beyond_beam_model(distance_m: float) -> bool:
+        try:
+            _diffraction_db(beam, antenna, [distance_m])
+        except OverflowError:
+            return True
+        return False
+
+    if beyond_beam_model(distance_m):
+        # the beam is at fault where it does not reach the nodes even at zero altitude
+        ground_m = _distance_m(*(replace(node, altitude_m=0.0) for node in (node_a, node_b)))
+        raise ScenarioError("beam.waist_radius_mm" if beyond_beam_model(ground_m) else far,
+                            f"puts the scenario's node distance, {distance_m:g} m, "
+                            "beyond the range of the beam model")
 
     atm_obj = cfg["atmosphere"]
     vis_km = _number(atm_obj, "visibility_km", "atmosphere", allow_none=True)

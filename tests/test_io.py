@@ -563,18 +563,21 @@ class TestReaderFaults:
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_blank_and_whitespace_lines_skipped(self, kind, tmp_path):
+        # empty lines, and the whitespace of '\r\n' and bare '\r' line ends,
+        # read as in the plain '\n' file, across a block edge too; a line of
+        # spaces or tabs is a malformed row (the next test)
         read, header, row = READERS[kind]
-        plain = read(write_text(tmp_path, header, [row, row]))
-        p = write_text(tmp_path, header, ["", "  ", row, "\t", "", row, " "])
-        spaced = read(p)
-        assert series_len(spaced) == series_len(plain) == 2
-        if kind == "sweep":
-            assert np.array_equal(spaced, plain)
-        else:
-            assert np.array_equal(spaced.t_s, plain.t_s)
+        rows = numbered_rows(row, READ_ROWS + 2)
+        plain = arrays(read_quietly(read, write_text(tmp_path, header, rows)))
+        lines = [header, "", *rows[:READ_ROWS - 1], "", "", *rows[READ_ROWS - 1:], "", ""]
+        p = tmp_path / "ends.csv"
+        for end in ["\n", "\r\n", "\r"]:
+            p.write_bytes(end.join(lines).encode())
+            for got, want in zip(arrays(read_quietly(read, p)), plain, strict=True):
+                assert np.array_equal(got, want), repr(end)
 
     @pytest.mark.parametrize("kind", sorted(READERS))
-    @pytest.mark.parametrize("fault", ["short", "long", "text", "empty"])
+    @pytest.mark.parametrize("fault", ["short", "long", "text", "empty", "space", "tab"])
     def test_malformed_row_names_file_and_line(self, kind, fault, tmp_path):
         read, header, row = READERS[kind]
         cells = row.split(",")
@@ -583,6 +586,9 @@ class TestReaderFaults:
             "long": row + ",7",
             "text": ",".join(["abc", *cells[1:]]),
             "empty": ",".join(["", *cells[1:]]),
+            # a whitespace-only line is a row of one cell, not a blank line
+            "space": "  ",
+            "tab": "\t",
         }[fault]
         # line 1 is the header and line 3 is blank, so the bad row is line 5
         p = write_text(tmp_path, header, [row, "", row, bad, row])
@@ -594,13 +600,23 @@ class TestReaderFaults:
         with pytest.raises(ValueError, match=r"line 2: lock1 cell 'x'"):
             read_tracking_csv(p)
 
+    @pytest.mark.parametrize("name", ["lock0", "lock1", "lock2", "link_up"])
+    @pytest.mark.parametrize("value", ["2", "-1", "127"])
+    def test_flag_other_than_0_or_1_names_file_line_and_column(self, name, value, tmp_path):
+        read, header, row = READERS["loss" if name == "link_up" else "tracking"]
+        cells = row.split(",")
+        cells[header.split(",").index(name)] = value
+        p = write_text(tmp_path, header, [row, "", ",".join(cells), row])
+        with pytest.raises(ValueError, match=rf"in\.csv, line 4: {name} cell '{value}' is not 0 or 1"):
+            read(p)
+
     @pytest.mark.parametrize("name", ["Bogus", "linked", " Linked", "CoarseTrackX",
                                       "CoarseTrackCoarseTrack"])
     def test_unknown_state_names_file_and_line(self, name, tmp_path):
         # a name longer than every state must not be cut down to a valid one
         row = f"0.001,{name},1,2,3,4,5,6,1,0,1"
         p = write_text(tmp_path, fsio.TRACKING_HEADER,
-                       ["0,Linked,1,2,3,4,5,6,1,0,1", "  ", row])
+                       ["0,Linked,1,2,3,4,5,6,1,0,1", "", row])
         with pytest.raises(ValueError, match=rf"in\.csv, line 4: unknown state '{name}'"):
             read_tracking_csv(p)
 
@@ -619,6 +635,13 @@ def numbered_rows(row, n):
 
 def first_column(result):
     return result[:, 0] if isinstance(result, np.ndarray) else result.t_s
+
+
+def arrays(result):
+    """Every array a reader returned."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    return [a for a in vars(result).values() if isinstance(a, np.ndarray)]
 
 
 def read_quietly(read, path):
@@ -647,17 +670,22 @@ class TestBlockReads:
     @pytest.mark.parametrize("kind", sorted(READERS))
     @pytest.mark.parametrize("blank", ["", " ", "\t"])
     def test_blank_lines_across_a_block_edge(self, kind, blank, tmp_path):
-        # empty lines stay on the block path; whitespace-only lines fall back
+        # empty lines are skipped; a whitespace-only line is a malformed row,
+        # here the first one, after the header and READ_ROWS - 1 rows
         read, header, row = READERS[kind]
         rows = numbered_rows(row, READ_ROWS + 3)
         lines = rows[:READ_ROWS - 1] + [blank, blank] + rows[READ_ROWS - 1:READ_ROWS + 1]
         lines += [blank] + rows[READ_ROWS + 1:] + [blank]
-        result = read_quietly(read, write_text(tmp_path, header, lines))
-        assert np.array_equal(first_column(result), np.arange(READ_ROWS + 3))
+        p = write_text(tmp_path, header, lines)
+        if blank:
+            with pytest.raises(ValueError, match=rf"in\.csv, line {READ_ROWS + 1}: 1 cells"):
+                read(p)
+        else:
+            assert np.array_equal(first_column(read_quietly(read, p)), np.arange(READ_ROWS + 3))
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_bare_cr_line_endings_fall_back(self, kind, tmp_path):
-        # no '\n' at all: the rows outnumber the newlines, and must not overflow
+        # no '\n' at all: the columns are sized by the '\r' line ends
         read, header, row = READERS[kind]
         p = tmp_path / "in.csv"
         p.write_bytes("\r".join([header, *numbered_rows(row, 5)]).encode() + b"\r")
@@ -691,18 +719,56 @@ class TestBlockReads:
         with pytest.raises(ValueError, match=rf"in\.csv, line 3: {fault}"):
             read_tracking_csv(p)
 
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("fault", ["long", "space"])
+    def test_fault_in_the_third_block_checks_one_line(self, kind, fault, tmp_path, monkeypatch):
+        # the search parses only the failing block, and asks _row_fault
+        # about the one line it finds
+        read, header, row = READERS[kind]
+        rows = numbered_rows(row, 3 * READ_ROWS)
+        rows[2 * READ_ROWS + 100] = {"long": rows[2 * READ_ROWS + 100] + ",7", "space": " "}[fault]
+        asked = []
+        row_fault = fsio._row_fault
+        monkeypatch.setattr(fsio, "_row_fault", lambda line, dtype: asked.append(line)
+                            or row_fault(line, dtype))
+        with pytest.raises(ValueError, match=rf"in\.csv, line {2 * READ_ROWS + 102}: "):
+            read(write_text(tmp_path, header, rows))
+        assert asked == [rows[2 * READ_ROWS + 100] + "\n"]
+
     def test_peak_is_the_returned_arrays_and_one_block(self, tmp_path):
         p = write_text(tmp_path, fsio.TRACKING_HEADER,
                        numbered_rows(READERS["tracking"][2], 3 * READ_ROWS))
-        names = fsio.TRACKING_HEADER.split(",")
-        record = np.dtype([(names[0], "f8"), (names[1], fsio._STATE_FIELD)]
-                          + [(name, "f8") for name in names[2:8]]
-                          + [(name, "i1") for name in names[8:]])
-        tracemalloc.start()
-        try:
-            series = read_tracking_csv(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        returned = sum(a.nbytes for a in vars(series).values() if isinstance(a, np.ndarray))
-        assert peak < returned + READ_ROWS * record.itemsize
+        assert traced_peak(read_tracking_csv, p) < peak_bound(read_tracking_csv(p))
+
+    def test_whitespace_line_after_120_s_of_ticks_refused_in_one_block(self, tmp_path):
+        # a 120 s tracking.csv, 120 000 rows, and then a line of one space:
+        # refused by its line within the clean read's memory bound
+        rows = numbered_rows(READERS["tracking"][2], 120_000)
+        bound = peak_bound(read_tracking_csv(write_text(tmp_path, fsio.TRACKING_HEADER, rows)))
+        p = write_text(tmp_path, fsio.TRACKING_HEADER, rows + [" "])
+        with pytest.raises(ValueError, match=r"in\.csv, line 120002: 1 cells, expected 11"):
+            read_tracking_csv(p)
+        assert traced_peak(read_tracking_csv, p) < bound
+
+
+def traced_peak(read, path):
+    """The peak bytes tracemalloc traces while read(path) runs, raising or not."""
+    tracemalloc.start()
+    try:
+        read(path)
+    except ValueError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def peak_bound(series):
+    """What a tracking read may hold at its peak: the arrays it returns and
+    one block's records."""
+    names = fsio.TRACKING_HEADER.split(",")
+    record = np.dtype([(names[0], "f8"), (names[1], fsio._STATE_FIELD)]
+                      + [(name, "f8") for name in names[2:8]]
+                      + [(name, "i1") for name in names[8:]])
+    return sum(a.nbytes for a in arrays(series)) + READ_ROWS * record.itemsize

@@ -139,8 +139,9 @@ class TestValidation:
         # 1e-160 mm is positive in SI units, but pi w^2 / wavelength underflows
         self.reject({"schema_version": 1, "beam": {"waist_radius_mm": 1e-160}},
                      "beam.waist_radius_mm: waist_radius_m is too small")
-        sc = resolve_scenario({"schema_version": 1, "beam": {"waist_radius_mm": 1e-150}})
-        assert sc.beam.rayleigh_range_m > 0.0
+        # 1e-150 mm has a Rayleigh range, but spreads beyond the beam model within 1 km
+        self.reject({"schema_version": 1, "beam": {"waist_radius_mm": 1e-150}},
+                     "beam.waist_radius_mm: puts the scenario's node distance, 1000")
 
     def test_waist_whose_rayleigh_range_overflows_rejected(self):
         # caught before the aperture check, which would otherwise name it
@@ -330,8 +331,17 @@ class TestValidation:
             resolve_scenario({"schema_version": 1, "nodes": {node: {"altitude_m": altitude}}})
         assert err.value.field == f"nodes.{node}.altitude_m"
 
+    @pytest.mark.parametrize("node, altitude", [("b", 1e13), ("a", 1e13), ("b", -1e150)])
+    def test_node_distance_beyond_beam_model_names_altitude(self, node, altitude):
+        # finite, but the captured power fraction rounds to 0
+        with pytest.raises(ScenarioError) as err:
+            resolve_scenario({"schema_version": 1, "nodes": {node: {"altitude_m": altitude}}})
+        assert err.value.field == f"nodes.{node}.altitude_m"
+        assert "node distance" in str(err.value) and "beam model" in str(err.value)
+
     def test_large_finite_node_distance_resolves(self):
-        sc = resolve_scenario({"schema_version": 1, "nodes": {"b": {"altitude_m": 1e150}}})
+        # the default beam reaches about 7e11 m
+        sc = resolve_scenario({"schema_version": 1, "nodes": {"b": {"altitude_m": 1e11}}})
         assert math.isfinite(sc.distance_m)
 
 
@@ -383,8 +393,9 @@ def _bounds():
 
 
 BOUNDS = _bounds()
-# leaves with no bound, where any finite value of the right type resolves
-# (schema_version, which must be the integer 1, has tests of its own)
+# leaves with no bound of their own (schema_version, which must be the
+# integer 1, has tests of its own; the node altitudes are bounded together,
+# by the node distance)
 UNBOUNDED = {"schema_version", "name", "nodes.a.altitude_m", "nodes.b.altitude_m",
              "disturbance.pitch.sinusoids[0].phase_deg",
              "disturbance.azimuth.sinusoids[0].phase_deg",
