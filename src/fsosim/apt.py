@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -192,8 +193,11 @@ class TrackingSeries:
         t = self.t_s
         if np.isnan(t).any() or (t[1:] < t[:-1]).any():
             raise ValueError("t_s must not fall or hold NaN to be windowed by time")
-        ticks = _window(t.item, len(self), t0_s, t1_s)
-        return replace(self, **{name: value[ticks] for name, value in vars(self).items()
+        return self._rows(_window(t.item, len(self), t0_s, t1_s))
+
+    def _rows(self, rows: slice) -> "TrackingSeries":
+        """The rows `rows`, as views of this series' arrays."""
+        return replace(self, **{name: value[rows] for name, value in vars(self).items()
                                 if isinstance(value, np.ndarray)})
 
 
@@ -302,9 +306,9 @@ def _input_blocks(scenario: Scenario, seed: int, n: int, disturbance: Disturbanc
 
 def _hold(log: list, columns: tuple) -> None:
     """Fill per-tick columns from a change log: rows (tick, value, ...) with
-    ticks rising from 0, each row's values written from its tick up to the
-    next row's (a row followed by one of the same tick writes nothing), the
-    last row's to the end."""
+    rising ticks, each row's values written from its tick up to the next
+    row's (a row followed by one of the same tick writes nothing), the last
+    row's to the end of the columns."""
     ends = [row[0] for row in log[1:]] + [None]
     for (tick, *values), end in zip(log, ends):
         for column, value in zip(columns, values):
@@ -346,40 +350,11 @@ def _pid_constants(gains, *limits: float) -> tuple:
             *((bound, -bound) for bound in bounds))
 
 
-def run_apt(
-    scenario: Scenario,
-    duration_s: float,
-    seed: int,
-    enable_fine1: bool | None = None,
-    enable_fine2: bool | None = None,
-    fine_after_s: float = 0.0,
-    initial_state: AptState = AptState.STABILIZE,
-    enable_feedforward: bool = True,
-) -> TrackingSeries:
-    """Simulate the full acquisition/tracking chain for duration_s seconds.
-
-    `enable_fine1` / `enable_fine2` select which fine stages may engage
-    (None takes the scenario's apt.fine1_enabled / apt.fine2_enabled);
-    `fine_after_s` keeps both fine stages disabled until that time (they
-    may engage from the first tick at or after it, the first tick of the
-    window `tick_window(fine_after_s, ...)`), which reproduces the
-    delayed-activation tracking experiment.
-    `enable_feedforward` switches the IMU rate feedforward into the gimbal
-    command (off leaves the vision loops on their own).  `seed` is an
-    integer in [0, 2**64).  Identical arguments produce bit-identical
-    series.
-
-    The run holds whole only the series it returns (76 bytes per tick); it
-    makes the base motion, the measured IMU rate, the camera noise and the
-    feedforward a block of ticks at a time.
-
-    Raises ValueError, before any array is allocated, naming `seed` when it
-    is not an integer in [0, 2**64); naming `duration_s` when it is not
-    positive, has no finite tick count, rounds to zero ticks or would not
-    let what the run holds whole fit in memory; naming `fine_after_s` when
-    it is negative or not finite; and when enable_fine2 is set without
-    enable_fine1.
-    """
+def check_run(scenario: Scenario, duration_s: float, seed: int,
+              enable_fine1: bool | None = None, enable_fine2: bool | None = None,
+              fine_after_s: float = 0.0) -> tuple[int, bool, bool]:
+    """Refuse what `run_apt` refuses, as it does, without running anything;
+    else return the run's tick count and the fine stages it enables."""
     _check_seed(seed)
     if not (duration_s > 0.0 and math.isfinite(duration_s)):
         raise ValueError("duration_s must be positive and finite")
@@ -401,6 +376,49 @@ def run_apt(
         raise ValueError("enable_fine2 requires enable_fine1")
     if not (fine_after_s >= 0.0 and math.isfinite(fine_after_s)):
         raise ValueError(f"fine_after_s must be >= 0 and finite, got {fine_after_s}")
+    return n, enable_fine1, enable_fine2
+
+
+def run_apt(
+    scenario: Scenario,
+    duration_s: float,
+    seed: int,
+    enable_fine1: bool | None = None,
+    enable_fine2: bool | None = None,
+    fine_after_s: float = 0.0,
+    initial_state: AptState = AptState.STABILIZE,
+    enable_feedforward: bool = True,
+    sink: Callable[[TrackingSeries], None] | None = None,
+) -> TrackingSeries:
+    """Simulate the full acquisition/tracking chain for duration_s seconds.
+
+    `enable_fine1` / `enable_fine2` select which fine stages may engage
+    (None takes the scenario's apt.fine1_enabled / apt.fine2_enabled);
+    `fine_after_s` keeps both fine stages disabled until that time (they
+    may engage from the first tick at or after it, the first tick of the
+    window `tick_window(fine_after_s, ...)`), which reproduces the
+    delayed-activation tracking experiment.
+    `enable_feedforward` switches the IMU rate feedforward into the gimbal
+    command (off leaves the vision loops on their own).  `seed` is an
+    integer in [0, 2**64).  Identical arguments produce bit-identical
+    series.
+
+    The run holds whole only the series it returns (76 bytes per tick); it
+    makes the base motion, the measured IMU rate, the camera noise and the
+    feedforward a block of ticks at a time.  `sink`, when given, is called
+    with each block of ticks, in tick order, once the loop has run it: the
+    block's rows of the series to be returned, its t_s a copy and the other
+    columns views.
+
+    Raises ValueError, before any array is allocated, naming `seed` when it
+    is not an integer in [0, 2**64); naming `duration_s` when it is not
+    positive, has no finite tick count, rounds to zero ticks or would not
+    let what the run holds whole fit in memory; naming `fine_after_s` when
+    it is negative or not finite; and when enable_fine2 is set without
+    enable_fine1 (`check_run` raises the same errors without a run).
+    """
+    n, enable_fine1, enable_fine2 = check_run(scenario, duration_s, seed, enable_fine1,
+                                              enable_fine2, fine_after_s)
     dt = 1.0 / TICK_RATE_HZ
 
     # component noise streams (fixed labels; see module docstring); the base
@@ -468,6 +486,21 @@ def run_apt(
     out_l0 = np.empty(n, dtype=bool)
     out_l1 = np.empty(n, dtype=bool)
     out_l2 = np.empty(n, dtype=bool)
+    # the series' columns but t_s, which is made after the loop
+    columns = {
+        "state": out_state,
+        "error_pitch_rad": out_e2p,
+        "error_azimuth_rad": out_e2a,
+        "gimbal_azimuth_rad": out_gaz,
+        "gimbal_pitch_rad": out_gp,
+        "fsm1_pitch_rad": out_f1p,
+        "fsm1_azimuth_rad": out_f1a,
+        "fsm2_pitch_rad": out_f2p,
+        "fsm2_azimuth_rad": out_f2a,
+        "lock0": out_l0,
+        "lock1": out_l1,
+        "lock2": out_l2,
+    }
 
     # plant state
     g_az = g_p = 0.0              # gimbal correction
@@ -498,14 +531,16 @@ def run_apt(
     # state and the lock flags, which hold for many ticks (a default 70 s
     # run changes its locks once and its state five times), are logged only
     # in the ticks that change them, and their columns are filled by slices
-    # after the loop.
+    # after each block.
     blocks = _input_blocks(scenario, seed, n, disturbance, bias, enable_feedforward)
     (o_gaz, o_gp, o_f1p, o_f1a, o_f2p, o_f2a) = map(
         memoryview, (out_gaz, out_gp, out_f1p, out_f1a, out_f2p, out_f2a))
-    # (tick, state) from tick 0, then a row in each tick that changes the state
+    # (tick, state) from the block's first tick, then a row in each tick that
+    # changes the state
     state_log = [(0, state)]
-    # (tick, lock0, lock1, lock2) in each tick whose flags are not the
-    # previous tick's, the first tick included
+    # (tick, lock0, lock1, lock2) from the block's first tick, and in each
+    # tick whose flags are not the previous tick's (the run's first tick sets
+    # the flags, so its first block's log starts empty)
     lock_log = []
     lock0 = lock1 = lock2 = None
 
@@ -776,27 +811,18 @@ def run_apt(
         np.subtract(base_a, out_gaz[lo:hi], out=res_a)
         res_a -= out_f1a[lo:hi]
         res_a -= out_f2a[lo:hi]
+        # the state and lock columns up to the block's end; the next block's
+        # logs start from the values its first tick starts with
+        _hold(state_log, (out_state[:hi],))
+        _hold(lock_log, (out_l0[:hi], out_l1[:hi], out_l2[:hi]))
+        state_log = [(hi, state)]
+        lock_log = [(hi, lock0, lock1, lock2)]
+        if sink is not None:
+            sink(TrackingSeries(t_s=np.arange(lo, hi, dtype=float) / TICK_RATE_HZ, seed=seed,
+                                **{name: column[lo:hi] for name, column in columns.items()}))
 
-    _hold(state_log, (out_state,))
-    _hold(lock_log, (out_l0, out_l1, out_l2))
     # the tick times k / TICK_RATE_HZ, divided in place: dividing an integer
     # arange would hold it beside its quotient
     t_s = np.arange(n, dtype=float)
     t_s /= TICK_RATE_HZ
-
-    return TrackingSeries(
-        t_s=t_s,
-        state=out_state,
-        error_pitch_rad=out_e2p,
-        error_azimuth_rad=out_e2a,
-        gimbal_azimuth_rad=out_gaz,
-        gimbal_pitch_rad=out_gp,
-        fsm1_pitch_rad=out_f1p,
-        fsm1_azimuth_rad=out_f1a,
-        fsm2_pitch_rad=out_f2p,
-        fsm2_azimuth_rad=out_f2a,
-        lock0=out_l0,
-        lock1=out_l1,
-        lock2=out_l2,
-        seed=seed,
-    )
+    return TrackingSeries(t_s=t_s, **columns, seed=seed)

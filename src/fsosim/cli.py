@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract:
   0 success, 1 validation/parse error, 2 nonconvergence, 3 I/O error,
-  4 a worker process of `run --seeds` died.
+  4 a worker process of `run --seeds`, or the writer process of `--out`, died.
 
 All emitted artifacts are deterministic functions of (scenario, seed,
 flags); rerunning a command reproduces byte-identical files.
@@ -14,16 +14,20 @@ import argparse
 import json
 import math
 import os
+import pickle
 import re
+import signal
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
 from . import io as fsio
-from .apt import (TICK_RATE_HZ, TrackingSeries, TrackingStats, _check_seed, run_apt, tick_count,
-                  tick_window, tracking_stats)
+from .apt import (TICK_RATE_HZ, TrackingSeries, TrackingStats, _check_seed, check_run, run_apt,
+                  tick_count, tick_window, tracking_stats)
 from .calibrate import DEFAULT_TOLERANCE_DB, SAMPLES, calibrate_coupling, parse_anchor_file
 from .link import (
     LossSeries,
@@ -242,6 +246,149 @@ def _roundtrip(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the processes a verb runs in
+
+class _WorkerDied(RuntimeError):
+    """A worker process running seeds of `run --seeds`, or the writer
+    process of a run's --out CSVs, died (killed, or out of memory) before
+    its work was done."""
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    return hasattr(os, "fork") and _usable_cpus() >= 2
+
+
+@contextmanager
+def _csv_writer(make_sink: Callable, files: str, fork: bool) -> Iterator[Callable]:
+    """A run_apt sink that writes a run's CSVs (`files`, for messages): the
+    one make_sink() builds, closed when the block exits.
+
+    With `fork`, the sink is built and runs in a writer process forked from
+    this one, so that the CSVs are formatted on another CPU while this
+    process runs the loop; the sink handed out sends each block to it.
+    (Forked, not spawned: a spawned writer would import numpy and fsosim
+    again, which takes about as long as writing a 120 s tracking.csv.)  On
+    a normal exit the writer finishes the blocks it was sent, and this
+    process waits for it.  An OSError the writer raised is raised here; a
+    writer that died otherwise, or stopped reading, raises _WorkerDied.
+    No writer outlives the block, whatever it raises.
+    """
+    if not fork:
+        sink = make_sink()
+        try:
+            yield sink
+        finally:
+            sink.close()
+        return
+    writer = _ForkedWriter(make_sink, files)
+    try:
+        yield writer
+        writer.finish()
+    finally:
+        writer.reap()
+
+
+class _ForkedWriter:
+    """A sink that pickles each block down a pipe to a forked writer process,
+    which feeds the blocks to the sink make_sink() builds there."""
+
+    def __init__(self, make_sink: Callable, files: str):
+        self._files = files
+        blocks_r, blocks_w = os.pipe()
+        error_r, error_w = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            for fd in (blocks_r, blocks_w, error_r, error_w):
+                os.close(fd)
+            raise
+        if self._pid == 0:
+            os.close(blocks_w)
+            os.close(error_r)
+            _write_blocks(make_sink, blocks_r, error_w)
+        os.close(blocks_r)
+        os.close(error_w)
+        self._blocks = os.fdopen(blocks_w, "wb")
+        self._errors = os.fdopen(error_r, "rb")
+
+    def __call__(self, block: TrackingSeries | None) -> None:
+        try:
+            pickle.dump(block, self._blocks, pickle.HIGHEST_PROTOCOL)
+            self._blocks.flush()
+        except BrokenPipeError:  # the writer stopped reading: it failed or died
+            self._close_blocks()
+            raise self._outcome() or self._died() from None
+
+    def finish(self) -> None:
+        """Send the end of the blocks and wait for the writer to write them;
+        raise what it failed with."""
+        self(None)
+        self._close_blocks()
+        failure = self._outcome()
+        if failure is not None:
+            raise failure
+
+    def reap(self) -> None:
+        """Stop the writer unless it has been waited for, and wait for it."""
+        self._close_blocks()
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        self._errors.close()
+
+    def _close_blocks(self) -> None:
+        try:
+            self._blocks.close()
+        except OSError:  # the flush of a block the writer did not read
+            pass
+
+    def _outcome(self) -> Exception | None:
+        """Wait for the writer to exit: None if it finished, else the OSError
+        it reported, or _WorkerDied."""
+        report = self._errors.read()  # up to the end of the pipe, when the writer exits
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if report:
+            return pickle.loads(report)
+        return self._died() if status else None
+
+    def _died(self) -> _WorkerDied:
+        return _WorkerDied(f"the writer process died; {self._files} did not finish")
+
+
+def _write_blocks(make_sink: Callable, blocks_r: int, error_w: int) -> NoReturn:
+    """The writer process: feed the sink make_sink() builds each block read
+    from blocks_r, up to the None that ends them, then close it.
+
+    Exits 0, or 1 after writing a pickled OSError to error_w, or 1 when the
+    blocks end too early.  It ends with os._exit, so it never returns into
+    the stack it was forked from and never flushes the stdio buffers it
+    inherited.
+    """
+    status = 1
+    try:
+        with open(blocks_r, "rb") as blocks:
+            sink = make_sink()
+            try:
+                while (block := pickle.load(blocks)) is not None:
+                    sink(block)
+            finally:
+                sink.close()
+        status = 0
+    except OSError as exc:
+        os.write(error_w, pickle.dumps(exc))
+    finally:
+        os._exit(status)
+
+
+# ---------------------------------------------------------------------------
 # one simulated run, as `fsosim run` reports it
 
 @dataclass(frozen=True, eq=False)
@@ -263,22 +410,31 @@ class RunResult:
     throughput_stats: SummaryStats
 
 
-def simulate_run(scenario: Scenario, duration_s: float, seed: int,
-                 enable_fine1: bool | None = None,
-                 enable_fine2: bool | None = None) -> RunResult:
-    """The chain behind `fsosim run` for one seed: `run_apt`, then the loss,
-    throughput and statistics over [stats_warmup_s, duration_s).  `seed` is
-    an integer in [0, 2**64).
-
-    Raises ValueError naming `duration_s`, before any tick runs, when that
-    window holds no tick; `run_apt` refuses the rest, `seed` included,
-    before it allocates anything.
-    """
+def _check_simulate(scenario: Scenario, duration_s: float, seed: int,
+                    enable_fine1: bool | None = None, enable_fine2: bool | None = None) -> None:
+    """Refuse what simulate_run refuses, in its order, without a run."""
     t0 = scenario.apt.stats_warmup_s
     _check_window(t0, duration_s, f"duration_s {duration_s} s leaves no {TICK_RATE_HZ:g} Hz "
                                   f"tick after the scenario's stats_warmup_s ({t0} s)")
+    check_run(scenario, duration_s, seed, enable_fine1, enable_fine2)
+
+
+def simulate_run(scenario: Scenario, duration_s: float, seed: int,
+                 enable_fine1: bool | None = None,
+                 enable_fine2: bool | None = None,
+                 sink: Callable[[TrackingSeries], None] | None = None) -> RunResult:
+    """The chain behind `fsosim run` for one seed: `run_apt`, then the loss,
+    throughput and statistics over [stats_warmup_s, duration_s).  `seed` is
+    an integer in [0, 2**64); `sink` is run_apt's.
+
+    Raises ValueError naming `duration_s`, before any tick runs, when that
+    window holds no tick; then, before anything is allocated, what
+    `run_apt` refuses, `seed` included.
+    """
+    _check_simulate(scenario, duration_s, seed, enable_fine1, enable_fine2)
+    t0 = scenario.apt.stats_warmup_s
     series = run_apt(scenario, duration_s, seed,
-                     enable_fine1=enable_fine1, enable_fine2=enable_fine2)
+                     enable_fine1=enable_fine1, enable_fine2=enable_fine2, sink=sink)
     window = series.window(t0, duration_s)
     # the residual statistics come first: they make a window-long radial
     # error, and the run holds only its series yet
@@ -371,66 +527,68 @@ def cmd_track(args) -> int:
         fine1, fine2 = scenario.apt.fine1_enabled, scenario.apt.fine2_enabled
     else:
         fine1, fine2 = _STAGE_CHOICES[args.stages]
-    series = run_apt(
-        scenario, args.duration, args.seed,
-        enable_fine1=fine1, enable_fine2=fine2, fine_after_s=args.fine_after,
-    )
+    # refused before --out is made
+    check_run(scenario, args.duration, args.seed, fine1, fine2, args.fine_after)
     out = _out_dir(args)
-    stage_name = next(name for name, flags in _STAGE_CHOICES.items()
-                      if flags == (fine1, fine2))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "scenario": _scenario_header(scenario),
-        "seed": args.seed,
-        "duration_s": args.duration,
-        "stages": stage_name,
-        "fine_after_s": args.fine_after,
-        "stats": _stats_dict(tracking_stats(series.window(warmup, args.duration)),
-                             warmup, args.duration),
-        "time_in_state_s": _time_in_state(series),
-        "files": {"tracking_csv": "tracking.csv"} if out is not None else None,
-    }
-    if args.fine_after > 0.0:
-        payload["stats_after_fine"] = _stats_dict(
-            tracking_stats(series.window(args.fine_after, args.duration)),
-            args.fine_after, args.duration)
-    if out is not None:
-        fsio.write_tracking_csv(out / "tracking.csv", series)
+    writer = nullcontext() if out is None else _csv_writer(
+        lambda: fsio.TrackingCsv(out / "tracking.csv"), "tracking.csv", _can_fork())
+    with writer as sink:
+        series = run_apt(
+            scenario, args.duration, args.seed,
+            enable_fine1=fine1, enable_fine2=fine2, fine_after_s=args.fine_after, sink=sink,
+        )
+        # the report is formed while a writer process writes the last block
+        stage_name = next(name for name, flags in _STAGE_CHOICES.items()
+                          if flags == (fine1, fine2))
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "scenario": _scenario_header(scenario),
+            "seed": args.seed,
+            "duration_s": args.duration,
+            "stages": stage_name,
+            "fine_after_s": args.fine_after,
+            "stats": _stats_dict(tracking_stats(series.window(warmup, args.duration)),
+                                 warmup, args.duration),
+            "time_in_state_s": _time_in_state(series),
+            "files": {"tracking_csv": "tracking.csv"} if out is not None else None,
+        }
+        if args.fine_after > 0.0:
+            payload["stats_after_fine"] = _stats_dict(
+                tracking_stats(series.window(args.fine_after, args.duration)),
+                args.fine_after, args.duration)
     _emit_json(payload, out, "tracking_stats.json")
     return EXIT_OK
 
 
-def _run_one_seed(scenario: Scenario, args, seed: int, multi: bool) -> dict:
-    # the RunResult, and with it the seed's series, dies when this returns
-    run = simulate_run(scenario, args.duration, seed)
-    # --out is made only once a run has passed simulate_run's checks, so a
+def _run_one_seed(scenario: Scenario, args, seed: int, multi: bool,
+                  fork_writer: bool = False) -> dict:
+    """The seed's report entry; with --out, its CSVs are written as its loop
+    runs, by a forked writer process when `fork_writer` is set."""
+    # --out is made only once the run has passed simulate_run's checks, so a
     # refused --duration leaves no directory behind
+    _check_simulate(scenario, args.duration, seed)
     out = _out_dir(args)
     files = None
+    writer = nullcontext()
     if out is not None:
         files = {"loss_csv": f"loss_{seed}.csv" if multi else "loss.csv",
                  "throughput_csv": f"throughput_{seed}.csv" if multi else "throughput.csv"}
-        fsio.write_loss_csv(out / files["loss_csv"], run.loss)
-        fsio.write_throughput_csv(out / files["throughput_csv"], run.throughput)
-    return {
-        "seed": seed,
-        "files": files,
-        "tracking": _stats_dict(run.tracking, run.t0_s, run.t1_s),
-        "loss_db": dict(_summary_dict(run.loss_stats), downtime_fraction=run.downtime_fraction),
-        "throughput_gbps": _summary_dict(run.throughput_stats),
-        "time_in_state_s": _time_in_state(run.series),
-    }
-
-
-class _WorkerDied(RuntimeError):
-    """A worker process running seeds of `run --seeds` died (killed, or out
-    of memory) before its seed finished."""
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        writer = _csv_writer(
+            lambda: fsio.RunCsvs(out / files["loss_csv"], out / files["throughput_csv"],
+                                 scenario, scenario.apt.stats_warmup_s, args.duration),
+            " and ".join(files.values()), fork_writer)
+    with writer as sink:
+        # the RunResult, and with it the seed's series, dies when this returns
+        run = simulate_run(scenario, args.duration, seed, sink=sink)
+        return {
+            "seed": seed,
+            "files": files,
+            "tracking": _stats_dict(run.tracking, run.t0_s, run.t1_s),
+            "loss_db": dict(_summary_dict(run.loss_stats),
+                            downtime_fraction=run.downtime_fraction),
+            "throughput_gbps": _summary_dict(run.throughput_stats),
+            "time_in_state_s": _time_in_state(run.series),
+        }
 
 
 def _map_seeds(scenario: Scenario, args, seeds: list[int], multi: bool) -> list[dict]:
@@ -442,12 +600,14 @@ def _map_seeds(scenario: Scenario, args, seeds: list[int], multi: bool) -> list[
     the list itself, as it reaches them in seed order, so it does not sit
     idle on a core while the workers run; the workers run the rest.  A
     worker writes its seed's CSVs and returns only the seed's report
-    entry.  Raises the error of the first failing seed in seed order, or
-    _WorkerDied; no worker outlives the call.
+    entry.  A lone seed's CSVs are written by a forked writer process when
+    a second CPU is usable.  Raises the error of the first failing seed in
+    seed order, or _WorkerDied; no worker outlives the call.
     """
     procs = min(len(seeds), _usable_cpus())
     if procs < 2 or not hasattr(os, "fork"):
-        return [_run_one_seed(scenario, args, s, multi) for s in seeds]
+        fork_writer = len(seeds) == 1 and _can_fork()
+        return [_run_one_seed(scenario, args, s, multi, fork_writer) for s in seeds]
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 

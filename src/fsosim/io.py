@@ -7,6 +7,8 @@ format back to the identical text, so emitted artifacts are stable
 round-trip.  Infinite loss samples are written as 'inf'.  Writers format a
 block of rows with one %-format, and a cell that can take only a few texts
 (a lock flag, a state name, a repeated rate) is looked up, not formatted.
+A run's CSVs are also written a block of ticks at a time as its 1 kHz loop
+runs (`TrackingCsv`, `RunCsvs`), with the same row formats and bytes.
 Readers parse a block of rows with one np.loadtxt and copy it into one
 array per field, sized from the file's count of line-end bytes, so a read
 holds little more than the arrays it returns; a malformed row is named by
@@ -18,15 +20,18 @@ from __future__ import annotations
 
 import json
 import warnings
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .apt import TrackingSeries
-from .link import LossSeries, ThroughputSeries
+from .apt import TrackingSeries, tick_count, tick_window
+from .link import LossSeries, ThroughputSeries, loss_timeseries, throughput_timeseries
 from .states import NAME_TO_STATE, STATE_NAMES
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 SWEEP_HEADER = "distance_m,diffraction_db,total_static_db"
 TRACKING_HEADER = (
@@ -71,8 +76,40 @@ _STATE_NAME_OF = np.array([STATE_NAMES[s] for s in range(len(STATE_NAMES))], dty
 # a state cell is read as bytes (np.loadtxt encodes it as Latin-1 and refuses
 # any other text), one wider than any name, so that a longer cell is never cut
 # to a valid name
-_STATE_FIELD = f"S{max(map(len, NAME_TO_STATE)) + 1}"
-_STATE_CODE_OF = {name.encode("ascii"): code for name, code in NAME_TO_STATE.items()}
+_STATE_WIDTH = max(map(len, NAME_TO_STATE)) + 1
+_STATE_FIELD = f"S{_STATE_WIDTH}"
+_STATE_BYTES = np.array([STATE_NAMES[s] for s in range(len(STATE_NAMES))], dtype=_STATE_FIELD)
+
+
+def _state_lookup() -> tuple[np.dtype, np.ndarray, np.dtype, list[np.ndarray]]:
+    """How a state cell is read, as fast as a record's field allows.
+
+    First a dtype that views a cell as two of its bytes, i and j, and the
+    table from i << 8 | j to the state code (-1 where no state has them):
+    the bytes are at the first two places where no two names, zero-padded
+    as cells are, have the same pair.  Then a dtype that views a cell as
+    unsigned words, and each word of each state's name, by code, to check
+    the whole cell against the name its code gives."""
+    names = [name.ljust(_STATE_WIDTH, b"\0") for name in _STATE_BYTES.tolist()]
+    i, j = next((i, j) for i, j in combinations(range(_STATE_WIDTH), 2)
+                if len({(name[i], name[j]) for name in names}) == len(names))
+    table = np.full(1 << 16, -1, dtype=np.int8)
+    for code, name in enumerate(names):
+        table[name[i] << 8 | name[j]] = code
+    key = np.dtype({"names": ["i", "j"], "formats": ["u1", "u1"], "offsets": [i, j],
+                    "itemsize": _STATE_WIDTH})
+    sizes, rest = [], _STATE_WIDTH
+    for size in (8, 4, 2, 1):
+        sizes += [size] * (rest // size)
+        rest %= size
+    words = np.dtype({"names": [f"w{k}" for k in range(len(sizes))],
+                      "formats": [f"<u{size}" for size in sizes],
+                      "offsets": [sum(sizes[:k]) for k in range(len(sizes))],
+                      "itemsize": _STATE_WIDTH})
+    return key, table, words, [_STATE_BYTES.view(words)[name].copy() for name in words.names]
+
+
+_STATE_KEY, _STATE_CODE_AT, _STATE_WORDS, _STATE_WORD_OF = _state_lookup()
 
 # rows np.loadtxt parses at a time: the records of one block are all a
 # reader holds beside the columns it returns
@@ -190,9 +227,38 @@ def _write_rows(fh: TextIO, header: str, n: int, cells: _Cells) -> None:
     fh.writelines(_csv_blocks(n, cells))
 
 
+class _CsvFile:
+    """A CSV file open for writing, its header written: rows are appended a
+    block at a time.  An OSError raised in writing or closing the file (a
+    full disk, say) names its path."""
+
+    def __init__(self, path: str | Path, header: str):
+        self.path = path
+        self._fh = open(path, "w", encoding="utf-8", newline="")
+        self._named(self._fh.write, header + "\n")
+
+    def append(self, n: int, cells: _Cells) -> None:
+        """Write rows 0..n-1 of cells."""
+        self._named(self._fh.writelines, _csv_blocks(n, cells))
+
+    def close(self) -> None:
+        self._named(self._fh.close)
+
+    def _named(self, write: Callable, *args) -> None:
+        try:
+            write(*args)
+        except OSError as exc:
+            if exc.filename is None and exc.errno is not None:
+                exc.filename = str(self.path)
+            raise
+
+
 def _write_csv(path: str | Path, header: str, n: int, cells: _Cells) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_rows(fh, header, n, cells)
+    csv = _CsvFile(path, header)
+    try:
+        csv.append(n, cells)
+    finally:
+        csv.close()
 
 
 def _loadtxt(lines, dtype: np.dtype, max_rows: int | None = None) -> np.ndarray:
@@ -224,11 +290,16 @@ def _row_fault(line: str, dtype: np.dtype) -> str | None:
 
 
 def _state_codes(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The state code of each name in cells, and where no state has the name."""
-    codes = np.full(len(cells), -1, dtype=np.int8)
-    for name, code in _STATE_CODE_OF.items():
-        codes[cells == name] = code
-    return codes, codes < 0
+    """The state code of each name in cells, and where no state has the name:
+    the code its key bytes look up, unless the cell is not that state's name."""
+    cells = np.ascontiguousarray(cells)  # a record's field is a slower read
+    key = cells.view(_STATE_KEY)
+    codes = _STATE_CODE_AT[key["i"].astype(np.intp) << 8 | key["j"]]
+    unknown = codes < 0
+    words = cells.view(_STATE_WORDS)
+    for name, word_of in zip(_STATE_WORDS.names, _STATE_WORD_OF):
+        unknown |= words[name] != word_of[codes]
+    return codes, unknown
 
 
 # the column a field fills, by the kind of dtype its cells parse as: its
@@ -339,8 +410,7 @@ def write_sweep_csv(path: str | Path, table: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # tracking
 
-def write_tracking_csv(path: str | Path, series: TrackingSeries) -> None:
-    s = series
+def _tracking_cells(s: TrackingSeries) -> _Cells:
     urad = [getattr(s, field) for field in _URAD_FIELDS]
     lock0, lock1, lock2 = _flags(s, "lock0", "lock1", "lock2")
 
@@ -351,7 +421,11 @@ def write_tracking_csv(path: str | Path, series: TrackingSeries) -> None:
         return (_row(time, "%s", *["%.6g"] * len(urad), "%s"),
                 [*t, _STATE_NAME_OF[s.state[b]], *(a[b] * 1e6 for a in urad), _LOCK_TEXT[locks]])
 
-    _write_csv(path, TRACKING_HEADER, len(s.t_s), cells)
+    return cells
+
+
+def write_tracking_csv(path: str | Path, series: TrackingSeries) -> None:
+    _write_csv(path, TRACKING_HEADER, len(series.t_s), _tracking_cells(series))
 
 
 def read_tracking_csv(path: str | Path) -> TrackingSeries:
@@ -374,15 +448,18 @@ def read_tracking_csv(path: str | Path) -> TrackingSeries:
 # ---------------------------------------------------------------------------
 # loss / throughput
 
-def write_loss_csv(path: str | Path, series: LossSeries) -> None:
-    s = series
+def _loss_cells(s: LossSeries) -> _Cells:
     (link_up,) = _flags(s, "link_up")
 
     def cells(b: slice) -> tuple[str, list]:
         time, t = _time_cells(s.t_s[b])
         return _row(time, "%.6g", "%s"), [*t, s.loss_db[b], _FLAG_TEXT[link_up[b].view(np.uint8)]]
 
-    _write_csv(path, LOSS_HEADER, len(s.t_s), cells)
+    return cells
+
+
+def write_loss_csv(path: str | Path, series: LossSeries) -> None:
+    _write_csv(path, LOSS_HEADER, len(series.t_s), _loss_cells(series))
 
 
 def read_loss_csv(path: str | Path) -> LossSeries:
@@ -390,19 +467,75 @@ def read_loss_csv(path: str | Path) -> LossSeries:
                                   [("t_s", "f8"), ("loss_db", "f8"), ("link_up", "i1")]))
 
 
-def write_throughput_csv(path: str | Path, series: ThroughputSeries) -> None:
-    s = series
-
+def _throughput_cells(s: ThroughputSeries) -> _Cells:
     def cells(b: slice) -> tuple[str, list]:
         time, t = _time_cells(s.t_s[b])
         return _row(time, "%s"), [*t, _distinct_cells(s.rate_gbps[b])]
 
-    _write_csv(path, THROUGHPUT_HEADER, len(s.t_s), cells)
+    return cells
+
+
+def write_throughput_csv(path: str | Path, series: ThroughputSeries) -> None:
+    _write_csv(path, THROUGHPUT_HEADER, len(series.t_s), _throughput_cells(series))
 
 
 def read_throughput_csv(path: str | Path) -> ThroughputSeries:
     return ThroughputSeries(**_read_csv(path, THROUGHPUT_HEADER,
                                         [("t_s", "f8"), ("rate_gbps", "f8")]))
+
+
+# ---------------------------------------------------------------------------
+# a run's CSVs, written as its 1 kHz loop runs
+#
+# Each is a `run_apt` sink: it is called with each block of ticks as the loop
+# finishes it, and writes that block's rows, through the cells functions of
+# the whole-series writers above, so the file has their bytes.
+
+class TrackingCsv(_CsvFile):
+    """The tracking.csv of a run, written block by block."""
+
+    def __init__(self, path: str | Path):
+        super().__init__(path, TRACKING_HEADER)
+
+    def __call__(self, block: TrackingSeries) -> None:
+        self.append(len(block.t_s), _tracking_cells(block))
+
+
+class RunCsvs:
+    """The loss.csv and throughput.csv of one seed of `fsosim run`, written
+    block by block: the rows of the statistics window [t0_s, t1_s) of a run
+    of t1_s seconds, their loss at CSV precision and their rate, as
+    `cli.simulate_run` forms them."""
+
+    def __init__(self, loss_path: str | Path, throughput_path: str | Path,
+                 scenario: "Scenario", t0_s: float, t1_s: float):
+        self._scenario = scenario
+        self._window = tick_window(t0_s, t1_s, tick_count(t1_s))
+        self._ticks = 0  # ticks handed over so far
+        self._loss = _CsvFile(loss_path, LOSS_HEADER)
+        try:
+            self._throughput = _CsvFile(throughput_path, THROUGHPUT_HEADER)
+        except OSError:
+            self._loss.close()
+            raise
+
+    def __call__(self, block: TrackingSeries) -> None:
+        lo = self._ticks
+        self._ticks += len(block.t_s)
+        start, stop = max(self._window.start, lo), min(self._window.stop, self._ticks)
+        if start >= stop:
+            return
+        loss = loss_timeseries(block._rows(slice(start - lo, stop - lo)), self._scenario)
+        _through_csv(loss.loss_db, out=loss.loss_db)
+        throughput = throughput_timeseries(loss, self._scenario.transceiver)
+        self._loss.append(len(loss.t_s), _loss_cells(loss))
+        self._throughput.append(len(throughput.t_s), _throughput_cells(throughput))
+
+    def close(self) -> None:
+        try:
+            self._loss.close()
+        finally:
+            self._throughput.close()
 
 
 # ---------------------------------------------------------------------------

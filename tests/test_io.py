@@ -620,6 +620,20 @@ class TestReaderFaults:
         with pytest.raises(ValueError, match=rf"in\.csv, line 4: unknown state '{name}'"):
             read_tracking_csv(p)
 
+    def test_state_cell_is_a_whole_name_or_unknown(self):
+        # a state's code is looked up from two bytes of its cell, then the
+        # whole name is checked: every name with a byte changed, dropped or
+        # added, and the empty cell, has no state (a cell's trailing NULs
+        # are padding to numpy)
+        names = [STATE_NAMES[s] for s in range(len(STATE_NAMES))]
+        width = int(fsio._STATE_FIELD[1:])
+        near = {name[:i] + c + name[i + 1:] for name in names for i in range(len(name) + 1)
+                for c in ("x", "\0", "")} | {""}
+        near = [cell for cell in near if cell.rstrip("\0") not in names and len(cell) <= width]
+        codes, unknown = fsio._state_codes(np.array(names + near, dtype=fsio._STATE_FIELD))
+        assert codes[:len(names)].tolist() == list(range(len(names)))
+        assert unknown.tolist() == [False] * len(names) + [True] * len(near)
+
 
 # ---------------------------------------------------------------------------
 # readers parse _READ_ROWS rows at a time into preallocated columns
