@@ -6,6 +6,11 @@ Exit codes are a stable contract:
 
 All emitted artifacts are deterministic functions of (scenario, seed,
 flags); rerunning a command reproduces byte-identical files.
+
+The seed workers of `run --seeds` and the --out writer of a one-seed run are
+processes forked one way, as _Childs, fed and answered through two pipes;
+none outlives the command.  Where no fork is possible, or one fails, their
+work runs in this process, with the same bytes.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ import pickle
 import re
 import signal
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -249,9 +254,8 @@ def _roundtrip(values: np.ndarray) -> np.ndarray:
 # the processes a verb runs in
 
 class _WorkerDied(RuntimeError):
-    """A worker process running seeds of `run --seeds`, or the writer
-    process of a run's --out CSVs, died (killed, or out of memory) before
-    its work was done."""
+    """A worker process of `run --seeds`, or the writer process of a run's
+    --out CSVs, died (killed, or out of memory) before its work was done."""
 
 
 def _usable_cpus() -> int:
@@ -260,132 +264,138 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _can_fork() -> bool:
-    return hasattr(os, "fork") and _usable_cpus() >= 2
+def _processes(wanted: int) -> int:
+    """The processes, this one and _Childs forked from it, that run `wanted`
+    shares of work: one per usable CPU at most, one where none can fork."""
+    return min(wanted, _usable_cpus()) if hasattr(os, "fork") else 1
+
+
+class _Child:
+    """A process forked from this one that runs work(items), then exits.
+
+    `items` iterates what send() pickles down one pipe, up to a None; each
+    value work yields (never None), then None or the exception work raised,
+    is pickled up another pipe for receive().  The fork raises OSError, and
+    forks nothing, at the process limit or out of memory.  The child first
+    closes this process's pipe ends of the children forked before it, so
+    that a pipe ends only when its child or this process lets go of it; it
+    ends with os._exit, so it never returns into the stack it was forked
+    from nor flushes the stdio buffers it inherited.  A child that dies, or
+    stops reading, raises _WorkerDied naming `name`.
+    """
+
+    _ends: set[int] = set()  # the pipe ends of unreaped children (a fork copies them all)
+
+    def __init__(self, name: str, work: Callable[[Iterator], Iterable]):
+        self._name = name
+        down_r, down_w = os.pipe()
+        up_r, up_w = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            for fd in (down_r, down_w, up_r, up_w):
+                os.close(fd)
+            raise
+        if self._pid == 0:
+            for fd in (down_w, up_r, *self._ends):
+                os.close(fd)
+            _serve(work, down_r, up_w)
+        os.close(down_r)
+        os.close(up_w)
+        self._fds = (down_w, up_r)
+        self._ends.update(self._fds)
+        self._down = os.fdopen(down_w, "wb")
+        self._up = os.fdopen(up_r, "rb")
+
+    def send(self, item, what: str) -> None:
+        """Pickle item down to the child; `what` names the work a child that
+        stopped reading left undone."""
+        try:
+            pickle.dump(item, self._down, pickle.HIGHEST_PROTOCOL)
+            self._down.flush()
+        except BrokenPipeError:  # the child stopped reading: it failed or died
+            self.receive(what)
+            raise self._died(what) from None
+
+    def receive(self, what: str):
+        """The next value work yields, or None once work has returned and the
+        child has been waited for; raises what work raised, or _WorkerDied
+        naming `what` if the child died first."""
+        try:
+            more, payload = pickle.load(self._up)
+        except (EOFError, pickle.UnpicklingError):  # the child died, maybe mid-message
+            more, payload = False, self._died(what)
+        if not more:
+            os.waitpid(self._pid, 0)
+            self._pid = None
+            if payload is not None:
+                raise payload
+        return payload
+
+    def reap(self) -> None:
+        """Kill the child unless it has been waited for, wait for it, and
+        close this process's ends of its pipes."""
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        self._ends.difference_update(self._fds)
+        with suppress(OSError):  # the flush of an item the child did not read
+            self._down.close()
+        self._up.close()
+
+    def _died(self, what: str) -> _WorkerDied:
+        return _WorkerDied(f"{self._name} died; {what} did not finish")
+
+
+def _serve(work: Callable[[Iterator], Iterable], down_r: int, up_w: int) -> NoReturn:
+    """The body of a _Child: work over the items read from down_r, each
+    value it yields, then None or its exception, written to up_w.  What
+    went up the pipe is the child's outcome; its exit status is not read."""
+    try:
+        with open(down_r, "rb") as down, open(up_w, "wb") as up:
+            try:
+                for value in work(iter(lambda: pickle.load(down), None)):
+                    up.write(pickle.dumps((True, value)))
+                    up.flush()
+                outcome = None
+            except Exception as exc:
+                outcome = exc
+            up.write(pickle.dumps((False, outcome)))
+    finally:
+        os._exit(0)
 
 
 @contextmanager
 def _csv_writer(make_sink: Callable, files: str, fork: bool) -> Iterator[Callable]:
     """A run_apt sink that writes a run's CSVs (`files`, for messages): the
-    one make_sink() builds, closed when the block exits.
-
-    With `fork`, the sink is built and runs in a writer process forked from
-    this one, so that the CSVs are formatted on another CPU while this
-    process runs the loop; the sink handed out sends each block to it.
-    (Forked, not spawned: a spawned writer would import numpy and fsosim
-    again, which takes about as long as writing a 120 s tracking.csv.)  On
-    a normal exit the writer finishes the blocks it was sent, and this
-    process waits for it.  An OSError the writer raised is raised here; a
-    writer that died otherwise, or stopped reading, raises _WorkerDied.
-    No writer outlives the block, whatever it raises.
+    one make_sink() builds, closed when the block exits.  With `fork` and a
+    second usable CPU, it runs in a writer process (a _Child) that the sink
+    handed out sends each block to, so that the CSVs are formatted while
+    this process runs the loop; on a normal exit this process waits for the
+    writer to finish, and an OSError the writer raised is raised here.
+    Where the writer cannot be forked, the sink runs in this process.
     """
-    if not fork:
-        sink = make_sink()
-        try:
+    def write(blocks: Iterator) -> tuple:
+        with closing(make_sink()) as sink:
+            for block in blocks:
+                sink(block)
+        return ()
+
+    writer = None
+    if fork and _processes(2) == 2:
+        with suppress(OSError):  # at the process limit, or out of memory
+            writer = _Child("the writer process", write)
+    if writer is None:
+        with closing(make_sink()) as sink:
             yield sink
-        finally:
-            sink.close()
         return
-    writer = _ForkedWriter(make_sink, files)
     try:
-        yield writer
-        writer.finish()
+        yield lambda block: writer.send(block, files)
+        writer.send(None, files)  # the end of the blocks
+        writer.receive(files)
     finally:
         writer.reap()
-
-
-class _ForkedWriter:
-    """A sink that pickles each block down a pipe to a forked writer process,
-    which feeds the blocks to the sink make_sink() builds there."""
-
-    def __init__(self, make_sink: Callable, files: str):
-        self._files = files
-        blocks_r, blocks_w = os.pipe()
-        error_r, error_w = os.pipe()
-        try:
-            self._pid = os.fork()
-        except OSError:
-            for fd in (blocks_r, blocks_w, error_r, error_w):
-                os.close(fd)
-            raise
-        if self._pid == 0:
-            os.close(blocks_w)
-            os.close(error_r)
-            _write_blocks(make_sink, blocks_r, error_w)
-        os.close(blocks_r)
-        os.close(error_w)
-        self._blocks = os.fdopen(blocks_w, "wb")
-        self._errors = os.fdopen(error_r, "rb")
-
-    def __call__(self, block: TrackingSeries | None) -> None:
-        try:
-            pickle.dump(block, self._blocks, pickle.HIGHEST_PROTOCOL)
-            self._blocks.flush()
-        except BrokenPipeError:  # the writer stopped reading: it failed or died
-            self._close_blocks()
-            raise self._outcome() or self._died() from None
-
-    def finish(self) -> None:
-        """Send the end of the blocks and wait for the writer to write them;
-        raise what it failed with."""
-        self(None)
-        self._close_blocks()
-        failure = self._outcome()
-        if failure is not None:
-            raise failure
-
-    def reap(self) -> None:
-        """Stop the writer unless it has been waited for, and wait for it."""
-        self._close_blocks()
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        self._errors.close()
-
-    def _close_blocks(self) -> None:
-        try:
-            self._blocks.close()
-        except OSError:  # the flush of a block the writer did not read
-            pass
-
-    def _outcome(self) -> Exception | None:
-        """Wait for the writer to exit: None if it finished, else the OSError
-        it reported, or _WorkerDied."""
-        report = self._errors.read()  # up to the end of the pipe, when the writer exits
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        if report:
-            return pickle.loads(report)
-        return self._died() if status else None
-
-    def _died(self) -> _WorkerDied:
-        return _WorkerDied(f"the writer process died; {self._files} did not finish")
-
-
-def _write_blocks(make_sink: Callable, blocks_r: int, error_w: int) -> NoReturn:
-    """The writer process: feed the sink make_sink() builds each block read
-    from blocks_r, up to the None that ends them, then close it.
-
-    Exits 0, or 1 after writing a pickled OSError to error_w, or 1 when the
-    blocks end too early.  It ends with os._exit, so it never returns into
-    the stack it was forked from and never flushes the stdio buffers it
-    inherited.
-    """
-    status = 1
-    try:
-        with open(blocks_r, "rb") as blocks:
-            sink = make_sink()
-            try:
-                while (block := pickle.load(blocks)) is not None:
-                    sink(block)
-            finally:
-                sink.close()
-        status = 0
-    except OSError as exc:
-        os.write(error_w, pickle.dumps(exc))
-    finally:
-        os._exit(status)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +541,7 @@ def cmd_track(args) -> int:
     check_run(scenario, args.duration, args.seed, fine1, fine2, args.fine_after)
     out = _out_dir(args)
     writer = nullcontext() if out is None else _csv_writer(
-        lambda: fsio.TrackingCsv(out / "tracking.csv"), "tracking.csv", _can_fork())
+        lambda: fsio.TrackingCsv(out / "tracking.csv"), "tracking.csv", fork=True)
     with writer as sink:
         series = run_apt(
             scenario, args.duration, args.seed,
@@ -564,9 +574,6 @@ def _run_one_seed(scenario: Scenario, args, seed: int, multi: bool,
                   fork_writer: bool = False) -> dict:
     """The seed's report entry; with --out, its CSVs are written as its loop
     runs, by a forked writer process when `fork_writer` is set."""
-    # --out is made only once the run has passed simulate_run's checks, so a
-    # refused --duration leaves no directory behind
-    _check_simulate(scenario, args.duration, seed)
     out = _out_dir(args)
     files = None
     writer = nullcontext()
@@ -594,45 +601,37 @@ def _run_one_seed(scenario: Scenario, args, seed: int, multi: bool,
 def _map_seeds(scenario: Scenario, args, seeds: list[int], multi: bool) -> list[dict]:
     """_run_one_seed over the seeds, its results in seed order.
 
-    The seeds run in n = min(len(seeds), usable CPUs) processes: this one
-    and n - 1 workers forked from it, or this one alone when n is one or
-    the platform cannot fork.  This process runs seeds 0, n, 2n, ... of
-    the list itself, as it reaches them in seed order, so it does not sit
-    idle on a core while the workers run; the workers run the rest.  A
-    worker writes its seed's CSVs and returns only the seed's report
-    entry.  A lone seed's CSVs are written by a forked writer process when
-    a second CPU is usable.  Raises the error of the first failing seed in
-    seed order, or _WorkerDied; no worker outlives the call.
+    The seeds run in n = _processes(len(seeds)) processes: worker k of n - 1
+    _Childs runs seeds k, k + n, ... of the list, writes their CSVs and
+    sends back their report entries; this process runs seeds 0, n, 2n, ...,
+    and those of a worker that could not be forked, as it reaches them in
+    seed order.  Raises the error of the first failing seed in seed order,
+    or _WorkerDied naming the seed it waited for; no worker outlives the call.
     """
-    procs = min(len(seeds), _usable_cpus())
-    if procs < 2 or not hasattr(os, "fork"):
-        fork_writer = len(seeds) == 1 and _can_fork()
-        return [_run_one_seed(scenario, args, s, multi, fork_writer) for s in seeds]
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    # fork, not spawn: a spawned worker would import numpy and fsosim
-    # again, which takes about as long as one 70 s seed's run
-    pool = ProcessPoolExecutor(procs - 1, mp_context=multiprocessing.get_context("fork"))
-    seed = seeds[0]
+    procs = _processes(len(seeds))
+    workers = {}
     try:
-        futures = {i: pool.submit(_run_one_seed, scenario, args, s, multi)
-                   for i, s in enumerate(seeds) if i % procs}
-        per_seed = []
-        for i, seed in enumerate(seeds):
-            per_seed.append(futures[i].result() if i in futures
-                            else _run_one_seed(scenario, args, seed, multi))
-        return per_seed
-    except BrokenProcessPool:
-        raise _WorkerDied(f"a worker process died; seed {seed} did not finish") from None
+        for k in range(1, procs):
+            try:
+                workers[k] = _Child("a worker process", lambda items: (
+                    _run_one_seed(scenario, args, s, multi) for s in seeds[k::procs]))
+            except OSError:  # at the process limit, or out of memory: run them here
+                break
+        return [workers[i % procs].receive(f"seed {seed}") if i % procs in workers
+                else _run_one_seed(scenario, args, seed, multi, fork_writer=len(seeds) == 1)
+                for i, seed in enumerate(seeds)]
     finally:
-        pool.shutdown(cancel_futures=True)
+        for worker in workers.values():
+            worker.reap()
 
 
 def cmd_run(args) -> int:
     scenario = _load(args)
     seeds = [args.seed] if args.seeds is None else _parse_seed_range(args.seeds)
     multi = args.seeds is not None
+    # once, before --out is made or a process forked: every seed passed
+    # _parse_seed_range's checks, so the run of one seed is refused as any
+    _check_simulate(scenario, args.duration, seeds[-1])
     per_seed = _map_seeds(scenario, args, seeds, multi)
 
     loss_means = [r["loss_db"]["mean"] for r in per_seed if r["loss_db"]["mean"] is not None]

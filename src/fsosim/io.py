@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from itertools import chain, combinations, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
 
@@ -76,40 +76,8 @@ _STATE_NAME_OF = np.array([STATE_NAMES[s] for s in range(len(STATE_NAMES))], dty
 # a state cell is read as bytes (np.loadtxt encodes it as Latin-1 and refuses
 # any other text), one wider than any name, so that a longer cell is never cut
 # to a valid name
-_STATE_WIDTH = max(map(len, NAME_TO_STATE)) + 1
-_STATE_FIELD = f"S{_STATE_WIDTH}"
-_STATE_BYTES = np.array([STATE_NAMES[s] for s in range(len(STATE_NAMES))], dtype=_STATE_FIELD)
-
-
-def _state_lookup() -> tuple[np.dtype, np.ndarray, np.dtype, list[np.ndarray]]:
-    """How a state cell is read, as fast as a record's field allows.
-
-    First a dtype that views a cell as two of its bytes, i and j, and the
-    table from i << 8 | j to the state code (-1 where no state has them):
-    the bytes are at the first two places where no two names, zero-padded
-    as cells are, have the same pair.  Then a dtype that views a cell as
-    unsigned words, and each word of each state's name, by code, to check
-    the whole cell against the name its code gives."""
-    names = [name.ljust(_STATE_WIDTH, b"\0") for name in _STATE_BYTES.tolist()]
-    i, j = next((i, j) for i, j in combinations(range(_STATE_WIDTH), 2)
-                if len({(name[i], name[j]) for name in names}) == len(names))
-    table = np.full(1 << 16, -1, dtype=np.int8)
-    for code, name in enumerate(names):
-        table[name[i] << 8 | name[j]] = code
-    key = np.dtype({"names": ["i", "j"], "formats": ["u1", "u1"], "offsets": [i, j],
-                    "itemsize": _STATE_WIDTH})
-    sizes, rest = [], _STATE_WIDTH
-    for size in (8, 4, 2, 1):
-        sizes += [size] * (rest // size)
-        rest %= size
-    words = np.dtype({"names": [f"w{k}" for k in range(len(sizes))],
-                      "formats": [f"<u{size}" for size in sizes],
-                      "offsets": [sum(sizes[:k]) for k in range(len(sizes))],
-                      "itemsize": _STATE_WIDTH})
-    return key, table, words, [_STATE_BYTES.view(words)[name].copy() for name in words.names]
-
-
-_STATE_KEY, _STATE_CODE_AT, _STATE_WORDS, _STATE_WORD_OF = _state_lookup()
+_STATE_FIELD = f"S{max(map(len, NAME_TO_STATE)) + 1}"
+_STATE_CODE_OF = {name.encode("ascii"): code for name, code in NAME_TO_STATE.items()}
 
 # rows np.loadtxt parses at a time: the records of one block are all a
 # reader holds beside the columns it returns
@@ -290,16 +258,11 @@ def _row_fault(line: str, dtype: np.dtype) -> str | None:
 
 
 def _state_codes(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The state code of each name in cells, and where no state has the name:
-    the code its key bytes look up, unless the cell is not that state's name."""
-    cells = np.ascontiguousarray(cells)  # a record's field is a slower read
-    key = cells.view(_STATE_KEY)
-    codes = _STATE_CODE_AT[key["i"].astype(np.intp) << 8 | key["j"]]
-    unknown = codes < 0
-    words = cells.view(_STATE_WORDS)
-    for name, word_of in zip(_STATE_WORDS.names, _STATE_WORD_OF):
-        unknown |= words[name] != word_of[codes]
-    return codes, unknown
+    """The state code of each name in cells, and where no state has the name."""
+    codes = np.full(len(cells), -1, dtype=np.int8)
+    for name, code in _STATE_CODE_OF.items():
+        codes[cells == name] = code
+    return codes, codes < 0
 
 
 # the column a field fills, by the kind of dtype its cells parse as: its

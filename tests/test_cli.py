@@ -1,8 +1,6 @@
-import concurrent.futures.process
 import copy
 import json
 import math
-import multiprocessing
 import os
 import re
 import signal
@@ -469,8 +467,9 @@ def test_no_verb_loads_scipy_signal():
 # ---------------------------------------------------------------------------
 # run --seeds in worker processes
 
-# neither the import nor a one-seed run loads the worker machinery, whose
-# import would add to every verb's start-up
+# neither the import, nor a one-seed run, nor a run of seeds in worker
+# processes loads a process-pool library, whose import would add to the
+# start-up of every verb and worker
 NO_WORKER_MODULES = """
 import contextlib, io, sys
 import fsosim.cli
@@ -482,6 +481,10 @@ assert not loaded(), loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     assert fsosim.cli.main(["run", "--duration", "11"]) == 0
 assert not loaded(), loaded()
+fsosim.cli._usable_cpus = lambda: 3
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fsosim.cli.main(["run", "--seeds", "1..3", "--duration", "11"]) == 0
+assert not loaded(), loaded()
 """
 
 
@@ -492,6 +495,12 @@ def test_import_and_one_seed_load_no_worker_modules():
 
 def _set_usable_cpus(monkeypatch, n):
     monkeypatch.setattr(fsosim.cli, "_usable_cpus", lambda: n)
+
+
+def _assert_no_child():
+    """This process has no child process left, running or a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _wrap_simulate_run(monkeypatch, before):
@@ -509,7 +518,8 @@ def _wrap_simulate_run(monkeypatch, before):
 class TestSeedWorkers:
     """`run --seeds` runs its seeds in n = min(seeds, usable CPUs) processes:
     this one, which takes seeds 0, n, 2n, ... of the list, and n - 1 forked
-    workers; the bytes are the same as those of this process alone."""
+    workers (`cli._Child`s); the bytes are the same as those of this process
+    alone."""
 
     ARGV = ("run", "--seeds", "1..3", "--duration", "12")
 
@@ -533,7 +543,7 @@ class TestSeedWorkers:
             pids[cpus] = dict(line.split() for line in pid_file.read_text(encoding="ascii")
                               .splitlines())
             pid_file.unlink()
-            assert multiprocessing.active_children() == []
+            _assert_no_child()
         assert emitted[3] == emitted[1]
         assert len(emitted[1][0]) == 7  # report.json and two CSVs per seed
         here = str(os.getpid())
@@ -552,7 +562,7 @@ class TestSeedWorkers:
             assert stdout == "" and errors[cpus].count("\n") == 1
             assert errors[cpus].startswith("fsosim: --duration 5.0 s ")
             assert not out.exists()
-            assert multiprocessing.active_children() == []
+            _assert_no_child()
         assert errors[3] == errors[1]
 
     # procs: the processes that run seeds, this one and its workers
@@ -561,16 +571,17 @@ class TestSeedWorkers:
     def test_workers_are_the_fewer_of_seeds_and_cpus(self, cpus, seeds, procs,
                                                      monkeypatch, capsys):
         made = []
+        real = fsosim.cli._Child
 
-        class Pool(concurrent.futures.process.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                made.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        class Counted(real):
+            def __init__(self, name, work):
+                made.append(name)
+                super().__init__(name, work)
 
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(fsosim.cli, "_Child", Counted)
         _set_usable_cpus(monkeypatch, cpus)
         assert run_cli("run", "--seeds", seeds, "--duration", "10.01") == 0
-        assert made == ([] if procs is None else [procs - 1])
+        assert made == ([] if procs is None else ["a worker process"] * (procs - 1))
 
     def test_first_failing_seed_in_seed_order_sets_the_error(self, tmp_path, monkeypatch,
                                                              capsys):
@@ -585,7 +596,7 @@ class TestSeedWorkers:
         _set_usable_cpus(monkeypatch, 3)
         assert run_cli(*self.ARGV) == 1
         assert capsys.readouterr() == ("", "fsosim: --duration refused at seed 2\n")
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
 
     def test_a_killed_worker_exits_4_with_one_line(self, monkeypatch, capsys):
         parent = os.getpid()
@@ -600,7 +611,24 @@ class TestSeedWorkers:
         stdout, err = capsys.readouterr()
         assert stdout == "" and err.count("\n") == 1
         assert err.startswith("fsosim: a worker process died; seed ")
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
+
+    def test_an_interrupt_kills_the_workers_at_once(self, monkeypatch):
+        # this process's own seed is interrupted while a worker's seed runs
+        # for a minute
+        def stall(seed):
+            time.sleep(0.5)
+            if seed == 1:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        _wrap_simulate_run(monkeypatch, stall)
+        _set_usable_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("run", "--seeds", "1..2", "--duration", "12")
+        assert time.monotonic() - start < 10
+        _assert_no_child()
 
     def test_usable_cpus_are_the_affinity_mask_else_the_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)

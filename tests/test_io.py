@@ -621,10 +621,9 @@ class TestReaderFaults:
             read_tracking_csv(p)
 
     def test_state_cell_is_a_whole_name_or_unknown(self):
-        # a state's code is looked up from two bytes of its cell, then the
-        # whole name is checked: every name with a byte changed, dropped or
-        # added, and the empty cell, has no state (a cell's trailing NULs
-        # are padding to numpy)
+        # a state's code is that of the whole name its cell holds: every
+        # name with a byte changed, dropped or added, and the empty cell,
+        # has no state (a cell's trailing NULs are padding to numpy)
         names = [STATE_NAMES[s] for s in range(len(STATE_NAMES))]
         width = int(fsio._STATE_FIELD[1:])
         near = {name[:i] + c + name[i + 1:] for name in names for i in range(len(name) + 1)

@@ -1,12 +1,14 @@
 """The writer process of `track --out` and `run --out`.
 
 A verb that simulates one seed with --out, with a second CPU usable, forks
-one writer process before the first tick; the 1 kHz loop hands it each
-block of ticks, and it writes the CSVs while the loop runs the next block.
-With one usable CPU, and in the processes of a multi-seed `run --seeds`,
-the same sink writes them in-process.  The bytes are the same either way,
-and no verb leaves a process behind, whether it succeeds, is refused or
-fails.  (A monkeypatch made in this process is inherited by the writer.)
+one writer process (a `cli._Child`, the same kind of process as a worker of
+`run --seeds`) before the first tick; the 1 kHz loop hands it each block of
+ticks down a pipe, and it writes the CSVs while the loop runs the next
+block.  With one usable CPU, when the fork fails, and in the processes of a
+multi-seed `run --seeds`, the same sink writes them in-process.  The bytes
+are the same either way, and no verb leaves a process behind, whether it
+succeeds, is refused or fails.  (A monkeypatch made in this process is
+inherited by the writer.)
 """
 
 import errno
@@ -45,14 +47,15 @@ def assert_no_child():
 def count_writers(monkeypatch) -> list:
     """A list that gets one entry per writer process forked from here."""
     made = []
-    real = fsosim.cli._ForkedWriter
+    real = fsosim.cli._Child
 
     class Counted(real):
-        def __init__(self, *args, **kwargs):
-            made.append(os.getpid())
-            super().__init__(*args, **kwargs)
+        def __init__(self, name, work):
+            if name == "the writer process":
+                made.append(os.getpid())
+            super().__init__(name, work)
 
-    monkeypatch.setattr(fsosim.cli, "_ForkedWriter", Counted)
+    monkeypatch.setattr(fsosim.cli, "_Child", Counted)
     return made
 
 
@@ -151,6 +154,7 @@ REFUSED = [
     ("run", "--duration", "1e12"),
     ("run", "--seed", "18446744073709551616"),
     ("run", "--seeds", "4..4", "--duration", "5"),
+    ("run", "--seeds", "1..3", "--duration", "5"),  # before any worker is forked
 ]
 
 
@@ -160,12 +164,32 @@ def test_refused_before_out_is_made_or_a_writer_forked(argv, tmp_path, monkeypat
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    set_usable_cpus(monkeypatch, 2)
+    set_usable_cpus(monkeypatch, 3)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1
     stdout, err = capsys.readouterr()
     assert stdout == "" and err.count("\n") == 1 and err.startswith("fsosim: --")
     assert not out.exists()
+    assert_no_child()
+
+
+@pytest.mark.parametrize("argv", [("track",), ("run",), ("run", "--seeds", "1..3")])
+def test_a_fork_that_fails_leaves_the_work_in_process(argv, tmp_path, monkeypatch, capsys):
+    # at the process limit (EAGAIN) the verb writes the bytes of one CPU
+    set_usable_cpus(monkeypatch, 1)
+    assert main([*argv, "--duration", "12", "--out", str(tmp_path / "one-cpu")]) == 0
+    forks = []
+
+    def at_the_process_limit():
+        forks.append(os.getpid())
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", at_the_process_limit)
+    set_usable_cpus(monkeypatch, 3)
+    assert main([*argv, "--duration", "12", "--out", str(tmp_path / "no-fork")]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert forks == [os.getpid()]
+    assert files_of(tmp_path / "no-fork") == files_of(tmp_path / "one-cpu")
     assert_no_child()
 
 
@@ -243,16 +267,16 @@ def test_a_writer_that_dies_exits_4_with_one_line(verb, how, tmp_path, monkeypat
 @pytest.mark.parametrize("when", ["in the loop", "after the loop", "waiting for the writer"])
 def test_interrupt_reaps_the_writer(verb, when, tmp_path, monkeypatch):
     if when == "in the loop":
-        real = fsosim.cli._ForkedWriter.__call__
+        real = fsosim.cli._Child.send
         sent = []
 
-        def interrupted(self, block):
+        def interrupted(self, block, what):
             sent.append(block)
             if len(sent) == 2:
                 raise KeyboardInterrupt
-            real(self, block)
+            real(self, block, what)
 
-        monkeypatch.setattr(fsosim.cli._ForkedWriter, "__call__", interrupted)
+        monkeypatch.setattr(fsosim.cli._Child, "send", interrupted)
     elif when == "waiting for the writer":
         real = os.waitpid
         waits = []
