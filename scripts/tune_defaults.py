@@ -14,8 +14,11 @@ Usage examples:
     python3 scripts/tune_defaults.py --scenario candidate.json
     python3 scripts/tune_defaults.py --seeds 5 --duration 80
 
-Exit codes follow fsosim's: 1 for an unusable argument or an invalid
-scenario, 3 for a scenario file that cannot be read.
+The runs share the usable CPUs as the seeds of `fsosim run --seeds` do, in
+worker processes that send back each run's row of statistics; the output
+is that of one process.  Exit codes follow fsosim's: 1 for an unusable
+argument or an invalid scenario, 3 for a scenario file that cannot be read,
+4 for a worker process that died.
 """
 
 from __future__ import annotations
@@ -26,25 +29,25 @@ import sys
 import numpy as np
 
 from fsosim import ScenarioError, default_scenario, link_budget, load_scenario
-from fsosim.cli import EXIT_IO, _Parser, simulate_run
+from fsosim.cli import (EXIT_IO, EXIT_WORKER, _STAGE_CHOICES, _map, _Parser, _WorkerDied,
+                        simulate_run)
 from fsosim.optics import DB_PER_NEPER
 
 
-def stage_stats(scenario, fine1, fine2, seeds, duration):
-    rows = []
-    for seed in seeds:
-        run = simulate_run(scenario, duration, seed, enable_fine1=fine1, enable_fine2=fine2)
-        st = run.tracking
-        window = run.series.window(run.t0_s, run.t1_s)
-        r2 = np.hypot(window.error_pitch_rad, window.error_azimuth_rad) ** 2
-        rows.append((
-            st.radial_mean_rad * 1e6,
-            st.pitch_std_rad * 1e6,
-            st.azimuth_std_rad * 1e6,
-            float(np.mean(r2)) * 1e12,
-            float(np.std(r2)) * 1e12,
-        ))
-    return rows
+def run_row(scenario, stage, seed, duration):
+    """The statistics of one run of a stage set: the row its stage prints."""
+    fine1, fine2 = _STAGE_CHOICES[stage]
+    run = simulate_run(scenario, duration, seed, enable_fine1=fine1, enable_fine2=fine2)
+    st = run.tracking
+    window = run.series.window(run.t0_s, run.t1_s)
+    r2 = np.hypot(window.error_pitch_rad, window.error_azimuth_rad) ** 2
+    return (
+        st.radial_mean_rad * 1e6,
+        st.pitch_std_rad * 1e6,
+        st.azimuth_std_rad * 1e6,
+        float(np.mean(r2)) * 1e12,
+        float(np.std(r2)) * 1e12,
+    )
 
 
 def describe(label, rows):
@@ -72,10 +75,12 @@ def main() -> None:
     scenario = default_scenario() if args.scenario is None else load_scenario(args.scenario)
     seeds = list(range(1, int(args.seeds) + 1))
 
-    # every run comes before the first line, so a refused argument leaves stdout empty
-    coarse = stage_stats(scenario, False, False, seeds, args.duration)
-    fine1 = stage_stats(scenario, True, False, seeds, args.duration)
-    full = stage_stats(scenario, True, True, seeds, args.duration)
+    # every run comes before the first line, so a refused argument leaves
+    # stdout empty; the runs go to fsosim's worker processes, as its seeds do
+    runs = [(stage, seed) for stage in ("coarse", "fine1", "full") for seed in seeds]
+    rows = _map(lambda run: run_row(scenario, *run, args.duration), runs,
+                lambda run: "the {} run of seed {}".format(*run))
+    coarse, fine1, full = (rows[k:k + len(seeds)] for k in range(0, len(rows), len(seeds)))
     print(f"# scenario {scenario.name} | digest {scenario.digest}")
     describe("coarse", coarse)
     describe("fine1", fine1)
@@ -115,3 +120,6 @@ if __name__ == "__main__":
     except OSError as exc:
         print(f"tune_defaults.py: i/o error: {exc}", file=sys.stderr)
         sys.exit(EXIT_IO)
+    except _WorkerDied as exc:
+        print(f"tune_defaults.py: {exc}", file=sys.stderr)
+        sys.exit(EXIT_WORKER)

@@ -266,8 +266,19 @@ def _usable_cpus() -> int:
 
 def _processes(wanted: int) -> int:
     """The processes, this one and _Childs forked from it, that run `wanted`
-    shares of work: one per usable CPU at most, one where none can fork."""
-    return min(wanted, _usable_cpus()) if hasattr(os, "fork") else 1
+    (at least 1) equal shares of work dealt round-robin: with c usable CPUs
+    (1 where none can fork), the fewest P >= min(wanted, c) whose last round
+    keeps every CPU busy, wanted % P being 0 or at least c.
+
+    3 shares on 2 CPUs run in 3 processes, which the scheduler spreads over
+    both CPUs for 1.5 share-times, not 2; `wanted` shares never take more
+    than `wanted` processes, and wanted <= 10 000 takes fewer than 6c.
+    """
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    procs = min(wanted, cpus)
+    while 0 < wanted % procs < cpus:
+        procs += 1
+    return procs
 
 
 class _Child:
@@ -290,6 +301,7 @@ class _Child:
         self._name = name
         down_r, down_w = os.pipe()
         up_r, up_w = os.pipe()
+        parent = os.getpid()
         try:
             self._pid = os.fork()
         except OSError:
@@ -297,6 +309,7 @@ class _Child:
                 os.close(fd)
             raise
         if self._pid == 0:
+            _die_with(parent)
             for fd in (down_w, up_r, *self._ends):
                 os.close(fd)
             _serve(work, down_r, up_w)
@@ -346,6 +359,21 @@ class _Child:
 
     def _died(self, what: str) -> _WorkerDied:
         return _WorkerDied(f"{self._name} died; {what} did not finish")
+
+
+_PR_SET_PDEATHSIG = 1  # <linux/prctl.h>
+
+
+def _die_with(parent: int) -> None:
+    """In a child just forked from `parent`: be killed when `parent` dies
+    (on Linux), and exit at once if it died before that was asked, so that
+    no child outlives an fsosim that was killed."""
+    if sys.platform.startswith("linux"):
+        import ctypes  # numpy has imported it already
+
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(0)
 
 
 def _serve(work: Callable[[Iterator], Iterable], down_r: int, up_w: int) -> NoReturn:
@@ -598,28 +626,27 @@ def _run_one_seed(scenario: Scenario, args, seed: int, multi: bool,
         }
 
 
-def _map_seeds(scenario: Scenario, args, seeds: list[int], multi: bool) -> list[dict]:
-    """_run_one_seed over the seeds, its results in seed order.
+def _map(work: Callable, items: list, what: Callable[..., str]) -> list:
+    """work(item) for each item, the results in item order.
 
-    The seeds run in n = _processes(len(seeds)) processes: worker k of n - 1
-    _Childs runs seeds k, k + n, ... of the list, writes their CSVs and
-    sends back their report entries; this process runs seeds 0, n, 2n, ...,
-    and those of a worker that could not be forked, as it reaches them in
-    seed order.  Raises the error of the first failing seed in seed order,
-    or _WorkerDied naming the seed it waited for; no worker outlives the call.
+    The items run in n = _processes(len(items)) processes: worker k of n - 1
+    _Childs runs items k, k + n, ... of the list and sends back their
+    results; this process runs items 0, n, 2n, ..., and those of a worker
+    that could not be forked, as it reaches them in item order.  Raises the
+    error of the first failing item in item order, or _WorkerDied naming
+    what(item) for the item it waited for; no worker outlives the call.
     """
-    procs = _processes(len(seeds))
+    procs = _processes(len(items))
     workers = {}
     try:
         for k in range(1, procs):
             try:
-                workers[k] = _Child("a worker process", lambda items: (
-                    _run_one_seed(scenario, args, s, multi) for s in seeds[k::procs]))
+                workers[k] = _Child("a worker process",
+                                    lambda _: map(work, items[k::procs]))
             except OSError:  # at the process limit, or out of memory: run them here
                 break
-        return [workers[i % procs].receive(f"seed {seed}") if i % procs in workers
-                else _run_one_seed(scenario, args, seed, multi, fork_writer=len(seeds) == 1)
-                for i, seed in enumerate(seeds)]
+        return [workers[i % procs].receive(what(item)) if i % procs in workers else work(item)
+                for i, item in enumerate(items)]
     finally:
         for worker in workers.values():
             worker.reap()
@@ -632,7 +659,10 @@ def cmd_run(args) -> int:
     # once, before --out is made or a process forked: every seed passed
     # _parse_seed_range's checks, so the run of one seed is refused as any
     _check_simulate(scenario, args.duration, seeds[-1])
-    per_seed = _map_seeds(scenario, args, seeds, multi)
+    # a lone seed runs in this process, and it alone forks a --out writer
+    per_seed = _map(lambda seed: _run_one_seed(scenario, args, seed, multi,
+                                               fork_writer=len(seeds) == 1),
+                    seeds, "seed {}".format)
 
     loss_means = [r["loss_db"]["mean"] for r in per_seed if r["loss_db"]["mean"] is not None]
     payload = {

@@ -426,13 +426,16 @@ class TestRun:
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def python_env():
+    """This process's environment with the package's source on the path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def run_python(*argv):
     """A fresh interpreter with the package's source on its path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=python_env(), timeout=300)
 
 
 def run_script(script, *flags):
@@ -503,6 +506,31 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+# `fsosim run --seeds 1..3 --duration 1000` with three usable CPUs: two workers
+KILLED_RUN = """
+import sys
+import fsosim.cli
+fsosim.cli._usable_cpus = lambda: 3
+sys.exit(fsosim.cli.main(["run", "--seeds", "1..3", "--duration", "1000"]))
+"""
+
+
+def _proc_stat(pid):
+    """(state, parent pid) of process pid, None once it is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = text.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+def _ended(pid):
+    # a zombie has ended: only its new parent has not waited for it yet
+    stat = _proc_stat(pid)
+    return stat is None or stat[0] == "Z"
+
+
 def _wrap_simulate_run(monkeypatch, before):
     """Make simulate_run call before(seed) first, in whichever process runs it."""
     real = fsosim.cli.simulate_run
@@ -516,10 +544,11 @@ def _wrap_simulate_run(monkeypatch, before):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="seeds run in-process without fork")
 class TestSeedWorkers:
-    """`run --seeds` runs its seeds in n = min(seeds, usable CPUs) processes:
-    this one, which takes seeds 0, n, 2n, ... of the list, and n - 1 forked
-    workers (`cli._Child`s); the bytes are the same as those of this process
-    alone."""
+    """`run --seeds` runs its seeds in n = `cli._processes(seeds)` processes,
+    the fewest from min(seeds, usable CPUs) up whose last round of seeds
+    keeps every CPU busy: this one, which takes seeds 0, n, 2n, ... of the
+    list, and n - 1 forked workers (`cli._Child`s); the bytes are the same
+    as those of this process alone."""
 
     ARGV = ("run", "--seeds", "1..3", "--duration", "12")
 
@@ -565,9 +594,12 @@ class TestSeedWorkers:
             _assert_no_child()
         assert errors[3] == errors[1]
 
-    # procs: the processes that run seeds, this one and its workers
+    # procs: the processes that run seeds, this one and its workers; on 2
+    # CPUs an odd count of seeds takes one more process than CPUs, so that
+    # its last round does not leave a CPU idle
     @pytest.mark.parametrize("cpus, seeds, procs", [
-        (1, "1..3", None), (8, "1..1", None), (8, "1..2", 2), (2, "1..3", 2), (3, "1..3", 3)])
+        (1, "1..3", None), (8, "1..1", None), (8, "1..2", 2), (2, "1..3", 3), (3, "1..3", 3),
+        (2, "1..4", 2), (2, "1..5", 3)])
     def test_workers_are_the_fewer_of_seeds_and_cpus(self, cpus, seeds, procs,
                                                      monkeypatch, capsys):
         made = []
@@ -582,6 +614,20 @@ class TestSeedWorkers:
         _set_usable_cpus(monkeypatch, cpus)
         assert run_cli("run", "--seeds", seeds, "--duration", "10.01") == 0
         assert made == ([] if procs is None else ["a worker process"] * (procs - 1))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8, 64])
+    def test_processes_are_the_fewest_that_keep_every_cpu_busy(self, cpus, monkeypatch):
+        # forks nothing: the rule alone, for every count of seeds --seeds takes
+        _set_usable_cpus(monkeypatch, cpus)
+        n = np.arange(1, 10_001)
+        procs = np.array([fsosim.cli._processes(int(k)) for k in n])
+        assert (np.minimum(n, cpus) <= procs).all() and (procs <= n).all()
+        assert (procs < 6 * cpus).all()
+        # busy[i, j]: P = j + 1 may run n[i] seeds, its last round 0 or >= cpus seeds
+        p = np.arange(1, procs.max() + 1)
+        last = n[:, None] % p
+        busy = (p >= np.minimum(n, cpus)[:, None]) & ((last == 0) | (last >= cpus))
+        assert (busy.argmax(axis=1) + 1 == procs).all()
 
     def test_first_failing_seed_in_seed_order_sets_the_error(self, tmp_path, monkeypatch,
                                                              capsys):
@@ -630,6 +676,24 @@ class TestSeedWorkers:
         assert time.monotonic() - start < 10
         _assert_no_child()
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="a worker dies with fsosim through Linux's parent-death signal")
+    def test_a_killed_fsosim_leaves_no_worker(self):
+        # SIGKILL leaves fsosim no time to reap its workers: each is killed
+        # with it rather than running on to the end of its 1000 s seed
+        run = subprocess.Popen([sys.executable, "-c", KILLED_RUN],
+                               stdout=subprocess.DEVNULL, env=python_env())
+        time.sleep(1.5)
+        workers = [pid for pid in map(int, filter(str.isdigit, os.listdir("/proc")))
+                   if _proc_stat(pid) and _proc_stat(pid)[1] == run.pid]
+        run.kill()
+        run.wait()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 1
+        while left := [pid for pid in workers if not _ended(pid)]:
+            assert time.monotonic() < deadline, f"workers {left} outlived fsosim"
+            time.sleep(0.01)
+
     def test_usable_cpus_are_the_affinity_mask_else_the_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
         assert fsosim.cli._usable_cpus() == 1
@@ -640,7 +704,44 @@ class TestSeedWorkers:
         assert fsosim.cli._usable_cpus() == 1
 
 
+# scripts/tune_defaults.py --seeds 2 --duration 10.5 with `cpus` usable CPUs;
+# with `kill`, a worker process kills itself at the fine1 run of seed 2
+TUNE_IN_WORKERS = """
+import os, runpy, signal, sys
+import fsosim.cli
+
+script, cpus, kill = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "kill"
+parent, real = os.getpid(), fsosim.cli.simulate_run
+
+def simulate_run(scenario, duration_s, seed, **flags):
+    if kill and os.getpid() != parent and (seed, flags["enable_fine1"]) == (2, True):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(scenario, duration_s, seed, **flags)
+
+fsosim.cli.simulate_run = simulate_run
+fsosim.cli._usable_cpus = lambda: cpus
+sys.argv = [script, "--seeds", "2", "--duration", "10.5"]
+runpy.run_path(script, run_name="__main__")
+"""
+
+
 class TestScripts:
+    def test_tune_defaults_prints_the_bytes_of_one_process(self):
+        # six runs on 2 CPUs: this process and one worker, three runs each
+        script = str(ROOT / "scripts" / "tune_defaults.py")
+        one, workers = (run_python("-c", TUNE_IN_WORKERS, script, cpus, "")
+                        for cpus in ("1", "2"))
+        assert one.returncode == workers.returncode == 0
+        assert workers.stdout == one.stdout and one.stdout.startswith("# scenario default ")
+
+    def test_tune_defaults_killed_worker_exits_4_with_one_line(self):
+        done = run_python("-c", TUNE_IN_WORKERS, str(ROOT / "scripts" / "tune_defaults.py"),
+                          "2", "kill")
+        assert done.returncode == 4
+        assert done.stderr == ("tune_defaults.py: a worker process died; "
+                               "the fine1 run of seed 2 did not finish\n")
+        assert done.stdout == ""
+
     @pytest.mark.parametrize("script", ["reproduce_results.py", "tune_defaults.py"])
     def test_duration_inside_the_warmup_exits_1_with_one_line(self, script):
         done = run_script(script, "--duration", "5")
