@@ -626,6 +626,39 @@ def _run_one_seed(scenario: Scenario, args, seed: int, multi: bool,
         }
 
 
+# how much less CPU than the process that forked it a worker of _map gets
+# where they share a CPU: nice 5 weighs about a third of nice 0
+_WORKER_NICE = 5
+
+
+@contextmanager
+def _cpu_of_its_own(workers: Iterable[_Child]) -> Iterator[None]:
+    """While the block runs, this process has a usable CPU to itself and the
+    unreaped `workers` share the others; then all of them may run on every
+    usable CPU again.  Without a second usable CPU, or where affinity cannot
+    be set, the block runs as it is."""
+    pids = [w._pid for w in workers if w._pid is not None]
+    usable = os.sched_getaffinity(0) if pids and hasattr(os, "sched_setaffinity") else set()
+    if len(usable) < 2:
+        yield
+        return
+    own = {min(usable)}
+    _set_affinity([0], own)
+    _set_affinity(pids, usable - own)
+    try:
+        yield
+    finally:
+        _set_affinity([0, *pids], usable)
+
+
+def _set_affinity(pids: list[int], cpus: set[int]) -> None:
+    for pid in pids:
+        # an affinity is a placement, never a failure: a worker may have
+        # exited, or the usable CPUs changed meanwhile
+        with suppress(OSError):
+            os.sched_setaffinity(pid, cpus)
+
+
 def _map(work: Callable, items: list, what: Callable[..., str]) -> list:
     """work(item) for each item, the results in item order.
 
@@ -635,18 +668,33 @@ def _map(work: Callable, items: list, what: Callable[..., str]) -> list:
     that could not be forked, as it reaches them in item order.  Raises the
     error of the first failing item in item order, or _WorkerDied naming
     what(item) for the item it waited for; no worker outlives the call.
+
+    Each item this process runs, it runs on a CPU of its own while the
+    workers share the other CPUs; while it waits, every process may run on
+    every CPU, the workers at a lower priority (_WORKER_NICE), so that this
+    process is not kept waiting behind them when it wakes.  With more
+    processes than CPUs the workers, not this process, take turns, and
+    the sweep still keeps every CPU busy.
     """
     procs = _processes(len(items))
     workers = {}
+
+    def share(k: int) -> Iterator:
+        os.nice(_WORKER_NICE)
+        yield from map(work, items[k::procs])
+
+    def run_here(item):
+        with _cpu_of_its_own(workers.values()):
+            return work(item)
+
     try:
         for k in range(1, procs):
             try:
-                workers[k] = _Child("a worker process",
-                                    lambda _: map(work, items[k::procs]))
+                workers[k] = _Child("a worker process", lambda _: share(k))
             except OSError:  # at the process limit, or out of memory: run them here
                 break
-        return [workers[i % procs].receive(what(item)) if i % procs in workers else work(item)
-                for i, item in enumerate(items)]
+        return [workers[i % procs].receive(what(item)) if i % procs in workers
+                else run_here(item) for i, item in enumerate(items)]
     finally:
         for worker in workers.values():
             worker.reap()

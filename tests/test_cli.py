@@ -547,8 +547,9 @@ class TestSeedWorkers:
     """`run --seeds` runs its seeds in n = `cli._processes(seeds)` processes,
     the fewest from min(seeds, usable CPUs) up whose last round of seeds
     keeps every CPU busy: this one, which takes seeds 0, n, 2n, ... of the
-    list, and n - 1 forked workers (`cli._Child`s); the bytes are the same
-    as those of this process alone."""
+    list and runs each on a CPU of its own where affinity can be set, and
+    n - 1 forked workers (`cli._Child`s) at a lower priority; the bytes are
+    the same as those of this process alone."""
 
     ARGV = ("run", "--seeds", "1..3", "--duration", "12")
 
@@ -671,9 +672,12 @@ class TestSeedWorkers:
         _wrap_simulate_run(monkeypatch, stall)
         _set_usable_cpus(monkeypatch, 2)
         start = time.monotonic()
+        affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+        usable = affinity(0)
         with pytest.raises(KeyboardInterrupt):
             run_cli("run", "--seeds", "1..2", "--duration", "12")
         assert time.monotonic() - start < 10
+        assert affinity(0) == usable  # no longer confined to a CPU of its own
         _assert_no_child()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -693,6 +697,37 @@ class TestSeedWorkers:
         while left := [pid for pid in workers if not _ended(pid)]:
             assert time.monotonic() < deadline, f"workers {left} outlived fsosim"
             time.sleep(0.01)
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="a CPU of its own needs affinity and a second usable CPU")
+    def test_this_process_runs_its_seeds_on_a_cpu_of_its_own(self, monkeypatch, capsys):
+        # 3 seeds on 2 CPUs: this process's seed on one CPU while the two
+        # workers, niced, share the other; then every CPU for every process
+        usable, here, made, seen = os.sched_getaffinity(0), os.getpid(), [], []
+        real = fsosim.cli._Child
+
+        class Recorded(real):
+            def __init__(self, name, work):
+                super().__init__(name, work)
+                made.append(self._pid)
+
+        def record(seed):
+            if os.getpid() != here:
+                time.sleep(1.0)  # still running when this process records them
+                return
+            time.sleep(0.3)  # the workers have set their nice value
+            seen.append((os.sched_getaffinity(0), [os.sched_getaffinity(p) for p in made],
+                         [os.getpriority(os.PRIO_PROCESS, p) for p in made]))
+
+        monkeypatch.setattr(fsosim.cli, "_Child", Recorded)
+        _wrap_simulate_run(monkeypatch, record)
+        _set_usable_cpus(monkeypatch, 2)
+        assert run_cli(*self.ARGV) == 0
+        own = {min(usable)}
+        nice = os.getpriority(os.PRIO_PROCESS, 0) + fsosim.cli._WORKER_NICE
+        assert seen == [(own, [usable - own] * 2, [min(nice, 19)] * 2)]
+        assert os.sched_getaffinity(0) == usable
+        _assert_no_child()
 
     def test_usable_cpus_are_the_affinity_mask_else_the_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
