@@ -216,10 +216,10 @@ class TrackingStats:
 
 def tracking_stats(series: TrackingSeries) -> TrackingStats:
     """Residual statistics of the whole series; those of the window [t0_s,
-    t1_s) are `tracking_stats(series.window(t0_s, t1_s))`."""
+    t1_s) are `tracking_stats(series.window(t0_s, t1_s))`.  The radial
+    error is formed a block at a time, never as a series-long array."""
     pitch, azimuth = series.error_pitch_rad, series.error_azimuth_rad
-    radial = np.hypot(pitch, azimuth)
-    s_r = summarize(radial)
+    s_r = summarize((pitch, azimuth), np.hypot)
     s_p = summarize(pitch)
     s_a = summarize(azimuth)
     return TrackingStats(

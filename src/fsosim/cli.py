@@ -168,10 +168,11 @@ _FLAG_OF = {"duration_s": "--duration", "fine_after_s": "--fine-after", "seed": 
             "steps": "--steps", "tolerance_db": "--tolerance-db"}
 
 
-def _check_window(t0: float, t1: float, refusal: str) -> None:
-    """Raise ValueError(refusal) when the statistics window [t0, t1) of a
-    run of t1 seconds holds no tick, before the run; a t1 with no finite
-    tick count is refused as duration_s.
+def _check_window(t0: float, t1: float, refusal: str) -> slice:
+    """The ticks of the statistics window [t0, t1) of a run of t1 seconds,
+    as tick_window gives them, before the run; raises ValueError(refusal)
+    when it holds no tick, and refuses a t1 with no finite tick count as
+    duration_s.
     """
     try:
         # a NaN bound, or t1 <= t0, is an empty window whatever t1's tick count
@@ -179,7 +180,7 @@ def _check_window(t0: float, t1: float, refusal: str) -> None:
     except ValueError as exc:
         raise ValueError(f"duration_s: {exc}") from None
     try:
-        tick_window(t0, t1, n)
+        return tick_window(t0, t1, n)
     except ValueError:
         raise ValueError(refusal) from None
 
@@ -396,8 +397,8 @@ def _serve(work: Callable[[Iterator], Iterable], down_r: int, up_w: int) -> NoRe
 
 @contextmanager
 def _csv_writer(make_sink: Callable, files: str, fork: bool) -> Iterator[Callable]:
-    """A run_apt sink that writes a run's CSVs (`files`, for messages): the
-    one make_sink() builds, closed when the block exits.  With `fork` and a
+    """A sink that writes a run's CSVs (`files`, for messages): the one
+    make_sink() builds, closed when the block exits.  With `fork` and a
     second usable CPU, it runs in a writer process (a _Child) that the sink
     handed out sends each block to, so that the CSVs are formatted while
     this process runs the loop; on a normal exit this process waits for the
@@ -449,48 +450,70 @@ class RunResult:
 
 
 def _check_simulate(scenario: Scenario, duration_s: float, seed: int,
-                    enable_fine1: bool | None = None, enable_fine2: bool | None = None) -> None:
-    """Refuse what simulate_run refuses, in its order, without a run."""
+                    enable_fine1: bool | None = None, enable_fine2: bool | None = None) -> slice:
+    """Refuse what simulate_run refuses, in its order, without a run; the
+    ticks of its statistics window."""
     t0 = scenario.apt.stats_warmup_s
-    _check_window(t0, duration_s, f"duration_s {duration_s} s leaves no {TICK_RATE_HZ:g} Hz "
-                                  f"tick after the scenario's stats_warmup_s ({t0} s)")
+    rows = _check_window(t0, duration_s, f"duration_s {duration_s} s leaves no {TICK_RATE_HZ:g} "
+                                         f"Hz tick after the scenario's stats_warmup_s ({t0} s)")
     check_run(scenario, duration_s, seed, enable_fine1, enable_fine2)
+    return rows
 
 
 def simulate_run(scenario: Scenario, duration_s: float, seed: int,
                  enable_fine1: bool | None = None,
                  enable_fine2: bool | None = None,
-                 sink: Callable[[TrackingSeries], None] | None = None) -> RunResult:
+                 sink: Callable[[tuple[LossSeries, ThroughputSeries]], None] | None = None,
+                 ) -> RunResult:
     """The chain behind `fsosim run` for one seed: `run_apt`, then the loss,
     throughput and statistics over [stats_warmup_s, duration_s).  `seed` is
-    an integer in [0, 2**64); `sink` is run_apt's.
+    an integer in [0, 2**64).
+
+    The window's loss, at CSV precision, and its rate are formed once, a
+    block of ticks at a time as run_apt hands each block over.  `sink`,
+    when given, is called with each block's (loss, throughput), in tick
+    order: the rows of loss.csv and throughput.csv.
 
     Raises ValueError naming `duration_s`, before any tick runs, when that
     window holds no tick; then, before anything is allocated, what
     `run_apt` refuses, `seed` included.
     """
-    _check_simulate(scenario, duration_s, seed, enable_fine1, enable_fine2)
-    t0 = scenario.apt.stats_warmup_s
-    series = run_apt(scenario, duration_s, seed,
-                     enable_fine1=enable_fine1, enable_fine2=enable_fine2, sink=sink)
-    window = series.window(t0, duration_s)
-    # the residual statistics come first: they make a window-long radial
-    # error, and the run holds only its series yet
-    tracking = tracking_stats(window)
-    loss = loss_timeseries(window, scenario)
-    # statistics are taken over CSV-precision values, those loss.csv holds
-    _roundtrip(loss.loss_db)
-    throughput = throughput_timeseries(loss, scenario.transceiver)
+    rows = _check_simulate(scenario, duration_s, seed, enable_fine1, enable_fine2)
+    loss_db = np.empty(rows.stop - rows.start)
+    link_up = np.empty(loss_db.size, dtype=bool)
+    rate_gbps = np.empty(loss_db.size)
+    ticks = 0  # ticks handed over so far
+
+    def window_block(block: TrackingSeries) -> None:
+        nonlocal ticks
+        lo = ticks
+        ticks += len(block)
+        start, stop = max(rows.start, lo), min(rows.stop, ticks)
+        if start >= stop:
+            return
+        loss = loss_timeseries(block._rows(slice(start - lo, stop - lo)), scenario)
+        # statistics are taken over CSV-precision values, those loss.csv holds
+        _roundtrip(loss.loss_db)
+        throughput = throughput_timeseries(loss, scenario.transceiver)
+        at = slice(start - rows.start, stop - rows.start)
+        loss_db[at], link_up[at], rate_gbps[at] = loss.loss_db, loss.link_up, throughput.rate_gbps
+        if sink is not None:
+            sink((loss, throughput))
+
+    series = run_apt(scenario, duration_s, seed, enable_fine1=enable_fine1,
+                     enable_fine2=enable_fine2, sink=window_block)
+    loss = LossSeries(t_s=series.t_s[rows], loss_db=loss_db, link_up=link_up)
+    throughput = ThroughputSeries(t_s=loss.t_s, rate_gbps=rate_gbps)
     return RunResult(
         series=series,
-        t0_s=t0,
+        t0_s=scenario.apt.stats_warmup_s,
         t1_s=duration_s,
         loss=loss,
         throughput=throughput,
-        tracking=tracking,
-        loss_stats=loss_statistics(loss) if np.isfinite(loss.loss_db).any() else None,
+        tracking=tracking_stats(series._rows(rows)),
+        loss_stats=loss_statistics(loss) if np.isfinite(loss_db).any() else None,
         downtime_fraction=downtime_fraction(loss, scenario.transceiver),
-        throughput_stats=summarize(throughput.rate_gbps),
+        throughput_stats=summarize(rate_gbps),
     )
 
 
@@ -609,8 +632,7 @@ def _run_one_seed(scenario: Scenario, args, seed: int, multi: bool,
         files = {"loss_csv": f"loss_{seed}.csv" if multi else "loss.csv",
                  "throughput_csv": f"throughput_{seed}.csv" if multi else "throughput.csv"}
         writer = _csv_writer(
-            lambda: fsio.RunCsvs(out / files["loss_csv"], out / files["throughput_csv"],
-                                 scenario, scenario.apt.stats_warmup_s, args.duration),
+            lambda: fsio.RunCsvs(out / files["loss_csv"], out / files["throughput_csv"]),
             " and ".join(files.values()), fork_writer)
     with writer as sink:
         # the RunResult, and with it the seed's series, dies when this returns

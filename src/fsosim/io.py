@@ -8,7 +8,9 @@ round-trip.  Infinite loss samples are written as 'inf'.  Writers format a
 block of rows with one %-format, and a cell that can take only a few texts
 (a lock flag, a state name, a repeated rate) is looked up, not formatted.
 A run's CSVs are also written a block of ticks at a time as its 1 kHz loop
-runs (`TrackingCsv`, `RunCsvs`), with the same row formats and bytes.
+runs (`TrackingCsv`, `RunCsvs`), with the same row formats and bytes;
+`RunCsvs` is handed the loss and rate `cli.simulate_run` forms, and only
+formats them.
 Readers parse a block of rows with one np.loadtxt and copy it into one
 array per field, sized from the file's count of line-end bytes, so a read
 holds little more than the arrays it returns; a malformed row is named by
@@ -22,16 +24,13 @@ import json
 import warnings
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .apt import TrackingSeries, tick_count, tick_window
-from .link import LossSeries, ThroughputSeries, loss_timeseries, throughput_timeseries
+from .apt import TrackingSeries
+from .link import LossSeries, ThroughputSeries
 from .states import NAME_TO_STATE, STATE_NAMES
-
-if TYPE_CHECKING:
-    from .scenario import Scenario
 
 SWEEP_HEADER = "distance_m,diffraction_db,total_static_db"
 TRACKING_HEADER = (
@@ -450,9 +449,11 @@ def read_throughput_csv(path: str | Path) -> ThroughputSeries:
 # ---------------------------------------------------------------------------
 # a run's CSVs, written as its 1 kHz loop runs
 #
-# Each is a `run_apt` sink: it is called with each block of ticks as the loop
-# finishes it, and writes that block's rows, through the cells functions of
-# the whole-series writers above, so the file has their bytes.
+# Each is a sink: it is called with each block of ticks as the loop finishes
+# it (`run_apt`'s block of the series; `cli.simulate_run`'s block of the
+# window's loss and throughput), and writes that block's rows, through the
+# cells functions of the whole-series writers above, so the file has their
+# bytes.
 
 class TrackingCsv(_CsvFile):
     """The tracking.csv of a run, written block by block."""
@@ -466,15 +467,11 @@ class TrackingCsv(_CsvFile):
 
 class RunCsvs:
     """The loss.csv and throughput.csv of one seed of `fsosim run`, written
-    block by block: the rows of the statistics window [t0_s, t1_s) of a run
-    of t1_s seconds, their loss at CSV precision and their rate, as
-    `cli.simulate_run` forms them."""
+    block by block: `cli.simulate_run` hands over each block of its
+    statistics window's rows as (loss, throughput), the loss at CSV
+    precision, and this only formats them."""
 
-    def __init__(self, loss_path: str | Path, throughput_path: str | Path,
-                 scenario: "Scenario", t0_s: float, t1_s: float):
-        self._scenario = scenario
-        self._window = tick_window(t0_s, t1_s, tick_count(t1_s))
-        self._ticks = 0  # ticks handed over so far
+    def __init__(self, loss_path: str | Path, throughput_path: str | Path):
         self._loss = _CsvFile(loss_path, LOSS_HEADER)
         try:
             self._throughput = _CsvFile(throughput_path, THROUGHPUT_HEADER)
@@ -482,15 +479,8 @@ class RunCsvs:
             self._loss.close()
             raise
 
-    def __call__(self, block: TrackingSeries) -> None:
-        lo = self._ticks
-        self._ticks += len(block.t_s)
-        start, stop = max(self._window.start, lo), min(self._window.stop, self._ticks)
-        if start >= stop:
-            return
-        loss = loss_timeseries(block._rows(slice(start - lo, stop - lo)), self._scenario)
-        _through_csv(loss.loss_db, out=loss.loss_db)
-        throughput = throughput_timeseries(loss, self._scenario.transceiver)
+    def __call__(self, block: tuple[LossSeries, ThroughputSeries]) -> None:
+        loss, throughput = block
         self._loss.append(len(loss.t_s), _loss_cells(loss))
         self._throughput.append(len(throughput.t_s), _throughput_cells(throughput))
 

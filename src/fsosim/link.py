@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -113,7 +113,24 @@ _LOW_MASK = (1 << 26) - 1
 _FSUM_BLOCK = 1024
 
 
-def _blocks(values: np.ndarray, centre: float | None, size: int) -> Iterator[np.ndarray]:
+class _Formed:
+    """form(*columns) of equal-length arrays, formed a slice at a time as
+    _blocks asks for it, never whole; `low` and `high` are the least and
+    greatest value formed so far, NaN once one is NaN."""
+
+    def __init__(self, form: Callable[..., np.ndarray], columns: tuple[np.ndarray, ...]):
+        self._form, self._columns, self.size = form, columns, columns[0].size
+        self.low, self.high = math.inf, -math.inf
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        block = self._form(*(column[rows] for column in self._columns))
+        self.low = np.minimum(self.low, block.min())
+        self.high = np.maximum(self.high, block.max())
+        return block
+
+
+def _blocks(values: np.ndarray | _Formed, centre: float | None,
+            size: int) -> Iterator[np.ndarray]:
     """values, size values at a time, each block's (values - centre) ** 2
     when a centre is given."""
     for start in range(0, values.size, size):
@@ -121,10 +138,10 @@ def _blocks(values: np.ndarray, centre: float | None, size: int) -> Iterator[np.
         yield block if centre is None else (block - centre) ** 2
 
 
-def _exact_sum(values: np.ndarray, centre: float | None = None) -> float:
-    """math.fsum(values) for a float64 array, the same float bit for bit;
-    with a centre, math.fsum((values - centre) ** 2), the squares formed
-    one block at a time.
+def _exact_sum(values: np.ndarray | _Formed, centre: float | None = None) -> float:
+    """math.fsum(values) for a float64 array or a _Formed, the same float
+    bit for bit; with a centre, math.fsum((values - centre) ** 2), the
+    squares formed one block at a time.
 
     Each value is an integer below 2**53 times 2**(e - 53).  The integers
     of one exponent are summed in 26-bit halves, one block at a time, so
@@ -166,7 +183,7 @@ def _exact_sum(values: np.ndarray, centre: float | None = None) -> float:
     return float(total << scale) if scale >= 0 else total / (1 << -scale)
 
 
-def _fsum(values: np.ndarray, centre: float | None = None) -> float:
+def _fsum(values: np.ndarray | _Formed, centre: float | None = None) -> float:
     """math.fsum of what _exact_sum sums, given the same floats as Python
     floats, one block's list at a time: faster than over numpy scalars,
     without a list of them all."""
@@ -174,24 +191,30 @@ def _fsum(values: np.ndarray, centre: float | None = None) -> float:
     return math.fsum(chain.from_iterable(blocks))
 
 
-def summarize(values: Iterable[float]) -> SummaryStats:
+def summarize(values: Iterable[float] | tuple[np.ndarray, ...],
+              form: Callable[..., np.ndarray] | None = None) -> SummaryStats:
     """Mean/population-std/min/max from exactly rounded sums.
 
     Both sums are exactly rounded (math.fsum's result, see _exact_sum) and
     so independent of the order of the samples: repeated runs over the same
-    samples give identical statistics.
+    samples give identical statistics.  With `form`, the samples are
+    form(*values) of a tuple of equal-length arrays, an elementwise
+    function formed a block at a time by each sum, never whole.
     """
-    data = np.asarray(values, dtype=float)
-    if data.size == 0:
-        raise ValueError("summarize requires at least one value")
+    columns = tuple(np.asarray(c, dtype=float) for c in (values if form else (values,)))
+    if len({column.size for column in columns}) > 1:
+        raise ValueError("summarize's arrays must have one length")
+    data = _Formed(form or (lambda column: column), columns)
     n = data.size
+    if n == 0:
+        raise ValueError("summarize requires at least one value")
     mean = _exact_sum(data) / n
     var = _exact_sum(data, mean) / n
     return SummaryStats(
         mean=mean,
         std=math.sqrt(var),
-        minimum=float(data.min()),
-        maximum=float(data.max()),
+        minimum=float(data.low),
+        maximum=float(data.high),
         count=int(n),
     )
 

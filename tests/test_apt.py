@@ -22,6 +22,7 @@ from fsosim import (
 )
 from fsosim.apt import RNG_STREAM_LABELS, TICK_RATE_HZ, _axis_rngs, tick_count, tick_window
 from fsosim.dynamics import DisturbanceGenerator, lag_alpha
+from fsosim.link import _SUM_BLOCK, summarize
 from fsosim.scenario import DEFAULTS
 
 from conftest import make_scenario, mutate_json, sinusoid, zero_noise_overrides
@@ -1051,6 +1052,25 @@ class TestTrackingSeries:
         assert st_.radial_mean_rad == pytest.approx(radial.mean(), rel=1e-12)
         assert st_.radial_std_rad == pytest.approx(radial.std(), rel=1e-12)
         assert st_.count == 10
+
+    def test_stats_hold_no_series_long_radial_error(self):
+        # the radial error is formed _SUM_BLOCK ticks at a time by each of
+        # the two exact sums, beside those sums' own block temporaries; held
+        # whole it would add 8 bytes a tick, 2 MB here
+        n = 32 * _SUM_BLOCK
+        rng = np.random.default_rng(3)
+        s = dataclasses.replace(self._series(n), error_pitch_rad=rng.normal(0.0, 1e-6, n),
+                                error_azimuth_rad=rng.normal(0.0, 1e-6, n))
+        tracemalloc.start()
+        try:
+            stats = tracking_stats(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * _SUM_BLOCK
+        whole = summarize(np.hypot(s.error_pitch_rad, s.error_azimuth_rad))
+        assert (stats.radial_mean_rad, stats.radial_std_rad, stats.count) == (
+            whole.mean, whole.std, n)
 
     def test_window_arrays_are_views(self):
         s = self._series()

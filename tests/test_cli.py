@@ -27,6 +27,8 @@ from fsosim.cli import main, simulate_run
 from fsosim.io import read_loss_csv, read_throughput_csv
 from fsosim.scenario import DEFAULTS
 
+from conftest import make_scenario
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -232,6 +234,17 @@ def run_dir(tmp_path_factory):
     return out
 
 
+# (scenario, duration) of a run whose report must not depend on how its
+# ticks are split into blocks: the defaults, with the 10 s warmup; the
+# bench's fixed loss; and a window from t = 0, which starts in Stabilize,
+# so that it holds out-of-lock (inf) loss
+RUN_SPLIT_CASES = {
+    "default": lambda: (default_scenario(), 11.5),
+    "fixed_loss": lambda: (load_scenario(ROOT / "scenarios" / "bench_direct.json"), 11.5),
+    "no_warmup": lambda: (make_scenario(**{"apt.stats_warmup_s": 0.0}), 3.0),
+}
+
+
 class TestRun:
     def test_artifacts(self, run_dir):
         for name in ("loss.csv", "throughput.csv", "report.json"):
@@ -282,15 +295,34 @@ class TestRun:
         other = simulate_run(default_scenario(), 10.01, 1)
         assert (other == run) is False and (other.series == run.series) is False
 
+    @pytest.mark.parametrize("block", [1, 7, 1000, 10**6])
+    @pytest.mark.parametrize("case", RUN_SPLIT_CASES.values(), ids=RUN_SPLIT_CASES.keys())
+    def test_report_does_not_depend_on_the_block_split(self, block, case, monkeypatch):
+        # the window's loss, rounding and rate are formed block by block as
+        # the loop hands each block over: blocks of one tick, of 7 (the
+        # 10 s window starts mid-block) and of 1000, and one block longer
+        # than the run give the bytes and statistics of the default block
+        scenario, duration = case()
+        default = simulate_run(scenario, duration, 3)
+        monkeypatch.setattr(fsosim.apt, "_INPUT_BLOCK", block)
+        split = simulate_run(scenario, duration, 3)
+        for name in ("loss_db", "link_up", "t_s"):
+            assert getattr(split.loss, name).tobytes() == getattr(default.loss, name).tobytes()
+        assert split.throughput.rate_gbps.tobytes() == default.throughput.rate_gbps.tobytes()
+        for name in ("loss_stats", "throughput_stats", "downtime_fraction", "tracking"):
+            assert getattr(split, name) == getattr(default, name), name
+
     def test_peak_is_the_result_and_a_few_blocks(self, monkeypatch):
         # simulate_run holds whole only what it returns: the run's series and
         # its window's loss, link flags and throughput, which share the
         # run's t_s.  The loop's inputs, the loss map, the rounding and the
-        # sums work a block at a time; two blocks of the loop's twelve inputs
-        # are 10 bytes a tick here.  The base angles and the IMU rate held
-        # whole (32 bytes a tick), or whole-window copies of t_s, of the
-        # unrounded loss, of the radial error and of the squared deviations
-        # (about 40 bytes a window tick), would each break the bound.
+        # sums work a block at a time, the loss map and the rounding of a
+        # block while the loop holds its inputs; two blocks of the loop's
+        # twelve inputs are 10 bytes a tick here.  The base angles and the
+        # IMU rate held whole (32 bytes a tick), or whole-window copies of
+        # t_s, of the unrounded loss, of the radial error and of the squared
+        # deviations (about 40 bytes a window tick), would each break the
+        # bound.
         block = 1024
         for module, name in ((fsosim.apt, "_INPUT_BLOCK"), (fsosim.link, "_SUM_BLOCK"),
                              (fsosim.io, "_ROUND_BLOCK")):

@@ -157,6 +157,48 @@ class TestSummarize:
         assert s.count == 1
 
 
+FORMED_LENGTHS = [1, 5, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, 2 * _SUM_BLOCK + 3]
+
+
+class TestSummarizeFormed:
+    """summarize((a, b), form) is summarize(form(a, b)), the values formed a
+    block at a time and never whole."""
+
+    @pytest.mark.parametrize("n", FORMED_LENGTHS)
+    @pytest.mark.parametrize("special", [None, math.inf, -math.inf, math.nan],
+                             ids=["finite", "inf", "minus_inf", "nan"])
+    def test_equals_the_whole_array(self, n, special):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(0.0, 1e-6, (2, n))
+        if special is not None:
+            a[n // 2] = special
+        radial = np.hypot(a, b)
+        with np.errstate(invalid="ignore"):
+            whole = summarize(radial)
+            formed = summarize((a, b), np.hypot)
+        for field in ("mean", "std", "minimum", "maximum", "count"):
+            got, expected = getattr(formed, field), getattr(whole, field)
+            assert struct.pack("<d", got) == struct.pack("<d", expected), field
+        # min and max as the whole array's, NaN included
+        for got, expected in ((formed.minimum, radial.min()), (formed.maximum, radial.max())):
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+    def test_min_and_max_are_of_every_block(self):
+        # the extremes in the last, short block and in the first
+        values = np.zeros(2 * _SUM_BLOCK + 3)
+        values[-1], values[0] = -2.0, 3.0
+        s = summarize((values,), np.negative)
+        assert (s.minimum, s.maximum) == (-3.0, 2.0)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="one length"):
+            summarize((np.zeros(3), np.zeros(4)), np.hypot)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            summarize((np.zeros(0), np.zeros(0)), np.hypot)
+
+
 def assert_sums_like_fsum(values):
     """_exact_sum(values) is math.fsum(values) bit for bit, or raises alike."""
     try:
